@@ -28,7 +28,6 @@ from .family import (
     Subfamily,
     all_realisations,
     instantiate,
-    subfamily_split,
 )
 from .fmc import parse_family, parse_spec, serialize_family
 from .engine import (

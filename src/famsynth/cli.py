@@ -221,7 +221,6 @@ def _config_from_args(args) -> RefinementConfig:
         strategy=args.strategy,
         queue=args.queue,
         epsilon=args.epsilon,
-        workers=getattr(args, "workers", 1),
     )
 
 
@@ -265,8 +264,6 @@ def build_parser() -> _Parser:
                    default="auto")
     p.add_argument("--queue", choices=("fifo", "largest"), default="fifo")
     p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=1,
-                   help="solve this many queued subfamilies concurrently")
     p.add_argument("--trace", metavar="PATH",
                    help="write a JSON-lines refinement trace")
 

@@ -5,12 +5,19 @@ probability and expected reward, memoryless deterministic scheduler
 extraction, and an exact rational linear-system solver for chains (the
 oracle used by the enumeration baseline and the test suite).
 
-Value iteration runs Jacobi sweeps from below, so computed values never
-exceed the true fixpoint; callers exploit that one-sidedness.  Scheduler
-extraction must be attainment-aware: a plain argmax would happily pick a
-value-preserving self-loop (every Dirac self-loop ties with the optimum at
-the fixpoint), so maximising extraction only accepts optimal actions that
-make progress towards already-ranked states.
+Value iteration solves the states left open by the graph analyses one
+strongly connected component at a time, successors first, with the
+component graph taken over all actions.  A singleton component takes one
+Bellman backup; with self-loops it is solved in closed form per action and
+shaved down by a relative 2^-40, unless some action is a pure self-loop.
+Other components run in-place Gauss-Seidel sweeps until their residual is
+at most ``epsilon``.  All of it works from below, so computed values never
+exceed the true fixpoint; callers exploit that one-sidedness.
+
+Scheduler extraction must be attainment-aware: a plain argmax would happily
+pick a value-preserving self-loop (every Dirac self-loop ties with the
+optimum at the fixpoint), so maximising extraction only accepts optimal
+actions that make progress towards already-ranked states.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ from .family import (
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITER = 10 ** 6
 TIE_SLACK = 1e-9
+# Relative shave on closed-form self-loop solutions: far above the rounding
+# error of one backup, so they stay below the true fixpoint.
+SHAVE = 1.0 - 2.0 ** -40
 
 
 class MdpAction(NamedTuple):
@@ -87,6 +97,8 @@ class CheckResult:
     values: tuple[float, ...]
     scheduler: Scheduler
     at_initial: float
+    # True when qualitative analysis fixed the initial value to exact 0 or 1
+    pinned: bool = False
 
 
 def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
@@ -195,37 +207,130 @@ def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
 # Value iteration
 # ---------------------------------------------------------------------------
 
-def _sweep(actions, values, frozen, maximize, rewards=None):
-    n = len(actions)
-    new = list(values)
-    delta = 0.0
-    for s in range(n):
-        if s in frozen:
+def _scc_decompose(nodes, edges):
+    """Strongly connected components of ``edges`` on ``nodes``, successors
+    before predecessors (iterative Tarjan).
+
+    ``edges`` maps every node to its successors; successors outside
+    ``nodes`` must already be filtered out.  Visiting ``nodes`` in order and
+    successors in list order makes the result deterministic.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    comps: list[list[int]] = []
+    for root in nodes:
+        if root in index:
             continue
-        best = None
-        for dist, _ in actions[s]:
-            v = 0.0
-            for t, p in dist:
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(edges[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _backup(acts, values, maximize):
+    best = None
+    for r, dist in acts:
+        v = r
+        for t, p in dist:
+            v += p * values[t]
+        if best is None or (v > best if maximize else v < best):
+            best = v
+    return best
+
+
+def _closed_form(s, acts, values, maximize):
+    """Value of a singleton component with self-loops, solved per action in
+    closed form and shaved by ``SHAVE``; None if some action is a pure
+    self-loop.
+
+    The denominator is the action's outgoing mass, summed, not one minus
+    the self-loop: the rounding error of a self-loop near 1 would be
+    magnified by the quotient far beyond the shave.
+    """
+    best = None
+    for r, dist in acts:
+        out = 0.0
+        v = r
+        for t, p in dist:
+            if t != s:
+                out += p
                 v += p * values[t]
-            if best is None or (v > best if maximize else v < best):
-                best = v
-        if rewards is not None:
-            best += rewards[s]
-        d = abs(best - values[s])
-        if d > delta:
-            delta = d
-        new[s] = best
-    return new, delta
+        if out <= 0.0:
+            return None
+        v = v / out * SHAVE
+        if best is None or (v > best if maximize else v < best):
+            best = v
+    return best
 
 
-def _iterate(actions, values, frozen, maximize, epsilon, max_iter,
-             rewards=None):
-    for _ in range(max_iter):
-        values, delta = _sweep(actions, values, frozen, maximize, rewards)
-        if delta <= epsilon:
-            return values
-    raise NonConvergenceError(
-        f"value iteration stopped after {max_iter} sweeps", residual=delta)
+def _value_iteration(rows, values, maximize, epsilon, max_iter):
+    """Solve ``values[s]`` for every state in ``rows``, in place.
+
+    ``rows`` maps each unsolved state, in ascending order, to its actions as
+    ``(reward, dist)`` pairs; every other state keeps its value.  Components
+    of the graph over all actions are solved successors first: a singleton
+    by one backup, or in closed form when it has self-loops, anything else
+    by Gauss-Seidel sweeps until the residual is at most ``epsilon``, at
+    most ``max_iter`` sweeps per component.
+    """
+    edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
+             for s, acts in rows.items()}
+    for comp in _scc_decompose(rows, edges):
+        if len(comp) == 1:
+            s = comp[0]
+            acts = rows[s]
+            if s not in edges[s]:
+                values[s] = _backup(acts, values, maximize)
+                continue
+            v = _closed_form(s, acts, values, maximize)
+            if v is not None:
+                values[s] = v
+                continue
+        comp.sort()
+        delta = math.inf
+        for _ in range(max_iter):
+            delta = 0.0
+            for s in comp:
+                v = _backup(rows[s], values, maximize)
+                d = abs(v - values[s])
+                if d > delta:
+                    delta = d
+                values[s] = v
+            if delta <= epsilon:
+                break
+        else:
+            raise NonConvergenceError(
+                f"value iteration stopped after {max_iter} sweeps",
+                residual=delta)
 
 
 def _action_value(dist, values):
@@ -305,11 +410,12 @@ def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0, epsilon):
     return choices
 
 
-def _result(mdp, direction, kind, values, choices) -> CheckResult:
+def _result(mdp, direction, kind, values, choices,
+            pinned=False) -> CheckResult:
     tags = tuple(mdp.actions[s][choices[s]].tag for s in range(mdp.n_states))
     sched = Scheduler(tuple(choices), tags)
     return CheckResult(direction, kind, tuple(values), sched,
-                       values[mdp.initial])
+                       values[mdp.initial], pinned)
 
 
 def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
@@ -318,7 +424,7 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     """Optimal reachability probabilities plus an attaining scheduler.
 
     Qualitative precomputation pins the direction's certain states to exact
-    0/1 before iterating.
+    0/1 before iterating; ``pinned`` tells whether the initial state is one.
     """
     goal = frozenset(goal)
     if direction == "max":
@@ -333,15 +439,17 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     values = [0.0] * mdp.n_states
     for s in pin1:
         values[s] = 1.0
-    frozen = set(pin1) | set(pin0)
-    values = _iterate(mdp.actions, values, frozen, direction == "max",
-                      epsilon, max_iter)
+    frozen = pin1 | pin0
+    rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
+            for s in range(mdp.n_states) if s not in frozen}
+    _value_iteration(rows, values, direction == "max", epsilon, max_iter)
     if direction == "max":
         choices = _extract_max_prob(mdp, goal, values, pin1, attractor, pin0,
                                     epsilon)
     else:
         choices = _extract_plain(mdp, values, maximize=False)
-    return _result(mdp, direction, PROBABILITY, values, choices)
+    return _result(mdp, direction, PROBABILITY, values, choices,
+                   pinned=mdp.initial in frozen)
 
 
 def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
@@ -369,11 +477,11 @@ def _solve_reward_max(mdp, goal, epsilon, max_iter):
     values = [math.inf] * mdp.n_states
     for s in sure:
         values[s] = 0.0
-    frozen = (set(range(mdp.n_states)) - set(sure)) | set(goal)
     # Within the all-schedulers-sure region every action stays inside,
     # hence every policy is proper and iteration converges.
-    values = _iterate(mdp.actions, values, frozen, True, epsilon, max_iter,
-                      rewards=mdp.rewards)
+    rows = {s: [(mdp.rewards[s], dist) for dist, _ in mdp.actions[s]]
+            for s in sorted(sure - goal)}
+    _value_iteration(rows, values, True, epsilon, max_iter)
     choices = [0] * mdp.n_states
     for s in sure:
         if s in goal:
@@ -419,52 +527,6 @@ def _solve_reward_max(mdp, goal, epsilon, max_iter):
     return _result(mdp, "max", REWARD, values, choices)
 
 
-def _scc_decompose(nodes, edges):
-    """Kosaraju strongly connected components, deterministic order."""
-    nodes = sorted(nodes)
-    index = {s: i for i, s in enumerate(nodes)}
-    order = []
-    seen = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter(edges.get(root, ())))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter(edges.get(t, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    rev: dict[int, list[int]] = {}
-    for s, ts in edges.items():
-        for t in ts:
-            rev.setdefault(t, []).append(s)
-    comps = []
-    assigned = set()
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        comp = {root}
-        queue = deque([root])
-        assigned.add(root)
-        while queue:
-            s = queue.popleft()
-            for t in rev.get(s, ()):
-                if t in index and t not in assigned:
-                    assigned.add(t)
-                    comp.add(t)
-                    queue.append(t)
-        comps.append(comp)
-    return comps
-
-
 def _zero_reward_mecs(mdp, candidates, allowed):
     """Maximal end components of the sub-MDP on ``candidates`` using only
     allowed actions whose support stays inside the component."""
@@ -489,7 +551,7 @@ def _zero_reward_mecs(mdp, candidates, allowed):
                 if all(t in comp for t, _ in dist):
                     outs.update(t for t, _ in dist)
             edges[s] = sorted(outs)
-        comps = _scc_decompose(comp, edges)
+        comps = [set(c) for c in _scc_decompose(sorted(comp), edges)]
         if len(comps) == 1:
             result.append(comps[0])
         else:
@@ -543,33 +605,12 @@ def _solve_reward_min(mdp, goal, epsilon, max_iter):
                 merged[u] = merged.get(u, 0.0) + p
             node_actions[node(s)].append((s, ai, tuple(sorted(merged.items()))))
 
-    values_n = {v: 0.0 for v in nodes}
+    # Node values live at the representative's index; goal nodes stay 0.
+    values_n = [0.0] * n
     goal_nodes = {node(g) for g in goal if g in region}
-    for _ in range(max_iter):
-        delta = 0.0
-        new = {}
-        for v in nodes:
-            if v in goal_nodes:
-                new[v] = 0.0
-                continue
-            best = None
-            for s, _, dist in node_actions[v]:
-                val = mdp.rewards[s]
-                for t, p in dist:
-                    val += p * values_n[t]
-                if best is None or val < best:
-                    best = val
-            d = abs(best - values_n[v])
-            if d > delta:
-                delta = d
-            new[v] = best
-        values_n = new
-        if delta <= epsilon:
-            break
-    else:
-        raise NonConvergenceError(
-            f"value iteration stopped after {max_iter} sweeps",
-            residual=delta)
+    rows = {v: [(mdp.rewards[s], dist) for s, _, dist in node_actions[v]]
+            for v in nodes if v not in goal_nodes}
+    _value_iteration(rows, values_n, False, epsilon, max_iter)
 
     values = [math.inf] * n
     for s in region:

@@ -398,7 +398,3 @@ def all_realisations(family: FamilyModel) -> Iterator[Realisation]:
     """Every member of the family, in lexicographic order over the domains."""
     for combo in product(*family.domains):
         yield Realisation(combo)
-
-
-def subfamily_split(sub: Subfamily, k: int, keep) -> tuple[Subfamily, Subfamily]:
-    return sub.split(k, keep)

@@ -7,9 +7,9 @@ restricted quotient in both directions, classify or split, repeat.
 
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
-literally; the other side gets a safety margin, and anything still
-inconclusive at a singleton is decided with the exact rational chain solver,
-so the final partition agrees with member-by-member checking.
+literally; the other side gets a safety margin unless qualitative analysis
+pinned it to an exact 0 or 1, and anything still inconclusive at a
+singleton is decided with the exact rational chain solver.
 """
 
 from __future__ import annotations
@@ -57,12 +57,7 @@ QUEUES = ("fifo", "largest")
 
 @dataclass
 class RefinementConfig:
-    """Tuning knobs for the refinement loop.
-
-    ``workers`` > 1 solves several queued subfamilies concurrently; their
-    results are applied in queue order, so the outcome matches a sequential
-    run.
-    """
+    """Tuning knobs for the refinement loop."""
 
     delta: float = 0.5
     strategy: str = "auto"
@@ -71,7 +66,6 @@ class RefinementConfig:
     max_iter: int = DEFAULT_MAX_ITER
     margin: float = 1e-6
     subfamily_budget: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -80,8 +74,6 @@ class RefinementConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.queue not in QUEUES:
             raise ValueError(f"queue must be one of {QUEUES}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -310,8 +302,10 @@ class _Loop:
         assert self.stats.iterations <= 2 * self.total - 1, \
             "refinement explored more subfamilies than the binary tree bound"
 
-    def _solve_pure(self, sub: Subfamily):
-        """Restrict and solve both directions; pure, safe to run in threads."""
+    def solve_both(self, sub: Subfamily
+                   ) -> tuple[RestrictedQuotient, CheckResult, CheckResult | None]:
+        """Restrict to ``sub`` and solve both directions; ``res_min`` is None
+        for a reward query whose goal no scheduler reaches almost surely."""
         t0 = time.perf_counter()
         restricted = self.quotient.restrict(sub)
         t1 = time.perf_counter()
@@ -331,34 +325,10 @@ class _Loop:
             res_min = solve_prob(restricted.mdp, self.goal, "min",
                                  epsilon=cfg.epsilon, max_iter=cfg.max_iter)
         t2 = time.perf_counter()
-        return restricted, res_max, res_min, t1 - t0, t2 - t1
-
-    def _book(self, solved):
-        restricted, res_max, res_min, build, check = solved
-        self.stats.times.build += build
-        self.stats.times.check += check
+        self.stats.times.build += t1 - t0
+        self.stats.times.check += t2 - t1
         self.stats.solver_calls += 2
         return restricted, res_max, res_min
-
-    def solve_both(self, sub: Subfamily
-                   ) -> tuple[RestrictedQuotient, CheckResult, CheckResult | None]:
-        return self._book(self._solve_pure(sub))
-
-    def pop_batch(self) -> list[Subfamily]:
-        subs = [self.pop()]
-        while self.queue and len(subs) < self.config.workers:
-            subs.append(self.pop())
-        return subs
-
-    def solve_batch(self, subs: list[Subfamily]):
-        """Solve a batch, concurrently when configured; bookkeeping happens
-        here in the caller's thread."""
-        if self.config.workers <= 1 or len(subs) == 1:
-            return [self.solve_both(sub) for sub in subs]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            raw = list(pool.map(self._solve_pure, subs))
-        return [self._book(r) for r in raw]
 
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
               res_max: CheckResult, res_min: CheckResult,
@@ -408,7 +378,8 @@ def _classify_threshold(spec: Specification, minv: float, maxv: float,
     """Sound subfamily classification from one-sided min/max estimates.
 
     Accept/reject on the exact side uses the literal relation; the side that
-    could be underestimated gets a margin pushed towards splitting.
+    could be underestimated gets a margin pushed towards splitting (0 when
+    the caller knows ``maxv`` is exact).
     """
     lam = float(spec.threshold)
     if spec.kind == REWARD:
@@ -441,34 +412,32 @@ def _run_threshold(family: FamilyModel, spec: Specification,
                                stats=loop.stats)
     first: Realisation | None = None
     while loop.queue and first is None:
-        batch = loop.pop_batch()
-        solved = loop.solve_batch(batch)
-        for sub, (restricted, res_max, res_min) in zip(batch, solved):
-            loop.begin_iteration()
-            t0 = time.perf_counter()
-            minv = res_min.at_initial if res_min is not None else math.inf
-            maxv = res_max.at_initial
-            decision = _classify_threshold(spec, minv, maxv, config.margin)
-            if sub.is_singleton:
-                loop.stats.singletons += 1
-                if decision == "split":
-                    decision, _ = loop.decide_exactly(sub)
-            split_param = None
-            if decision == "accept":
-                outcome.accepted.append(sub)
-                if stop_on_accept and first is None:
-                    first = next(sub.members())
-            elif decision == "reject":
-                outcome.rejected.append(sub)
-            elif decision == "undefined":
-                outcome.undefined.append(sub)
-            else:
-                split_param, _, _ = loop.split(sub, restricted, res_max,
-                                               res_min, "threshold")
-            loop.stats.times.analyse += time.perf_counter() - t0
-            loop.record(sub, minv, maxv, decision, split_param)
-            if first is not None:
-                break
+        sub = loop.pop()
+        loop.begin_iteration()
+        restricted, res_max, res_min = loop.solve_both(sub)
+        t0 = time.perf_counter()
+        minv = res_min.at_initial if res_min is not None else math.inf
+        maxv = res_max.at_initial
+        margin = 0.0 if res_max.pinned else config.margin
+        decision = _classify_threshold(spec, minv, maxv, margin)
+        if sub.is_singleton:
+            loop.stats.singletons += 1
+            if decision == "split":
+                decision, _ = loop.decide_exactly(sub)
+        split_param = None
+        if decision == "accept":
+            outcome.accepted.append(sub)
+            if stop_on_accept:
+                first = next(sub.members())
+        elif decision == "reject":
+            outcome.rejected.append(sub)
+        elif decision == "undefined":
+            outcome.undefined.append(sub)
+        else:
+            split_param, _, _ = loop.split(sub, restricted, res_max,
+                                           res_min, "threshold")
+        loop.stats.times.analyse += time.perf_counter() - t0
+        loop.record(sub, minv, maxv, decision, split_param)
     return outcome, first
 
 
@@ -511,62 +480,61 @@ def _optimise(family: FamilyModel, spec: Specification,
         return a > b if maximize else a < b
 
     while loop.queue:
-        batch = loop.pop_batch()
-        solved = loop.solve_batch(batch)
-        for sub, (restricted, res_max, res_min) in zip(batch, solved):
-            loop.begin_iteration()
-            t0 = time.perf_counter()
-            maxv = res_max.at_initial
-            minv = res_min.at_initial if res_min is not None else math.inf
-            lead_res = res_max if maximize else res_min
-            leadv = maxv if maximize else minv
-            otherv = minv if maximize else maxv
-            if sub.is_singleton:
-                loop.stats.singletons += 1
-            split_param = None
-            if res_min is None:
-                # No scheduler reaches the goal almost surely: every member
-                # of this subfamily has an undefined reward.
-                decision = "discard-undefined"
-                loop.stats.times.analyse += time.perf_counter() - t0
-                loop.record(sub, minv, maxv, decision, None,
-                            best_value=bound if not math.isinf(bound)
-                            else None)
-                continue
-            decision = "discard"
-            # Prune when the subfamily cannot strictly beat what is
-            # certified, or sits strictly below a value some member of
-            # another subfamily is known to reach.
-            prunable = (not better(leadv, certified)) or better(bound, leadv)
-            if not prunable:
-                if math.isinf(leadv):
-                    # Reward query where the leading scheduler escapes the
-                    # goal: an undefined member may hide here, narrow down.
-                    if sub.is_singleton:
-                        decision = "discard-undefined"
-                    else:
-                        decision = "split"
-                else:
-                    consistent, _ = is_consistent(restricted,
-                                                  lead_res.scheduler)
-                    if consistent:
-                        witness = scheduler_to_realisations(
-                            restricted, lead_res.scheduler)
-                        best = next(witness.members())
-                        certified = leadv
-                        if better(certified, bound):
-                            bound = certified
-                        decision = "improve"
-                    else:
-                        if not math.isinf(otherv) and better(otherv, bound):
-                            bound = otherv
-                        decision = "split"
-            if decision == "split":
-                split_param, _, _ = loop.split(sub, restricted, res_max,
-                                               res_min, spec.direction)
+        sub = loop.pop()
+        loop.begin_iteration()
+        restricted, res_max, res_min = loop.solve_both(sub)
+        t0 = time.perf_counter()
+        maxv = res_max.at_initial
+        minv = res_min.at_initial if res_min is not None else math.inf
+        lead_res = res_max if maximize else res_min
+        leadv = maxv if maximize else minv
+        otherv = minv if maximize else maxv
+        if sub.is_singleton:
+            loop.stats.singletons += 1
+        split_param = None
+        if res_min is None:
+            # No scheduler reaches the goal almost surely: every member
+            # of this subfamily has an undefined reward.
+            decision = "discard-undefined"
             loop.stats.times.analyse += time.perf_counter() - t0
-            loop.record(sub, minv, maxv, decision, split_param,
-                        best_value=bound if not math.isinf(bound) else None)
+            loop.record(sub, minv, maxv, decision, None,
+                        best_value=bound if not math.isinf(bound)
+                        else None)
+            continue
+        decision = "discard"
+        # Prune when the subfamily cannot strictly beat what is
+        # certified, or sits strictly below a value some member of
+        # another subfamily is known to reach.
+        prunable = (not better(leadv, certified)) or better(bound, leadv)
+        if not prunable:
+            if math.isinf(leadv):
+                # Reward query where the leading scheduler escapes the
+                # goal: an undefined member may hide here, narrow down.
+                if sub.is_singleton:
+                    decision = "discard-undefined"
+                else:
+                    decision = "split"
+            else:
+                consistent, _ = is_consistent(restricted,
+                                              lead_res.scheduler)
+                if consistent:
+                    witness = scheduler_to_realisations(
+                        restricted, lead_res.scheduler)
+                    best = next(witness.members())
+                    certified = leadv
+                    if better(certified, bound):
+                        bound = certified
+                    decision = "improve"
+                else:
+                    if not math.isinf(otherv) and better(otherv, bound):
+                        bound = otherv
+                    decision = "split"
+        if decision == "split":
+            split_param, _, _ = loop.split(sub, restricted, res_max,
+                                           res_min, spec.direction)
+        loop.stats.times.analyse += time.perf_counter() - t0
+        loop.record(sub, minv, maxv, decision, split_param,
+                    best_value=bound if not math.isinf(bound) else None)
     if best is None:
         raise UndefinedRewardError(
             "no member of the family has a defined value for the objective")

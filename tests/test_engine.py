@@ -28,7 +28,13 @@ from famsynth import (
     solve_prob,
     solve_reward,
 )
-from famsynth.engine import SparseMDP, MdpAction, prob1_exists, prob0_forall
+from famsynth.engine import (
+    SparseMDP,
+    MdpAction,
+    mdp_from_mc,
+    prob0_forall,
+    prob1_exists,
+)
 from conftest import R1, R2
 
 ONE = frozenset({1})
@@ -178,12 +184,15 @@ def test_sparse_mdp_validation():
 
 
 def test_non_convergence_carries_residual():
-    mdp = SparseMDP(2, 0, [[MdpAction(((0, 0.5), (1, 0.5)), None)],
-                           [MdpAction(((1, 1.0),), None)]],
-                    rewards=[1.0, 0.0])
+    # a two-state cycle is swept, not solved in closed form; Gauss-Seidel
+    # gives (1, 1.9) and then (1.95, 2.755), so the residual is 0.95
+    mdp = SparseMDP(3, 0, [[MdpAction(((1, 0.5), (2, 0.5)), None)],
+                           [MdpAction(((0, 0.9), (2, 0.1)), None)],
+                           [MdpAction(((2, 1.0),), None)]],
+                    rewards=[1.0, 1.0, 1.0])
     with pytest.raises(NonConvergenceError) as err:
-        solve_reward(mdp, frozenset({1}), "min", max_iter=2)
-    assert err.value.residual > 0
+        solve_reward(mdp, frozenset({2}), "min", max_iter=2)
+    assert err.value.residual == pytest.approx(0.95)
 
 
 @settings(max_examples=50, deadline=None)
@@ -263,3 +272,54 @@ def test_extracted_scheduler_attains_reported_value(seed):
             assert math.isinf(got)
         else:
             assert got == pytest.approx(res.at_initial, abs=1e-7)
+
+
+def assert_never_above_exact(mc, goal):
+    """Every value of both solvers in both directions, run on the float copy
+    of the chain ``mc``, is at most its exact rational value."""
+    mdp = mdp_from_mc(mc)
+    exact_p = exact_mc_probability(mc, goal)
+    exact_r = None if mc.rewards is None else exact_mc_reward(mc, goal)
+    for direction in ("max", "min"):
+        for s, v in enumerate(solve_prob(mdp, goal, direction).values):
+            assert Fraction(v) <= exact_p[s]
+        if exact_r is None:
+            continue
+        try:
+            res = solve_reward(mdp, goal, direction)
+        except UndefinedRewardError:
+            continue
+        for s, v in enumerate(res.values):
+            if not math.isinf(v):
+                assert Fraction(v) <= exact_r[s]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_values_never_exceed_exact_on_random_chains(seed):
+    family = random_family(seed, max_states=8, rewards=seed % 2 == 0)
+    goal = family.label_states("goal")
+    for r in all_realisations(family):
+        assert_never_above_exact(instantiate(family, r), goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=st.integers(1, 7),
+       to_sink=st.lists(st.booleans(), min_size=1, max_size=4),
+       rewards=st.lists(st.integers(0, 5), min_size=4, max_size=4))
+def test_values_never_exceed_exact_on_stiff_ladders(digits, to_sink, rewards):
+    # rung i keeps 1-10**-digits on a self-loop and splits the rest between
+    # the next rung and either the sink or the goal; none of these
+    # probabilities is a float, so the engine solves a rounded chain
+    loop = 1 - Fraction(1, 10 ** digits)
+    half = (1 - loop) / 2
+    rungs = len(to_sink)
+    goal, sink = rungs, rungs + 1
+    rows = tuple(((i, loop), (i + 1, half), (sink if sink_side else goal, half))
+                 for i, sink_side in enumerate(to_sink))
+    rows += (((goal, Fraction(1)),), ((sink, Fraction(1)),))
+    n = rungs + 2
+    mc = ConcreteMC(n, 0, rows,
+                    tuple(Fraction(r) for r in rewards[:rungs] + [0, 0]),
+                    frozenset(range(n)))
+    assert_never_above_exact(mc, frozenset({goal}))

@@ -15,7 +15,6 @@ from famsynth import (
     all_realisations,
     instantiate,
     random_family,
-    subfamily_split,
 )
 from conftest import R1, R2, R3, R4
 
@@ -79,7 +78,7 @@ def test_all_realisations_no_duplicates():
 
 def test_split_partitions_member_counts():
     sub = Subfamily(((0, 1), (2, 3)))
-    top, bottom = subfamily_split(sub, 0, {1})
+    top, bottom = sub.split(0, {1})
     assert top.subsets == ((1,), (2, 3))
     assert bottom.subsets == ((0,), (2, 3))
     assert top.size + bottom.size == sub.size == 4
