@@ -23,8 +23,7 @@ actions that make progress towards already-ranked states.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -63,6 +62,9 @@ class SparseMDP:
     initial: int
     actions: list[list[MdpAction]]
     rewards: list[float] | None = None
+    # built by the graph analyses on first use; actions are fixed from then on
+    _pred_index: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def validate(self):
         if not 0 <= self.initial < self.n_states:
@@ -112,53 +114,111 @@ def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
 
 # ---------------------------------------------------------------------------
 # Qualitative graph analyses.  Goal states are absorbing for all of them:
-# reachability is about the first visit.
+# reachability is about the first visit.  Each is a linear worklist on one
+# predecessor index per MDP, built on first use and shared by every analysis
+# of that MDP; set shrinking is tracked by per-action counters of successors
+# outside the set and per-state counts of actions that stay inside.
 # ---------------------------------------------------------------------------
+
+class _Predecessors(NamedTuple):
+    """Actions numbered consecutively over the states: the actions of state
+    ``s`` are ``base[s]``, ``base[s] + 1``, ... up to ``base[s + 1]``."""
+
+    base: list[int]
+    owner: list[int]  # state of each action
+    pre: list[list[int]]  # per state, the actions whose distribution has it
+
+
+def _predecessors(mdp: SparseMDP) -> _Predecessors:
+    index = mdp._pred_index
+    if index is None:
+        base = []
+        owner = []
+        pre: list[list[int]] = [[] for _ in range(mdp.n_states)]
+        a = 0
+        for s, acts in enumerate(mdp.actions):
+            base.append(a)
+            for dist, _ in acts:
+                owner.append(s)
+                for t, _ in dist:
+                    pre[t].append(a)
+                a += 1
+        base.append(a)
+        index = mdp._pred_index = _Predecessors(base, owner, pre)
+    return index
+
+
+def _trim(mdp: SparseMDP, keep: set[int], allowed=None) -> set[int]:
+    """Shrink ``keep`` in place to its greatest subset in which every state
+    has an action (one of ``allowed[s]`` when given) whose successors all
+    lie inside, and return it."""
+    base, owner, pre = _predecessors(mdp)
+    outside: dict[int, int] = {}  # per counted action, successors not kept
+    staying: dict[int, int] = {}  # per state, counted actions fully inside
+    dead = []
+    for s in keep:
+        acts = mdp.actions[s]
+        b = base[s]
+        n = 0
+        for ai in range(len(acts)) if allowed is None else allowed[s]:
+            c = 0
+            for t, _ in acts[ai].dist:
+                if t not in keep:
+                    c += 1
+            outside[b + ai] = c
+            if not c:
+                n += 1
+        staying[s] = n
+        if not n:
+            dead.append(s)
+    keep.difference_update(dead)
+    while dead:
+        for a in pre[dead.pop()]:
+            c = outside.get(a)
+            if c is None:
+                continue
+            outside[a] = c + 1
+            s = owner[a]
+            if not c and s in keep:
+                staying[s] -= 1
+                if not staying[s]:
+                    keep.discard(s)
+                    dead.append(s)
+    return keep
+
 
 def prob0_exists(mdp: SparseMDP, goal: frozenset[int]) -> frozenset[int]:
     """States from which some scheduler reaches the goal with probability 0.
 
     Greatest fixpoint of "outside the goal, some action stays inside".
     """
-    inside = set(range(mdp.n_states)) - set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(inside):
-            if not any(all(t in inside for t, _ in dist)
-                       for dist, _ in mdp.actions[s]):
-                inside.discard(s)
-                changed = True
-    return frozenset(inside)
+    return frozenset(_trim(mdp, set(range(mdp.n_states)) - set(goal)))
 
 
 def _backward_closure(mdp: SparseMDP, targets, skip: frozenset[int]) -> set[int]:
     """States with an action-path to ``targets`` that does not leave through
     ``skip`` states (their outgoing edges are ignored)."""
-    rev: list[list[int]] = [[] for _ in range(mdp.n_states)]
-    for s in range(mdp.n_states):
-        if s in skip:
-            continue
-        for dist, _ in mdp.actions[s]:
-            for t, _ in dist:
-                rev[t].append(s)
+    _, owner, pre = _predecessors(mdp)
     seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        t = queue.popleft()
-        for s in rev[t]:
-            if s not in seen:
+    stack = list(seen)
+    while stack:
+        for a in pre[stack.pop()]:
+            s = owner[a]
+            if s not in seen and s not in skip:
                 seen.add(s)
-                queue.append(s)
+                stack.append(s)
     return seen
 
 
-def prob1_forall(mdp: SparseMDP, goal: frozenset[int]) -> frozenset[int]:
+def prob1_forall(mdp: SparseMDP, goal: frozenset[int],
+                 avoidable: frozenset[int] | None = None) -> frozenset[int]:
     """States from which every scheduler reaches the goal with probability 1.
 
-    Complement of "can reach a state from which the goal is avoidable".
+    Complement of "can reach a state from which the goal is avoidable";
+    ``avoidable`` is ``prob0_exists(mdp, goal)`` when the caller has it.
     """
-    avoidable = prob0_exists(mdp, goal)
+    if avoidable is None:
+        avoidable = prob0_exists(mdp, goal)
     bad = _backward_closure(mdp, avoidable, skip=goal)
     return frozenset(range(mdp.n_states)) - bad
 
@@ -177,30 +237,36 @@ def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
     stays inside the set and makes progress; the witness doubles as the
     attractor scheduler used by maximising extraction.
     """
+    base, owner, pre = _predecessors(mdp)
+    outside = [0] * len(owner)  # per action, successors not in the universe
     universe = set(range(mdp.n_states))
     while True:
-        value_set = set(goal) & universe
+        found = set(goal) & universe
+        layer = list(found)
         choice: dict[int, int] = {}
-        # Layered rounds: qualification is checked against the previous
-        # layer, so each witness action points strictly closer to the goal.
-        while True:
-            frontier = frozenset(value_set)
-            added = False
-            for s in range(mdp.n_states):
-                if s not in universe or s in frontier:
-                    continue
-                for ai, (dist, _) in enumerate(mdp.actions[s]):
-                    if all(t in universe for t, _ in dist) and any(
-                            t in frontier for t, _ in dist):
-                        value_set.add(s)
-                        choice[s] = ai
-                        added = True
-                        break
-            if not added:
-                break
-        if value_set == universe:
+        # Layered backward search over actions that stay in the universe: a
+        # state of layer k takes its lowest-index such action that hits
+        # layer k-1 (one hitting an earlier layer would have placed it
+        # earlier), so each witness points strictly closer to the goal.
+        while layer:
+            picks: dict[int, int] = {}
+            for t in layer:
+                for a in pre[t]:
+                    s = owner[a]
+                    if outside[a] or s in found or s not in universe:
+                        continue
+                    ai = a - base[s]
+                    if s not in picks or ai < picks[s]:
+                        picks[s] = ai
+            choice.update(picks)
+            found.update(picks)
+            layer = list(picks)
+        if len(found) == len(universe):
             return frozenset(universe), choice
-        universe = value_set
+        for t in universe - found:
+            for a in pre[t]:
+                outside[a] += 1
+        universe = found
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +497,8 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
         pin1, attractor = prob1_exists(mdp, goal)
         pin0 = prob0_forall(mdp, goal)
     elif direction == "min":
-        pin1 = prob1_forall(mdp, goal)
         pin0 = prob0_exists(mdp, goal)
+        pin1 = prob1_forall(mdp, goal, avoidable=pin0)
         attractor = None
     else:
         raise ValueError(f"direction must be max or min, got {direction!r}")
@@ -473,7 +539,8 @@ def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
 
 
 def _solve_reward_max(mdp, goal, epsilon, max_iter):
-    sure = prob1_forall(mdp, goal)
+    avoid = prob0_exists(mdp, goal)
+    sure = prob1_forall(mdp, goal, avoidable=avoid)
     values = [math.inf] * mdp.n_states
     for s in sure:
         values[s] = 0.0
@@ -497,7 +564,6 @@ def _solve_reward_max(mdp, goal, epsilon, max_iter):
     # Infinite states must witness the infinity: steer towards the region
     # where the goal is avoidable and stay inside it, so the induced chain
     # misses the goal with positive probability.
-    avoid = prob0_exists(mdp, goal)
     for s in avoid:
         for ai, (dist, _) in enumerate(mdp.actions[s]):
             if all(t in avoid for t, _ in dist):
@@ -533,14 +599,7 @@ def _zero_reward_mecs(mdp, candidates, allowed):
     result = []
     work = [set(candidates)]
     while work:
-        comp = work.pop()
-        while True:
-            keep = {s for s in comp
-                    if any(all(t in comp for t, _ in mdp.actions[s][ai].dist)
-                           for ai in allowed[s])}
-            if keep == comp:
-                break
-            comp = keep
+        comp = _trim(mdp, work.pop(), allowed)
         if not comp:
             continue
         edges = {}

@@ -5,15 +5,15 @@ merged action per distinct successor distribution reachable by assigning the
 parameters that occur in that state's row.  Each merged action is keyed by a
 partial parameter assignment (its *signature*); signatures that induce the
 same distribution are unified and represented by the lexicographically
-smallest surviving signature.  Restricting to a subfamily filters signatures
-without rebuilding anything; unification is redone per restriction so that
-signatures of one distribution falling on different sides of a split each
-keep their own copy.
+smallest surviving signature.  Restricting to a subfamily enumerates only the
+signatures that survive it and rebuilds nothing: the action of a signature is
+built the first time it represents its group and reused afterwards.
+Unification is redone per restriction so that signatures of one distribution
+falling on different sides of a split each keep their own copy.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,13 +25,14 @@ from .family import (
     Subfamily,
     all_realisations,
     instantiate,
+    reachable_states,
 )
 from .engine import MdpAction, Scheduler, SparseMDP
 
 ALL_IN_ONE_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergedAction:
     """One quotient action: a partial assignment over the parameters in the
     state's row plus the concrete distribution it induces."""
@@ -56,6 +57,12 @@ class QuotientMDP:
         self.signature_group: list[list[int]] = []
         self.dists_exact: list[list[tuple[tuple[int, Fraction], ...]]] = []
         self.dists_float: list[list[tuple[tuple[int, float], ...]]] = []
+        # Per state and supported parameter: each value's contribution to a
+        # signature's index (mixed radix in domain order, last fastest).
+        self._offsets: list[tuple[dict[int, int], ...]] = []
+        # Per state: the action of each signature that has represented its
+        # group in some restriction, built on first use.
+        self._actions: list[dict[int, MdpAction]] = []
         for s in range(family.n_states):
             supp = family.support(s)
             self.supports.append(supp)
@@ -82,6 +89,14 @@ class QuotientMDP:
             self.signature_group.append(sig_group)
             self.dists_exact.append(exact)
             self.dists_float.append(flt)
+            offsets = []
+            stride = 1
+            for k in reversed(supp):
+                offsets.append({v: i * stride
+                                for i, v in enumerate(family.domains[k])})
+                stride *= len(family.domains[k])
+            self._offsets.append(tuple(reversed(offsets)))
+            self._actions.append({})
         self._rewards_float = None
         if family.rewards is not None:
             self._rewards_float = [float(r) for r in family.rewards]
@@ -101,29 +116,43 @@ class QuotientMDP:
     def restrict(self, sub: Subfamily) -> "RestrictedQuotient":
         """Expose only the merged actions whose signatures survive ``sub``.
 
-        No distributions are recomputed; signatures are filtered and regrouped
-        by distribution, keeping the lexicographically smallest survivor as
-        each group's representative.
+        Nothing is filtered or recomputed: the surviving signatures are
+        enumerated from ``sub``'s value subsets as sorted signature indices,
+        and the first survivor of each distribution group, the
+        lexicographically smallest in domain order, represents it.  Each
+        representative's action is built once and reused by later
+        restrictions.
         """
         family = self.family
         actions: list[list[MdpAction]] = []
         for s in range(family.n_states):
-            supp = self.supports[s]
-            allowed = [frozenset(sub.subsets[k]) for k in supp]
+            picks = [[off[v] for v in sub.subsets[k]]
+                     for k, off in zip(self.supports[s], self._offsets[s])]
+            if len(picks) == 1:
+                survivors = sorted(picks[0])
+            else:
+                survivors = sorted(map(sum, product(*picks)))
+            groups = self.signature_group[s]
+            cache = self._actions[s]
+            n_groups = len(self.dists_exact[s])
             per_state: list[MdpAction] = []
             seen: set[int] = set()
-            for i, sig in enumerate(self.signatures[s]):
-                if any(v not in ok for v, ok in zip(sig, allowed)):
-                    continue
-                gid = self.signature_group[s][i]
+            for i in survivors:
+                gid = groups[i]
                 if gid in seen:
                     continue
                 seen.add(gid)
-                ma = MergedAction(
-                    state=s, params=supp, values=sig,
-                    dist=self.dists_float[s][gid],
-                    dist_exact=self.dists_exact[s][gid])
-                per_state.append(MdpAction(ma.dist, ma))
+                action = cache.get(i)
+                if action is None:
+                    ma = MergedAction(
+                        state=s, params=self.supports[s],
+                        values=self.signatures[s][i],
+                        dist=self.dists_float[s][gid],
+                        dist_exact=self.dists_exact[s][gid])
+                    action = cache[i] = MdpAction(ma.dist, ma)
+                per_state.append(action)
+                if len(seen) == n_groups:
+                    break
             actions.append(per_state)
         rewards = list(self._rewards_float) if self._rewards_float else None
         mdp = SparseMDP(family.n_states, family.initial, actions, rewards)
@@ -149,16 +178,9 @@ def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):
     """Walk the scheduler-induced chain from the initial state and collect the
     chosen value per parameter; stop at the first conflict."""
     mdp = restricted.mdp
-    seen = {mdp.initial}
-    queue = deque([mdp.initial])
-    while queue:
-        s = queue.popleft()
-        for t, _ in mdp.actions[s][scheduler.choices[s]].dist:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+    dists = [acts[c].dist for acts, c in zip(mdp.actions, scheduler.choices)]
     chosen: dict[int, tuple[int, int]] = {}
-    for s in sorted(seen):
+    for s in sorted(reachable_states(dists, mdp.initial)):
         action: MergedAction = scheduler.tags[s]
         for k, v in zip(action.params, action.values):
             prev = chosen.get(k)

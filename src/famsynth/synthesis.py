@@ -33,6 +33,7 @@ from .family import (
     Subfamily,
     compare,
     instantiate,
+    reachable_states,
 )
 from .engine import (
     DEFAULT_EPSILON,
@@ -163,18 +164,6 @@ def _gap(hi: float, lo: float) -> float:
     return hi - lo
 
 
-def _reachable_under(mdp, scheduler: Scheduler) -> set[int]:
-    seen = {mdp.initial}
-    queue = deque([mdp.initial])
-    while queue:
-        s = queue.popleft()
-        for t, _ in mdp.actions[s][scheduler.choices[s]].dist:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
-
-
 def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
                      restricted: RestrictedQuotient,
                      goal: frozenset[int]) -> frozenset[int]:
@@ -192,8 +181,11 @@ def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
     gap0 = _gap(res_max.at_initial, res_min.at_initial)
     if gap0 <= 0.0:
         return frozenset()
-    reach = _reachable_under(mdp, res_max.scheduler)
-    reach |= _reachable_under(mdp, res_min.scheduler)
+    reach = set()
+    for res in (res_max, res_min):
+        dists = [acts[c].dist
+                 for acts, c in zip(mdp.actions, res.scheduler.choices)]
+        reach |= reachable_states(dists, mdp.initial)
     out = set()
     for s in reach:
         if s in goal:

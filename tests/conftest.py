@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from famsynth import parse_family
+from famsynth import Subfamily, parse_family
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLE1 = REPO / "models" / "example1.fmc"
@@ -30,3 +30,13 @@ def example1_rewards():
         "rewards\n0 : 1\n1 : 1\n2 : 0\n3 : 5\n\nlabels", 1)
     model, specs = parse_family(text)
     return model, specs
+
+
+def random_subfamily(family, rng):
+    """A random subfamily whose value subsets are listed in shuffled order,
+    not in domain order."""
+    subsets = []
+    for dom in family.domains:
+        values = rng.sample(dom, rng.randint(1, len(dom)))
+        subsets.append(tuple(values))
+    return Subfamily(tuple(subsets))

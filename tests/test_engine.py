@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from famsynth.engine import (
     prob0_forall,
     prob1_exists,
 )
-from conftest import R1, R2
+from conftest import R1, R2, random_subfamily
 
 ONE = frozenset({1})
 
@@ -323,3 +324,86 @@ def test_values_never_exceed_exact_on_stiff_ladders(digits, to_sink, rewards):
                     tuple(Fraction(r) for r in rewards[:rungs] + [0, 0]),
                     frozenset(range(n)))
     assert_never_above_exact(mc, frozenset({goal}))
+
+
+# Fixpoint formulations of the graph analyses, kept as references for the
+# worklist versions: each sweeps every state until nothing changes.
+
+def fixpoint_prob0_exists(mdp, goal):
+    inside = set(range(mdp.n_states)) - set(goal)
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(inside):
+            if not any(all(t in inside for t, _ in dist)
+                       for dist, _ in mdp.actions[s]):
+                inside.discard(s)
+                changed = True
+    return frozenset(inside)
+
+
+def fixpoint_backward_closure(mdp, targets, skip):
+    seen = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(mdp.n_states):
+            if s in seen or s in skip:
+                continue
+            if any(t in seen for dist, _ in mdp.actions[s] for t, _ in dist):
+                seen.add(s)
+                changed = True
+    return seen
+
+
+def fixpoint_prob1_exists(mdp, goal):
+    universe = set(range(mdp.n_states))
+    while True:
+        value_set = set(goal) & universe
+        choice = {}
+        while True:
+            frontier = frozenset(value_set)
+            added = False
+            for s in range(mdp.n_states):
+                if s not in universe or s in frontier:
+                    continue
+                for ai, (dist, _) in enumerate(mdp.actions[s]):
+                    if all(t in universe for t, _ in dist) and any(
+                            t in frontier for t, _ in dist):
+                        value_set.add(s)
+                        choice[s] = ai
+                        added = True
+                        break
+            if not added:
+                break
+        if value_set == universe:
+            return frozenset(universe), choice
+        universe = value_set
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_graph_analyses_match_fixpoint_references(seed):
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([6, 12, 24]),
+                           max_params=rng.choice([3, 6]))
+    quotient = build_quotient(family)
+    states = range(family.n_states)
+    goals = [family.label_states("goal"), frozenset(),
+             frozenset(rng.sample(states, rng.randint(1, len(states))))]
+    for sub in (Subfamily.full(family), random_subfamily(family, rng),
+                random_subfamily(family, rng)):
+        mdp = quotient.restrict(sub).mdp
+        everything = frozenset(states)
+        for goal in goals:
+            avoidable = fixpoint_prob0_exists(mdp, goal)
+            assert prob0_exists(mdp, goal) == avoidable
+            sure = everything - fixpoint_backward_closure(mdp, avoidable, goal)
+            assert prob1_forall(mdp, goal) == sure
+            assert prob1_forall(mdp, goal, avoidable=avoidable) == sure
+            assert prob0_forall(mdp, goal) == \
+                everything - fixpoint_backward_closure(mdp, goal, frozenset())
+            region, witness = prob1_exists(mdp, goal)
+            ref_region, ref_witness = fixpoint_prob1_exists(mdp, goal)
+            assert region == ref_region
+            assert witness == ref_witness

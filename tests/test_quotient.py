@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from famsynth import (
     solve_prob,
 )
 from famsynth.engine import Scheduler
-from conftest import R2
+from conftest import R2, random_subfamily
 
 H = Fraction(1, 2)
 
@@ -317,3 +319,66 @@ def test_dump_quotient_lists_every_action(example1):
     assert text.count("state 0 action") == 2
     assert text.count("state 1 action") == 4
     assert "k1=1" in text
+
+
+def naive_restriction(family, sub):
+    """Per state, (params, values, exact dist) of the first signature of each
+    distinct distribution, filtering the full signature product."""
+    out = []
+    for s in range(family.n_states):
+        supp = family.support(s)
+        seen = set()
+        row = []
+        for sig in product(*(family.domains[k] for k in supp)):
+            if any(v not in sub.subsets[k] for k, v in zip(supp, sig)):
+                continue
+            value = dict(zip(supp, sig))
+            merged = {}
+            for p, k in family.rows[s]:
+                merged[value[k]] = merged.get(value[k], 0) + p
+            dist = tuple(sorted(merged.items()))
+            if dist not in seen:
+                seen.add(dist)
+                row.append((supp, sig, dist))
+        out.append(row)
+    return out
+
+
+def assert_restriction_is_naive_filter(quotient, sub):
+    family = quotient.family
+    actions = quotient.restrict(sub).mdp.actions
+    for s, row in enumerate(naive_restriction(family, sub)):
+        got = [(ma.params, ma.values, ma.dist_exact) for _, ma in actions[s]]
+        assert got == row
+        for dist, ma in actions[s]:
+            assert ma.state == s
+            assert dist == ma.dist == tuple(
+                (t, float(p)) for t, p in ma.dist_exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_restrict_matches_naive_filter(seed):
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([5, 10]),
+                           max_params=rng.choice([3, 5]), max_domain=4)
+    quotient = build_quotient(family)
+    subs = [Subfamily.full(family)]
+    subs += [random_subfamily(family, rng) for _ in range(4)]
+    members = list(all_realisations(family))
+    subs += [Subfamily.of_realisation(r)
+             for r in rng.sample(members, min(4, len(members)))]
+    # twice over, so later restrictions reuse the actions of earlier ones
+    for sub in subs + subs[::-1]:
+        assert_restriction_is_naive_filter(quotient, sub)
+
+
+def test_restrict_representative_ignores_subset_order(example1):
+    model, _ = example1
+    quotient = build_quotient(model)
+    forward = Subfamily(((0,), (0, 1), (2, 3)))
+    backward = Subfamily(((0,), (1, 0), (3, 2)))
+    for sub in (forward, backward):
+        assert_restriction_is_naive_filter(quotient, sub)
+    assert quotient.restrict(forward).mdp.actions == \
+        quotient.restrict(backward).mdp.actions

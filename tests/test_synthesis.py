@@ -410,3 +410,13 @@ def test_stiff_self_loop_threshold_matches_one_by_one(k, bound):
     spec = parse_spec(f'P{bound} F "goal"')
     assert buckets(threshold_synthesis(family, spec)) == \
         buckets(one_by_one(family, spec))
+
+
+def test_refinement_decisions_pinned_on_larger_family():
+    # 123 states and 4096 members: a faster restriction or graph analysis
+    # that changes any split changes these counts
+    family = random_family(3, max_states=300, max_params=10, max_domain=4,
+                           rewards=True)
+    out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
+    assert out.stats.iterations == 233
+    assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
