@@ -10,9 +10,14 @@ strongly connected component at a time, successors first, with the
 component graph taken over all actions.  A singleton component takes one
 Bellman backup; with self-loops it is solved in closed form per action and
 shaved down by a relative 2^-40, unless some action is a pure self-loop.
-Other components run in-place Gauss-Seidel sweeps until their residual is
-at most ``epsilon``.  All of it works from below, so computed values never
-exceed the true fixpoint; callers exploit that one-sidedness.
+Other components, that singleton included, are solved by policy iteration
+local to the component: each policy is evaluated by one sparse
+elimination, and the stable policy's values are pushed down by a small
+margin and accepted only when every backup confirms they lie below the
+fixpoint.  A component that fails that check falls back to in-place
+Gauss-Seidel sweeps until the residual is at most ``epsilon``.  All of it works from below, so computed values never
+exceed the true fixpoint (up to the rounding of a plain backup); callers
+exploit that one-sidedness.
 
 Scheduler extraction must be attainment-aware: a plain argmax would happily
 pick a value-preserving self-loop (every Dirac self-loop ties with the
@@ -47,6 +52,11 @@ TIE_SLACK = 1e-9
 # Relative shave on closed-form self-loop solutions: far above the rounding
 # error of one backup, so they stay below the true fixpoint.
 SHAVE = 1.0 - 2.0 ** -40
+# Policy iteration switches an action only on a relative gain above IMPROVE;
+# ROUNDING per term bounds the rounding error of a backup (twice the unit
+# roundoff of doubles).
+IMPROVE = 2.0 ** -40
+ROUNDING = 2.0 ** -52
 
 
 class MdpAction(NamedTuple):
@@ -358,15 +368,277 @@ def _closed_form(s, acts, values, maximize):
     return best
 
 
+def _rank_towards(pending, ranked, options):
+    """Rank states by progress towards the set ``ranked``, which grows.
+
+    Passes over ``pending`` in order until a pass ranks nothing: a state
+    takes the first ``(action, dist)`` of ``options(s)`` with a successor
+    already ranked, and is ranked itself.  Returns the chosen actions and
+    the states left unranked, in order.
+    """
+    choices = {}
+    progressing = True
+    while progressing and pending:
+        progressing = False
+        remaining = []
+        for s in pending:
+            for ai, dist in options(s):
+                if any(t in ranked for t, _ in dist):
+                    choices[s] = ai
+                    ranked.add(s)
+                    progressing = True
+                    break
+            else:
+                remaining.append(s)
+        pending = remaining
+    return choices, pending
+
+
+def _split_actions(comp, rows, values):
+    """Per state of ``comp``, its actions split at the component's border,
+    as ``(base, scale, inner, exit, out, terms)``: ``base`` is the reward
+    plus the mass-weighted values outside and ``scale`` the same sum of
+    absolute terms, ``inner`` the successors inside other than the state
+    itself (as positions in ``comp``), ``exit`` the mass leaving the
+    component, ``out`` the mass leaving the state (its self-loop is taken
+    as ``1 - out``) and ``terms`` the length of the action's backup."""
+    pos = {s: i for i, s in enumerate(comp)}
+    acts = []
+    for s in comp:
+        per = []
+        for r, dist in rows[s]:
+            base = r
+            scale = abs(r)
+            exit = 0.0
+            inner = []
+            for t, p in dist:
+                if t == s:
+                    continue
+                i = pos.get(t)
+                if i is None:
+                    v = p * values[t]
+                    base += v
+                    scale += abs(v)
+                    exit += p
+                else:
+                    inner.append((i, p))
+            out = exit
+            for _, p in inner:
+                out += p
+            per.append((base, scale, inner, exit, out, len(dist) + 2))
+        acts.append(per)
+    return acts
+
+
+def _slack(action, x, i):
+    """``out`` times (the action's backup minus ``x[i]``), which does not
+    round its self-loop, and a bound on the rounding error of computing it."""
+    base, scale, inner, _, out, terms = action
+    v = base
+    scale += out * abs(x[i])
+    for j, p in inner:
+        t = p * x[j]
+        v += t
+        scale += abs(t)
+    return v - out * x[i], terms * ROUNDING * scale
+
+
+def _improve(acts, x, policy, maximize):
+    """Give each state the action of best closed-form value (as in
+    ``_closed_form``, pure self-loops excluded) if it beats ``x`` by a
+    relative ``IMPROVE`` or the state has none yet; True if any switched."""
+    switched = False
+    for i, per in enumerate(acts):
+        if policy[i] is None:
+            best = -math.inf if maximize else math.inf
+        else:
+            best = x[i] + (IMPROVE if maximize else -IMPROVE) * abs(x[i])
+        for ai, (base, _, inner, _, out, _) in enumerate(per):
+            if out > 0.0:
+                v = base
+                for j, p in inner:
+                    v += p * x[j]
+                v /= out
+                if v > best if maximize else v < best:
+                    best = v
+                    policy[i] = ai
+                    switched = True
+    return switched
+
+
+def _make_proper(acts, policy):
+    """Let every state that cannot leave the component under ``policy`` take
+    its first action towards states that can; False if some state cannot
+    leave at all."""
+    n = len(acts)
+
+    def moves(i, ai):
+        _, _, inner, exit, _, _ = acts[i][ai]
+        return inner + [(n, exit)] if exit > 0.0 else inner
+
+    ranked = {n}  # n stands for every state outside the component
+    _, stuck = _rank_towards(range(n), ranked,
+                             lambda i: [(policy[i], moves(i, policy[i]))])
+    repaired, stuck = _rank_towards(
+        stuck, ranked,
+        lambda i: ((ai, moves(i, ai)) for ai in range(len(acts[i]))))
+    for i, ai in repaired.items():
+        policy[i] = ai
+    return not stuck
+
+
+def _factor(chosen):
+    """LU factors of ``I - P`` for the component under the actions
+    ``chosen``, or None when some state cannot leave it under them.
+
+    ``I - P`` is then an M-matrix, so elimination needs no row exchanges.
+    Each pivot is recomputed from the nonnegative mass leaving its row
+    (Grassmann, Taksar & Heyman, 1985) instead of by subtraction, so even a
+    stiff component loses no digits to cancellation, and a zero pivot shows
+    exactly that some state cannot leave.
+    """
+    rows = [dict(a[2]) for a in chosen]
+    exits = [a[3] for a in chosen]
+    users = [set() for _ in chosen]  # per column, the rows that have it
+    for i, row in enumerate(rows):
+        for j in row:
+            users[j].add(i)
+    pivots = []
+    lower = []
+    for k, row_k in enumerate(rows):
+        d = exits[k]
+        for a in row_k.values():
+            d += a
+        if not d > 0.0:
+            return None
+        pivots.append(d)
+        multipliers = []
+        for i in users[k]:
+            if i <= k:
+                continue
+            row_i = rows[i]
+            f = row_i.pop(k) / d
+            multipliers.append((i, f))
+            exits[i] += f * exits[k]
+            for j, a in row_k.items():
+                if j != i:
+                    row_i[j] = row_i.get(j, 0.0) + f * a
+                    users[j].add(i)
+        lower.append(multipliers)
+    return rows, pivots, lower
+
+
+def _lu_solve(factors, rhs):
+    """Solve ``(I - P) x = rhs`` with the factors from ``_factor``."""
+    rows, pivots, lower = factors
+    x = list(rhs)
+    for k, multipliers in enumerate(lower):
+        for i, f in multipliers:
+            x[i] += f * x[k]
+    for k in range(len(x) - 1, -1, -1):
+        v = x[k]
+        for j, a in rows[k].items():
+            v += a * x[j]
+        x[k] = v / pivots[k]
+    return x
+
+
+def _certify(acts, policy, chosen, factors, x, maximize):
+    """``x`` pushed down to a value certified from below, or None.
+
+    ``x`` solves the policy's equations.  The solution ``d`` of
+    ``(I - P) d = (x - T x) + eta``, with ``eta`` twice each row's rounding
+    bound, gives ``y = x - d`` that margin, and ``y`` is accepted only if
+    every state's backup exceeds it by its rounding bound: under the policy
+    when maximising, which puts ``y`` below the policy's value (the max over
+    all actions would not, as the max-probability region can hold end
+    components), under every action when minimising, which puts ``y`` below
+    the unique fixpoint the graph analyses leave there.  An action that
+    fails the minimising check becomes its state's choice in ``policy``: it
+    ties with the chosen action or improves on it.
+    """
+    rhs = []
+    for i, a in enumerate(chosen):
+        gap, bound = _slack(a, x, i)
+        rhs.append(2.0 * bound - gap)
+    d = _lu_solve(factors, rhs)
+    y = [xi - di for xi, di in zip(x, d)]
+    certified = True
+    for i, a in enumerate(chosen):
+        for ai, b in ((policy[i], a),) if maximize else enumerate(acts[i]):
+            gap, bound = _slack(b, y, i)
+            if not gap >= bound:
+                policy[i] = ai
+                certified = False
+                break
+    return y if certified else None
+
+
+def _policy_iteration(comp, rows, values, maximize):
+    """Solve the component ``comp`` directly by policy iteration, treating
+    values outside it as constants; write the values and return True only
+    if ``_certify`` accepts them, else change nothing and return False.
+
+    The greedy start policy is made proper (``_make_proper``).  Each round
+    evaluates the policy by one elimination (``_factor``) and improves it
+    (``_improve``); a stable policy's values go to ``_certify``, which may
+    hand back a changed policy for another round.  A repeated policy gives
+    up.
+    """
+    acts = _split_actions(comp, rows, values)
+    policy = [None] * len(comp)
+    _improve(acts, [values[s] for s in comp], policy, maximize)
+    if None in policy:
+        return False  # a state with only pure self-loops
+    seen = set()
+    while True:
+        seen.add(tuple(policy))
+        chosen = [acts[i][ai] for i, ai in enumerate(policy)]
+        factors = _factor(chosen)
+        if factors is None:
+            if not _make_proper(acts, policy):
+                return False
+        else:
+            x = _lu_solve(factors, [a[0] for a in chosen])
+            if not _improve(acts, x, policy, maximize):
+                y = _certify(acts, policy, chosen, factors, x, maximize)
+                if y is not None:
+                    for s, v in zip(comp, y):
+                        values[s] = v
+                    return True
+        if tuple(policy) in seen:
+            return False
+
+
+def _sweep(comp, rows, values, maximize, epsilon, max_iter):
+    """In-place Gauss-Seidel sweeps over ``comp`` until the residual is at
+    most ``epsilon``; NonConvergenceError after ``max_iter`` sweeps."""
+    delta = math.inf
+    for _ in range(max_iter):
+        delta = 0.0
+        for s in comp:
+            v = _backup(rows[s], values, maximize)
+            d = abs(v - values[s])
+            if d > delta:
+                delta = d
+            values[s] = v
+        if delta <= epsilon:
+            return
+    raise NonConvergenceError(
+        f"value iteration stopped after {max_iter} sweeps", residual=delta)
+
+
 def _value_iteration(rows, values, maximize, epsilon, max_iter):
     """Solve ``values[s]`` for every state in ``rows``, in place.
 
     ``rows`` maps each unsolved state, in ascending order, to its actions as
     ``(reward, dist)`` pairs; every other state keeps its value.  Components
     of the graph over all actions are solved successors first: a singleton
-    by one backup, or in closed form when it has self-loops, anything else
-    by Gauss-Seidel sweeps until the residual is at most ``epsilon``, at
-    most ``max_iter`` sweeps per component.
+    by one backup, or in closed form when it has self-loops and none of its
+    actions is a pure self-loop; anything else by ``_policy_iteration``,
+    whose values are certified from below.  A component it cannot certify
+    falls back to Gauss-Seidel sweeps until the residual is at most
+    ``epsilon``, at most ``max_iter`` sweeps per component.
     """
     edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
              for s, acts in rows.items()}
@@ -382,21 +654,8 @@ def _value_iteration(rows, values, maximize, epsilon, max_iter):
                 values[s] = v
                 continue
         comp.sort()
-        delta = math.inf
-        for _ in range(max_iter):
-            delta = 0.0
-            for s in comp:
-                v = _backup(rows[s], values, maximize)
-                d = abs(v - values[s])
-                if d > delta:
-                    delta = d
-                values[s] = v
-            if delta <= epsilon:
-                break
-        else:
-            raise NonConvergenceError(
-                f"value iteration stopped after {max_iter} sweeps",
-                residual=delta)
+        if not _policy_iteration(comp, rows, values, maximize):
+            _sweep(comp, rows, values, maximize, epsilon, max_iter)
 
 
 def _action_value(dist, values):
@@ -448,24 +707,12 @@ def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0, epsilon):
         per = [_action_value(dist, values) for dist, _ in mdp.actions[s]]
         sums[s] = per
         opts[s] = max(per)
-    progressing = True
-    while progressing and undecided:
-        progressing = False
-        remaining = []
-        for s in undecided:
-            found = None
-            for ai, (dist, _) in enumerate(mdp.actions[s]):
-                if sums[s][ai] >= opts[s] - slack and any(
-                        t in ranked for t, _ in dist):
-                    found = ai
-                    break
-            if found is None:
-                remaining.append(s)
-            else:
-                choices[s] = found
-                ranked.add(s)
-                progressing = True
-        undecided = remaining
+    picked, undecided = _rank_towards(
+        undecided, ranked,
+        lambda s: ((ai, dist) for ai, (dist, _) in enumerate(mdp.actions[s])
+                   if sums[s][ai] >= opts[s] - slack))
+    for s, ai in picked.items():
+        choices[s] = ai
     # Leftovers should not occur; fall back to the greedy choice.
     for s in undecided:
         best = max(sums[s])
@@ -569,27 +816,13 @@ def _solve_reward_max(mdp, goal, epsilon, max_iter):
             if all(t in avoid for t, _ in dist):
                 choices[s] = ai
                 break
-    ranked = set(avoid)
-    undecided = [s for s in range(mdp.n_states)
-                 if s not in sure and s not in avoid]
-    progressing = True
-    while progressing and undecided:
-        progressing = False
-        remaining = []
-        for s in undecided:
-            found = None
-            for ai, (dist, _) in enumerate(mdp.actions[s]):
-                if any(t in ranked for t, _ in dist):
-                    found = ai
-                    break
-            if found is None:
-                remaining.append(s)
-            else:
-                choices[s] = found
-                ranked.add(s)
-                progressing = True
-        undecided = remaining
+    picked, undecided = _rank_towards(
+        [s for s in range(mdp.n_states) if s not in sure and s not in avoid],
+        set(avoid),
+        lambda s: ((ai, dist) for ai, (dist, _) in enumerate(mdp.actions[s])))
     assert not undecided, "every unsure state can reach the avoidable region"
+    for s, ai in picked.items():
+        choices[s] = ai
     return _result(mdp, "max", REWARD, values, choices)
 
 
@@ -701,27 +934,17 @@ def _solve_reward_min(mdp, goal, epsilon, max_iter):
     for mec in mecs:
         exit_state, exit_action = exit_of[min(mec)]
         choices[exit_state] = exit_action
-        ranked = {exit_state}
-        pending = sorted(mec - ranked)
-        while pending:
-            progressed = False
-            remaining = []
-            for s in pending:
-                found = None
-                for ai in allowed[s]:
-                    dist = mdp.actions[s][ai].dist
-                    if all(t in mec for t, _ in dist) and any(
-                            t in ranked for t, _ in dist):
-                        found = ai
-                        break
-                if found is None:
-                    remaining.append(s)
-                else:
-                    choices[s] = found
-                    ranked.add(s)
-                    progressed = True
-            assert progressed, "end component must be internally connected"
-            pending = remaining
+        def internal(s, mec=mec):
+            for ai in allowed[s]:
+                dist = mdp.actions[s][ai].dist
+                if all(t in mec for t, _ in dist):
+                    yield ai, dist
+
+        picked, stuck = _rank_towards(sorted(mec - {exit_state}),
+                                      {exit_state}, internal)
+        assert not stuck, "end component must be internally connected"
+        for s, ai in picked.items():
+            choices[s] = ai
     return _result(mdp, "min", REWARD, values, choices)
 
 

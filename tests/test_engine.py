@@ -32,6 +32,7 @@ from famsynth import (
 from famsynth.engine import (
     SparseMDP,
     MdpAction,
+    _sweep,
     mdp_from_mc,
     prob0_forall,
     prob1_exists,
@@ -154,6 +155,24 @@ def test_solve_reward_zero_reward_cycle_is_not_free():
     assert exact_mc_reward(chain, frozenset({2}))[0] == 1
 
 
+def test_solve_reward_min_repairs_a_start_policy_that_never_leaves():
+    # states 0 and 1 (reward 1) can swap forever or leave for state 2, which
+    # costs 10 before the goal; greedy on the zero start values picks the
+    # swap at both, a policy that never leaves their component
+    mdp = SparseMDP(4, 0,
+                    [[MdpAction(((1, 1.0),), "swap"),
+                      MdpAction(((2, 1.0),), "leave")],
+                     [MdpAction(((0, 1.0),), "swap"),
+                      MdpAction(((2, 1.0),), "leave")],
+                     [MdpAction(((3, 1.0),), None)],
+                     [MdpAction(((3, 1.0),), None)]],
+                    rewards=[1.0, 1.0, 10.0, 0.0])
+    res = solve_reward(mdp, frozenset({3}), "min")
+    for v in res.values[:2]:
+        assert v == pytest.approx(11.0, rel=1e-12) and v <= 11.0
+    assert res.scheduler.tags[:2] == ("leave", "leave")
+
+
 def test_solve_reward_min_undefined_at_initial():
     mdp = SparseMDP(2, 0, [[MdpAction(((0, 1.0),), None)],
                            [MdpAction(((1, 1.0),), None)]],
@@ -185,14 +204,13 @@ def test_sparse_mdp_validation():
 
 
 def test_non_convergence_carries_residual():
-    # a two-state cycle is swept, not solved in closed form; Gauss-Seidel
-    # gives (1, 1.9) and then (1.95, 2.755), so the residual is 0.95
-    mdp = SparseMDP(3, 0, [[MdpAction(((1, 0.5), (2, 0.5)), None)],
-                           [MdpAction(((0, 0.9), (2, 0.1)), None)],
-                           [MdpAction(((2, 1.0),), None)]],
-                    rewards=[1.0, 1.0, 1.0])
+    # the sweep fallback on a two-state cycle (reward 1 each, goal 2):
+    # Gauss-Seidel gives (1, 1.9) and then (1.95, 2.755), so the residual
+    # is 0.95
+    rows = {0: [(1.0, ((1, 0.5), (2, 0.5)))],
+            1: [(1.0, ((0, 0.9), (2, 0.1)))]}
     with pytest.raises(NonConvergenceError) as err:
-        solve_reward(mdp, frozenset({2}), "min", max_iter=2)
+        _sweep([0, 1], rows, [0.0, 0.0, 0.0], False, 1e-8, max_iter=2)
     assert err.value.residual == pytest.approx(0.95)
 
 
@@ -324,6 +342,31 @@ def test_values_never_exceed_exact_on_stiff_ladders(digits, to_sink, rewards):
                     tuple(Fraction(r) for r in rewards[:rungs] + [0, 0]),
                     frozenset(range(n)))
     assert_never_above_exact(mc, frozenset({goal}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponents=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+       to_sink=st.lists(st.booleans(), min_size=6, max_size=6),
+       rewards=st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_values_never_exceed_exact_on_stiff_cycles(exponents, to_sink,
+                                                    rewards):
+    # state i keeps 1-2**-j on a self-loop and splits the rest between state
+    # i+1 (around the cycle) and either the sink or the goal, so the cycle
+    # is one component; the probabilities are floats, so the engine solves
+    # the exact chain, towards the goal and towards either end
+    n = len(exponents)
+    goal, sink = n, n + 1
+    rows = []
+    for i, j in enumerate(exponents):
+        half = Fraction(1, 2 ** (j + 1))
+        rows.append(((i, 1 - 2 * half), ((i + 1) % n, half),
+                     (sink if to_sink[i] else goal, half)))
+    rows += [((goal, Fraction(1)),), ((sink, Fraction(1)),)]
+    mc = ConcreteMC(n + 2, 0, tuple(rows),
+                    tuple(Fraction(r) for r in rewards[:n] + [0, 0]),
+                    frozenset(range(n + 2)))
+    assert_never_above_exact(mc, frozenset({goal}))
+    assert_never_above_exact(mc, frozenset({goal, sink}))
 
 
 # Fixpoint formulations of the graph analyses, kept as references for the

@@ -13,6 +13,7 @@ from famsynth import (
     all_realisations,
     build_quotient,
     exact_mc_probability,
+    exact_mc_reward,
     extract_counts,
     feasibility,
     important_states,
@@ -26,8 +27,10 @@ from famsynth import (
     random_spec,
     select_predicate,
     solve_prob,
+    solve_reward,
     threshold_synthesis,
 )
+from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
 from conftest import R1, R2, R3, R4
 
@@ -78,6 +81,40 @@ goal : 1
 def ladder(k):
     loop = 1 - Fraction(1, 10 ** k)
     family, _ = parse_family(LADDER_DOC.format(loop=loop, rest=(1 - loop) / 2))
+    return family
+
+
+# Stiff two-state cycle: each state keeps 1-10**-k on a self-loop and splits
+# the rest between the other state and the goal (state 0) or the sink
+# (state 1).  From state 0 the goal is reached with probability exactly 2/3
+# and "done" after an expected reward of exactly 8/3 * 10**k; the dummy
+# parameter on the goal's row makes two members.
+CYCLE_DOC = """
+states 4
+initial 0
+params
+d : 2 3
+a : 0
+b : 1
+kg : 2
+ks : 3
+trans
+0 : {loop}:a + {half}:b + {half}:kg
+1 : {loop}:b + {half}:a + {half}:ks
+2 : 1:d
+3 : 1:ks
+rewards
+0 : 1
+1 : 2
+labels
+goal : 2
+done : 2 3
+"""
+
+
+def stiff_cycle(k):
+    loop = 1 - Fraction(1, 10 ** k)
+    family, _ = parse_family(CYCLE_DOC.format(loop=loop, half=(1 - loop) / 2))
     return family
 
 
@@ -410,6 +447,34 @@ def test_stiff_self_loop_threshold_matches_one_by_one(k, bound):
     spec = parse_spec(f'P{bound} F "goal"')
     assert buckets(threshold_synthesis(family, spec)) == \
         buckets(one_by_one(family, spec))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_stiff_cycle_matches_exact_values_and_one_by_one(k):
+    # a stiff component of two states: sweeps stop short of its values or
+    # hit the sweep cap, where policy iteration solves it directly
+    family = stiff_cycle(k)
+    reward = Fraction(8, 3) * 10 ** k
+    for bound in ("<=2/3", "<2/3", ">=2/3", ">2/3", "<=0.6665", ">=0.6666"):
+        spec = parse_spec(f'P{bound} F "goal"')
+        assert buckets(threshold_synthesis(family, spec)) == \
+            buckets(one_by_one(family, spec))
+    for relation in ("<=", "<", ">=", ">"):
+        spec = parse_spec(f'E{relation}{reward} F "done"')
+        assert buckets(threshold_synthesis(family, spec)) == \
+            buckets(one_by_one(family, spec))
+    for r in all_realisations(family):
+        mc = instantiate(family, r)
+        mdp = mdp_from_mc(mc)
+        goal, done = mc.label_states("goal"), mc.label_states("done")
+        exact_p = exact_mc_probability(mc, goal)
+        exact_r = exact_mc_reward(mc, done)
+        assert exact_p[0] == Fraction(2, 3) and exact_r[0] == reward
+        for direction in ("max", "min"):
+            got_p = solve_prob(mdp, goal, direction).values
+            got_r = solve_reward(mdp, done, direction).values
+            for got, exact in zip(got_p + got_r, exact_p + exact_r):
+                assert got == pytest.approx(float(exact), rel=1e-8, abs=0)
 
 
 def test_refinement_decisions_pinned_on_larger_family():
