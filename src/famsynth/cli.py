@@ -42,7 +42,6 @@ from .smt import (
     run_solver,
 )
 from .synthesis import (
-    RefinementConfig,
     SynthesisOutcome,
     feasibility,
     max_synthesis,
@@ -215,15 +214,6 @@ def _write_trace(path: str, outcome: SynthesisOutcome):
             }) + "\n")
 
 
-def _config_from_args(args) -> RefinementConfig:
-    return RefinementConfig(
-        delta=args.delta,
-        strategy=args.strategy,
-        queue=args.queue,
-        epsilon=args.epsilon,
-    )
-
-
 def _add_common(sub, spec_flags=True):
     sub.add_argument("model", help="input .fmc file, or - for stdin")
     if spec_flags:
@@ -259,11 +249,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--mode", choices=("threshold", "max", "min",
                                       "feasibility"), default="threshold")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--strategy", choices=("auto", "variance", "consistency"),
-                   default="auto")
-    p.add_argument("--queue", choices=("fifo", "largest"), default="fifo")
-    p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--trace", metavar="PATH",
                    help="write a JSON-lines refinement trace")
 
@@ -289,11 +274,6 @@ def build_parser() -> _Parser:
                             help="run several approaches and tabulate")
     _add_common(p)
     p.add_argument("--cap", type=int, default=100_000)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--strategy", choices=("auto", "variance", "consistency"),
-                   default="auto")
-    p.add_argument("--queue", choices=("fifo", "largest"), default="fifo")
-    p.add_argument("--epsilon", type=float, default=1e-8)
     return parser
 
 
@@ -334,11 +314,9 @@ def _cmd_allinone(args) -> int:
 def _cmd_synth(args) -> int:
     family, specs = _read_model(args.model)
     spec = _pick_spec(specs, args.spec, args.spec_string)
-    config = _config_from_args(args)
     collect = args.trace is not None
     if args.mode == "threshold":
-        outcome = threshold_synthesis(family, spec, config,
-                                      collect_trace=collect)
+        outcome = threshold_synthesis(family, spec, collect_trace=collect)
         payload = _outcome_payload(outcome, family, spec, "refinement",
                                    args.timings)
     elif args.mode in ("max", "min"):
@@ -346,11 +324,11 @@ def _cmd_synth(args) -> int:
             spec = Specification(kind=spec.kind, goal=spec.goal,
                                  direction=args.mode)
         run = max_synthesis if args.mode == "max" else min_synthesis
-        outcome = run(family, spec, config, collect_trace=collect)
+        outcome = run(family, spec, collect_trace=collect)
         payload = _outcome_payload(outcome, family, spec, "refinement",
                                    args.timings)
     else:
-        member = feasibility(family, spec, config, collect_trace=collect)
+        member = feasibility(family, spec, collect_trace=collect)
         payload = {
             "approach": "refinement",
             "mode": "feasibility",
@@ -411,7 +389,6 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     family, specs = _read_model(args.model)
     spec = _pick_spec(specs, args.spec, args.spec_string)
-    config = _config_from_args(args)
     rows = []
 
     def timed(name, fn):
@@ -441,9 +418,9 @@ def _cmd_bench(args) -> int:
           lambda: enumerate_consistent(family, spec, cap=args.cap))
     if spec.objective_only:
         run = max_synthesis if spec.direction == "max" else min_synthesis
-        timed("refinement", lambda: run(family, spec, config))
+        timed("refinement", lambda: run(family, spec))
     else:
-        timed("refinement", lambda: threshold_synthesis(family, spec, config))
+        timed("refinement", lambda: threshold_synthesis(family, spec))
 
     if args.out == "json":
         print(json.dumps({"spec": str(spec),

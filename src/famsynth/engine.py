@@ -15,9 +15,9 @@ local to the component: each policy is evaluated by one sparse
 elimination, and the stable policy's values are pushed down by a small
 margin and accepted only when every backup confirms they lie below the
 fixpoint.  A component that fails that check falls back to in-place
-Gauss-Seidel sweeps until the residual is at most ``epsilon``.  All of it works from below, so computed values never
-exceed the true fixpoint (up to the rounding of a plain backup); callers
-exploit that one-sidedness.
+Gauss-Seidel sweeps, which stop on a fixed residual and sweep cap.  All of
+it works from below, so computed values never exceed the true fixpoint (up
+to the rounding of a plain backup); callers exploit that one-sidedness.
 
 Scheduler extraction must be attainment-aware: a plain argmax would happily
 pick a value-preserving self-loop (every Dirac self-loop ties with the
@@ -628,7 +628,7 @@ def _sweep(comp, rows, values, maximize, epsilon, max_iter):
         f"value iteration stopped after {max_iter} sweeps", residual=delta)
 
 
-def _value_iteration(rows, values, maximize, epsilon, max_iter):
+def _value_iteration(rows, values, maximize):
     """Solve ``values[s]`` for every state in ``rows``, in place.
 
     ``rows`` maps each unsolved state, in ascending order, to its actions as
@@ -637,8 +637,7 @@ def _value_iteration(rows, values, maximize, epsilon, max_iter):
     by one backup, or in closed form when it has self-loops and none of its
     actions is a pure self-loop; anything else by ``_policy_iteration``,
     whose values are certified from below.  A component it cannot certify
-    falls back to Gauss-Seidel sweeps until the residual is at most
-    ``epsilon``, at most ``max_iter`` sweeps per component.
+    falls back to ``_sweep`` with the module's fixed residual and sweep cap.
     """
     edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
              for s, acts in rows.items()}
@@ -655,7 +654,8 @@ def _value_iteration(rows, values, maximize, epsilon, max_iter):
                 continue
         comp.sort()
         if not _policy_iteration(comp, rows, values, maximize):
-            _sweep(comp, rows, values, maximize, epsilon, max_iter)
+            _sweep(comp, rows, values, maximize, DEFAULT_EPSILON,
+                   DEFAULT_MAX_ITER)
 
 
 def _action_value(dist, values):
@@ -665,25 +665,23 @@ def _action_value(dist, values):
     return v
 
 
-def _extract_plain(mdp, values, maximize):
-    """Greedy choice per state, ties broken by lowest action index."""
+def _extract_plain(mdp, values):
+    """Greedy minimising choice per state, ties broken by lowest action
+    index."""
     choices = []
     for s in range(mdp.n_states):
-        acts = mdp.actions[s]
-        vals = [_action_value(a.dist, values) for a in acts]
-        best = max(vals) if maximize else min(vals)
+        vals = [_action_value(a.dist, values) for a in mdp.actions[s]]
+        best = min(vals)
         pick = 0
         for ai, v in enumerate(vals):
-            within = (v >= best - TIE_SLACK if maximize
-                      else v <= best + TIE_SLACK)
-            if within:
+            if v <= best + TIE_SLACK:
                 pick = ai
                 break
         choices.append(pick)
     return choices
 
 
-def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0, epsilon):
+def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0):
     """Attainment-aware maximising extraction.
 
     Inside the probability-1 region the attractor witness is used; in the
@@ -700,7 +698,7 @@ def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0, epsilon):
         ranked.add(s)
     undecided = [s for s in range(n)
                  if s not in ranked and s not in pin0 and s not in goal]
-    slack = max(TIE_SLACK, 10.0 * epsilon)
+    slack = max(TIE_SLACK, 10.0 * DEFAULT_EPSILON)
     opts = {}
     sums = {}
     for s in undecided:
@@ -731,9 +729,8 @@ def _result(mdp, direction, kind, values, choices,
                        values[mdp.initial], pinned)
 
 
-def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
-               epsilon: float = DEFAULT_EPSILON,
-               max_iter: int = DEFAULT_MAX_ITER) -> CheckResult:
+def solve_prob(mdp: SparseMDP, goal: frozenset[int],
+               direction: str) -> CheckResult:
     """Optimal reachability probabilities plus an attaining scheduler.
 
     Qualitative precomputation pins the direction's certain states to exact
@@ -755,19 +752,17 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     frozen = pin1 | pin0
     rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
             for s in range(mdp.n_states) if s not in frozen}
-    _value_iteration(rows, values, direction == "max", epsilon, max_iter)
+    _value_iteration(rows, values, direction == "max")
     if direction == "max":
-        choices = _extract_max_prob(mdp, goal, values, pin1, attractor, pin0,
-                                    epsilon)
+        choices = _extract_max_prob(mdp, goal, values, pin1, attractor, pin0)
     else:
-        choices = _extract_plain(mdp, values, maximize=False)
+        choices = _extract_plain(mdp, values)
     return _result(mdp, direction, PROBABILITY, values, choices,
                    pinned=mdp.initial in frozen)
 
 
-def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
-                 epsilon: float = DEFAULT_EPSILON,
-                 max_iter: int = DEFAULT_MAX_ITER) -> CheckResult:
+def solve_reward(mdp: SparseMDP, goal: frozenset[int],
+                 direction: str) -> CheckResult:
     """Optimal expected reward accumulated until the goal is first reached.
 
     States whose relevant reachability guarantee fails get the +inf sentinel:
@@ -779,13 +774,13 @@ def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     if mdp.rewards is None:
         raise ModelError("model carries no rewards", code="bad-reward")
     if direction == "max":
-        return _solve_reward_max(mdp, goal, epsilon, max_iter)
+        return _solve_reward_max(mdp, goal)
     if direction == "min":
-        return _solve_reward_min(mdp, goal, epsilon, max_iter)
+        return _solve_reward_min(mdp, goal)
     raise ValueError(f"direction must be max or min, got {direction!r}")
 
 
-def _solve_reward_max(mdp, goal, epsilon, max_iter):
+def _solve_reward_max(mdp, goal):
     avoid = prob0_exists(mdp, goal)
     sure = prob1_forall(mdp, goal, avoidable=avoid)
     values = [math.inf] * mdp.n_states
@@ -795,7 +790,7 @@ def _solve_reward_max(mdp, goal, epsilon, max_iter):
     # hence every policy is proper and iteration converges.
     rows = {s: [(mdp.rewards[s], dist) for dist, _ in mdp.actions[s]]
             for s in sorted(sure - goal)}
-    _value_iteration(rows, values, True, epsilon, max_iter)
+    _value_iteration(rows, values, True)
     choices = [0] * mdp.n_states
     for s in sure:
         if s in goal:
@@ -851,7 +846,7 @@ def _zero_reward_mecs(mdp, candidates, allowed):
     return result
 
 
-def _solve_reward_min(mdp, goal, epsilon, max_iter):
+def _solve_reward_min(mdp, goal):
     region, attractor = prob1_exists(mdp, goal)
     if mdp.initial not in region:
         raise UndefinedRewardError(
@@ -902,7 +897,7 @@ def _solve_reward_min(mdp, goal, epsilon, max_iter):
     goal_nodes = {node(g) for g in goal if g in region}
     rows = {v: [(mdp.rewards[s], dist) for s, _, dist in node_actions[v]]
             for v in nodes if v not in goal_nodes}
-    _value_iteration(rows, values_n, False, epsilon, max_iter)
+    _value_iteration(rows, values_n, False)
 
     values = [math.inf] * n
     for s in region:
@@ -948,9 +943,8 @@ def _solve_reward_min(mdp, goal, epsilon, max_iter):
     return _result(mdp, "min", REWARD, values, choices)
 
 
-def solve_mc(mc: ConcreteMC, spec: Specification, *,
-             epsilon: float = DEFAULT_EPSILON,
-             max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, bool | None]:
+def solve_mc(mc: ConcreteMC, spec: Specification
+             ) -> tuple[float, bool | None]:
     """Check one chain with the floating engine.
 
     Returns the value at the initial state and, for threshold specs, whether
@@ -959,10 +953,9 @@ def solve_mc(mc: ConcreteMC, spec: Specification, *,
     mdp = mdp_from_mc(mc)
     goal = mc.label_states(spec.goal)
     if spec.kind == PROBABILITY:
-        res = solve_prob(mdp, goal, "max", epsilon=epsilon, max_iter=max_iter)
+        res = solve_prob(mdp, goal, "max")
     else:
-        res = solve_reward(mdp, goal, "min", epsilon=epsilon,
-                           max_iter=max_iter)
+        res = solve_reward(mdp, goal, "min")
     value = res.at_initial
     if spec.objective_only:
         return value, None

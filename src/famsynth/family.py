@@ -227,13 +227,6 @@ class FamilyModel:
         """Parameter indices occurring in the row of ``state``, ascending."""
         return self._supports[state]
 
-    def param_index(self, name: str) -> int:
-        try:
-            return self.param_names.index(name)
-        except ValueError:
-            raise ModelError(f"unknown parameter {name!r}",
-                             code="unknown-param") from None
-
     def label_states(self, name: str) -> frozenset[int]:
         try:
             return self.labels[name]

@@ -5,11 +5,16 @@ members; max/min synthesis finds an optimal member; feasibility stops at the
 first satisfying member.  All three share the same machinery: solve the
 restricted quotient in both directions, classify or split, repeat.
 
+A split looks only at the states whose min/max gap is at least
+``IMPORTANCE`` times the gap at the initial state, and scores parameters by
+variance for threshold and feasibility queries and by consistency for
+max/min queries.  Subfamilies are refined first in, first out.
+
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
-literally; the other side gets a safety margin unless qualitative analysis
-pinned it to an exact 0 or 1, and anything still inconclusive at a
-singleton is decided with the exact rational chain solver.
+literally; the other side gets a safety margin of ``MARGIN`` unless
+qualitative analysis pinned it to an exact 0 or 1, and anything still
+inconclusive at a singleton is decided with the exact rational chain solver.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ from .family import (
     reachable_states,
 )
 from .engine import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_ITER,
     CheckResult,
     Scheduler,
     solve_mc_exact,
@@ -52,29 +55,20 @@ from .quotient import (
     scheduler_to_realisations,
 )
 
-STRATEGIES = ("auto", "variance", "consistency")
-QUEUES = ("fifo", "largest")
+# A state is important for a split when its min/max gap is at least this
+# share of the gap at the initial state.
+IMPORTANCE = 0.5
+# Threshold classification pushes the side that value iteration may
+# underestimate this far towards splitting.
+MARGIN = 1e-6
 
 
 @dataclass
 class RefinementConfig:
-    """Tuning knobs for the refinement loop."""
+    """Resource cap for the refinement loop: a run that explores more than
+    ``subfamily_budget`` subfamilies raises SizeCapError (None: no cap)."""
 
-    delta: float = 0.5
-    strategy: str = "auto"
-    queue: str = "fifo"
-    epsilon: float = DEFAULT_EPSILON
-    max_iter: int = DEFAULT_MAX_ITER
-    margin: float = 1e-6
     subfamily_budget: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.queue not in QUEUES:
-            raise ValueError(f"queue must be one of {QUEUES}")
 
 
 @dataclass
@@ -276,15 +270,6 @@ class _Loop:
         self.queue: deque[Subfamily] = deque([Subfamily.full(family)])
         self.total = family.n_realisations
 
-    def pop(self) -> Subfamily:
-        if self.config.queue == "largest":
-            best = max(range(len(self.queue)),
-                       key=lambda i: self.queue[i].size)
-            sub = self.queue[best]
-            del self.queue[best]
-            return sub
-        return self.queue.popleft()
-
     def begin_iteration(self):
         self.stats.iterations += 1
         if self.config.subfamily_budget is not None and \
@@ -301,21 +286,15 @@ class _Loop:
         t0 = time.perf_counter()
         restricted = self.quotient.restrict(sub)
         t1 = time.perf_counter()
-        cfg = self.config
         if self.spec.kind == REWARD:
-            res_max = solve_reward(restricted.mdp, self.goal, "max",
-                                   epsilon=cfg.epsilon, max_iter=cfg.max_iter)
+            res_max = solve_reward(restricted.mdp, self.goal, "max")
             try:
-                res_min = solve_reward(restricted.mdp, self.goal, "min",
-                                       epsilon=cfg.epsilon,
-                                       max_iter=cfg.max_iter)
+                res_min = solve_reward(restricted.mdp, self.goal, "min")
             except UndefinedRewardError:
                 res_min = None
         else:
-            res_max = solve_prob(restricted.mdp, self.goal, "max",
-                                 epsilon=cfg.epsilon, max_iter=cfg.max_iter)
-            res_min = solve_prob(restricted.mdp, self.goal, "min",
-                                 epsilon=cfg.epsilon, max_iter=cfg.max_iter)
+            res_max = solve_prob(restricted.mdp, self.goal, "max")
+            res_min = solve_prob(restricted.mdp, self.goal, "min")
         t2 = time.perf_counter()
         self.stats.times.build += t1 - t0
         self.stats.times.check += t2 - t1
@@ -325,10 +304,8 @@ class _Loop:
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
               res_max: CheckResult, res_min: CheckResult,
               mode: str) -> tuple[str, Subfamily, Subfamily]:
-        strategy = self.config.strategy
-        if strategy == "auto":
-            strategy = "variance" if mode == "threshold" else "consistency"
-        imp = important_states(res_min, res_max, self.config.delta,
+        strategy = "variance" if mode == "threshold" else "consistency"
+        imp = important_states(res_min, res_max, IMPORTANCE,
                                restricted, self.goal)
         c_max = extract_counts(res_max.scheduler, imp, restricted)
         c_min = extract_counts(res_min.scheduler, imp, restricted)
@@ -404,13 +381,13 @@ def _run_threshold(family: FamilyModel, spec: Specification,
                                stats=loop.stats)
     first: Realisation | None = None
     while loop.queue and first is None:
-        sub = loop.pop()
+        sub = loop.queue.popleft()
         loop.begin_iteration()
         restricted, res_max, res_min = loop.solve_both(sub)
         t0 = time.perf_counter()
         minv = res_min.at_initial if res_min is not None else math.inf
         maxv = res_max.at_initial
-        margin = 0.0 if res_max.pinned else config.margin
+        margin = 0.0 if res_max.pinned else MARGIN
         decision = _classify_threshold(spec, minv, maxv, margin)
         if sub.is_singleton:
             loop.stats.singletons += 1
@@ -472,7 +449,7 @@ def _optimise(family: FamilyModel, spec: Specification,
         return a > b if maximize else a < b
 
     while loop.queue:
-        sub = loop.pop()
+        sub = loop.queue.popleft()
         loop.begin_iteration()
         restricted, res_max, res_min = loop.solve_both(sub)
         t0 = time.perf_counter()

@@ -130,6 +130,10 @@ obj : Emax F "goal"
 def test_exit_code_usage(capsys):
     code, _, err = run_cli(capsys, "synth", "--mode", "sideways", MODEL)
     assert code == 1
+    for command, flag, value in (("synth", "--queue", "fifo"),
+                                 ("bench", "--epsilon", "1e-8")):
+        code, _, _ = run_cli(capsys, command, flag, value, MODEL)
+        assert code == 1
     code, _, err = run_cli(capsys, "check", "/nonexistent/file.fmc")
     assert code == 1
 
