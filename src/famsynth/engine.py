@@ -1,9 +1,9 @@
 """Sparse MC/MDP numeric core.
 
 Qualitative graph analyses, min/max value iteration for reachability
-probability and expected reward, memoryless deterministic scheduler
-extraction, and an exact rational linear-system solver for chains (the
-oracle used by the enumeration baseline and the test suite).
+probability and expected reward with the memoryless deterministic
+schedulers that attain them, and an exact rational linear-system solver for
+chains (the oracle used by the enumeration baseline and the test suite).
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
@@ -19,10 +19,15 @@ Gauss-Seidel sweeps, which stop on a fixed residual and sweep cap.  All of
 it works from below, so computed values never exceed the true fixpoint (up
 to the rounding of a plain backup); callers exploit that one-sidedness.
 
-Scheduler extraction must be attainment-aware: a plain argmax would happily
-pick a value-preserving self-loop (every Dirac self-loop ties with the
-optimum at the fixpoint), so maximising extraction only accepts optimal
-actions that make progress towards already-ranked states.
+Schedulers are the solver's own choices: each state takes the action that
+produced its value (the argmax of its backup, the best closed-form action,
+or the certified policy of its component), so no second argmax pass with a
+tie slack re-derives them.  Every such choice leaves its component or moves
+towards states that do, so a maximising scheduler cannot loiter in an end
+component, which a plain argmax over the fixpoint would happily do (every
+Dirac self-loop ties with the optimum there).  Only the sweep fallback has
+no policy; it picks, among the actions near its best, one that makes
+progress out of the component.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .family import (
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITER = 10 ** 6
-TIE_SLACK = 1e-9
 # Relative shave on closed-form self-loop solutions: far above the rounding
 # error of one backup, so they stay below the true fixpoint.
 SHAVE = 1.0 - 2.0 ** -40
@@ -245,7 +249,7 @@ def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
 
     Returns the set plus, for each non-goal member, a witness action that
     stays inside the set and makes progress; the witness doubles as the
-    attractor scheduler used by maximising extraction.
+    maximising scheduler's choice there.
     """
     base, owner, pre = _predecessors(mdp)
     outside = [0] * len(owner)  # per action, successors not in the universe
@@ -333,27 +337,31 @@ def _scc_decompose(nodes, edges):
 
 
 def _backup(acts, values, maximize):
+    """Best ``(value, index)`` over the actions, ties to the lowest index."""
     best = None
-    for r, dist in acts:
+    pick = 0
+    for ai, (r, dist) in enumerate(acts):
         v = r
         for t, p in dist:
             v += p * values[t]
         if best is None or (v > best if maximize else v < best):
             best = v
-    return best
+            pick = ai
+    return best, pick
 
 
 def _closed_form(s, acts, values, maximize):
-    """Value of a singleton component with self-loops, solved per action in
-    closed form and shaved by ``SHAVE``; None if some action is a pure
-    self-loop.
+    """Best ``(value, index)`` of a singleton component with self-loops,
+    solved per action in closed form and shaved by ``SHAVE``; None if some
+    action is a pure self-loop.
 
     The denominator is the action's outgoing mass, summed, not one minus
     the self-loop: the rounding error of a self-loop near 1 would be
     magnified by the quotient far beyond the shave.
     """
     best = None
-    for r, dist in acts:
+    pick = 0
+    for ai, (r, dist) in enumerate(acts):
         out = 0.0
         v = r
         for t, p in dist:
@@ -365,7 +373,8 @@ def _closed_form(s, acts, values, maximize):
         v = v / out * SHAVE
         if best is None or (v > best if maximize else v < best):
             best = v
-    return best
+            pick = ai
+    return best, pick
 
 
 def _rank_towards(pending, ranked, options):
@@ -574,10 +583,11 @@ def _certify(acts, policy, chosen, factors, x, maximize):
     return y if certified else None
 
 
-def _policy_iteration(comp, rows, values, maximize):
+def _policy_iteration(comp, rows, values, choices, maximize):
     """Solve the component ``comp`` directly by policy iteration, treating
-    values outside it as constants; write the values and return True only
-    if ``_certify`` accepts them, else change nothing and return False.
+    values outside it as constants; write the values and the policy into
+    ``values`` and ``choices`` and return True only if ``_certify`` accepts
+    them, else change nothing and return False.
 
     The greedy start policy is made proper (``_make_proper``).  Each round
     evaluates the policy by one elimination (``_factor``) and improves it
@@ -603,8 +613,9 @@ def _policy_iteration(comp, rows, values, maximize):
             if not _improve(acts, x, policy, maximize):
                 y = _certify(acts, policy, chosen, factors, x, maximize)
                 if y is not None:
-                    for s, v in zip(comp, y):
+                    for s, v, ai in zip(comp, y, policy):
                         values[s] = v
+                        choices[s] = ai
                     return True
         if tuple(policy) in seen:
             return False
@@ -612,24 +623,47 @@ def _policy_iteration(comp, rows, values, maximize):
 
 def _sweep(comp, rows, values, maximize, epsilon, max_iter):
     """In-place Gauss-Seidel sweeps over ``comp`` until the residual is at
-    most ``epsilon``; NonConvergenceError after ``max_iter`` sweeps."""
+    most ``epsilon``; NonConvergenceError after ``max_iter`` sweeps.
+
+    Sweeps leave no policy, so the returned choice per state is its first
+    action within ``10 * epsilon`` of the best that moves towards states
+    outside the component or already ranked (``_rank_towards``): a plain
+    argmax could keep a Dirac self-loop, which ties with the best.
+    """
     delta = math.inf
     for _ in range(max_iter):
         delta = 0.0
         for s in comp:
-            v = _backup(rows[s], values, maximize)
+            v, _ = _backup(rows[s], values, maximize)
             d = abs(v - values[s])
             if d > delta:
                 delta = d
             values[s] = v
         if delta <= epsilon:
-            return
-    raise NonConvergenceError(
-        f"value iteration stopped after {max_iter} sweeps", residual=delta)
+            break
+    else:
+        raise NonConvergenceError(
+            f"value iteration stopped after {max_iter} sweeps",
+            residual=delta)
+    inside = set(comp)
+    slack = 10.0 * epsilon
+    near = {}
+    for s in comp:
+        q = [r + sum(p * values[t] for t, p in dist) for r, dist in rows[s]]
+        best = max(q) if maximize else min(q)
+        # -1 stands for every state outside the component
+        near[s] = [(ai, [(t if t in inside else -1, p) for t, p in dist])
+                   for ai, (_, dist) in enumerate(rows[s])
+                   if abs(q[ai] - best) <= slack]
+    choices, stuck = _rank_towards(comp, {-1}, near.__getitem__)
+    for s in stuck:  # values too far from the fixpoint to tell; greedy
+        choices[s] = _backup(rows[s], values, maximize)[1]
+    return choices
 
 
-def _value_iteration(rows, values, maximize):
-    """Solve ``values[s]`` for every state in ``rows``, in place.
+def _value_iteration(rows, values, choices, maximize):
+    """Solve ``values[s]`` for every state in ``rows``, in place, and set
+    ``choices[s]`` to the index of the action in ``rows[s]`` that yields it.
 
     ``rows`` maps each unsolved state, in ascending order, to its actions as
     ``(reward, dist)`` pairs; every other state keeps its value.  Components
@@ -646,79 +680,26 @@ def _value_iteration(rows, values, maximize):
             s = comp[0]
             acts = rows[s]
             if s not in edges[s]:
-                values[s] = _backup(acts, values, maximize)
+                values[s], choices[s] = _backup(acts, values, maximize)
                 continue
-            v = _closed_form(s, acts, values, maximize)
-            if v is not None:
-                values[s] = v
+            solved = _closed_form(s, acts, values, maximize)
+            if solved is not None:
+                values[s], choices[s] = solved
                 continue
         comp.sort()
-        if not _policy_iteration(comp, rows, values, maximize):
-            _sweep(comp, rows, values, maximize, DEFAULT_EPSILON,
-                   DEFAULT_MAX_ITER)
+        if not _policy_iteration(comp, rows, values, choices, maximize):
+            for s, ai in _sweep(comp, rows, values, maximize,
+                                DEFAULT_EPSILON, DEFAULT_MAX_ITER).items():
+                choices[s] = ai
 
 
-def _action_value(dist, values):
-    v = 0.0
-    for t, p in dist:
-        v += p * values[t]
-    return v
-
-
-def _extract_plain(mdp, values):
-    """Greedy minimising choice per state, ties broken by lowest action
-    index."""
-    choices = []
-    for s in range(mdp.n_states):
-        vals = [_action_value(a.dist, values) for a in mdp.actions[s]]
-        best = min(vals)
-        pick = 0
-        for ai, v in enumerate(vals):
-            if v <= best + TIE_SLACK:
-                pick = ai
-                break
-        choices.append(pick)
-    return choices
-
-
-def _extract_max_prob(mdp, goal, values, pin1, attractor, pin0):
-    """Attainment-aware maximising extraction.
-
-    Inside the probability-1 region the attractor witness is used; in the
-    'maybe' region an action qualifies if it is optimal within slack *and*
-    moves with positive probability towards an already-ranked state.  The
-    progress slack is wider than the tie slack because values carry value
-    iteration error.
-    """
-    n = mdp.n_states
-    choices = [0] * n
-    ranked = set(goal)
-    for s, ai in attractor.items():
-        choices[s] = ai
-        ranked.add(s)
-    undecided = [s for s in range(n)
-                 if s not in ranked and s not in pin0 and s not in goal]
-    slack = max(TIE_SLACK, 10.0 * DEFAULT_EPSILON)
-    opts = {}
-    sums = {}
-    for s in undecided:
-        per = [_action_value(dist, values) for dist, _ in mdp.actions[s]]
-        sums[s] = per
-        opts[s] = max(per)
-    picked, undecided = _rank_towards(
-        undecided, ranked,
-        lambda s: ((ai, dist) for ai, (dist, _) in enumerate(mdp.actions[s])
-                   if sums[s][ai] >= opts[s] - slack))
-    for s, ai in picked.items():
-        choices[s] = ai
-    # Leftovers should not occur; fall back to the greedy choice.
-    for s in undecided:
-        best = max(sums[s])
-        for ai, v in enumerate(sums[s]):
-            if v >= best - TIE_SLACK:
+def _stay_inside(mdp, region, choices):
+    """Give each state of ``region`` its first action that stays inside."""
+    for s in region:
+        for ai, (dist, _) in enumerate(mdp.actions[s]):
+            if all(t in region for t, _ in dist):
                 choices[s] = ai
                 break
-    return choices
 
 
 def _result(mdp, direction, kind, values, choices,
@@ -743,7 +724,6 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
     elif direction == "min":
         pin0 = prob0_exists(mdp, goal)
         pin1 = prob1_forall(mdp, goal, avoidable=pin0)
-        attractor = None
     else:
         raise ValueError(f"direction must be max or min, got {direction!r}")
     values = [0.0] * mdp.n_states
@@ -752,11 +732,18 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
     frozen = pin1 | pin0
     rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
             for s in range(mdp.n_states) if s not in frozen}
-    _value_iteration(rows, values, direction == "max")
+    choices = [0] * mdp.n_states
+    _value_iteration(rows, values, choices, direction == "max")
     if direction == "max":
-        choices = _extract_max_prob(mdp, goal, values, pin1, attractor, pin0)
+        for s, ai in attractor.items():
+            choices[s] = ai
     else:
-        choices = _extract_plain(mdp, values)
+        _stay_inside(mdp, pin0, choices)
+        # The first visit ends at the goal, but the consistency and
+        # importance walks go on through it, so take its plain argmin.
+        for s in goal:
+            choices[s] = _backup([(0.0, dist) for dist, _ in mdp.actions[s]],
+                                 values, False)[1]
     return _result(mdp, direction, PROBABILITY, values, choices,
                    pinned=mdp.initial in frozen)
 
@@ -790,27 +777,12 @@ def _solve_reward_max(mdp, goal):
     # hence every policy is proper and iteration converges.
     rows = {s: [(mdp.rewards[s], dist) for dist, _ in mdp.actions[s]]
             for s in sorted(sure - goal)}
-    _value_iteration(rows, values, True)
     choices = [0] * mdp.n_states
-    for s in sure:
-        if s in goal:
-            continue
-        best = None
-        pick = 0
-        for ai, (dist, _) in enumerate(mdp.actions[s]):
-            v = _action_value(dist, values)
-            if best is None or v > best + TIE_SLACK:
-                best = v
-                pick = ai
-        choices[s] = pick
+    _value_iteration(rows, values, choices, True)
     # Infinite states must witness the infinity: steer towards the region
     # where the goal is avoidable and stay inside it, so the induced chain
     # misses the goal with positive probability.
-    for s in avoid:
-        for ai, (dist, _) in enumerate(mdp.actions[s]):
-            if all(t in avoid for t, _ in dist):
-                choices[s] = ai
-                break
+    _stay_inside(mdp, avoid, choices)
     picked, undecided = _rank_towards(
         [s for s in range(mdp.n_states) if s not in sure and s not in avoid],
         set(avoid),
@@ -894,36 +866,22 @@ def _solve_reward_min(mdp, goal):
 
     # Node values live at the representative's index; goal nodes stay 0.
     values_n = [0.0] * n
+    choices_n = [0] * n
     goal_nodes = {node(g) for g in goal if g in region}
     rows = {v: [(mdp.rewards[s], dist) for s, _, dist in node_actions[v]]
             for v in nodes if v not in goal_nodes}
-    _value_iteration(rows, values_n, False)
+    _value_iteration(rows, values_n, choices_n, False)
 
     values = [math.inf] * n
     for s in region:
         values[s] = values_n[node(s)]
 
+    # Per node, the (state, action) its solved choice leaves by.
+    exit_of = {v: node_actions[v][choices_n[v]][:2] for v in rows}
     choices = [0] * n
-    exit_of: dict[int, tuple[int, int]] = {}
-    for v in nodes:
-        if v in goal_nodes or not node_actions[v]:
-            continue
-        best = None
-        pick = None
-        for s, ai, dist in node_actions[v]:
-            val = mdp.rewards[s]
-            for t, p in dist:
-                val += p * values_n[t]
-            if best is None or val < best - TIE_SLACK:
-                best = val
-                pick = (s, ai)
-        exit_of[v] = pick
-    for s in sorted(region):
-        if s in goal:
-            continue
-        mec = mec_of.get(s)
-        if mec is None:
-            choices[s] = exit_of[node(s)][1]
+    for s in region:
+        if s not in goal and s not in mec_of:
+            choices[s] = exit_of[s][1]
     # Members of a collapsed component route towards its exit state using
     # internal actions, then the exit takes the chosen leaving action.
     for mec in mecs:

@@ -29,6 +29,7 @@ from famsynth import (
     solve_prob,
     solve_reward,
 )
+from famsynth import engine
 from famsynth.engine import (
     SparseMDP,
     MdpAction,
@@ -283,14 +284,40 @@ def test_extracted_scheduler_attains_reported_value(seed):
     for res in results:
         chain = induced_chain(mdp, res.scheduler)
         if res.kind == "probability":
-            got = float(exact_mc_probability(chain, goal)[chain.initial])
+            exact = exact_mc_probability(chain, goal)
         else:
-            exact = exact_mc_reward(chain, goal)[chain.initial]
-            got = math.inf if exact is None else float(exact)
+            exact = exact_mc_reward(chain, goal)
+        got = exact[chain.initial]
+        got = math.inf if got is None else float(got)
         if math.isinf(res.at_initial):
             assert math.isinf(got)
         else:
             assert got == pytest.approx(res.at_initial, abs=1e-7)
+        if res.direction == "max":
+            # the maximising scheduler attains every reported value
+            for v, e in zip(res.values, exact):
+                if math.isinf(v):
+                    assert e is None
+                else:
+                    assert e is not None and Fraction(v) <= e
+
+
+def test_sweep_fallback_scheduler_leaves_end_component(monkeypatch):
+    # states 0 and 1 swap by Dirac actions (index 0) or exit to the goal 2
+    # or the sink 3 with 1/2 each; at the fixpoint the swaps tie exactly
+    # with the exits, and a plain argmax keeps them and never leaves
+    monkeypatch.setattr(engine, "_policy_iteration", lambda *args: False)
+    leave = MdpAction(((2, 0.5), (3, 0.5)), "leave")
+    mdp = SparseMDP(4, 0,
+                    [[MdpAction(((1, 1.0),), "swap"), leave],
+                     [MdpAction(((0, 1.0),), "swap"), leave],
+                     [MdpAction(((2, 1.0),), None)],
+                     [MdpAction(((3, 1.0),), None)]])
+    goal = frozenset({2})
+    res = solve_prob(mdp, goal, "max")
+    assert res.values[:2] == (0.5, 0.5)
+    exact = exact_mc_probability(induced_chain(mdp, res.scheduler), goal)
+    assert all(Fraction(v) <= e for v, e in zip(res.values, exact))
 
 
 def assert_never_above_exact(mc, goal):

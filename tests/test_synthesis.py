@@ -118,6 +118,48 @@ def stiff_cycle(k):
     return family
 
 
+# Near tie: state 0 picks k, state 1 reaches the goal with 1/2 - eps and
+# state 2 with 1/2, so the two members differ by eps.  The reward variant
+# pays 1 in states 1 and 2 and retries there on a miss, so its members are
+# worth 1/(1/2 - eps) and 2.
+NEAR_TIE_DOC = """
+states 5
+initial 0
+params
+k : 1 2
+g : 3
+z : 4
+trans
+0 : 1:k
+1 : {lo}:g + {hi}:z
+2 : 1/2:g + 1/2:z
+3 : 1:g
+4 : 1:z
+labels
+goal : 3
+"""
+
+NEAR_TIE_REWARD_DOC = """
+states 4
+initial 0
+params
+k : 1 2
+g : 3
+a : 1
+b : 2
+trans
+0 : 1:k
+1 : {lo}:g + {hi}:a
+2 : 1/2:g + 1/2:b
+3 : 1:g
+rewards
+1 : 1
+2 : 1
+labels
+goal : 3
+"""
+
+
 def buckets(outcome):
     return (outcome.bucket_members(outcome.accepted),
             outcome.bucket_members(outcome.rejected),
@@ -404,6 +446,24 @@ def test_near_optimal_threshold_needs_few_iterations():
     assert model.n_realisations == 64
     assert out.stats.iterations < 0.25 * model.n_realisations
     assert out.bucket_members(out.accepted) == {(1, 2, 2, 2, 2, 2, 2, 3)}
+
+
+@pytest.mark.parametrize("eps", [Fraction(sign, 10 ** k)
+                                 for k in range(7, 13) for sign in (1, -1)],
+                         ids=lambda eps: f"{float(eps):g}")
+def test_near_tie_optimum_matches_one_by_one(eps):
+    # members far closer than 1e-7 are still told apart: the optimum is
+    # the solver's own choice, not the first action within some slack of
+    # it; the sign of eps decides which member is optimal
+    half = Fraction(1, 2)
+    for doc, query in ((NEAR_TIE_DOC, "Pmax"), (NEAR_TIE_DOC, "Pmin"),
+                       (NEAR_TIE_REWARD_DOC, "Emax"),
+                       (NEAR_TIE_REWARD_DOC, "Emin")):
+        family, _ = parse_family(doc.format(lo=half - eps, hi=half + eps))
+        spec = parse_spec(f'{query} F "goal"')
+        solve = max_synthesis if query.endswith("max") else min_synthesis
+        assert solve(family, spec).best.values == \
+            one_by_one(family, spec).best.values, query
 
 
 def test_trace_records_have_loop_shape(example1):
