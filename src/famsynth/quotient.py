@@ -8,8 +8,14 @@ same distribution are unified and represented by the lexicographically
 smallest surviving signature.  Restricting to a subfamily enumerates only the
 signatures that survive it and rebuilds nothing: the action of a signature is
 built the first time it represents its group and reused afterwards.
-Unification is redone per restriction so that signatures of one distribution
+Unification is redone per enumeration so that signatures of one distribution
 falling on different sides of a split each keep their own copy.
+
+A state's action list depends only on the value subsets of its support, so
+the quotient memoises it under them.  A child of a split re-enumerates only
+the states whose support holds the split parameter; siblings and cousins hit
+the memo too.  Restricted MDPs share these lists and one rewards list, and
+nothing writes to them.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from .errors import ConsistencyError, SizeCapError
 from .family import (
@@ -63,6 +70,11 @@ class QuotientMDP:
         # Per state: the action of each signature that has represented its
         # group in some restriction, built on first use.
         self._actions: list[dict[int, MdpAction]] = []
+        # Per state: its action list under each combination of its
+        # support's value subsets seen so far, keyed by
+        # ``_key_of[s](sub.subsets)``; the lists are shared, never mutated.
+        self._memo: list[dict[tuple, list[MdpAction]]] = []
+        self._key_of: list[itemgetter] = []
         for s in range(family.n_states):
             supp = family.support(s)
             self.supports.append(supp)
@@ -97,6 +109,9 @@ class QuotientMDP:
                 stride *= len(family.domains[k])
             self._offsets.append(tuple(reversed(offsets)))
             self._actions.append({})
+            self._memo.append({})
+            self._key_of.append(itemgetter(*supp))
+        # one list shared by every restriction
         self._rewards_float = None
         if family.rewards is not None:
             self._rewards_float = [float(r) for r in family.rewards]
@@ -116,47 +131,61 @@ class QuotientMDP:
     def restrict(self, sub: Subfamily) -> "RestrictedQuotient":
         """Expose only the merged actions whose signatures survive ``sub``.
 
-        Nothing is filtered or recomputed: the surviving signatures are
-        enumerated from ``sub``'s value subsets as sorted signature indices,
-        and the first survivor of each distribution group, the
-        lexicographically smallest in domain order, represents it.  Each
-        representative's action is built once and reused by later
-        restrictions.
+        A state's action list depends only on the value subsets of the
+        parameters in its support, so it is memoised under those subsets and
+        shared, unmodified, by every restriction that agrees on them: a
+        child misses only at the states whose support holds the split
+        parameter.
         """
         family = self.family
         actions: list[list[MdpAction]] = []
-        for s in range(family.n_states):
-            picks = [[off[v] for v in sub.subsets[k]]
-                     for k, off in zip(self.supports[s], self._offsets[s])]
-            if len(picks) == 1:
-                survivors = sorted(picks[0])
-            else:
-                survivors = sorted(map(sum, product(*picks)))
-            groups = self.signature_group[s]
-            cache = self._actions[s]
-            n_groups = len(self.dists_exact[s])
-            per_state: list[MdpAction] = []
-            seen: set[int] = set()
-            for i in survivors:
-                gid = groups[i]
-                if gid in seen:
-                    continue
-                seen.add(gid)
-                action = cache.get(i)
-                if action is None:
-                    ma = MergedAction(
-                        state=s, params=self.supports[s],
-                        values=self.signatures[s][i],
-                        dist=self.dists_float[s][gid],
-                        dist_exact=self.dists_exact[s][gid])
-                    action = cache[i] = MdpAction(ma.dist, ma)
-                per_state.append(action)
-                if len(seen) == n_groups:
-                    break
+        for s, (memo, key_of) in enumerate(zip(self._memo, self._key_of)):
+            key = key_of(sub.subsets)
+            per_state = memo.get(key)
+            if per_state is None:
+                per_state = memo[key] = self._enumerate(s, sub)
             actions.append(per_state)
-        rewards = list(self._rewards_float) if self._rewards_float else None
-        mdp = SparseMDP(family.n_states, family.initial, actions, rewards)
+        mdp = SparseMDP(family.n_states, family.initial, actions,
+                        self._rewards_float)
         return RestrictedQuotient(self, sub, mdp)
+
+    def _enumerate(self, s: int, sub: Subfamily) -> list[MdpAction]:
+        """The actions of state ``s`` in ``sub``.
+
+        Nothing is filtered or recomputed: the surviving signatures are
+        enumerated as sorted signature indices, and the first survivor of
+        each distribution group, the lexicographically smallest in domain
+        order, represents it.  Each representative's action is built once
+        and reused by later enumerations.
+        """
+        picks = [[off[v] for v in sub.subsets[k]]
+                 for k, off in zip(self.supports[s], self._offsets[s])]
+        if len(picks) == 1:
+            survivors = sorted(picks[0])
+        else:
+            survivors = sorted(map(sum, product(*picks)))
+        groups = self.signature_group[s]
+        cache = self._actions[s]
+        n_groups = len(self.dists_exact[s])
+        per_state: list[MdpAction] = []
+        seen: set[int] = set()
+        for i in survivors:
+            gid = groups[i]
+            if gid in seen:
+                continue
+            seen.add(gid)
+            action = cache.get(i)
+            if action is None:
+                ma = MergedAction(
+                    state=s, params=self.supports[s],
+                    values=self.signatures[s][i],
+                    dist=self.dists_float[s][gid],
+                    dist_exact=self.dists_exact[s][gid])
+                action = cache[i] = MdpAction(ma.dist, ma)
+            per_state.append(action)
+            if len(seen) == n_groups:
+                break
+        return per_state
 
 
 def build_quotient(family: FamilyModel) -> QuotientMDP:

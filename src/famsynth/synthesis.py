@@ -2,8 +2,11 @@
 
 Threshold synthesis partitions a family into satisfying and violating
 members; max/min synthesis finds an optimal member; feasibility stops at the
-first satisfying member.  All three share the same machinery: solve the
-restricted quotient in both directions, classify or split, repeat.
+first satisfying member.  All three share the same machinery: restrict the
+quotient to a subfamily, solve it in the direction that can decide alone
+(max for ``<``/``<=`` and max objectives, min otherwise), solve the other
+direction only when the first cannot decide or the subfamily splits,
+classify or split, repeat.
 
 A split looks only at the states whose min/max gap is at least
 ``IMPORTANCE`` times the gap at the initial state, and scores parameters by
@@ -279,27 +282,26 @@ class _Loop:
         assert self.stats.iterations <= 2 * self.total - 1, \
             "refinement explored more subfamilies than the binary tree bound"
 
-    def solve_both(self, sub: Subfamily
-                   ) -> tuple[RestrictedQuotient, CheckResult, CheckResult | None]:
-        """Restrict to ``sub`` and solve both directions; ``res_min`` is None
-        for a reward query whose goal no scheduler reaches almost surely."""
+    def restrict(self, sub: Subfamily) -> RestrictedQuotient:
         t0 = time.perf_counter()
         restricted = self.quotient.restrict(sub)
-        t1 = time.perf_counter()
-        if self.spec.kind == REWARD:
-            res_max = solve_reward(restricted.mdp, self.goal, "max")
-            try:
-                res_min = solve_reward(restricted.mdp, self.goal, "min")
-            except UndefinedRewardError:
-                res_min = None
-        else:
-            res_max = solve_prob(restricted.mdp, self.goal, "max")
-            res_min = solve_prob(restricted.mdp, self.goal, "min")
-        t2 = time.perf_counter()
-        self.stats.times.build += t1 - t0
-        self.stats.times.check += t2 - t1
-        self.stats.solver_calls += 2
-        return restricted, res_max, res_min
+        self.stats.times.build += time.perf_counter() - t0
+        return restricted
+
+    def solve(self, restricted: RestrictedQuotient,
+              direction: str) -> CheckResult | None:
+        """Solve one direction; None for a reward ``min`` whose goal no
+        scheduler reaches almost surely."""
+        t0 = time.perf_counter()
+        try:
+            if self.spec.kind == REWARD:
+                return solve_reward(restricted.mdp, self.goal, direction)
+            return solve_prob(restricted.mdp, self.goal, direction)
+        except UndefinedRewardError:
+            return None
+        finally:
+            self.stats.times.check += time.perf_counter() - t0
+            self.stats.solver_calls += 1
 
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
               res_max: CheckResult, res_min: CheckResult,
@@ -342,32 +344,53 @@ class _Loop:
         return ("accept" if sat else "reject"), value
 
 
-def _classify_threshold(spec: Specification, minv: float, maxv: float,
-                        margin: float) -> str:
+def _at_initial(res: CheckResult | None) -> float:
+    """A solved direction's value at the initial state; ``inf`` for a reward
+    ``min`` that no scheduler defines."""
+    return res.at_initial if res is not None else math.inf
+
+
+def _bounds(res: dict[str, CheckResult | None]
+            ) -> tuple[float | None, float | None]:
+    """``(min, max)`` at the initial state, None for a direction not in
+    ``res`` (not solved)."""
+    return tuple(_at_initial(res[d]) if d in res else None
+                 for d in ("min", "max"))
+
+
+def _classify_threshold(spec: Specification, minv: float | None,
+                        maxv: float | None, margin: float) -> str | None:
     """Sound subfamily classification from one-sided min/max estimates.
 
-    Accept/reject on the exact side uses the literal relation; the side that
-    could be underestimated gets a margin pushed towards splitting (0 when
-    the caller knows ``maxv`` is exact).
+    ``None`` stands for a direction not solved yet (``inf`` for a reward
+    ``min`` that is undefined); the result is None when the solved side
+    cannot decide alone.  Accept/reject on the exact side uses the literal
+    relation; the side that could be underestimated gets a margin pushed
+    towards splitting (0 when the caller knows ``maxv`` is exact).
     """
     lam = float(spec.threshold)
     if spec.kind == REWARD:
-        if math.isinf(minv):
+        if minv is not None and math.isinf(minv):
             return "undefined"  # no scheduler at all reaches almost surely
+        # a finite max means every scheduler reaches the goal almost
+        # surely, hence a defined min; an infinite one needs the min
+        if maxv is None:
+            return None
         if math.isinf(maxv):
-            return "split"  # possibly mixes defined and undefined members
-    upper = spec.relation in ("<", "<=")
-    if upper:
-        if compare(maxv, spec.relation, lam - margin):
+            # possibly mixes defined and undefined members
+            return None if minv is None else "split"
+    if spec.relation in ("<", "<="):
+        if maxv is not None and compare(maxv, spec.relation, lam - margin):
             return "accept"
-        if not compare(minv, spec.relation, lam):
+        if minv is not None and not compare(minv, spec.relation, lam):
             return "reject"
     else:
-        if compare(minv, spec.relation, lam):
+        if minv is not None and compare(minv, spec.relation, lam):
             return "accept"
-        if not compare(maxv, spec.relation, lam - margin):
+        if maxv is not None and \
+                not compare(maxv, spec.relation, lam - margin):
             return "reject"
-    return "split"
+    return None if minv is None or maxv is None else "split"
 
 
 def _run_threshold(family: FamilyModel, spec: Specification,
@@ -379,16 +402,25 @@ def _run_threshold(family: FamilyModel, spec: Specification,
     loop = _Loop(family, spec, config, collect_trace)
     outcome = SynthesisOutcome(mode="threshold", trace=loop.trace,
                                stats=loop.stats)
+    # the direction that can accept on its own goes first; the other is
+    # solved only when the first cannot decide
+    order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
     first: Realisation | None = None
     while loop.queue and first is None:
         sub = loop.queue.popleft()
         loop.begin_iteration()
-        restricted, res_max, res_min = loop.solve_both(sub)
+        restricted = loop.restrict(sub)
+        res: dict[str, CheckResult | None] = {}
+        for direction in order:
+            res[direction] = loop.solve(restricted, direction)
+            t0 = time.perf_counter()
+            pinned = "max" in res and res["max"].pinned
+            decision = _classify_threshold(spec, *_bounds(res),
+                                           0.0 if pinned else MARGIN)
+            loop.stats.times.analyse += time.perf_counter() - t0
+            if decision is not None:
+                break
         t0 = time.perf_counter()
-        minv = res_min.at_initial if res_min is not None else math.inf
-        maxv = res_max.at_initial
-        margin = 0.0 if res_max.pinned else MARGIN
-        decision = _classify_threshold(spec, minv, maxv, margin)
         if sub.is_singleton:
             loop.stats.singletons += 1
             if decision == "split":
@@ -403,10 +435,10 @@ def _run_threshold(family: FamilyModel, spec: Specification,
         elif decision == "undefined":
             outcome.undefined.append(sub)
         else:
-            split_param, _, _ = loop.split(sub, restricted, res_max,
-                                           res_min, "threshold")
+            split_param, _, _ = loop.split(sub, restricted, res["max"],
+                                           res["min"], "threshold")
         loop.stats.times.analyse += time.perf_counter() - t0
-        loop.record(sub, minv, maxv, decision, split_param)
+        loop.record(sub, *_bounds(res), decision, split_param)
     return outcome, first
 
 
@@ -448,61 +480,58 @@ def _optimise(family: FamilyModel, spec: Specification,
     def better(a: float, b: float) -> bool:
         return a > b if maximize else a < b
 
+    lead, other = ("max", "min") if maximize else ("min", "max")
     while loop.queue:
         sub = loop.queue.popleft()
         loop.begin_iteration()
-        restricted, res_max, res_min = loop.solve_both(sub)
-        t0 = time.perf_counter()
-        maxv = res_max.at_initial
-        minv = res_min.at_initial if res_min is not None else math.inf
-        lead_res = res_max if maximize else res_min
-        leadv = maxv if maximize else minv
-        otherv = minv if maximize else maxv
+        restricted = loop.restrict(sub)
+        # the other direction is solved only for a split (which needs both
+        # schedulers and raises the bound) or to tell an undefined Emax
+        # subfamily from one to split
+        res = {lead: loop.solve(restricted, lead)}
+        t0, check0 = time.perf_counter(), loop.stats.times.check
+        leadv = _at_initial(res[lead])
         if sub.is_singleton:
             loop.stats.singletons += 1
         split_param = None
-        if res_min is None:
+        if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
             decision = "discard-undefined"
-            loop.stats.times.analyse += time.perf_counter() - t0
-            loop.record(sub, minv, maxv, decision, None,
-                        best_value=bound if not math.isinf(bound)
-                        else None)
-            continue
-        decision = "discard"
-        # Prune when the subfamily cannot strictly beat what is
-        # certified, or sits strictly below a value some member of
-        # another subfamily is known to reach.
-        prunable = (not better(leadv, certified)) or better(bound, leadv)
-        if not prunable:
-            if math.isinf(leadv):
-                # Reward query where the leading scheduler escapes the
-                # goal: an undefined member may hide here, narrow down.
-                if sub.is_singleton:
-                    decision = "discard-undefined"
-                else:
+        elif not better(leadv, certified) or better(bound, leadv):
+            # The subfamily cannot strictly beat what is certified, or
+            # sits strictly below a value some member of another
+            # subfamily is known to reach.
+            decision = "discard"
+        elif math.isinf(leadv):
+            # Reward query where the leading scheduler escapes the goal:
+            # an undefined member may hide here, narrow down unless no
+            # scheduler reaches the goal almost surely.
+            decision = "discard-undefined"
+            if not sub.is_singleton:
+                res[other] = loop.solve(restricted, other)
+                if res[other] is not None:
                     decision = "split"
-            else:
-                consistent, _ = is_consistent(restricted,
-                                              lead_res.scheduler)
-                if consistent:
-                    witness = scheduler_to_realisations(
-                        restricted, lead_res.scheduler)
-                    best = next(witness.members())
-                    certified = leadv
-                    if better(certified, bound):
-                        bound = certified
-                    decision = "improve"
-                else:
-                    if not math.isinf(otherv) and better(otherv, bound):
-                        bound = otherv
-                    decision = "split"
+        elif is_consistent(restricted, res[lead].scheduler)[0]:
+            witness = scheduler_to_realisations(restricted,
+                                                res[lead].scheduler)
+            best = next(witness.members())
+            certified = leadv
+            if better(certified, bound):
+                bound = certified
+            decision = "improve"
+        else:
+            res[other] = loop.solve(restricted, other)
+            otherv = _at_initial(res[other])
+            if not math.isinf(otherv) and better(otherv, bound):
+                bound = otherv
+            decision = "split"
         if decision == "split":
-            split_param, _, _ = loop.split(sub, restricted, res_max,
-                                           res_min, spec.direction)
-        loop.stats.times.analyse += time.perf_counter() - t0
-        loop.record(sub, minv, maxv, decision, split_param,
+            split_param, _, _ = loop.split(sub, restricted, res["max"],
+                                           res["min"], spec.direction)
+        loop.stats.times.analyse += time.perf_counter() - t0 - (
+            loop.stats.times.check - check0)
+        loop.record(sub, *_bounds(res), decision, split_param,
                     best_value=bound if not math.isinf(bound) else None)
     if best is None:
         raise UndefinedRewardError(

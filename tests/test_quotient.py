@@ -354,6 +354,7 @@ def assert_restriction_is_naive_filter(quotient, sub):
             assert ma.state == s
             assert dist == ma.dist == tuple(
                 (t, float(p)) for t, p in ma.dist_exact)
+    return actions
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +371,20 @@ def test_restrict_matches_naive_filter(seed):
              for r in rng.sample(members, min(4, len(members)))]
     # twice over, so later restrictions reuse the actions of earlier ones
     for sub in subs + subs[::-1]:
-        assert_restriction_is_naive_filter(quotient, sub)
+        parent = assert_restriction_is_naive_filter(quotient, sub)
+        # children after their parent: the states the split parameter does
+        # not touch reuse the parent's lists, the others are enumerated
+        for k, current in enumerate(sub.subsets):
+            if len(current) < 2:
+                continue
+            keep = rng.sample(current, rng.randint(1, len(current) - 1))
+            for child in sub.split(k, keep):
+                actions = assert_restriction_is_naive_filter(quotient, child)
+                assert actions == \
+                    build_quotient(family).restrict(child).mdp.actions
+                for s in range(family.n_states):
+                    if k not in family.support(s):
+                        assert actions[s] is parent[s]
 
 
 def test_restrict_representative_ignores_subset_order(example1):

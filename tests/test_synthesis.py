@@ -476,6 +476,12 @@ def test_trace_records_have_loop_shape(example1):
     assert first.split_param == "k1"
     decisions = {rec.decision for rec in out.trace}
     assert decisions <= {"accept", "reject", "split", "undefined"}
+    # P>=1/10 solves min first: a subfamily it accepts never solves max
+    accepted = out.trace[1]
+    assert accepted.decision == "accept"
+    assert accepted.min_value == 1.0 and accepted.max_value is None
+    assert all(rec.min_value is not None and rec.max_value is not None
+               for rec in out.trace if rec.decision == "split")
 
 
 def test_subfamily_budget_enforced(example1):
@@ -535,6 +541,8 @@ def test_refinement_decisions_pinned_on_larger_family():
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
     assert out.stats.iterations == 233
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
+    # max alone accepts 72 subfamilies, whose min is never solved
+    assert out.stats.solver_calls == 394
 
 
 def test_optimum_decisions_pinned_on_larger_family():
@@ -546,11 +554,15 @@ def test_optimum_decisions_pinned_on_larger_family():
     assert out.stats.iterations == 111
     assert out.best.values == (16, 31, 13, 0, 14, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
+    # the other direction is solved only for the subfamilies that split
+    assert out.stats.solver_calls == 166
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
     out = min_synthesis(family, parse_spec('Emin F "goal"'))
     assert out.stats.iterations == 87
     assert out.best.values == (14, 13, 7, 10, 23, 19, 19, 14)
+    assert out.stats.solver_calls == 130
     out = max_synthesis(family, parse_spec('Emax F "goal"'))
     assert out.stats.iterations == 83
     assert out.best.values == (13, 13, 0, 9, 19, 0, 4, 14)
+    assert out.stats.solver_calls == 125
