@@ -1,21 +1,28 @@
 """Quotient MDP under forgetting, plus the all-in-one MDP.
 
-The quotient keeps the family's state space and exposes, at every state, one
-merged action per distinct successor distribution reachable by assigning the
-parameters that occur in that state's row.  Each merged action is keyed by a
-partial parameter assignment (its *signature*); signatures that induce the
-same distribution are unified and represented by the lexicographically
-smallest surviving signature.  Restricting to a subfamily enumerates only the
-signatures that survive it and rebuilds nothing: the action of a signature is
-built the first time it represents its group and reused afterwards.
-Unification is redone per enumeration so that signatures of one distribution
-falling on different sides of a split each keep their own copy.
+The quotient exposes, at every state, one merged action per distinct
+successor distribution reachable by assigning the parameters that occur in
+that state's row.  Each merged action is keyed by a partial parameter
+assignment (its *signature*); signatures that induce the same distribution
+are unified and represented by the lexicographically smallest surviving
+signature.  Restricting to a subfamily enumerates only the signatures that
+survive it and rebuilds nothing: the action of a signature is built the
+first time it represents its group and reused afterwards.  Unification is
+redone per enumeration so that signatures of one distribution falling on
+different sides of a split each keep their own copy.
 
 A state's action list depends only on the value subsets of its support, so
 the quotient memoises it under them.  A child of a split re-enumerates only
 the states whose support holds the split parameter; siblings and cousins hit
-the memo too.  Restricted MDPs share these lists and one rewards list, and
-nothing writes to them.
+the memo too.
+
+A restriction holds only the states the initial state reaches under the
+surviving actions, numbered in ascending family order, so the engine solves
+no dead state.  Its distributions use that local numbering; the
+``MergedAction`` tags, and every message or dump meant for a reader, keep
+family numbers.  Ascending order keeps every tie the engine breaks by state
+index, so a reached state gets the value and choice it would get in the
+whole state space.
 """
 
 from __future__ import annotations
@@ -72,8 +79,10 @@ class QuotientMDP:
         self._actions: list[dict[int, MdpAction]] = []
         # Per state: its action list under each combination of its
         # support's value subsets seen so far, keyed by
-        # ``_key_of[s](sub.subsets)``; the lists are shared, never mutated.
-        self._memo: list[dict[tuple, list[MdpAction]]] = []
+        # ``_key_of[s](sub.subsets)``, with the distinct successors of the
+        # list; the lists are shared, never mutated.
+        self._memo: list[dict[tuple, tuple[list[MdpAction],
+                                           tuple[int, ...]]]] = []
         self._key_of: list[itemgetter] = []
         for s in range(family.n_states):
             supp = family.support(s)
@@ -111,7 +120,6 @@ class QuotientMDP:
             self._actions.append({})
             self._memo.append({})
             self._key_of.append(itemgetter(*supp))
-        # one list shared by every restriction
         self._rewards_float = None
         if family.rewards is not None:
             self._rewards_float = [float(r) for r in family.rewards]
@@ -129,25 +137,43 @@ class QuotientMDP:
         return sum(self.action_counts())
 
     def restrict(self, sub: Subfamily) -> "RestrictedQuotient":
-        """Expose only the merged actions whose signatures survive ``sub``.
+        """The merged actions whose signatures survive ``sub``, on the states
+        the initial state reaches with them.
 
-        A state's action list depends only on the value subsets of the
-        parameters in its support, so it is memoised under those subsets and
-        shared, unmodified, by every restriction that agrees on them: a
-        child misses only at the states whose support holds the split
-        parameter.
+        The walk from the initial state looks up each reached state's action
+        list under the value subsets of its support; only a miss enumerates
+        it.  A child therefore misses only at the states whose support holds
+        the split parameter.  The memoised distributions are then rewritten
+        in local numbers.
         """
         family = self.family
-        actions: list[list[MdpAction]] = []
-        for s, (memo, key_of) in enumerate(zip(self._memo, self._key_of)):
-            key = key_of(sub.subsets)
-            per_state = memo.get(key)
-            if per_state is None:
-                per_state = memo[key] = self._enumerate(s, sub)
-            actions.append(per_state)
-        mdp = SparseMDP(family.n_states, family.initial, actions,
-                        self._rewards_float)
-        return RestrictedQuotient(self, sub, mdp)
+        subsets = sub.subsets
+        memo, key_of = self._memo, self._key_of
+        found: dict[int, list[MdpAction] | None] = {family.initial: None}
+        stack = [family.initial]
+        while stack:
+            s = stack.pop()
+            key = key_of[s](subsets)
+            hit = memo[s].get(key)
+            if hit is None:
+                per_state = self._enumerate(s, sub)
+                successors = tuple({t for dist, _ in per_state
+                                    for t, _ in dist})
+                hit = memo[s][key] = (per_state, successors)
+            found[s] = hit[0]
+            for t in hit[1]:
+                if t not in found:
+                    found[t] = None
+                    stack.append(t)
+        states = sorted(found)
+        local = {s: i for i, s in enumerate(states)}
+        actions = [[MdpAction(tuple([(local[t], p) for t, p in dist]), ma)
+                    for dist, ma in found[s]] for s in states]
+        rewards = None
+        if self._rewards_float is not None:
+            rewards = [self._rewards_float[s] for s in states]
+        mdp = SparseMDP(len(states), local[family.initial], actions, rewards)
+        return RestrictedQuotient(self, sub, mdp, tuple(states))
 
     def _enumerate(self, s: int, sub: Subfamily) -> list[MdpAction]:
         """The actions of state ``s`` in ``sub``.
@@ -194,18 +220,31 @@ def build_quotient(family: FamilyModel) -> QuotientMDP:
 
 @dataclass
 class RestrictedQuotient:
+    """A restriction of the quotient to a subfamily.
+
+    ``mdp`` holds the states the initial state reaches, and its state ``i``
+    is the family state ``states[i]``; ``states`` ascends.
+    """
+
     quotient: QuotientMDP
     sub: Subfamily
     mdp: SparseMDP
+    states: tuple[int, ...]
 
     @property
     def family(self) -> FamilyModel:
         return self.quotient.family
 
+    def local(self, family_states: frozenset[int]) -> frozenset[int]:
+        """The reached states among ``family_states``, in ``mdp`` numbers."""
+        return frozenset(i for i, s in enumerate(self.states)
+                         if s in family_states)
+
 
 def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):
     """Walk the scheduler-induced chain from the initial state and collect the
-    chosen value per parameter; stop at the first conflict."""
+    chosen value per parameter; stop at the first conflict.  The conflict
+    witness ``(param, state, state)`` names family states."""
     mdp = restricted.mdp
     dists = [acts[c].dist for acts, c in zip(mdp.actions, scheduler.choices)]
     chosen: dict[int, tuple[int, int]] = {}
@@ -214,16 +253,17 @@ def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):
         for k, v in zip(action.params, action.values):
             prev = chosen.get(k)
             if prev is None:
-                chosen[k] = (v, s)
+                chosen[k] = (v, action.state)
             elif prev[0] != v:
-                return chosen, (k, prev[1], s)
+                return chosen, (k, prev[1], action.state)
     return chosen, None
 
 
 def is_consistent(restricted: RestrictedQuotient, scheduler: Scheduler
                   ) -> tuple[bool, tuple[int, int, int] | None]:
     """Does the scheduler pick a single value per parameter over the states it
-    actually reaches?  Returns a witness ``(param, state, state)`` if not."""
+    actually reaches?  Returns a witness ``(param, state, state)``, in family
+    numbers, if not."""
     _, conflict = _reachable_choices(restricted, scheduler)
     return conflict is None, conflict
 
@@ -310,15 +350,16 @@ def build_all_in_one(family: FamilyModel,
 def dump_quotient(quotient: QuotientMDP, sub: Subfamily | None = None) -> str:
     """Plain-text dump of the (restricted) quotient for inspection.
 
-    One line per merged action: ``state <s> action <k=v,...> : t:p ...``.
+    One line per merged action of each state the initial state reaches, in
+    family numbers: ``state <s> action <k=v,...> : t:p ...``.
     """
     family = quotient.family
     restricted = quotient.restrict(sub or Subfamily.full(family))
     lines = [f"states {family.n_states}", f"initial {family.initial}"]
-    for s in range(family.n_states):
-        for dist, ma in restricted.mdp.actions[s]:
+    for acts in restricted.mdp.actions:
+        for _, ma in acts:
             sig = ",".join(f"{family.param_names[k]}={v}"
                            for k, v in zip(ma.params, ma.values))
             succ = " ".join(f"{t}:{p}" for t, p in ma.dist_exact)
-            lines.append(f"state {s} action {sig} : {succ}")
+            lines.append(f"state {ma.state} action {sig} : {succ}")
     return "\n".join(lines) + "\n"

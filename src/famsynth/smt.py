@@ -8,7 +8,8 @@ reward via per-action Bellman inequalities, and pins down almost-sure goal
 reachability with two layers of boolean propagation (probability one over
 the states where it is not guaranteed, positive probability over the states
 where some scheduler avoids the goal, acyclicity enforced by a real-valued
-ranking).  Probabilities are emitted as exact rationals.
+ranking).  Probabilities are emitted as exact rationals.  Constants are
+named by family state numbers, over the states the restriction reaches.
 
 The engine never links a solver: callers run any SMT-LIB2-compliant binary
 on the emitted text and hand the model back to :func:`decode_model`.
@@ -53,6 +54,7 @@ class SmtEncoding:
     sub: Subfamily
     spec: Specification
     choice_vars: dict[str, MergedAction]
+    states: tuple[int, ...]
     s_rel: frozenset[int]
     s_crit: frozenset[int]
     n_variables: int
@@ -96,10 +98,17 @@ def encode_feasibility(restricted: RestrictedQuotient,
     if family.rewards is None:
         raise UnsupportedSpecError("the family carries no rewards")
     mdp = restricted.mdp
-    goal = family.label_states(spec.goal)
+    states = restricted.states
+    local_goal = restricted.local(family.label_states(spec.goal))
     kappa = spec.threshold
-    s_rel = frozenset(range(mdp.n_states)) - prob1_forall(mdp, goal)
-    s_crit = prob0_exists(mdp, goal)
+    # the graph analyses run in the restriction's numbering; everything
+    # below is in family numbers
+    goal = frozenset(states[i] for i in local_goal)
+    sure = prob1_forall(mdp, local_goal)
+    s_rel = frozenset(s for i, s in enumerate(states) if i not in sure)
+    s_crit = frozenset(states[i] for i in prob0_exists(mdp, local_goal))
+    actions = {s: [ma for _, ma in acts]
+               for s, acts in zip(states, mdp.actions)}
 
     lines: list[str] = [
         "(set-logic QF_LRA)",
@@ -108,14 +117,14 @@ def encode_feasibility(restricted: RestrictedQuotient,
     choice_vars: dict[str, MergedAction] = {}
     per_state_vars: list[list[str]] = []
     n_vars = 0
-    for s in range(mdp.n_states):
+    for s in states:
         lines.append(f"(declare-const e_{s} Real)")
         lines.append(f"(declare-const p1g_{s} Bool)")
         lines.append(f"(declare-const ppg_{s} Bool)")
         lines.append(f"(declare-const o_{s} Real)")
         n_vars += 4
         names = []
-        for ai, (_, ma) in enumerate(mdp.actions[s]):
+        for ai, ma in enumerate(actions[s]):
             name = f"ch_{s}_{ai}"
             lines.append(f"(declare-const {name} Bool)")
             choice_vars[name] = ma
@@ -124,26 +133,26 @@ def encode_feasibility(restricted: RestrictedQuotient,
         per_state_vars.append(names)
 
     lines.append("; bound at the initial state, reached almost surely")
-    lines.append(f"(assert (<= e_{mdp.initial} {_rat(kappa)}))")
-    lines.append(f"(assert p1g_{mdp.initial})")
+    lines.append(f"(assert (<= e_{family.initial} {_rat(kappa)}))")
+    lines.append(f"(assert p1g_{family.initial})")
 
     lines.append("; goal states accumulate nothing")
     for s in sorted(goal):
         lines.append(f"(assert (= e_{s} 0.0))")
 
     lines.append("; expected-reward lower bounds per chosen action")
-    for s in range(mdp.n_states):
+    for s in states:
         if s in goal:
             continue
         rew = family.rewards[s]
-        for ai, (_, ma) in enumerate(mdp.actions[s]):
+        for ai, ma in enumerate(actions[s]):
             terms = [_rat(rew)]
             terms += [f"(* {_rat(p)} e_{t})" for t, p in ma.dist_exact]
             body = terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
             lines.append(f"(assert (=> ch_{s}_{ai} (>= e_{s} {body})))")
 
     lines.append("; exactly one action per state")
-    for s, names in enumerate(per_state_vars):
+    for names in per_state_vars:
         lines.append(f"(assert {_disj(names)})")
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -151,9 +160,8 @@ def encode_feasibility(restricted: RestrictedQuotient,
                     f"(assert (not (and {names[i]} {names[j]})))")
 
     lines.append("; choices must agree on every shared parameter")
-    actions = [[ma for _, ma in mdp.actions[s]] for s in range(mdp.n_states)]
-    for s in range(mdp.n_states):
-        for s2 in range(s + 1, mdp.n_states):
+    for i, s in enumerate(states):
+        for s2 in states[i + 1:]:
             for ai, ma in enumerate(actions[s]):
                 a_map = ma.assignment()
                 for aj, mb in enumerate(actions[s2]):
@@ -170,7 +178,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
             succ = [f"p1g_{t}" for t, _ in ma.dist_exact]
             body = f"(= p1g_{s} (and {_conj(succ)} ppg_{s}))"
             lines.append(f"(assert (=> ch_{s}_{ai} {body}))")
-    for s in range(mdp.n_states):
+    for s in states:
         if s not in s_rel:
             lines.append(f"(assert p1g_{s})")
 
@@ -181,7 +189,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
                     for t, _ in ma.dist_exact]
             body = f"(= ppg_{s} {_disj(succ)})"
             lines.append(f"(assert (=> ch_{s}_{ai} {body}))")
-    for s in range(mdp.n_states):
+    for s in states:
         if s not in s_crit:
             lines.append(f"(assert ppg_{s})")
 
@@ -193,6 +201,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
         sub=restricted.sub,
         spec=spec,
         choice_vars=choice_vars,
+        states=states,
         s_rel=s_rel,
         s_crit=s_crit,
         n_variables=n_vars,
@@ -222,7 +231,7 @@ def decode_model(encoding: SmtEncoding, model_text: str) -> Realisation:
                 raise MalformedModelError(
                     f"model chooses two actions at state {ma.state}")
             chosen[ma.state] = ma
-    missing = [s for s in range(encoding.family.n_states) if s not in chosen]
+    missing = [s for s in encoding.states if s not in chosen]
     if missing:
         raise MalformedModelError(
             f"model chooses no action at states {missing}")

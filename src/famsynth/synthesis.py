@@ -170,9 +170,10 @@ def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
 
     A zero gap at the initial state yields the empty set (no split signal);
     goal states are skipped because scheduler choices there carry no
-    information.
+    information.  States and ``goal`` are in ``restricted.mdp`` numbers.
     """
     family = restricted.family
+    states = restricted.states
     sub = restricted.sub
     mdp = restricted.mdp
     gap0 = _gap(res_max.at_initial, res_min.at_initial)
@@ -187,7 +188,8 @@ def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
     for s in reach:
         if s in goal:
             continue
-        if not any(len(sub.subsets[k]) > 1 for k in family.support(s)):
+        if not any(len(sub.subsets[k]) > 1
+                   for k in family.support(states[s])):
             continue
         gap = _gap(res_max.values[s], res_min.values[s])
         if delta == 0.0 or gap >= delta * gap0:
@@ -282,21 +284,24 @@ class _Loop:
         assert self.stats.iterations <= 2 * self.total - 1, \
             "refinement explored more subfamilies than the binary tree bound"
 
-    def restrict(self, sub: Subfamily) -> RestrictedQuotient:
+    def restrict(self, sub: Subfamily
+                 ) -> tuple[RestrictedQuotient, frozenset[int]]:
+        """The restriction to ``sub`` and the goal in its numbering."""
         t0 = time.perf_counter()
         restricted = self.quotient.restrict(sub)
+        goal = restricted.local(self.goal)
         self.stats.times.build += time.perf_counter() - t0
-        return restricted
+        return restricted, goal
 
-    def solve(self, restricted: RestrictedQuotient,
+    def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
               direction: str) -> CheckResult | None:
         """Solve one direction; None for a reward ``min`` whose goal no
         scheduler reaches almost surely."""
         t0 = time.perf_counter()
         try:
             if self.spec.kind == REWARD:
-                return solve_reward(restricted.mdp, self.goal, direction)
-            return solve_prob(restricted.mdp, self.goal, direction)
+                return solve_reward(restricted.mdp, goal, direction)
+            return solve_prob(restricted.mdp, goal, direction)
         except UndefinedRewardError:
             return None
         finally:
@@ -304,11 +309,12 @@ class _Loop:
             self.stats.solver_calls += 1
 
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
-              res_max: CheckResult, res_min: CheckResult,
+              goal: frozenset[int], res_max: CheckResult,
+              res_min: CheckResult,
               mode: str) -> tuple[str, Subfamily, Subfamily]:
         strategy = "variance" if mode == "threshold" else "consistency"
         imp = important_states(res_min, res_max, IMPORTANCE,
-                               restricted, self.goal)
+                               restricted, goal)
         c_max = extract_counts(res_max.scheduler, imp, restricted)
         c_min = extract_counts(res_min.scheduler, imp, restricted)
         report = select_predicate(c_max, c_min, sub, strategy, self.family)
@@ -409,10 +415,10 @@ def _run_threshold(family: FamilyModel, spec: Specification,
     while loop.queue and first is None:
         sub = loop.queue.popleft()
         loop.begin_iteration()
-        restricted = loop.restrict(sub)
+        restricted, goal = loop.restrict(sub)
         res: dict[str, CheckResult | None] = {}
         for direction in order:
-            res[direction] = loop.solve(restricted, direction)
+            res[direction] = loop.solve(restricted, goal, direction)
             t0 = time.perf_counter()
             pinned = "max" in res and res["max"].pinned
             decision = _classify_threshold(spec, *_bounds(res),
@@ -435,8 +441,9 @@ def _run_threshold(family: FamilyModel, spec: Specification,
         elif decision == "undefined":
             outcome.undefined.append(sub)
         else:
-            split_param, _, _ = loop.split(sub, restricted, res["max"],
-                                           res["min"], "threshold")
+            split_param, _, _ = loop.split(sub, restricted, goal,
+                                           res["max"], res["min"],
+                                           "threshold")
         loop.stats.times.analyse += time.perf_counter() - t0
         loop.record(sub, *_bounds(res), decision, split_param)
     return outcome, first
@@ -484,11 +491,11 @@ def _optimise(family: FamilyModel, spec: Specification,
     while loop.queue:
         sub = loop.queue.popleft()
         loop.begin_iteration()
-        restricted = loop.restrict(sub)
+        restricted, goal = loop.restrict(sub)
         # the other direction is solved only for a split (which needs both
         # schedulers and raises the bound) or to tell an undefined Emax
         # subfamily from one to split
-        res = {lead: loop.solve(restricted, lead)}
+        res = {lead: loop.solve(restricted, goal, lead)}
         t0, check0 = time.perf_counter(), loop.stats.times.check
         leadv = _at_initial(res[lead])
         if sub.is_singleton:
@@ -509,7 +516,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             # scheduler reaches the goal almost surely.
             decision = "discard-undefined"
             if not sub.is_singleton:
-                res[other] = loop.solve(restricted, other)
+                res[other] = loop.solve(restricted, goal, other)
                 if res[other] is not None:
                     decision = "split"
         elif is_consistent(restricted, res[lead].scheduler)[0]:
@@ -521,14 +528,15 @@ def _optimise(family: FamilyModel, spec: Specification,
                 bound = certified
             decision = "improve"
         else:
-            res[other] = loop.solve(restricted, other)
+            res[other] = loop.solve(restricted, goal, other)
             otherv = _at_initial(res[other])
             if not math.isinf(otherv) and better(otherv, bound):
                 bound = otherv
             decision = "split"
         if decision == "split":
-            split_param, _, _ = loop.split(sub, restricted, res["max"],
-                                           res["min"], spec.direction)
+            split_param, _, _ = loop.split(sub, restricted, goal,
+                                           res["max"], res["min"],
+                                           spec.direction)
         loop.stats.times.analyse += time.perf_counter() - t0 - (
             loop.stats.times.check - check0)
         loop.record(sub, *_bounds(res), decision, split_param,

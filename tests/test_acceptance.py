@@ -192,8 +192,8 @@ def test_criterion_5_sandwich_property(corpus, capsys):
     bad = []
     for entry in corpus:
         family = entry["family"]
-        goal = family.label_states("goal")
         restricted = build_quotient(family).restrict(Subfamily.full(family))
+        goal = restricted.local(family.label_states("goal"))
         hi = solve_prob(restricted.mdp, goal, "max").at_initial
         lo = solve_prob(restricted.mdp, goal, "min").at_initial
         for v in entry["prob_values"]:
@@ -244,9 +244,9 @@ def test_criterion_7_baseline_agreement(corpus, capsys):
         enum = enumerate_consistent(family, spec)
         enum_vals = []
         quotient = build_quotient(family)
-        goal = family.label_states("goal")
         for r in all_realisations(family):
             restricted = quotient.restrict(Subfamily.of_realisation(r))
+            goal = restricted.local(family.label_states("goal"))
             if spec.kind == "probability":
                 enum_vals.append(
                     solve_prob(restricted.mdp, goal, "max").at_initial)

@@ -242,8 +242,9 @@ def test_float_engine_matches_exact_oracle_on_chains(seed):
 @given(seed=st.integers(0, 10 ** 6))
 def test_max_dominates_min_per_state(seed):
     family = random_family(seed, max_states=7)
-    goal = family.label_states("goal")
-    mdp = build_quotient(family).restrict(Subfamily.full(family)).mdp
+    restricted = build_quotient(family).restrict(Subfamily.full(family))
+    mdp = restricted.mdp
+    goal = restricted.local(family.label_states("goal"))
     hi = solve_prob(mdp, goal, "max").values
     lo = solve_prob(mdp, goal, "min").values
     assert all(h >= l - 1e-9 for h, l in zip(hi, lo))
@@ -253,8 +254,9 @@ def test_max_dominates_min_per_state(seed):
 @given(seed=st.integers(0, 10 ** 6))
 def test_qualitative_pinning_is_exact(seed):
     family = random_family(seed, max_states=7)
-    goal = family.label_states("goal")
-    mdp = build_quotient(family).restrict(Subfamily.full(family)).mdp
+    restricted = build_quotient(family).restrict(Subfamily.full(family))
+    mdp = restricted.mdp
+    goal = restricted.local(family.label_states("goal"))
     res_min = solve_prob(mdp, goal, "min")
     for s in prob1_forall(mdp, goal):
         assert res_min.values[s] == 1.0
@@ -272,8 +274,9 @@ def test_qualitative_pinning_is_exact(seed):
 @given(seed=st.integers(0, 10 ** 6))
 def test_extracted_scheduler_attains_reported_value(seed):
     family = random_family(seed, max_states=7, rewards=seed % 2 == 0)
-    goal = family.label_states("goal")
-    mdp = build_quotient(family).restrict(Subfamily.full(family)).mdp
+    restricted = build_quotient(family).restrict(Subfamily.full(family))
+    mdp = restricted.mdp
+    goal = restricted.local(family.label_states("goal"))
     results = [solve_prob(mdp, goal, "max"), solve_prob(mdp, goal, "min")]
     if family.rewards is not None:
         results.append(solve_reward(mdp, goal, "max"))
@@ -463,9 +466,10 @@ def test_graph_analyses_match_fixpoint_references(seed):
              frozenset(rng.sample(states, rng.randint(1, len(states))))]
     for sub in (Subfamily.full(family), random_subfamily(family, rng),
                 random_subfamily(family, rng)):
-        mdp = quotient.restrict(sub).mdp
-        everything = frozenset(states)
-        for goal in goals:
+        restricted = quotient.restrict(sub)
+        mdp = restricted.mdp
+        everything = restricted.local(frozenset(states))
+        for goal in map(restricted.local, goals):
             avoidable = fixpoint_prob0_exists(mdp, goal)
             assert prob0_exists(mdp, goal) == avoidable
             sure = everything - fixpoint_backward_closure(mdp, avoidable, goal)

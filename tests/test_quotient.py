@@ -12,6 +12,7 @@ from famsynth import (
     Realisation,
     SizeCapError,
     Subfamily,
+    UndefinedRewardError,
     all_realisations,
     build_all_in_one,
     build_quotient,
@@ -22,8 +23,9 @@ from famsynth import (
     random_family,
     scheduler_to_realisations,
     solve_prob,
+    solve_reward,
 )
-from famsynth.engine import Scheduler
+from famsynth.engine import MdpAction, Scheduler, SparseMDP
 from conftest import R2, random_subfamily
 
 H = Fraction(1, 2)
@@ -112,8 +114,8 @@ def test_singleton_restriction_replays_instantiation(example1):
     for r in all_realisations(model):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(model, r)
-        for s in range(model.n_states):
-            [(dist, ma)] = restricted.mdp.actions[s]
+        for s, acts in zip(restricted.states, restricted.mdp.actions):
+            [(dist, ma)] = acts
             assert ma.dist_exact == mc.rows[s]
 
 
@@ -125,8 +127,8 @@ def test_merged_replay_on_random_families(seed):
     for r in all_realisations(family):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(family, r)
-        for s in range(family.n_states):
-            [(_, ma)] = restricted.mdp.actions[s]
+        for s, acts in zip(restricted.states, restricted.mdp.actions):
+            [(_, ma)] = acts
             assert ma.dist_exact == mc.rows[s]
 
 
@@ -239,8 +241,8 @@ def test_consistent_scheduler_value_multisets_agree(seed):
         mc = instantiate(family, r)
         member_values.append(float(exact_mc_probability(mc, goal)[mc.initial]))
         restricted = quotient.restrict(Subfamily.of_realisation(r))
-        consistent_values.append(
-            solve_prob(restricted.mdp, goal, "max").at_initial)
+        consistent_values.append(solve_prob(
+            restricted.mdp, restricted.local(goal), "max").at_initial)
     member_values.sort()
     consistent_values.sort()
     assert all(abs(a - b) <= 1e-6
@@ -254,8 +256,9 @@ def test_sandwich_min_member_max(seed):
     goal = family.label_states("goal")
     quotient = build_quotient(family)
     restricted = quotient.restrict(Subfamily.full(family))
-    hi = solve_prob(restricted.mdp, goal, "max").at_initial
-    lo = solve_prob(restricted.mdp, goal, "min").at_initial
+    local_goal = restricted.local(goal)
+    hi = solve_prob(restricted.mdp, local_goal, "max").at_initial
+    lo = solve_prob(restricted.mdp, local_goal, "min").at_initial
     for r in all_realisations(family):
         mc = instantiate(family, r)
         v = float(exact_mc_probability(mc, goal)[mc.initial])
@@ -293,7 +296,8 @@ def test_all_in_one_extremes_match_quotient_extremes(seed):
     aio = build_all_in_one(family)
     aio_goal = aio.goal_ids("goal")
     for direction in ("max", "min"):
-        q = solve_prob(quotient.mdp, goal, direction).at_initial
+        q = solve_prob(quotient.mdp, quotient.local(goal),
+                       direction).at_initial
         a = solve_prob(aio.mdp, aio_goal, direction).at_initial
         assert a == pytest.approx(q, abs=1e-6)
 
@@ -321,6 +325,17 @@ def test_dump_quotient_lists_every_action(example1):
     assert "k1=1" in text
 
 
+def unreachable_family(conflict=False):
+    """Four states: nothing leads to state 2, and state 0 leads to state 3
+    only when ``k`` is 3.  With ``conflict`` state 3 reads ``k`` too."""
+    rows = ((Fraction(1), 0),), ((Fraction(1), 1),), ((Fraction(1), 1),), \
+        ((Fraction(1), 0 if conflict else 1),)
+    return FamilyModel(
+        n_states=4, initial=0, param_names=("k", "one"),
+        domains=((1, 3), (1,)), rows=rows,
+        rewards=(Fraction(1), Fraction(0), Fraction(5), Fraction(2)))
+
+
 def naive_restriction(family, sub):
     """Per state, (params, values, exact dist) of the first signature of each
     distinct distribution, filtering the full signature product."""
@@ -344,17 +359,70 @@ def naive_restriction(family, sub):
     return out
 
 
+def naive_reached(family, rows):
+    """States the initial state reaches over the naive filter's actions."""
+    seen = {family.initial}
+    stack = [family.initial]
+    while stack:
+        for _, _, dist in rows[stack.pop()]:
+            for t, _ in dist:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return seen
+
+
 def assert_restriction_is_naive_filter(quotient, sub):
+    """The restriction holds exactly the states the naive filter reaches,
+    ascending, with the naive filter's actions in local numbers."""
     family = quotient.family
-    actions = quotient.restrict(sub).mdp.actions
-    for s, row in enumerate(naive_restriction(family, sub)):
-        got = [(ma.params, ma.values, ma.dist_exact) for _, ma in actions[s]]
-        assert got == row
-        for dist, ma in actions[s]:
+    restricted = quotient.restrict(sub)
+    rows = naive_restriction(family, sub)
+    assert restricted.states == tuple(sorted(naive_reached(family, rows)))
+    local = {s: i for i, s in enumerate(restricted.states)}
+    assert restricted.mdp.initial == local[family.initial]
+    for s, actions in zip(restricted.states, restricted.mdp.actions):
+        got = [(ma.params, ma.values, ma.dist_exact) for _, ma in actions]
+        assert got == rows[s]
+        for dist, ma in actions:
             assert ma.state == s
-            assert dist == ma.dist == tuple(
-                (t, float(p)) for t, p in ma.dist_exact)
-    return actions
+            assert ma.dist == tuple((t, float(p)) for t, p in ma.dist_exact)
+            assert dist == tuple((local[t], p) for t, p in ma.dist)
+    return restricted
+
+
+def naive_mdp(family, sub):
+    """The naive filter as an MDP over every family state, family-numbered."""
+    actions = [[MdpAction(tuple((t, float(p)) for t, p in dist), None)
+                for _, _, dist in row]
+               for row in naive_restriction(family, sub)]
+    rewards = None
+    if family.rewards is not None:
+        rewards = [float(r) for r in family.rewards]
+    return SparseMDP(family.n_states, family.initial, actions, rewards)
+
+
+def assert_solutions_match_naive(restricted, goal):
+    """Both directions give bit-identical values and equal choices at every
+    reached state, against the engine run on the family-numbered MDP."""
+    naive = naive_mdp(restricted.family, restricted.sub)
+    local_goal = restricted.local(goal)
+    states = restricted.states
+    solvers = [solve_prob]
+    if naive.rewards is not None:
+        solvers.append(solve_reward)
+    for solve in solvers:
+        for direction in ("max", "min"):
+            try:
+                want = solve(naive, goal, direction)
+            except UndefinedRewardError:
+                with pytest.raises(UndefinedRewardError):
+                    solve(restricted.mdp, local_goal, direction)
+                continue
+            got = solve(restricted.mdp, local_goal, direction)
+            assert got.values == tuple(want.values[s] for s in states)
+            assert got.scheduler.choices == \
+                tuple(want.scheduler.choices[s] for s in states)
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,7 +430,9 @@ def assert_restriction_is_naive_filter(quotient, sub):
 def test_restrict_matches_naive_filter(seed):
     rng = random.Random(seed)
     family = random_family(seed, max_states=rng.choice([5, 10]),
-                           max_params=rng.choice([3, 5]), max_domain=4)
+                           max_params=rng.choice([3, 5]), max_domain=4,
+                           rewards=True)
+    goal = family.label_states("goal")
     quotient = build_quotient(family)
     subs = [Subfamily.full(family)]
     subs += [random_subfamily(family, rng) for _ in range(4)]
@@ -372,19 +442,71 @@ def test_restrict_matches_naive_filter(seed):
     # twice over, so later restrictions reuse the actions of earlier ones
     for sub in subs + subs[::-1]:
         parent = assert_restriction_is_naive_filter(quotient, sub)
+        assert_solutions_match_naive(parent, goal)
         # children after their parent: the states the split parameter does
-        # not touch reuse the parent's lists, the others are enumerated
+        # not touch reuse the parent's memoised actions, the others are
+        # enumerated
         for k, current in enumerate(sub.subsets):
             if len(current) < 2:
                 continue
             keep = rng.sample(current, rng.randint(1, len(current) - 1))
             for child in sub.split(k, keep):
-                actions = assert_restriction_is_naive_filter(quotient, child)
-                assert actions == \
+                restricted = assert_restriction_is_naive_filter(quotient,
+                                                                child)
+                assert restricted.mdp.actions == \
                     build_quotient(family).restrict(child).mdp.actions
-                for s in range(family.n_states):
-                    if k not in family.support(s):
-                        assert actions[s] is parent[s]
+                assert_solutions_match_naive(restricted, goal)
+                before = dict(zip(parent.states, parent.mdp.actions))
+                for s, actions in zip(restricted.states,
+                                      restricted.mdp.actions):
+                    if k not in family.support(s) and s in before:
+                        assert len(actions) == len(before[s])
+                        assert all(a.tag is b.tag
+                                   for a, b in zip(actions, before[s]))
+
+
+def test_restriction_drops_states_the_initial_state_cannot_reach():
+    quotient = build_quotient(unreachable_family())
+    full = quotient.restrict(Subfamily.full(quotient.family))
+    assert full.states == (0, 1, 3)
+    assert full.local(frozenset({1, 2, 3})) == frozenset({1, 2})
+    # family state 3 is local state 2; its successor keeps local number 1
+    assert [dist for dist, _ in full.mdp.actions[0]] == \
+        [((1, 1.0),), ((2, 1.0),)]
+    assert full.mdp.rewards == [1.0, 0.0, 2.0]
+    # a reached prefix keeps its numbers
+    only_one = quotient.restrict(Subfamily(((1,), (1,))))
+    assert only_one.states == (0, 1)
+    assert only_one.mdp.actions[0] == full.mdp.actions[0][:1]
+
+
+def test_conflict_witness_names_family_states():
+    quotient = build_quotient(unreachable_family(conflict=True))
+    restricted = quotient.restrict(Subfamily.full(quotient.family))
+    assert restricted.states == (0, 1, 3)
+    # k = 3 at state 0 leads to state 3, which picks k = 1
+    wanted = {0: 3, 3: 1}
+    choices = []
+    for s, acts in zip(restricted.states, restricted.mdp.actions):
+        choices.append(next(
+            ai for ai, (_, ma) in enumerate(acts)
+            if s not in wanted or ma.values == (wanted[s],)))
+    scheduler = Scheduler(tuple(choices), tuple(
+        acts[c].tag for acts, c in zip(restricted.mdp.actions, choices)))
+    assert is_consistent(restricted, scheduler) == (False, (0, 0, 3))
+    with pytest.raises(ConsistencyError, match="for k at states 0 and 3$"):
+        scheduler_to_realisations(restricted, scheduler)
+
+
+def test_dump_names_family_states_and_skips_unreached_ones():
+    text = dump_quotient(build_quotient(unreachable_family()))
+    assert text.splitlines() == [
+        "states 4", "initial 0",
+        "state 0 action k=1 : 1:1",
+        "state 0 action k=3 : 3:1",
+        "state 1 action one=1 : 1:1",
+        "state 3 action one=1 : 1:1",
+    ]
 
 
 def test_restrict_representative_ignores_subset_order(example1):

@@ -62,6 +62,29 @@ def test_structural_constraints_cover_the_right_states(reward_encoding):
             assert f"(assert ppg_{s})" in enc.text
 
 
+CONSTANT = re.compile(r"\b(?:(?:e|p1g|ppg|o)_\d+|ch_\d+_\d+)\b")
+DECLARED = re.compile(r"\(declare-const (\S+) ")
+
+
+def test_every_constant_used_is_declared_when_states_are_unreachable():
+    renumbered = 0
+    for seed in range(40):
+        family = random_family(seed, max_states=8, max_params=3,
+                               rewards=True)
+        restricted = full_restriction(family)
+        enc = encode_feasibility(restricted, parse_spec('E<=6 F "goal"'))
+        declared = DECLARED.findall(enc.text)
+        assert len(declared) == len(set(declared)) == enc.n_variables
+        assert set(CONSTANT.findall(enc.text)) == set(declared)
+        # constants carry family state numbers
+        assert {int(name[2:]) for name in declared if name.startswith("e_")} \
+            == set(restricted.states) == set(enc.states)
+        assert {ma.state for ma in enc.choice_vars.values()} == \
+            set(restricted.states)
+        renumbered += restricted.states != tuple(range(len(restricted.states)))
+    assert renumbered >= 5
+
+
 def test_exactly_one_choice_per_state(reward_encoding):
     _, _, enc = reward_encoding
     # state 1 has four actions: one disjunction plus six pairwise exclusions
