@@ -129,6 +129,7 @@ def _outcome_payload(outcome: SynthesisOutcome, family: FamilyModel,
     payload["stats"] = {
         "iterations": outcome.stats.iterations,
         "solver_calls": outcome.stats.solver_calls,
+        "inherited": outcome.stats.inherited,
         "exact_calls": outcome.stats.exact_calls,
         "singletons": outcome.stats.singletons,
     }

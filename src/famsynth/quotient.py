@@ -41,7 +41,7 @@ from .family import (
     instantiate,
     reachable_states,
 )
-from .engine import MdpAction, Scheduler, SparseMDP
+from .engine import CheckResult, MdpAction, Scheduler, SparseMDP
 
 ALL_IN_ONE_CAP = 100_000
 
@@ -239,6 +239,56 @@ class RestrictedQuotient:
         """The reached states among ``family_states``, in ``mdp`` numbers."""
         return frozenset(i for i, s in enumerate(self.states)
                          if s in family_states)
+
+
+def inherit(parent: RestrictedQuotient, result: CheckResult | None,
+            child: RestrictedQuotient) -> CheckResult | None:
+    """``result``, solved on ``parent``, as a result on ``child``, a
+    restriction to a subfamily of the parent's; None unless at every state
+    of ``child`` the child keeps an action with the distribution the
+    parent's scheduler chose there.
+
+    Values and ``pinned`` are copied; the choices and tags are the child's
+    own actions, so consistency checks and witnesses stay inside the child's
+    subfamily.  A ``result`` of None (a reward ``min`` that no scheduler
+    defines) stays None: the child has fewer schedulers still.
+
+    Sound because the child's actions at each state are a subset of the
+    parent's, and the chosen ones survive at every state the child holds,
+    so the scheduler induces the parent's chain on those states.  With
+    ``y`` the parent's certified values, ``v^σ`` that chain's and ``v*`` the
+    optima: for max ``y ≤ v^σ ≤ v*_child ≤ v*_parent``, for min
+    ``y ≤ v*_parent ≤ v*_child ≤ v^σ``.  Each copied value is thus certified
+    exactly as the parent's was, and lies within the parent's certification
+    margin of the child's optimum.  Survival only on the states the
+    scheduler reaches would not do: the values at the other states feed the
+    split analysis, and where the chosen action is gone they need not bound
+    the child's optimum there.
+    """
+    if result is None:
+        return None
+    parent_states = parent.states
+    tags = result.scheduler.tags
+    values = result.values
+    kept_values = []
+    choices = []
+    kept_tags = []
+    j = 0
+    for s, acts in zip(child.states, child.mdp.actions):
+        while parent_states[j] != s:
+            j += 1
+        dist = tags[j].dist
+        for c, (_, ma) in enumerate(acts):
+            if ma.dist == dist:
+                break
+        else:
+            return None
+        kept_values.append(values[j])
+        choices.append(c)
+        kept_tags.append(ma)
+    return CheckResult(result.direction, result.kind, tuple(kept_values),
+                       Scheduler(tuple(choices), tuple(kept_tags)),
+                       result.at_initial, result.pinned)
 
 
 def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):

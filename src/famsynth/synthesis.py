@@ -8,6 +8,18 @@ quotient to a subfamily, solve it in the direction that can decide alone
 direction only when the first cannot decide or the subfamily splits,
 classify or split, repeat.
 
+A split subfamily has solved both directions, and its two children wait in
+the queue with one shared record of its restriction and results.  A child
+takes a direction from that record instead of solving it when the parent's
+scheduler for it keeps its chosen distribution at every state the child
+holds (``quotient.inherit``).  A split keeps one half of a parameter's
+values, chosen by max-versus-min choice counts, so one child usually keeps
+every action of the parent's max scheduler and the other every action of
+its min scheduler.  This is sound because the child's actions are a subset
+of the parent's: the surviving scheduler induces the parent's chain, so the
+parent's certified values stay certified for the child, and they lie
+within the parent's certification margin of the child's optimum.
+
 A split looks only at the states whose min/max gap is at least
 ``IMPORTANCE`` times the gap at the initial state, and scores parameters by
 variance for threshold and feasibility queries and by consistency for
@@ -54,6 +66,7 @@ from .quotient import (
     QuotientMDP,
     RestrictedQuotient,
     build_quotient,
+    inherit,
     is_consistent,
     scheduler_to_realisations,
 )
@@ -102,6 +115,7 @@ class PhaseTimes:
 class SynthesisStats:
     iterations: int = 0
     solver_calls: int = 0
+    inherited: int = 0
     exact_calls: int = 0
     singletons: int = 0
     times: PhaseTimes = field(default_factory=PhaseTimes)
@@ -260,6 +274,14 @@ def select_predicate(c_max: dict[int, dict[int, int]],
 # Shared loop plumbing
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Parent:
+    """A split subfamily's restriction and its solved directions."""
+
+    restricted: RestrictedQuotient
+    res: dict[str, CheckResult | None]
+
+
 class _Loop:
     def __init__(self, family: FamilyModel, spec: Specification,
                  config: RefinementConfig, collect_trace: bool):
@@ -272,7 +294,10 @@ class _Loop:
         t0 = time.perf_counter()
         self.quotient: QuotientMDP = build_quotient(family)
         self.stats.times.build += time.perf_counter() - t0
-        self.queue: deque[Subfamily] = deque([Subfamily.full(family)])
+        # each queued child carries its parent's restriction and solved
+        # directions, one record shared by both siblings
+        self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
+            [(Subfamily.full(family), None)])
         self.total = family.n_realisations
 
     def begin_iteration(self):
@@ -294,11 +319,19 @@ class _Loop:
         return restricted, goal
 
     def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
-              direction: str) -> CheckResult | None:
+              direction: str, parent: _Parent | None) -> CheckResult | None:
         """Solve one direction; None for a reward ``min`` whose goal no
-        scheduler reaches almost surely."""
+        scheduler reaches almost surely.  The parent's result is taken
+        instead when its scheduler survives in ``restricted``."""
         t0 = time.perf_counter()
         try:
+            if parent is not None and direction in parent.res:
+                solved = parent.res[direction]
+                res = inherit(parent.restricted, solved, restricted)
+                if res is not None or solved is None:
+                    self.stats.inherited += 1
+                    return res
+            self.stats.solver_calls += 1
             if self.spec.kind == REWARD:
                 return solve_reward(restricted.mdp, goal, direction)
             return solve_prob(restricted.mdp, goal, direction)
@@ -306,21 +339,20 @@ class _Loop:
             return None
         finally:
             self.stats.times.check += time.perf_counter() - t0
-            self.stats.solver_calls += 1
 
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
-              goal: frozenset[int], res_max: CheckResult,
-              res_min: CheckResult,
+              goal: frozenset[int], res: dict[str, CheckResult | None],
               mode: str) -> tuple[str, Subfamily, Subfamily]:
         strategy = "variance" if mode == "threshold" else "consistency"
-        imp = important_states(res_min, res_max, IMPORTANCE,
+        imp = important_states(res["min"], res["max"], IMPORTANCE,
                                restricted, goal)
-        c_max = extract_counts(res_max.scheduler, imp, restricted)
-        c_min = extract_counts(res_min.scheduler, imp, restricted)
+        c_max = extract_counts(res["max"].scheduler, imp, restricted)
+        c_min = extract_counts(res["min"].scheduler, imp, restricted)
         report = select_predicate(c_max, c_min, sub, strategy, self.family)
         top, bottom = sub.split(report.chosen_param, report.chosen_values)
-        self.queue.append(top)
-        self.queue.append(bottom)
+        parent = _Parent(restricted, res)
+        self.queue.append((top, parent))
+        self.queue.append((bottom, parent))
         return (self.family.param_names[report.chosen_param], top, bottom)
 
     def record(self, sub: Subfamily, minv, maxv, decision: str,
@@ -413,12 +445,12 @@ def _run_threshold(family: FamilyModel, spec: Specification,
     order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
     first: Realisation | None = None
     while loop.queue and first is None:
-        sub = loop.queue.popleft()
+        sub, parent = loop.queue.popleft()
         loop.begin_iteration()
         restricted, goal = loop.restrict(sub)
         res: dict[str, CheckResult | None] = {}
         for direction in order:
-            res[direction] = loop.solve(restricted, goal, direction)
+            res[direction] = loop.solve(restricted, goal, direction, parent)
             t0 = time.perf_counter()
             pinned = "max" in res and res["max"].pinned
             decision = _classify_threshold(spec, *_bounds(res),
@@ -441,8 +473,7 @@ def _run_threshold(family: FamilyModel, spec: Specification,
         elif decision == "undefined":
             outcome.undefined.append(sub)
         else:
-            split_param, _, _ = loop.split(sub, restricted, goal,
-                                           res["max"], res["min"],
+            split_param, _, _ = loop.split(sub, restricted, goal, res,
                                            "threshold")
         loop.stats.times.analyse += time.perf_counter() - t0
         loop.record(sub, *_bounds(res), decision, split_param)
@@ -489,13 +520,13 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     lead, other = ("max", "min") if maximize else ("min", "max")
     while loop.queue:
-        sub = loop.queue.popleft()
+        sub, parent = loop.queue.popleft()
         loop.begin_iteration()
         restricted, goal = loop.restrict(sub)
         # the other direction is solved only for a split (which needs both
         # schedulers and raises the bound) or to tell an undefined Emax
         # subfamily from one to split
-        res = {lead: loop.solve(restricted, goal, lead)}
+        res = {lead: loop.solve(restricted, goal, lead, parent)}
         t0, check0 = time.perf_counter(), loop.stats.times.check
         leadv = _at_initial(res[lead])
         if sub.is_singleton:
@@ -516,7 +547,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             # scheduler reaches the goal almost surely.
             decision = "discard-undefined"
             if not sub.is_singleton:
-                res[other] = loop.solve(restricted, goal, other)
+                res[other] = loop.solve(restricted, goal, other, parent)
                 if res[other] is not None:
                     decision = "split"
         elif is_consistent(restricted, res[lead].scheduler)[0]:
@@ -528,14 +559,13 @@ def _optimise(family: FamilyModel, spec: Specification,
                 bound = certified
             decision = "improve"
         else:
-            res[other] = loop.solve(restricted, goal, other)
+            res[other] = loop.solve(restricted, goal, other, parent)
             otherv = _at_initial(res[other])
             if not math.isinf(otherv) and better(otherv, bound):
                 bound = otherv
             decision = "split"
         if decision == "split":
-            split_param, _, _ = loop.split(sub, restricted, goal,
-                                           res["max"], res["min"],
+            split_param, _, _ = loop.split(sub, restricted, goal, res,
                                            spec.direction)
         loop.stats.times.analyse += time.perf_counter() - t0 - (
             loop.stats.times.check - check0)

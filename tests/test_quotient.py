@@ -18,6 +18,8 @@ from famsynth import (
     build_quotient,
     dump_quotient,
     exact_mc_probability,
+    exact_mc_reward,
+    induced_chain,
     instantiate,
     is_consistent,
     random_family,
@@ -26,6 +28,7 @@ from famsynth import (
     solve_reward,
 )
 from famsynth.engine import MdpAction, Scheduler, SparseMDP
+from famsynth.quotient import inherit
 from conftest import R2, random_subfamily
 
 H = Fraction(1, 2)
@@ -463,6 +466,80 @@ def test_restrict_matches_naive_filter(seed):
                         assert len(actions) == len(before[s])
                         assert all(a.tag is b.tag
                                    for a, b in zip(actions, before[s]))
+
+
+def assert_inherited_is_sound(parent, res, child, got, goal):
+    """``got = inherit(parent, res, child)`` is None exactly when some state
+    of ``child`` lost the distribution the parent's scheduler chose there;
+    otherwise it agrees with a fresh solve on ``child`` and is attained by
+    the scheduler it carries, whose tags are the child's own actions."""
+    solve = solve_prob if res.kind == "probability" else solve_reward
+    chosen = dict(zip(parent.states, res.scheduler.tags))
+    survives = all(any(ma.dist_exact == chosen[s].dist_exact
+                       for _, ma in acts)
+                   for s, acts in zip(child.states, child.mdp.actions))
+    assert (got is not None) == survives
+    if got is None:
+        return
+    fresh = solve(child.mdp, goal, res.direction)
+    assert got.pinned == res.pinned
+    assert got.at_initial == got.values[child.mdp.initial]
+    for v, w in zip(got.values, fresh.values):
+        assert v == w == float("inf") or v == pytest.approx(w, rel=1e-9,
+                                                            abs=0)
+    for acts, c, tag in zip(child.mdp.actions, got.scheduler.choices,
+                            got.scheduler.tags):
+        assert acts[c].tag is tag
+    chain = induced_chain(child.mdp, got.scheduler)
+    if res.kind == "probability":
+        exact = exact_mc_probability(chain, goal)
+    else:
+        exact = exact_mc_reward(chain, goal)
+    for v, e in zip(got.values, exact):
+        if v == float("inf"):
+            assert e is None
+        else:
+            assert e is not None and Fraction(v) <= e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_inherited_result_is_the_childs_own(seed):
+    # a subfamily split a few times; both children of each split inherit
+    # every direction their parent solved
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([6, 12]),
+                           max_params=rng.choice([2, 4]), max_domain=4,
+                           rewards=True)
+    goal = family.label_states("goal")
+    quotient = build_quotient(family)
+    parent = quotient.restrict(Subfamily.full(family))
+    for _ in range(3):
+        splittable = [k for k, values in enumerate(parent.sub.subsets)
+                      if len(values) > 1]
+        if not splittable:
+            break
+        k = rng.choice(splittable)
+        current = parent.sub.subsets[k]
+        keep = rng.sample(current, rng.randint(1, len(current) - 1))
+        children = [quotient.restrict(child)
+                    for child in parent.sub.split(k, keep)]
+        parent_goal = parent.local(goal)
+        for solve in (solve_prob, solve_reward):
+            for direction in ("max", "min"):
+                try:
+                    res = solve(parent.mdp, parent_goal, direction)
+                except UndefinedRewardError:
+                    for child in children:
+                        assert inherit(parent, None, child) is None
+                        with pytest.raises(UndefinedRewardError):
+                            solve(child.mdp, child.local(goal), direction)
+                    continue
+                for child in children:
+                    assert_inherited_is_sound(
+                        parent, res, child, inherit(parent, res, child),
+                        child.local(goal))
+        parent = rng.choice(children)
 
 
 def test_restriction_drops_states_the_initial_state_cannot_reach():
