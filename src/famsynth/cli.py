@@ -42,8 +42,9 @@ from .smt import (
     run_solver,
 )
 from .synthesis import (
+    RefinementConfig,
     SynthesisOutcome,
-    feasibility,
+    _run_threshold,
     max_synthesis,
     min_synthesis,
     threshold_synthesis,
@@ -329,7 +330,9 @@ def _cmd_synth(args) -> int:
         payload = _outcome_payload(outcome, family, spec, "refinement",
                                    args.timings)
     else:
-        member = feasibility(family, spec, collect_trace=collect)
+        # feasibility() itself, but keeping the loop's outcome for its trace
+        outcome, member = _run_threshold(family, spec, RefinementConfig(),
+                                         collect, stop_on_accept=True)
         payload = {
             "approach": "refinement",
             "mode": "feasibility",
@@ -338,8 +341,7 @@ def _cmd_synth(args) -> int:
             "found": member is not None,
             "member": member.as_dict(family) if member else None,
         }
-        outcome = None
-    if args.trace and outcome is not None:
+    if args.trace:
         _write_trace(args.trace, outcome)
     _emit(payload, args.out, family)
     return EXIT_OK

@@ -241,12 +241,13 @@ class RestrictedQuotient:
                          if s in family_states)
 
 
-def inherit(parent: RestrictedQuotient, result: CheckResult | None,
+def inherit(parent_states: tuple[int, ...], result: CheckResult | None,
             child: RestrictedQuotient) -> CheckResult | None:
-    """``result``, solved on ``parent``, as a result on ``child``, a
-    restriction to a subfamily of the parent's; None unless at every state
-    of ``child`` the child keeps an action with the distribution the
-    parent's scheduler chose there.
+    """``result``, solved on the parent restriction whose family states are
+    ``parent_states``, as a result on ``child``, a restriction to a
+    subfamily of the parent's; None unless at every state of ``child`` the
+    child keeps an action with the distribution the parent's scheduler
+    chose there.
 
     Values and ``pinned`` are copied; the choices and tags are the child's
     own actions, so consistency checks and witnesses stay inside the child's
@@ -267,7 +268,6 @@ def inherit(parent: RestrictedQuotient, result: CheckResult | None,
     """
     if result is None:
         return None
-    parent_states = parent.states
     tags = result.scheduler.tags
     values = result.values
     kept_values = []

@@ -21,9 +21,10 @@ parent's certified values stay certified for the child, and they lie
 within the parent's certification margin of the child's optimum.
 
 A split looks only at the states whose min/max gap is at least
-``IMPORTANCE`` times the gap at the initial state, and scores parameters by
-variance for threshold and feasibility queries and by consistency for
-max/min queries.  Subfamilies are refined first in, first out.
+``IMPORTANCE`` times the gap at the initial state.  Every query mode scores
+a parameter the same way, by variance: how far the max and min schedulers'
+choice counts for its values differ over those states.  Subfamilies are
+refined first in, first out.
 
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
@@ -89,13 +90,10 @@ class RefinementConfig:
 
 @dataclass
 class ScoreReport:
-    """Split diagnostics: per-parameter scores, the per-value choice counts
-    they were derived from, and the selected predicate."""
+    """Split diagnostics: per-parameter variance scores and the selected
+    predicate."""
 
     variance: dict[int, int]
-    consistency: dict[int, int]
-    c_max: dict[int, dict[int, int]]
-    c_min: dict[int, dict[int, int]]
     chosen_param: int
     chosen_values: tuple[int, ...]
 
@@ -175,11 +173,11 @@ def _gap(hi: float, lo: float) -> float:
     return hi - lo
 
 
-def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
+def important_states(res_min: CheckResult, res_max: CheckResult,
                      restricted: RestrictedQuotient,
                      goal: frozenset[int]) -> frozenset[int]:
-    """States whose min/max gap is at least ``delta`` times the gap at the
-    initial state, restricted to states reachable under either extracted
+    """States whose min/max gap is at least ``IMPORTANCE`` times the gap at
+    the initial state, restricted to states reachable under either extracted
     scheduler where the row still varies within the subfamily.
 
     A zero gap at the initial state yields the empty set (no split signal);
@@ -206,7 +204,7 @@ def important_states(res_min: CheckResult, res_max: CheckResult, delta: float,
                    for k in family.support(states[s])):
             continue
         gap = _gap(res_max.values[s], res_min.values[s])
-        if delta == 0.0 or gap >= delta * gap0:
+        if gap >= IMPORTANCE * gap0:
             out.add(s)
     return frozenset(out)
 
@@ -229,20 +227,11 @@ def _variance_score(c_max: dict[int, int], c_min: dict[int, int]) -> int:
     return sum(abs(c_max[t] - c_min[t]) for t in c_max)
 
 
-def _consistency_score(c_max: dict[int, int], c_min: dict[int, int]) -> int:
-    def part(c: dict[int, int]) -> int:
-        size = len([t for t in c if c[t] > 0]) - 1
-        return size * max(c.values())
-
-    return part(c_max) + part(c_min)
-
-
 def select_predicate(c_max: dict[int, dict[int, int]],
                      c_min: dict[int, dict[int, int]],
-                     sub: Subfamily, strategy: str,
-                     family: FamilyModel) -> ScoreReport:
-    """Pick the parameter with the best score and the half of its current
-    subset with the largest max-minus-min choice counts.
+                     sub: Subfamily, family: FamilyModel) -> ScoreReport:
+    """Pick the parameter with the highest variance score and the half of
+    its current subset with the largest max-minus-min choice counts.
 
     All ties break deterministically: parameter declaration order, then
     domain order.
@@ -253,20 +242,16 @@ def select_predicate(c_max: dict[int, dict[int, int]],
         raise AssertionError("select_predicate requires a splittable parameter")
     variance = {k: _variance_score(c_max[k], c_min[k])
                 for k in range(family.n_params)}
-    consistency = {k: _consistency_score(c_max[k], c_min[k])
-                   for k in range(family.n_params)}
-    scores = variance if strategy == "variance" else consistency
     best = splittable[0]
     for k in splittable[1:]:
-        if scores[k] > scores[best]:
+        if variance[k] > variance[best]:
             best = k
     current = sub.subsets[best]
     size = max(1, len(current) // 2)
     ranked = sorted(current, key=lambda t: -(c_max[best][t] - c_min[best][t]))
     chosen = set(ranked[:size])
     keep = tuple(t for t in current if t in chosen)
-    return ScoreReport(variance=variance, consistency=consistency,
-                       c_max=c_max, c_min=c_min, chosen_param=best,
+    return ScoreReport(variance=variance, chosen_param=best,
                        chosen_values=keep)
 
 
@@ -276,9 +261,9 @@ def select_predicate(c_max: dict[int, dict[int, int]],
 
 @dataclass
 class _Parent:
-    """A split subfamily's restriction and its solved directions."""
+    """A split subfamily's restricted states and its solved directions."""
 
-    restricted: RestrictedQuotient
+    states: tuple[int, ...]
     res: dict[str, CheckResult | None]
 
 
@@ -294,8 +279,8 @@ class _Loop:
         t0 = time.perf_counter()
         self.quotient: QuotientMDP = build_quotient(family)
         self.stats.times.build += time.perf_counter() - t0
-        # each queued child carries its parent's restriction and solved
-        # directions, one record shared by both siblings
+        # each queued child carries its parent's restricted states and
+        # solved directions, one record shared by both siblings
         self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
             [(Subfamily.full(family), None)])
         self.total = family.n_realisations
@@ -327,7 +312,7 @@ class _Loop:
         try:
             if parent is not None and direction in parent.res:
                 solved = parent.res[direction]
-                res = inherit(parent.restricted, solved, restricted)
+                res = inherit(parent.states, solved, restricted)
                 if res is not None or solved is None:
                     self.stats.inherited += 1
                     return res
@@ -341,19 +326,17 @@ class _Loop:
             self.stats.times.check += time.perf_counter() - t0
 
     def split(self, sub: Subfamily, restricted: RestrictedQuotient,
-              goal: frozenset[int], res: dict[str, CheckResult | None],
-              mode: str) -> tuple[str, Subfamily, Subfamily]:
-        strategy = "variance" if mode == "threshold" else "consistency"
-        imp = important_states(res["min"], res["max"], IMPORTANCE,
-                               restricted, goal)
+              goal: frozenset[int], res: dict[str, CheckResult | None]
+              ) -> str:
+        """Queue the two halves of ``sub``; the split parameter's name."""
+        imp = important_states(res["min"], res["max"], restricted, goal)
         c_max = extract_counts(res["max"].scheduler, imp, restricted)
         c_min = extract_counts(res["min"].scheduler, imp, restricted)
-        report = select_predicate(c_max, c_min, sub, strategy, self.family)
-        top, bottom = sub.split(report.chosen_param, report.chosen_values)
-        parent = _Parent(restricted, res)
-        self.queue.append((top, parent))
-        self.queue.append((bottom, parent))
-        return (self.family.param_names[report.chosen_param], top, bottom)
+        report = select_predicate(c_max, c_min, sub, self.family)
+        parent = _Parent(restricted.states, res)
+        for child in sub.split(report.chosen_param, report.chosen_values):
+            self.queue.append((child, parent))
+        return self.family.param_names[report.chosen_param]
 
     def record(self, sub: Subfamily, minv, maxv, decision: str,
                split_param: str | None, best_value: float | None = None):
@@ -473,8 +456,7 @@ def _run_threshold(family: FamilyModel, spec: Specification,
         elif decision == "undefined":
             outcome.undefined.append(sub)
         else:
-            split_param, _, _ = loop.split(sub, restricted, goal, res,
-                                           "threshold")
+            split_param = loop.split(sub, restricted, goal, res)
         loop.stats.times.analyse += time.perf_counter() - t0
         loop.record(sub, *_bounds(res), decision, split_param)
     return outcome, first
@@ -493,11 +475,10 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
 
 
 def feasibility(family: FamilyModel, spec: Specification,
-                config: RefinementConfig | None = None, *,
-                collect_trace: bool = False) -> Realisation | None:
+                config: RefinementConfig | None = None) -> Realisation | None:
     """First satisfying member found by the refinement loop, if any."""
     _, first = _run_threshold(family, spec, config or RefinementConfig(),
-                              collect_trace, stop_on_accept=True)
+                              collect_trace=False, stop_on_accept=True)
     return first
 
 
@@ -565,8 +546,7 @@ def _optimise(family: FamilyModel, spec: Specification,
                 bound = otherv
             decision = "split"
         if decision == "split":
-            split_param, _, _ = loop.split(sub, restricted, goal, res,
-                                           spec.direction)
+            split_param = loop.split(sub, restricted, goal, res)
         loop.stats.times.analyse += time.perf_counter() - t0 - (
             loop.stats.times.check - check0)
         loop.record(sub, *_bounds(res), decision, split_param,

@@ -149,6 +149,28 @@ def test_trace_file_is_json_lines(tmp_path, capsys):
             "split_param", "best_value"} <= set(records[0])
 
 
+def test_feasibility_trace_follows_schema(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
+                           "--spec", "phi", "--trace", str(trace), MODEL)
+    assert code == 0
+    assert json.loads(out)["found"] is True
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [rec["index"] for rec in records] == \
+        list(range(1, len(records) + 1))
+    for rec in records:
+        assert set(rec) == {"index", "subfamily", "size", "min", "max",
+                            "decision", "split_param", "best_value"}
+        assert rec["decision"] in {"accept", "reject", "undefined", "split"}
+        assert rec["best_value"] is None
+        assert (rec["split_param"] is not None) == (rec["decision"] == "split")
+        if rec["decision"] == "split":
+            assert rec["min"] is not None and rec["max"] is not None
+    # the loop stops at the first accepted subfamily
+    assert records[-1]["decision"] == "accept"
+    assert [rec["decision"] for rec in records].count("accept") == 1
+
+
 def test_csv_and_text_outputs(capsys):
     code, out, _ = run_cli(capsys, "synth", "--spec", "phi", "--out", "csv",
                            MODEL)

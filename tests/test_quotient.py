@@ -469,10 +469,11 @@ def test_restrict_matches_naive_filter(seed):
 
 
 def assert_inherited_is_sound(parent, res, child, got, goal):
-    """``got = inherit(parent, res, child)`` is None exactly when some state
-    of ``child`` lost the distribution the parent's scheduler chose there;
-    otherwise it agrees with a fresh solve on ``child`` and is attained by
-    the scheduler it carries, whose tags are the child's own actions."""
+    """``got = inherit(parent.states, res, child)`` is None exactly when
+    some state of ``child`` lost the distribution the parent's scheduler
+    chose there; otherwise it agrees with a fresh solve on ``child`` and is
+    attained by the scheduler it carries, whose tags are the child's own
+    actions."""
     solve = solve_prob if res.kind == "probability" else solve_reward
     chosen = dict(zip(parent.states, res.scheduler.tags))
     survives = all(any(ma.dist_exact == chosen[s].dist_exact
@@ -531,13 +532,13 @@ def test_inherited_result_is_the_childs_own(seed):
                     res = solve(parent.mdp, parent_goal, direction)
                 except UndefinedRewardError:
                     for child in children:
-                        assert inherit(parent, None, child) is None
+                        assert inherit(parent.states, None, child) is None
                         with pytest.raises(UndefinedRewardError):
                             solve(child.mdp, child.local(goal), direction)
                     continue
                 for child in children:
                     assert_inherited_is_sound(
-                        parent, res, child, inherit(parent, res, child),
+                        parent, res, child, inherit(parent.states, res, child),
                         child.local(goal))
         parent = rng.choice(children)
 

@@ -30,6 +30,7 @@ from famsynth import (
     solve_reward,
     threshold_synthesis,
 )
+from famsynth import synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
 from conftest import R1, R2, R3, R4
@@ -217,23 +218,35 @@ def test_max_synthesis_single_member_family():
         float(exact_mc_probability(mc, goal)[mc.initial]), abs=1e-6)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]))
-def test_optimum_matches_brute_force(seed, direction):
-    family = random_family(seed, max_states=7, max_params=3)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]),
+       kind=st.sampled_from(["probability", "expected-reward"]))
+def test_optimum_matches_brute_force(seed, direction, kind):
+    rewards = kind == "expected-reward"
+    family = random_family(seed, max_states=7, max_params=3, rewards=rewards)
     if family.n_realisations > 64:
         return
-    spec = Specification(kind="probability", goal="goal", direction=direction)
+    spec = Specification(kind=kind, goal="goal", direction=direction)
     goal = family.label_states("goal")
-    values = [float(exact_mc_probability(instantiate(family, r), goal)[0])
-              for r in all_realisations(family)]
-    want = max(values) if direction == "max" else min(values)
+    exact = exact_mc_reward if rewards else exact_mc_probability
+
+    def value(member):
+        """The member's exact value; None for an undefined reward."""
+        mc = instantiate(family, member)
+        v = exact(mc, goal)[mc.initial]
+        return None if v is None else float(v)
+
+    values = [v for v in map(value, all_realisations(family)) if v is not None]
     run = max_synthesis if direction == "max" else min_synthesis
+    if not values:
+        with pytest.raises(UndefinedRewardError):
+            run(family, spec)
+        return
+    want = max(values) if direction == "max" else min(values)
     out = run(family, spec, collect_trace=True)
     assert out.best_value == pytest.approx(want, abs=1e-6)
     # the witness value matches what the loop reports
-    got = float(exact_mc_probability(instantiate(family, out.best), goal)[0])
-    assert got == pytest.approx(out.best_value, abs=1e-6)
+    assert value(out.best) == pytest.approx(out.best_value, abs=1e-6)
     # the running bound never decreases (max) / increases (min)
     bounds = [r.best_value for r in out.trace if r.best_value is not None]
     for a, b in zip(bounds, bounds[1:]):
@@ -312,46 +325,53 @@ def test_threshold_reward_undefined_bucket(example1_rewards):
 # Splitting strategy pieces
 # ---------------------------------------------------------------------------
 
-def worked_results(example1, delta):
+def worked_results(example1):
     model, _ = example1
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
     goal = model.label_states("one")
     res_max = solve_prob(restricted.mdp, goal, "max")
     res_min = solve_prob(restricted.mdp, goal, "min")
-    imp = important_states(res_min, res_max, delta, restricted, goal)
+    imp = important_states(res_min, res_max, restricted, goal)
     return restricted, res_max, res_min, imp
 
 
+@pytest.fixture
+def no_importance_cutoff(monkeypatch):
+    # every state with a varying row counts, whatever its gap
+    monkeypatch.setattr(synthesis, "IMPORTANCE", 0.0)
+
+
 def test_importance_ratio_thresholding(example1):
-    restricted, res_max, res_min, imp = worked_results(example1, 0.5)
+    restricted, res_max, res_min, imp = worked_results(example1)
     # synthetic per-state values: global gap 1, state 2 gap 0.7, state 3 gap 0.4
     res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 0.9, 0.5))
     res_min = dataclasses.replace(res_min, values=(0.0, 1.0, 0.2, 0.1))
-    imp = important_states(res_min, res_max, 0.5, restricted,
+    imp = important_states(res_min, res_max, restricted,
                            restricted.family.label_states("one"))
     assert 2 in imp
     assert 3 not in imp
 
 
-def test_importance_delta_zero_takes_all_varying_states(example1):
-    _, _, _, imp = worked_results(example1, 0.0)
+def test_importance_delta_zero_takes_all_varying_states(
+        example1, no_importance_cutoff):
+    _, _, _, imp = worked_results(example1)
     assert imp == {0, 2, 3}  # state 1 is the goal
 
 
 def test_importance_empty_when_gap_is_zero(example1):
-    restricted, res_max, res_min, _ = worked_results(example1, 0.0)
+    restricted, res_max, res_min, _ = worked_results(example1)
     res_max = dataclasses.replace(
         res_max, values=(0.5,) * 4, at_initial=0.5)
     res_min = dataclasses.replace(
         res_min, values=(0.5,) * 4, at_initial=0.5)
-    imp = important_states(res_min, res_max, 0.0, restricted,
+    imp = important_states(res_min, res_max, restricted,
                            restricted.family.label_states("one"))
     assert imp == frozenset()
 
 
-def test_extract_counts_directly(example1):
-    restricted, res_max, res_min, imp = worked_results(example1, 0.0)
+def test_extract_counts_directly(example1, no_importance_cutoff):
+    restricted, res_max, res_min, imp = worked_results(example1)
     c_max = extract_counts(res_max.scheduler, imp, restricted)
     assert c_max[1] == {0: 0, 1: 2}
     c_empty = extract_counts(res_max.scheduler, frozenset(), restricted)
@@ -360,7 +380,7 @@ def test_extract_counts_directly(example1):
 
 
 def test_extract_counts_two_states_same_value(example1):
-    restricted, res_max, _, _ = worked_results(example1, 0.0)
+    restricted, res_max, _, _ = worked_results(example1)
     # states 0 and 3 both pick k1=1 under the maximising scheduler
     c = extract_counts(res_max.scheduler, frozenset({0, 3}), restricted)
     assert c[1] == {0: 0, 1: 2}
@@ -370,10 +390,9 @@ def test_score_formulas():
     c_max = {0: {0: 2, 1: 0}}
     c_min = {0: {0: 0, 1: 2}}
     sub = Subfamily(((0, 1),))
-    report = select_predicate(c_max, c_min, sub, "variance",
+    report = select_predicate(c_max, c_min, sub,
                               _fake_family(("k",), ((0, 1),)))
     assert report.variance[0] == 4
-    assert report.consistency[0] == 0
     assert report.chosen_param == 0
     assert report.chosen_values == (0,)  # diffs +2 / -2, half size 1
 
@@ -390,12 +409,12 @@ def test_select_predicate_prefers_higher_score_first_on_ties():
     c_max = {0: {0: 2, 1: 0}, 1: {0: 1, 1: 1}}
     c_min = {0: {0: 0, 1: 2}, 1: {0: 1, 1: 1}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, "variance", family)
+    report = select_predicate(c_max, c_min, sub, family)
     assert report.variance == {0: 4, 1: 0}
     assert report.chosen_param == 0
     # all-zero scores: declaration order wins
     zeros = {0: {0: 0, 1: 0}, 1: {0: 0, 1: 0}}
-    report = select_predicate(zeros, zeros, sub, "variance", family)
+    report = select_predicate(zeros, zeros, sub, family)
     assert report.chosen_param == 0
     assert report.chosen_values == (0,)
 
@@ -405,17 +424,12 @@ def test_select_predicate_scores_recomputable():
     c_max = {0: {0: 3, 1: 1}, 1: {0: 0, 1: 2}}
     c_min = {0: {0: 1, 1: 0}, 1: {0: 2, 1: 0}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, "consistency", family)
+    report = select_predicate(c_max, c_min, sub, family)
     for k in (0, 1):
         assert report.variance[k] == sum(
-            abs(report.c_max[k][t] - report.c_min[k][t])
-            for t in family.domains[k])
-
-        def part(c):
-            return (len([t for t in c if c[t] > 0]) - 1) * max(c.values())
-
-        assert report.consistency[k] == part(report.c_max[k]) + \
-            part(report.c_min[k])
+            abs(c_max[k][t] - c_min[k][t]) for t in family.domains[k])
+    # b's counts differ more (4 against 3), so b is split
+    assert report.chosen_param == 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,30 +562,29 @@ def test_refinement_decisions_pinned_on_larger_family():
 
 
 def test_optimum_decisions_pinned_on_larger_family():
-    # max/min queries split by consistency score: splitting them by
-    # variance instead takes 49, 63 and 39 iterations
+    # max/min queries split by variance score, like threshold queries: a
+    # change to the split rule, restriction or inheritance that changes any
+    # split changes these counts
     family = random_family(1, max_states=150, max_params=10, max_domain=4,
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'))
-    # 111 when every direction is solved afresh: four subfamilies inherit a
-    # certified max of 0.7499999999993179, below the bound 0.75 that another
-    # member reaches, and are discarded; solved afresh they reach 0.75 and
-    # split once more
-    assert out.stats.iterations == 103
-    assert out.best.values == (16, 31, 13, 0, 14, 1, 34, 24, 1, 31)
+    # inheritance changes no decision here: solving every direction afresh
+    # explores the same 49 subfamilies with 73 solves
+    assert out.stats.iterations == 49
+    assert out.best.values == (16, 31, 6, 0, 14, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
     # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 103
-    assert out.stats.inherited == 51
+    assert out.stats.solver_calls == 49
+    assert out.stats.inherited == 24
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
     out = min_synthesis(family, parse_spec('Emin F "goal"'))
-    assert out.stats.iterations == 87
+    assert out.stats.iterations == 63
     assert out.best.values == (14, 13, 7, 10, 23, 19, 19, 14)
-    assert out.stats.solver_calls == 86
-    assert out.stats.solver_calls + out.stats.inherited == 130
+    assert out.stats.solver_calls == 66
+    assert out.stats.solver_calls + out.stats.inherited == 94
     out = max_synthesis(family, parse_spec('Emax F "goal"'))
-    assert out.stats.iterations == 83
+    assert out.stats.iterations == 39
     assert out.best.values == (13, 13, 0, 9, 19, 0, 4, 14)
-    assert out.stats.solver_calls == 84
-    assert out.stats.solver_calls + out.stats.inherited == 125
+    assert out.stats.solver_calls == 37
+    assert out.stats.solver_calls + out.stats.inherited == 59
