@@ -25,7 +25,7 @@ from .errors import (
     SizeCapError,
     UndefinedRewardError,
 )
-from .family import FamilyModel, Specification, Subfamily
+from .family import FamilyModel, Realisation, Specification, Subfamily
 from .fmc import parse_family, parse_spec, serialize_family
 from .baselines import (
     all_in_one_check,
@@ -44,7 +44,7 @@ from .smt import (
 from .synthesis import (
     RefinementConfig,
     SynthesisOutcome,
-    _run_threshold,
+    _feasibility,
     max_synthesis,
     min_synthesis,
     threshold_synthesis,
@@ -108,7 +108,9 @@ def _json_value(v):
 
 def _outcome_payload(outcome: SynthesisOutcome, family: FamilyModel,
                      spec: Specification, approach: str,
-                     timings: bool) -> dict:
+                     timings: bool, member: Realisation | None = None
+                     ) -> dict:
+    """The result payload; ``member`` is a feasibility outcome's answer."""
     payload: dict = {
         "approach": approach,
         "mode": outcome.mode,
@@ -124,6 +126,9 @@ def _outcome_payload(outcome: SynthesisOutcome, family: FamilyModel,
                 "members": counts[key],
                 "subfamilies": [s.describe(family) for s in bucket],
             }
+    elif outcome.mode == "feasibility":
+        payload["found"] = member is not None
+        payload["member"] = member.as_dict(family) if member else None
     else:
         payload["best"] = outcome.best.as_dict(family)
         payload["value"] = _json_value(outcome.best_value)
@@ -330,17 +335,10 @@ def _cmd_synth(args) -> int:
         payload = _outcome_payload(outcome, family, spec, "refinement",
                                    args.timings)
     else:
-        # feasibility() itself, but keeping the loop's outcome for its trace
-        outcome, member = _run_threshold(family, spec, RefinementConfig(),
-                                         collect, stop_on_accept=True)
-        payload = {
-            "approach": "refinement",
-            "mode": "feasibility",
-            "spec": str(spec),
-            "family": _family_block(family),
-            "found": member is not None,
-            "member": member.as_dict(family) if member else None,
-        }
+        outcome, member = _feasibility(family, spec, RefinementConfig(),
+                                       collect)
+        payload = _outcome_payload(outcome, family, spec, "refinement",
+                                   args.timings, member)
     if args.trace:
         _write_trace(args.trace, outcome)
     _emit(payload, args.out, family)

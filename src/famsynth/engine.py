@@ -2,8 +2,9 @@
 
 Qualitative graph analyses, min/max value iteration for reachability
 probability and expected reward with the memoryless deterministic
-schedulers that attain them, and an exact rational linear-system solver for
-chains (the oracle used by the enumeration baseline and the test suite).
+schedulers that attain them, and an exact rational solver for chains (the
+oracle of the enumeration baseline and the test suite, and the check of
+singletons and feasibility witnesses in the refinement loop).
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
@@ -938,61 +939,98 @@ def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational oracle for chains (Gaussian elimination)
+# Exact rational oracle for chains.  Two backward closures fix the states
+# whose reach probability is exactly 0 or exactly 1; the linear system on
+# the rest is solved one SCC at a time, successors first, by elimination
+# over sparse dict rows.  Every state solved there reaches the goal (or
+# leaves the system) with positive probability, so the system is a
+# nonsingular M-matrix: its unique solution is the exact value, and no
+# pivot of the elimination vanishes.
 # ---------------------------------------------------------------------------
 
-def _gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]
-                 ) -> list[Fraction]:
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ModelError("singular linear system", code="singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _chain_closures(mc: ConcreteMC, goal: frozenset[int]
+                    ) -> tuple[set[int], set[int]]:
+    """States that reach ``goal`` with positive probability, and those that
+    reach it almost surely (goal states are absorbing)."""
+    pre: list[list[int]] = [[] for _ in range(mc.n_states)]
+    for s, row in enumerate(mc.rows):
+        if s not in goal:
+            for t, _ in row:
+                pre[t].append(s)
+
+    def closure(targets):
+        seen = set(targets)
+        stack = list(seen)
+        while stack:
+            for s in pre[stack.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return seen
+
+    reach = closure(goal)
+    # a finite chain misses the goal with positive probability exactly when
+    # it can reach a state that cannot reach the goal at all
+    never = set(range(mc.n_states)) - reach
+    return reach, set(range(mc.n_states)) - closure(never)
+
+
+def _solve_chain(mc: ConcreteMC, unknown: set[int], values: list,
+                 const) -> None:
+    """Fill ``values`` on ``unknown`` with the solution of
+    ``x_s = const[s] + sum(p * x_t)``, where ``values`` holds every other
+    state a row of ``unknown`` leads to."""
+    rows = mc.rows
+    edges = {s: [t for t, _ in rows[s] if t in unknown] for s in unknown}
+    for comp in _scc_decompose(sorted(unknown), edges):
+        inside = set(comp)
+        eqs: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
+        users: dict[int, set[int]] = {s: set() for s in comp}
+        for s in comp:
+            c = const[s]
+            row: dict[int, Fraction] = {}
+            for t, p in rows[s]:
+                if t in inside:
+                    row[t] = row.get(t, 0) + p
+                    users[t].add(s)
+                else:
+                    c += p * values[t]
+            eqs[s] = c, row
+        # forward elimination: each row in turn is solved for its own
+        # state and substituted into the rows not yet eliminated, so a row
+        # ends up mentioning only states eliminated after it
+        for v in comp:
+            c, row = eqs[v]
+            users[v].discard(v)
+            a = row.pop(v, 0)
+            if a:
+                f = 1 / (1 - a)
+                c *= f
+                for t in row:
+                    row[t] *= f
+                eqs[v] = c, row
+            for t in row:
+                users[t].discard(v)
+            for u in users.pop(v):
+                cu, ru = eqs[u]
+                q = ru.pop(v)
+                for t, p in row.items():
+                    ru[t] = ru.get(t, 0) + q * p
+                    users[t].add(u)
+                eqs[u] = cu + q * c, ru
+        for v in reversed(comp):
+            c, row = eqs[v]
+            values[v] = c + sum(p * values[t] for t, p in row.items())
 
 
 def exact_mc_probability(mc: ConcreteMC, goal: frozenset[int]
                          ) -> list[Fraction]:
     """Per-state probability of reaching ``goal``, as exact rationals."""
     goal = frozenset(goal)
-    n = mc.n_states
-    can_reach = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in can_reach or s in goal:
-                continue
-            if any(t in can_reach for t, _ in mc.rows[s]):
-                can_reach.add(s)
-                changed = True
-    unknown = sorted(s for s in can_reach if s not in goal)
-    idx = {s: i for i, s in enumerate(unknown)}
-    m = len(unknown)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(0)] * m
-    for s in unknown:
-        i = idx[s]
-        matrix[i][i] += 1
-        for t, p in mc.rows[s]:
-            if t in goal:
-                rhs[i] += p
-            elif t in idx:
-                matrix[i][idx[t]] -= p
-    sol = _gauss_solve(matrix, rhs) if m else []
-    values = [Fraction(0)] * n
-    for s in goal:
-        values[s] = Fraction(1)
-    for s, i in idx.items():
-        values[s] = sol[i]
+    reach, sure = _chain_closures(mc, goal)
+    values = [Fraction(1) if s in sure else Fraction(0)
+              for s in range(mc.n_states)]
+    _solve_chain(mc, reach - sure, values, [Fraction(0)] * mc.n_states)
     return values
 
 
@@ -1002,26 +1040,10 @@ def exact_mc_reward(mc: ConcreteMC, goal: frozenset[int]
     if mc.rewards is None:
         raise ModelError("model carries no rewards", code="bad-reward")
     goal = frozenset(goal)
-    prob = exact_mc_probability(mc, goal)
-    defined = {s for s in range(mc.n_states) if prob[s] == 1}
-    unknown = sorted(s for s in defined if s not in goal)
-    idx = {s: i for i, s in enumerate(unknown)}
-    m = len(unknown)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(0)] * m
-    for s in unknown:
-        i = idx[s]
-        matrix[i][i] += 1
-        rhs[i] += mc.rewards[s]
-        for t, p in mc.rows[s]:
-            if t in idx:
-                matrix[i][idx[t]] -= p
-    sol = _gauss_solve(matrix, rhs) if m else []
-    values: list[Fraction | None] = [None] * mc.n_states
-    for s in goal:
-        values[s] = Fraction(0)
-    for s, i in idx.items():
-        values[s] = sol[i]
+    _, sure = _chain_closures(mc, goal)
+    values: list[Fraction | None] = [
+        Fraction(0) if s in goal else None for s in range(mc.n_states)]
+    _solve_chain(mc, sure - goal, values, mc.rewards)
     return values
 
 

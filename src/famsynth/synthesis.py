@@ -3,10 +3,19 @@
 Threshold synthesis partitions a family into satisfying and violating
 members; max/min synthesis finds an optimal member; feasibility stops at the
 first satisfying member.  All three share the same machinery: restrict the
-quotient to a subfamily, solve it in the direction that can decide alone
-(max for ``<``/``<=`` and max objectives, min otherwise), solve the other
-direction only when the first cannot decide or the subfamily splits,
-classify or split, repeat.
+quotient to a subfamily, solve one direction, solve the other only when the
+first cannot decide or the subfamily splits, classify or split, repeat.
+Threshold and max/min synthesis lead with the direction that can decide
+alone (max for ``<``/``<=`` and max objectives, min otherwise).
+
+Feasibility, as in the paper, leads with the witness side instead (max for
+``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent and
+meets the bound at the initial state, its member is a candidate witness.
+The candidate is confirmed with the exact rational chain solver before it
+is returned, because on the min side the value bounds only the optimum
+from below, not the member's own value.  A candidate that fails leaves the
+subfamily to be classified and split as in threshold synthesis, and its
+exact decision is remembered, so no member is solved exactly twice.
 
 A split subfamily has solved both directions, and its two children wait in
 the queue with one shared record of its restriction and results.  A child
@@ -39,7 +48,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     SizeCapError,
@@ -136,7 +144,8 @@ class SynthesisOutcome:
     """Result of a synthesis run.
 
     Threshold mode fills the T/F/undefined buckets with disjoint subfamilies;
-    max/min mode fills ``best`` and ``best_value``.
+    feasibility mode fills them with the subfamilies it decided before it
+    stopped; max/min mode fills ``best`` and ``best_value``.
     """
 
     mode: str
@@ -284,6 +293,8 @@ class _Loop:
         self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
             [(Subfamily.full(family), None)])
         self.total = family.n_realisations
+        # exact decisions by member values
+        self.exact: dict[tuple[int, ...], str] = {}
 
     def begin_iteration(self):
         self.stats.iterations += 1
@@ -353,16 +364,42 @@ class _Loop:
             best_value=best_value,
         ))
 
-    def decide_exactly(self, sub: Subfamily) -> tuple[str, Fraction | None]:
-        """Classify a singleton with the exact rational chain solver."""
-        self.stats.exact_calls += 1
-        member = sub.to_realisation()
-        chain = instantiate(self.family, member)
-        try:
-            value, sat = solve_mc_exact(chain, self.spec)
-        except UndefinedRewardError:
-            return "undefined", None
-        return ("accept" if sat else "reject"), value
+    def classify(self, res: dict[str, CheckResult | None]) -> str | None:
+        """Threshold decision from the directions solved so far."""
+        pinned = "max" in res and res["max"].pinned
+        return _classify_threshold(self.spec, *_bounds(res),
+                                   0.0 if pinned else MARGIN)
+
+    def settle(self, outcome: SynthesisOutcome, sub: Subfamily,
+               restricted: RestrictedQuotient, goal: frozenset[int],
+               res: dict[str, CheckResult | None], decision: str
+               ) -> str | None:
+        """File ``sub`` in the bucket ``decision`` names, or split it; the
+        split parameter's name."""
+        if decision == "accept":
+            outcome.accepted.append(sub)
+        elif decision == "reject":
+            outcome.rejected.append(sub)
+        elif decision == "undefined":
+            outcome.undefined.append(sub)
+        elif decision == "split":
+            return self.split(sub, restricted, goal, res)
+        return None
+
+    def decide_exactly(self, member: Realisation) -> str:
+        """Classify one member with the exact rational chain solver, at most
+        once per run."""
+        decision = self.exact.get(member.values)
+        if decision is None:
+            self.stats.exact_calls += 1
+            chain = instantiate(self.family, member)
+            try:
+                _, sat = solve_mc_exact(chain, self.spec)
+                decision = "accept" if sat else "reject"
+            except UndefinedRewardError:
+                decision = "undefined"
+            self.exact[member.values] = decision
+        return decision
 
 
 def _at_initial(res: CheckResult | None) -> float:
@@ -414,54 +451,6 @@ def _classify_threshold(spec: Specification, minv: float | None,
     return None if minv is None or maxv is None else "split"
 
 
-def _run_threshold(family: FamilyModel, spec: Specification,
-                   config: RefinementConfig, collect_trace: bool,
-                   stop_on_accept: bool
-                   ) -> tuple[SynthesisOutcome, Realisation | None]:
-    if spec.objective_only:
-        raise UnsupportedSpecError("threshold synthesis needs a threshold")
-    loop = _Loop(family, spec, config, collect_trace)
-    outcome = SynthesisOutcome(mode="threshold", trace=loop.trace,
-                               stats=loop.stats)
-    # the direction that can accept on its own goes first; the other is
-    # solved only when the first cannot decide
-    order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
-    first: Realisation | None = None
-    while loop.queue and first is None:
-        sub, parent = loop.queue.popleft()
-        loop.begin_iteration()
-        restricted, goal = loop.restrict(sub)
-        res: dict[str, CheckResult | None] = {}
-        for direction in order:
-            res[direction] = loop.solve(restricted, goal, direction, parent)
-            t0 = time.perf_counter()
-            pinned = "max" in res and res["max"].pinned
-            decision = _classify_threshold(spec, *_bounds(res),
-                                           0.0 if pinned else MARGIN)
-            loop.stats.times.analyse += time.perf_counter() - t0
-            if decision is not None:
-                break
-        t0 = time.perf_counter()
-        if sub.is_singleton:
-            loop.stats.singletons += 1
-            if decision == "split":
-                decision, _ = loop.decide_exactly(sub)
-        split_param = None
-        if decision == "accept":
-            outcome.accepted.append(sub)
-            if stop_on_accept:
-                first = next(sub.members())
-        elif decision == "reject":
-            outcome.rejected.append(sub)
-        elif decision == "undefined":
-            outcome.undefined.append(sub)
-        else:
-            split_param = loop.split(sub, restricted, goal, res)
-        loop.stats.times.analyse += time.perf_counter() - t0
-        loop.record(sub, *_bounds(res), decision, split_param)
-    return outcome, first
-
-
 def threshold_synthesis(family: FamilyModel, spec: Specification,
                         config: RefinementConfig | None = None, *,
                         collect_trace: bool = False) -> SynthesisOutcome:
@@ -469,17 +458,102 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
 
     Members whose expected reward is undefined land in a third bucket.
     """
-    outcome, _ = _run_threshold(family, spec, config or RefinementConfig(),
-                                collect_trace, stop_on_accept=False)
+    if spec.objective_only:
+        raise UnsupportedSpecError("threshold synthesis needs a threshold")
+    loop = _Loop(family, spec, config or RefinementConfig(), collect_trace)
+    outcome = SynthesisOutcome(mode="threshold", trace=loop.trace,
+                               stats=loop.stats)
+    # the direction that can accept on its own goes first; the other is
+    # solved only when the first cannot decide
+    order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
+    while loop.queue:
+        sub, parent = loop.queue.popleft()
+        loop.begin_iteration()
+        restricted, goal = loop.restrict(sub)
+        res: dict[str, CheckResult | None] = {}
+        for direction in order:
+            res[direction] = loop.solve(restricted, goal, direction, parent)
+            t0 = time.perf_counter()
+            decision = loop.classify(res)
+            loop.stats.times.analyse += time.perf_counter() - t0
+            if decision is not None:
+                break
+        t0 = time.perf_counter()
+        if sub.is_singleton:
+            loop.stats.singletons += 1
+            if decision == "split":
+                decision = loop.decide_exactly(sub.to_realisation())
+        split_param = loop.settle(outcome, sub, restricted, goal, res,
+                                  decision)
+        loop.stats.times.analyse += time.perf_counter() - t0
+        loop.record(sub, *_bounds(res), decision, split_param)
     return outcome
+
+
+def _feasibility(family: FamilyModel, spec: Specification,
+                 config: RefinementConfig, collect_trace: bool
+                 ) -> tuple[SynthesisOutcome, Realisation | None]:
+    if spec.objective_only:
+        raise UnsupportedSpecError("feasibility needs a threshold")
+    loop = _Loop(family, spec, config, collect_trace)
+    outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
+                               stats=loop.stats)
+    lam = float(spec.threshold)
+    # the witness side holds the scheduler whose member may satisfy the
+    # bound; alone it can only reject or find an undefined reward
+    witness, other = (("max", "min") if spec.relation in (">=", ">")
+                      else ("min", "max"))
+    while loop.queue:
+        sub, parent = loop.queue.popleft()
+        loop.begin_iteration()
+        restricted, goal = loop.restrict(sub)
+        res = {witness: loop.solve(restricted, goal, witness, parent)}
+        t0, check0 = time.perf_counter(), loop.stats.times.check
+        decision = loop.classify(res)
+        if sub.is_singleton:
+            loop.stats.singletons += 1
+        member = None
+        if decision is None:
+            value = _at_initial(res[witness])
+            if not math.isinf(value) and \
+                    compare(value, spec.relation, lam) and \
+                    is_consistent(restricted, res[witness].scheduler)[0]:
+                member = next(scheduler_to_realisations(
+                    restricted, res[witness].scheduler).members())
+                decision = loop.decide_exactly(member)
+                if decision == "accept":
+                    decision = "witness"
+                elif not sub.is_singleton:
+                    # the singleton's failed candidate is its exact check
+                    decision = None
+        if decision is None:
+            res[other] = loop.solve(restricted, goal, other, parent)
+            decision = loop.classify(res)
+            if sub.is_singleton and decision == "split":
+                decision = loop.decide_exactly(sub.to_realisation())
+        split_param = loop.settle(outcome, sub, restricted, goal, res,
+                                  decision)
+        loop.stats.times.analyse += time.perf_counter() - t0 - (
+            loop.stats.times.check - check0)
+        loop.record(sub, *_bounds(res), decision, split_param)
+        if decision == "witness":
+            return outcome, member
+        if decision == "accept":
+            return outcome, next(sub.members())
+    return outcome, None
 
 
 def feasibility(family: FamilyModel, spec: Specification,
                 config: RefinementConfig | None = None) -> Realisation | None:
-    """First satisfying member found by the refinement loop, if any."""
-    _, first = _run_threshold(family, spec, config or RefinementConfig(),
-                              collect_trace=False, stop_on_accept=True)
-    return first
+    """A satisfying member, or None when no member satisfies ``spec``.
+
+    The member is the first exactly confirmed witness-side scheduler's
+    (see the module docstring), or the first member of the first subfamily
+    accepted whole.
+    """
+    _, member = _feasibility(family, spec, config or RefinementConfig(),
+                             collect_trace=False)
+    return member
 
 
 def _optimise(family: FamilyModel, spec: Specification,

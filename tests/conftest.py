@@ -2,6 +2,8 @@ import pathlib
 
 import pytest
 
+from fractions import Fraction
+
 from famsynth import Subfamily, parse_family
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -40,3 +42,30 @@ def random_subfamily(family, rng):
         values = rng.sample(dom, rng.randint(1, len(dom)))
         subsets.append(tuple(values))
     return Subfamily(tuple(subsets))
+
+
+# Stiff ladder: the initial state keeps 1-10**-k on a self-loop and splits
+# the rest between the goal and a sink, so both members have value exactly
+# 1/2, far below which the residual test of plain sweeps stops; the dummy
+# parameter on the goal's row makes two members.
+LADDER_DOC = """
+states 3
+initial 0
+params
+d : 1 2
+k0 : 0
+kg : 1
+ks : 2
+trans
+0 : {loop}:k0 + {rest}:kg + {rest}:ks
+1 : 1:d
+2 : 1:ks
+labels
+goal : 1
+"""
+
+
+def ladder(k):
+    loop = 1 - Fraction(1, 10 ** k)
+    family, _ = parse_family(LADDER_DOC.format(loop=loop, rest=(1 - loop) / 2))
+    return family

@@ -53,6 +53,22 @@ def test_synth_feasibility(capsys):
     payload = json.loads(out)
     assert payload["found"] is True
     assert payload["member"]["k1"] == 1
+    assert payload["stats"]["iterations"] >= 1
+    assert "timings" not in payload
+
+
+def test_synth_feasibility_timings(capsys):
+    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
+                           "--spec", "phi", "--timings", MODEL)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["timings"]) == {"build", "check", "analyse", "total"}
+    assert set(payload["stats"]) == {"iterations", "solver_calls",
+                                     "inherited", "exact_calls", "singletons"}
+    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
+                           "--spec", "phi", "--timings", "--out", "text",
+                           MODEL)
+    assert "  stats: iterations=" in out and "  times: build=" in out
 
 
 def test_check_and_synth_agree_on_generated_input(tmp_path, capsys):
@@ -161,14 +177,15 @@ def test_feasibility_trace_follows_schema(tmp_path, capsys):
     for rec in records:
         assert set(rec) == {"index", "subfamily", "size", "min", "max",
                             "decision", "split_param", "best_value"}
-        assert rec["decision"] in {"accept", "reject", "undefined", "split"}
+        assert rec["decision"] in {"accept", "reject", "undefined", "split",
+                                   "witness"}
         assert rec["best_value"] is None
         assert (rec["split_param"] is not None) == (rec["decision"] == "split")
         if rec["decision"] == "split":
             assert rec["min"] is not None and rec["max"] is not None
-    # the loop stops at the first accepted subfamily
-    assert records[-1]["decision"] == "accept"
-    assert [rec["decision"] for rec in records].count("accept") == 1
+    # the loop stops at the first accepted subfamily or confirmed witness
+    found = [rec["decision"] in {"accept", "witness"} for rec in records]
+    assert found[-1] and found.count(True) == 1
 
 
 def test_csv_and_text_outputs(capsys):

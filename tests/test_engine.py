@@ -38,7 +38,7 @@ from famsynth.engine import (
     prob0_forall,
     prob1_exists,
 )
-from conftest import R1, R2, random_subfamily
+from conftest import R1, R2, ladder, random_subfamily
 
 ONE = frozenset({1})
 
@@ -397,6 +397,76 @@ def test_values_never_exceed_exact_on_stiff_cycles(exponents, to_sink,
                     frozenset(range(n + 2)))
     assert_never_above_exact(mc, frozenset({goal}))
     assert_never_above_exact(mc, frozenset({goal, sink}))
+
+
+def assert_exact_equations(mc, goal):
+    """The exact chain solver's vectors satisfy their defining equations in
+    exact arithmetic, with the qualitative cases pinned: probability 1 on
+    the goal and 0 where no path leads to it, reward None exactly where the
+    goal is missed with positive probability."""
+    reach = set(goal)
+    changed = True
+    while changed:
+        changed = False
+        for s in set(range(mc.n_states)) - reach:
+            if any(t in reach for t, _ in mc.rows[s]):
+                reach.add(s)
+                changed = True
+    prob = exact_mc_probability(mc, goal)
+    assert all(isinstance(x, Fraction) for x in prob)
+    for s, row in enumerate(mc.rows):
+        if s in goal:
+            assert prob[s] == 1
+        elif s not in reach:
+            assert prob[s] == 0
+        else:
+            assert prob[s] == sum(p * prob[t] for t, p in row)
+    if mc.rewards is None:
+        return
+    reward = exact_mc_reward(mc, goal)
+    for s, row in enumerate(mc.rows):
+        if prob[s] < 1:
+            assert reward[s] is None
+        elif s in goal:
+            assert reward[s] == 0
+        else:
+            assert isinstance(reward[s], Fraction)
+            assert reward[s] == mc.rewards[s] + sum(p * reward[t]
+                                                    for t, p in row)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_exact_solver_satisfies_its_equations_on_random_chains(seed):
+    family = random_family(seed, max_states=30, max_params=4,
+                           rewards=seed % 2 == 0)
+    goal = family.label_states("goal")
+    for r in itertools.islice(all_realisations(family), 8):
+        assert_exact_equations(instantiate(family, r), goal)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_exact_solver_satisfies_its_equations_on_stiff_chains(k):
+    family = ladder(k)
+    for r in all_realisations(family):
+        mc = instantiate(family, r)
+        assert_exact_equations(mc, mc.label_states("goal"))
+        assert exact_mc_probability(mc, mc.label_states("goal"))[0] == \
+            Fraction(1, 2)
+    # a stiff four-state cycle 0-1-2-3 leaking to the goal (4), the sink (5)
+    # and a three-state trap 6-7-8 that never reaches the goal
+    stay = 1 - Fraction(1, 10 ** k)
+    leak = (1 - stay) / 3
+    rows = [((s, stay), ((s + 1) % 4, leak), (exit_, 2 * leak))
+            for s, exit_ in enumerate((4, 5, 6, 4))]
+    rows += [((4, Fraction(1)),), ((5, Fraction(1)),)]
+    rows += [((7, Fraction(1, 3)), (8, Fraction(2, 3))), ((8, Fraction(1)),),
+             ((6, Fraction(1)),)]
+    rewards = tuple(Fraction(r) for r in (1, 2, 3, 4, 0, 0, 1, 1, 1))
+    mc = ConcreteMC(9, 0, tuple(rows), rewards, frozenset(range(9)))
+    for goal in ({4}, {4, 5}, {4, 5, 6}, {7}):
+        assert_exact_equations(mc, frozenset(goal))
+    assert exact_mc_reward(mc, frozenset({4, 5, 6}))[0] is not None
 
 
 # Fixpoint formulations of the graph analyses, kept as references for the

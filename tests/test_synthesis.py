@@ -26,6 +26,7 @@ from famsynth import (
     random_family,
     random_spec,
     select_predicate,
+    solve_mc_exact,
     solve_prob,
     solve_reward,
     threshold_synthesis,
@@ -33,7 +34,7 @@ from famsynth import (
 from famsynth import synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
-from conftest import R1, R2, R3, R4
+from conftest import R1, R2, R3, R4, ladder
 
 NEAR_OPTIMAL_DOC = """
 states 4
@@ -57,33 +58,6 @@ goal : 2
 specs
 phi : P>=9/10 F "goal"
 """
-
-# Stiff ladder: the initial state keeps 1-10**-k on a self-loop and splits
-# the rest between the goal and a sink, so both members have value exactly
-# 1/2, far below which the residual test of plain sweeps stops; the dummy
-# parameter on the goal's row makes two members.
-LADDER_DOC = """
-states 3
-initial 0
-params
-d : 1 2
-k0 : 0
-kg : 1
-ks : 2
-trans
-0 : {loop}:k0 + {rest}:kg + {rest}:ks
-1 : 1:d
-2 : 1:ks
-labels
-goal : 1
-"""
-
-
-def ladder(k):
-    loop = 1 - Fraction(1, 10 ** k)
-    family, _ = parse_family(LADDER_DOC.format(loop=loop, rest=(1 - loop) / 2))
-    return family
-
 
 # Stiff two-state cycle: each state keeps 1-10**-k on a self-loop and splits
 # the rest between the other state and the goal (state 0) or the sink
@@ -311,6 +285,60 @@ goal : 1
     model, _ = parse_family(doc)
     out = feasibility(model, parse_spec('P>=0.99 F "goal"'))
     assert out is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["probability", "expected-reward"]),
+       relation=st.sampled_from(["<", "<=", ">=", ">"]),
+       pick=st.integers(0, 80), shift=st.sampled_from([-1, 0, 1]))
+def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
+                                                   pick, shift):
+    # the threshold sits at a member's exact value or just beside it, where
+    # a member that only the float bounds satisfy would show
+    family = random_family(seed, max_states=20, max_params=5, rewards=True)
+    objective = Specification(kind=kind, goal="goal", direction="max")
+    values = []
+    for r in all_realisations(family):
+        try:
+            values.append(solve_mc_exact(instantiate(family, r), objective)[0])
+        except UndefinedRewardError:
+            pass
+    threshold = sorted(values)[pick % len(values)] if values else Fraction(1)
+    threshold = max(Fraction(0), threshold + Fraction(shift, 1000))
+    if kind == "probability":
+        threshold = min(threshold, Fraction(1))
+        if (relation, threshold) in ((">", 1), ("<", 0)):
+            relation = relation + "="
+    spec = Specification(kind=kind, goal="goal", relation=relation,
+                         threshold=threshold)
+    member = feasibility(family, spec)
+    if member is None:
+        assert not one_by_one(family, spec).accepted
+    else:
+        assert solve_mc_exact(instantiate(family, member), spec)[1]
+
+
+@pytest.mark.parametrize("doc, eps, query", [
+    (NEAR_TIE_DOC, Fraction(-1, 10 ** 17), "P<=1/2"),
+    (NEAR_TIE_REWARD_DOC, Fraction(1, 10 ** 17), "E<=2")],
+    ids=["prob", "reward"])
+def test_feasibility_goes_on_after_a_failed_candidate(doc, eps, query):
+    # member k=1 misses the bound by a margin that rounding the chain to
+    # floats erases, so the min scheduler of the whole family ties and
+    # picks it; its exact check fails, the family splits, and k=2 is the
+    # witness.  k=1's singleton reuses the failed check.
+    half = Fraction(1, 2)
+    family, _ = parse_family(doc.format(lo=half - eps, hi=half + eps))
+    spec = parse_spec(f'{query} F "goal"')
+    out, member = synthesis._feasibility(family, spec, RefinementConfig(),
+                                         collect_trace=True)
+    assert [rec.decision for rec in out.trace] == \
+        ["split", "reject", "witness"]
+    assert out.stats.exact_calls == 2
+    obo = one_by_one(family, spec)
+    assert obo.bucket_members(obo.accepted) == {member.values}
+    assert feasibility(family, spec).values == member.values
 
 
 def test_threshold_reward_undefined_bucket(example1_rewards):
