@@ -5,11 +5,12 @@ successor distribution reachable by assigning the parameters that occur in
 that state's row.  Each merged action is keyed by a partial parameter
 assignment (its *signature*); signatures that induce the same distribution
 are unified and represented by the lexicographically smallest surviving
-signature.  Restricting to a subfamily enumerates only the signatures that
-survive it and rebuilds nothing: the action of a signature is built the
-first time it represents its group and reused afterwards.  Unification is
-redone per enumeration so that signatures of one distribution falling on
-different sides of a split each keep their own copy.
+signature.  A state's signatures are grouped, in integer arithmetic, and
+its groups' distributions made when a restriction first reaches it.  A
+restriction enumerates only the signatures that survive it, and builds a
+signature's action the first time it represents its group.
+Unification is redone per enumeration so that signatures of one
+distribution falling on different sides of a split each keep their own copy.
 
 A state's action list depends only on the value subsets of its support, so
 the quotient memoises it under them.  A child of a split re-enumerates only
@@ -27,10 +28,12 @@ whole state space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ConsistencyError, SizeCapError
 from .family import (
@@ -61,68 +64,66 @@ class MergedAction:
         return dict(zip(self.params, self.values))
 
 
+class _Table(NamedTuple):
+    """One state's signature table.  ``signatures`` are in domain order and
+    ``group`` gives each one's group; ``offsets`` give each supported
+    value's share of a signature's index (mixed radix, last fastest).
+    ``dists`` holds each group's float and exact distribution; ``actions``
+    (per signature) fill in on use."""
+
+    signatures: list[tuple[int, ...]]
+    group: list[int]
+    offsets: list[dict[int, int]]
+    dists: list[tuple[tuple, tuple]]
+    actions: dict[int, MdpAction]
+
+
 class QuotientMDP:
-    """Merged-action quotient of a family; immutable after construction."""
+    """Merged-action quotient of a family.  Its per-state tables and memos
+    fill in as restrictions reach states and change no answer."""
 
     def __init__(self, family: FamilyModel):
         self.family = family
-        self.supports: list[tuple[int, ...]] = []
-        self.signatures: list[list[tuple[int, ...]]] = []
-        self.signature_group: list[list[int]] = []
-        self.dists_exact: list[list[tuple[tuple[int, Fraction], ...]]] = []
-        self.dists_float: list[list[tuple[tuple[int, float], ...]]] = []
-        # Per state and supported parameter: each value's contribution to a
-        # signature's index (mixed radix in domain order, last fastest).
-        self._offsets: list[tuple[dict[int, int], ...]] = []
-        # Per state: the action of each signature that has represented its
-        # group in some restriction, built on first use.
-        self._actions: list[dict[int, MdpAction]] = []
-        # Per state: its action list under each combination of its
-        # support's value subsets seen so far, keyed by
-        # ``_key_of[s](sub.subsets)``, with the distinct successors of the
-        # list; the lists are shared, never mutated.
-        self._memo: list[dict[tuple, tuple[list[MdpAction],
-                                           tuple[int, ...]]]] = []
-        self._key_of: list[itemgetter] = []
-        for s in range(family.n_states):
-            supp = family.support(s)
-            self.supports.append(supp)
-            sigs = list(product(*(family.domains[k] for k in supp)))
-            groups: dict[tuple, int] = {}
-            sig_group = []
-            exact = []
-            flt = []
-            pos = {k: i for i, k in enumerate(supp)}
-            for sig in sigs:
-                merged: dict[int, Fraction] = {}
-                for p, k in family.rows[s]:
-                    succ = sig[pos[k]]
-                    merged[succ] = merged.get(succ, Fraction(0)) + p
-                key = tuple(sorted(merged.items()))
-                gid = groups.get(key)
-                if gid is None:
-                    gid = len(exact)
-                    groups[key] = gid
-                    exact.append(key)
-                    flt.append(tuple((t, float(p)) for t, p in key))
-                sig_group.append(gid)
-            self.signatures.append(sigs)
-            self.signature_group.append(sig_group)
-            self.dists_exact.append(exact)
-            self.dists_float.append(flt)
-            offsets = []
-            stride = 1
-            for k in reversed(supp):
-                offsets.append({v: i * stride
-                                for i, v in enumerate(family.domains[k])})
-                stride *= len(family.domains[k])
-            self._offsets.append(tuple(reversed(offsets)))
-            self._actions.append({})
-            self._memo.append({})
-            self._key_of.append(itemgetter(*supp))
-        self._rewards_float = None
-        if family.rewards is not None:
-            self._rewards_float = [float(r) for r in family.rewards]
+        n = family.n_states
+        self.supports = [family.support(s) for s in range(n)]
+        # Per state: its signature table, built by ``_build`` on first reach.
+        self._tables: list[_Table | None] = [None] * n
+        # Per state: its action list and the list's distinct successors
+        # under each combination of its support's value subsets seen so
+        # far, keyed by ``_key_of[s](sub.subsets)``; lists are never mutated.
+        self._memo: list[dict[tuple, tuple]] = [{} for _ in range(n)]
+        self._key_of = [itemgetter(*supp) for supp in self.supports]
+        self._rewards_float = (None if family.rewards is None else
+                               [float(r) for r in family.rewards])
+
+    def _build(self, s: int) -> _Table:
+        """Build and keep the signature table of state ``s``.  Weights and
+        masses are integer numerators over the row's common denominator: one
+        positive scale keeps the groups that the exact rational sums give."""
+        family = self.family
+        supp, row = self.supports[s], family.rows[s]
+        den = math.lcm(*(p.denominator for p, _ in row))
+        weights = [sum(p.numerator * (den // p.denominator)
+                       for p, j in row if j == k) for k in supp]
+        sigs = list(product(*(family.domains[k] for k in supp)))
+        groups: dict[tuple[tuple[int, int], ...], int] = {}
+        group = []
+        for sig in sigs:
+            merged: dict[int, int] = {}
+            for t, w in zip(sig, weights):
+                merged[t] = merged.get(t, 0) + w
+            group.append(groups.setdefault(tuple(sorted(merged.items())),
+                                           len(groups)))
+        offsets, stride = [], 1
+        for k in reversed(supp):
+            domain = family.domains[k]
+            offsets.insert(0, {v: i * stride for i, v in enumerate(domain)})
+            stride *= len(domain)
+        dists = [(tuple([(t, m / den) for t, m in key]),
+                  tuple([(t, Fraction(m, den)) for t, m in key]))
+                 for key in groups]
+        table = self._tables[s] = _Table(sigs, group, offsets, dists, {})
+        return table
 
     @property
     def n_states(self) -> int:
@@ -130,7 +131,8 @@ class QuotientMDP:
 
     def action_counts(self) -> tuple[int, ...]:
         """Distinct merged actions per state for the full family."""
-        return tuple(len(d) for d in self.dists_exact)
+        return tuple(len((table or self._build(s)).dists)
+                     for s, table in enumerate(self._tables))
 
     @property
     def n_actions(self) -> int:
@@ -176,23 +178,18 @@ class QuotientMDP:
         return RestrictedQuotient(self, sub, mdp, tuple(states))
 
     def _enumerate(self, s: int, sub: Subfamily) -> list[MdpAction]:
-        """The actions of state ``s`` in ``sub``.
-
-        Nothing is filtered or recomputed: the surviving signatures are
-        enumerated as sorted signature indices, and the first survivor of
-        each distribution group, the lexicographically smallest in domain
-        order, represents it.  Each representative's action is built once
-        and reused by later enumerations.
-        """
+        """The actions of state ``s`` in ``sub``: the surviving signatures
+        are enumerated as sorted indices, and the first survivor of each
+        group, the lexicographically smallest in domain order, represents
+        it."""
+        table = self._tables[s] or self._build(s)
         picks = [[off[v] for v in sub.subsets[k]]
-                 for k, off in zip(self.supports[s], self._offsets[s])]
+                 for k, off in zip(self.supports[s], table.offsets)]
         if len(picks) == 1:
             survivors = sorted(picks[0])
         else:
             survivors = sorted(map(sum, product(*picks)))
-        groups = self.signature_group[s]
-        cache = self._actions[s]
-        n_groups = len(self.dists_exact[s])
+        groups, dists, cache = table.group, table.dists, table.actions
         per_state: list[MdpAction] = []
         seen: set[int] = set()
         for i in survivors:
@@ -202,14 +199,13 @@ class QuotientMDP:
             seen.add(gid)
             action = cache.get(i)
             if action is None:
-                ma = MergedAction(
-                    state=s, params=self.supports[s],
-                    values=self.signatures[s][i],
-                    dist=self.dists_float[s][gid],
-                    dist_exact=self.dists_exact[s][gid])
+                dist, exact = dists[gid]
+                ma = MergedAction(state=s, params=self.supports[s],
+                                  values=table.signatures[i],
+                                  dist=dist, dist_exact=exact)
                 action = cache[i] = MdpAction(ma.dist, ma)
             per_state.append(action)
-            if len(seen) == n_groups:
+            if len(seen) == len(dists):
                 break
         return per_state
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from famsynth import (
     ConsistencyError,
     FamilyModel,
+    QuotientMDP,
     Realisation,
     SizeCapError,
     Subfamily,
@@ -585,6 +586,60 @@ def test_dump_names_family_states_and_skips_unreached_ones():
         "state 1 action one=1 : 1:1",
         "state 3 action one=1 : 1:1",
     ]
+
+
+def test_tables_are_built_on_first_reach(monkeypatch):
+    built = []
+    build = QuotientMDP._build
+
+    def counting(quotient, s):
+        built.append(s)
+        return build(quotient, s)
+
+    monkeypatch.setattr(QuotientMDP, "_build", counting)
+    quotient = build_quotient(unreachable_family())
+    assert built == []
+    quotient.restrict(Subfamily.full(quotient.family))
+    quotient.restrict(Subfamily(((1,), (1,))))
+    # state 2 is never reached, and no reached state is built twice
+    assert sorted(built) == [0, 1, 3]
+    assert quotient.action_counts() == (2, 1, 1, 1)
+    assert sorted(built) == [0, 1, 2, 3]
+
+
+def test_unification_is_exact_for_non_dyadic_weights():
+    # state 0: 1/2 = 1/3 + 1/6, so a=1, b=c=2 and a=2, b=c=1 give the same
+    # distribution; state 1: 1/10 + 1/5 = 3/10 exactly but not in floats
+    assert 0.1 + 0.2 != 0.3
+    third, sixth, tenth = Fraction(1, 3), Fraction(1, 6), Fraction(1, 10)
+    family = FamilyModel(
+        n_states=3, initial=0,
+        param_names=("a", "b", "c", "d", "e", "f", "g", "h"),
+        domains=((1, 2),) * 3 + ((0, 2),) * 4 + ((2,),),
+        rows=(((H, 0), (third, 1), (sixth, 2)),
+              ((tenth, 3), (2 * tenth, 4), (3 * tenth, 5), (4 * tenth, 6)),
+              ((Fraction(1), 7),)))
+    quotient = build_quotient(family)
+    assert quotient.action_counts() == (7, 11, 1)
+    # the helper also checks each ``dist`` against ``float`` of
+    # ``dist_exact``, entry by entry
+    full = assert_restriction_is_naive_filter(quotient,
+                                              Subfamily.full(family))
+    merged = {0: ((1, 2, 2), (2, 1, 1)), 1: ((0, 0, 2, 2), (2, 2, 0, 2))}
+    for s, (first, second) in merged.items():
+        values = [ma.values for _, ma in full.mdp.actions[s]]
+        assert first in values and second not in values
+    [group] = [ma for _, ma in full.mdp.actions[1]
+               if ma.values == (0, 0, 2, 2)]
+    assert group.dist_exact == ((0, 3 * tenth), (2, 7 * tenth))
+    # without its smallest signature the group keeps the other one
+    for s, sub in ((0, Subfamily(((2,), (1, 2), (1, 2), (0, 2), (0, 2),
+                                  (0, 2), (0, 2), (2,)))),
+                   (1, Subfamily(((1, 2), (1, 2), (1, 2), (2,), (0, 2),
+                                  (0, 2), (0, 2), (2,))))):
+        restricted = assert_restriction_is_naive_filter(quotient, sub)
+        acts = dict(zip(restricted.states, restricted.mdp.actions))[s]
+        assert merged[s][1] in [ma.values for _, ma in acts]
 
 
 def test_restrict_representative_ignores_subset_order(example1):
