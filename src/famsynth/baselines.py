@@ -24,7 +24,7 @@ from .family import (
     all_realisations,
     instantiate,
 )
-from .engine import CheckResult, solve_mc_exact, solve_prob, solve_reward
+from .engine import solve_mc_exact, solve_prob, solve_reward
 from .quotient import AllInOneMDP, build_all_in_one, build_quotient
 from .synthesis import SynthesisOutcome, SynthesisStats
 
@@ -92,45 +92,47 @@ def one_by_one(family: FamilyModel, spec: Specification,
 
 @dataclass
 class AllInOneResult:
-    """Per-member values read off the product MDP, plus family-level optima."""
+    """Per-member values read off the product MDP, plus family-level optima.
+
+    ``stats`` holds the product build time (``times.build``), the solve
+    time (``times.check``) and the one direction solved."""
 
     model: AllInOneMDP
     member_values: list[float]
     minimum: float
     maximum: float
-    res_max: CheckResult
-    res_min: CheckResult | None
+    stats: SynthesisStats
 
     def outcome(self, spec: Specification) -> SynthesisOutcome:
         family = self.model.family
         values = [None if math.isinf(v) else v for v in self.member_values]
         mode = spec.direction if spec.objective_only else "threshold"
-        return _outcome_from_values(family, spec, values, mode)
+        outcome = _outcome_from_values(family, spec, values, mode)
+        outcome.stats = self.stats
+        return outcome
 
 
 def all_in_one_check(family: FamilyModel, spec: Specification,
                      cap: int | None = None) -> AllInOneResult:
     """Solve the product MDP once; the states entered right after the initial
-    member choice carry every member's value."""
+    member choice carry every member's value.  Past the member choice each
+    state has one action, so the max direction alone gives every value."""
     kwargs = {} if cap is None else {"cap": cap}
+    t0 = time.perf_counter()
     aio = build_all_in_one(family, **kwargs)
     goal = aio.goal_ids(spec.goal)
-    if spec.kind == PROBABILITY:
-        res_max = solve_prob(aio.mdp, goal, "max")
-        res_min = solve_prob(aio.mdp, goal, "min")
-    else:
-        res_max = solve_reward(aio.mdp, goal, "max")
-        try:
-            res_min = solve_reward(aio.mdp, goal, "min")
-        except UndefinedRewardError:
-            res_min = None
-    member_values = [res_max.values[aio.member_state(ri)]
+    t1 = time.perf_counter()
+    solve = solve_prob if spec.kind == PROBABILITY else solve_reward
+    res = solve(aio.mdp, goal, "max")
+    stats = SynthesisStats(iterations=1, solver_calls=1)
+    stats.times.build = t1 - t0
+    stats.times.check = time.perf_counter() - t1
+    member_values = [res.values[aio.member_state(ri)]
                      for ri in range(len(aio.realisations))]
     finite = [v for v in member_values if not math.isinf(v)]
     minimum = min(finite) if finite else math.inf
     maximum = max(finite) if finite else math.inf
-    return AllInOneResult(aio, member_values, minimum, maximum,
-                          res_max, res_min)
+    return AllInOneResult(aio, member_values, minimum, maximum, stats)
 
 
 def enumerate_consistent(family: FamilyModel, spec: Specification,

@@ -2,9 +2,10 @@
 
 Subcommands: ``check`` (member-by-member), ``allinone``, ``enum``
 (consistent-scheduler enumeration), ``synth`` (abstraction refinement),
-``smt-export``, ``gen`` (random families) and ``bench`` (compare approaches
-on one input).  Exit codes: 0 success, 1 usage, 2 parse/semantic error,
-3 resource cap, 4 undefined reward.
+``smt-export`` and ``gen`` (random families).  ``synth`` sends its four
+modes through one dispatch table; they share one refinement loop and
+differ only in its decision step.  Exit codes: 0 success, 1 usage,
+2 parse/semantic error, 3 resource cap, 4 undefined reward.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-import time
 
 from .errors import (
     FamsynthError,
@@ -25,7 +25,7 @@ from .errors import (
     SizeCapError,
     UndefinedRewardError,
 )
-from .family import FamilyModel, Realisation, Specification, Subfamily
+from .family import FamilyModel, Specification, Subfamily
 from .fmc import parse_family, parse_spec, serialize_family
 from .baselines import (
     all_in_one_check,
@@ -42,7 +42,6 @@ from .smt import (
     run_solver,
 )
 from .synthesis import (
-    RefinementConfig,
     SynthesisOutcome,
     _feasibility,
     max_synthesis,
@@ -108,9 +107,7 @@ def _json_value(v):
 
 def _outcome_payload(outcome: SynthesisOutcome, family: FamilyModel,
                      spec: Specification, approach: str,
-                     timings: bool, member: Realisation | None = None
-                     ) -> dict:
-    """The result payload; ``member`` is a feasibility outcome's answer."""
+                     timings: bool) -> dict:
     payload: dict = {
         "approach": approach,
         "mode": outcome.mode,
@@ -127,6 +124,7 @@ def _outcome_payload(outcome: SynthesisOutcome, family: FamilyModel,
                 "subfamilies": [s.describe(family) for s in bucket],
             }
     elif outcome.mode == "feasibility":
+        member = outcome.best
         payload["found"] = member is not None
         payload["member"] = member.as_dict(family) if member else None
     else:
@@ -276,11 +274,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rewards", action="store_true")
     p.add_argument("--output", metavar="PATH",
                    help="write the document here instead of stdout")
-
-    p = commands.add_parser("bench",
-                            help="run several approaches and tabulate")
-    _add_common(p)
-    p.add_argument("--cap", type=int, default=100_000)
     return parser
 
 
@@ -318,30 +311,26 @@ def _cmd_allinone(args) -> int:
     return EXIT_OK
 
 
+_SYNTH = {
+    "threshold": threshold_synthesis,
+    "max": max_synthesis,
+    "min": min_synthesis,
+    "feasibility": _feasibility,
+}
+
+
 def _cmd_synth(args) -> int:
     family, specs = _read_model(args.model)
     spec = _pick_spec(specs, args.spec, args.spec_string)
-    collect = args.trace is not None
-    if args.mode == "threshold":
-        outcome = threshold_synthesis(family, spec, collect_trace=collect)
-        payload = _outcome_payload(outcome, family, spec, "refinement",
-                                   args.timings)
-    elif args.mode in ("max", "min"):
-        if spec.direction != args.mode:
-            spec = Specification(kind=spec.kind, goal=spec.goal,
-                                 direction=args.mode)
-        run = max_synthesis if args.mode == "max" else min_synthesis
-        outcome = run(family, spec, collect_trace=collect)
-        payload = _outcome_payload(outcome, family, spec, "refinement",
-                                   args.timings)
-    else:
-        outcome, member = _feasibility(family, spec, RefinementConfig(),
-                                       collect)
-        payload = _outcome_payload(outcome, family, spec, "refinement",
-                                   args.timings, member)
+    if args.mode in ("max", "min") and spec.direction != args.mode:
+        spec = Specification(kind=spec.kind, goal=spec.goal,
+                             direction=args.mode)
+    outcome = _SYNTH[args.mode](family, spec,
+                                collect_trace=args.trace is not None)
     if args.trace:
         _write_trace(args.trace, outcome)
-    _emit(payload, args.out, family)
+    _emit(_outcome_payload(outcome, family, spec, "refinement",
+                           args.timings), args.out, family)
     return EXIT_OK
 
 
@@ -387,61 +376,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    family, specs = _read_model(args.model)
-    spec = _pick_spec(specs, args.spec, args.spec_string)
-    rows = []
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        try:
-            outcome = fn()
-            wall = time.perf_counter() - t0
-            stats = outcome.stats
-            result = (outcome.member_counts() if outcome.mode == "threshold"
-                      else {"value": outcome.best_value})
-            rows.append({
-                "approach": name,
-                "time": round(wall, 6),
-                "build": round(stats.times.build, 6),
-                "check": round(stats.times.check, 6),
-                "analyse": round(stats.times.analyse, 6),
-                "iterations": stats.iterations,
-                "result": result,
-            })
-        except SizeCapError as exc:
-            rows.append({"approach": name, "error": f"cap: {exc}"})
-
-    timed("one-by-one", lambda: one_by_one(family, spec, cap=args.cap))
-    timed("all-in-one",
-          lambda: all_in_one_check(family, spec, cap=args.cap).outcome(spec))
-    timed("consistent-enum",
-          lambda: enumerate_consistent(family, spec, cap=args.cap))
-    if spec.objective_only:
-        run = max_synthesis if spec.direction == "max" else min_synthesis
-        timed("refinement", lambda: run(family, spec))
-    else:
-        timed("refinement", lambda: threshold_synthesis(family, spec))
-
-    if args.out == "json":
-        print(json.dumps({"spec": str(spec),
-                          "family": _family_block(family),
-                          "rows": rows}, indent=2))
-    else:
-        header = f"{'approach':<16} {'time':>9} {'build':>9} {'check':>9} " \
-                 f"{'analyse':>9} {'iter':>6}  result"
-        print(header)
-        for row in rows:
-            if "error" in row:
-                print(f"{row['approach']:<16} {row['error']}")
-            else:
-                print(f"{row['approach']:<16} {row['time']:>9.3f} "
-                      f"{row['build']:>9.3f} {row['check']:>9.3f} "
-                      f"{row['analyse']:>9.3f} {row['iterations']:>6}  "
-                      f"{row['result']}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "check": _cmd_check,
     "allinone": _cmd_allinone,
@@ -449,7 +383,6 @@ _COMMANDS = {
     "synth": _cmd_synth,
     "smt-export": _cmd_smt_export,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -2,11 +2,14 @@
 
 Threshold synthesis partitions a family into satisfying and violating
 members; max/min synthesis finds an optimal member; feasibility stops at the
-first satisfying member.  All three share the same machinery: restrict the
-quotient to a subfamily, solve one direction, solve the other only when the
-first cannot decide or the subfamily splits, classify or split, repeat.
-Threshold and max/min synthesis lead with the direction that can decide
-alone (max for ``<``/``<=`` and max objectives, min otherwise).
+first satisfying member.  All three run one loop (``_Loop.run``): take the
+next subfamily, restrict the quotient to it, let the mode's step decide,
+then split the subfamily or file it, and record the iteration.  The steps
+differ only in the directions they solve and how they read them: each
+solves one direction and the other only when the first cannot decide or
+the subfamily splits.  Threshold and max/min synthesis lead with the
+direction that can decide alone (max for ``<``/``<=`` and max objectives,
+min otherwise).
 
 Feasibility, as in the paper, leads with the witness side instead (max for
 ``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent and
@@ -15,7 +18,9 @@ The candidate is confirmed with the exact rational chain solver before it
 is returned, because on the min side the value bounds only the optimum
 from below, not the member's own value.  A candidate that fails leaves the
 subfamily to be classified and split as in threshold synthesis, and its
-exact decision is remembered, so no member is solved exactly twice.
+exact decision is remembered, so no member is solved exactly twice.  A
+subfamily accepted whole is returned only once its first member passes the
+same exact check; otherwise it is split.
 
 A split subfamily has solved both directions, and its two children wait in
 the queue with one shared record of its restriction and results.  A child
@@ -145,7 +150,8 @@ class SynthesisOutcome:
 
     Threshold mode fills the T/F/undefined buckets with disjoint subfamilies;
     feasibility mode fills them with the subfamilies it decided before it
-    stopped; max/min mode fills ``best`` and ``best_value``.
+    stopped and ``best`` with the member found; max/min mode fills ``best``
+    and ``best_value``.
     """
 
     mode: str
@@ -265,7 +271,7 @@ def select_predicate(c_max: dict[int, dict[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# Shared loop plumbing
+# The refinement loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -278,10 +284,10 @@ class _Parent:
 
 class _Loop:
     def __init__(self, family: FamilyModel, spec: Specification,
-                 config: RefinementConfig, collect_trace: bool):
+                 config: RefinementConfig | None, collect_trace: bool):
         self.family = family
         self.spec = spec
-        self.config = config
+        self.config = config or RefinementConfig()
         self.goal = family.label_states(spec.goal)
         self.stats = SynthesisStats()
         self.trace: list[IterationRecord] | None = [] if collect_trace else None
@@ -292,27 +298,61 @@ class _Loop:
         # solved directions, one record shared by both siblings
         self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
             [(Subfamily.full(family), None)])
-        self.total = family.n_realisations
         # exact decisions by member values
         self.exact: dict[tuple[int, ...], str] = {}
 
-    def begin_iteration(self):
-        self.stats.iterations += 1
-        if self.config.subfamily_budget is not None and \
-                self.stats.iterations > self.config.subfamily_budget:
-            raise SizeCapError(
-                f"subfamily budget of {self.config.subfamily_budget} exceeded")
-        assert self.stats.iterations <= 2 * self.total - 1, \
-            "refinement explored more subfamilies than the binary tree bound"
+    def run(self, outcome: SynthesisOutcome, step, stop=()):
+        """Refine until the queue is empty or a decision in ``stop``.
 
-    def restrict(self, sub: Subfamily
-                 ) -> tuple[RestrictedQuotient, frozenset[int]]:
-        """The restriction to ``sub`` and the goal in its numbering."""
-        t0 = time.perf_counter()
-        restricted = self.quotient.restrict(sub)
-        goal = restricted.local(self.goal)
-        self.stats.times.build += time.perf_counter() - t0
-        return restricted, goal
+        Each iteration restricts the quotient to the next subfamily and
+        calls ``step(sub, restricted, goal, parent, res)``, which solves the
+        directions it needs into ``res`` and returns its decision.  A
+        singleton is never split: it takes its exact decision instead.  The
+        subfamily is then split or filed in the bucket its decision names.
+        ``times.analyse`` gets the iteration's time minus restriction and
+        solving.
+        """
+        stats, budget = self.stats, self.config.subfamily_budget
+        buckets = {"accept": outcome.accepted, "reject": outcome.rejected,
+                   "undefined": outcome.undefined}
+        while self.queue:
+            sub, parent = self.queue.popleft()
+            stats.iterations += 1
+            if budget is not None and stats.iterations > budget:
+                raise SizeCapError(f"subfamily budget of {budget} exceeded")
+            assert stats.iterations <= 2 * self.family.n_realisations - 1, \
+                "refinement explored more subfamilies than the binary tree bound"
+            t0 = time.perf_counter()
+            restricted = self.quotient.restrict(sub)
+            goal = restricted.local(self.goal)
+            t1 = time.perf_counter()
+            stats.times.build += t1 - t0
+            check0 = stats.times.check
+            if sub.is_singleton:
+                stats.singletons += 1
+            res: dict[str, CheckResult | None] = {}
+            decision = step(sub, restricted, goal, parent, res)
+            if decision == "split" and sub.is_singleton:
+                decision = self.decide_exactly(sub.to_realisation())
+            split_param = None
+            if decision == "split":
+                split_param = self.split(sub, restricted, goal, res)
+            elif decision in buckets:
+                buckets[decision].append(sub)
+            stats.times.analyse += time.perf_counter() - t1 - (
+                stats.times.check - check0)
+            if self.trace is not None:
+                minv, maxv = _bounds(res)
+                best = outcome.best_value
+                self.trace.append(IterationRecord(
+                    index=stats.iterations,
+                    subfamily=sub.describe(self.family), size=sub.size,
+                    min_value=minv, max_value=maxv, decision=decision,
+                    split_param=split_param,
+                    best_value=None if best is None or math.isinf(best)
+                    else best))
+            if decision in stop:
+                return
 
     def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
               direction: str, parent: _Parent | None) -> CheckResult | None:
@@ -349,42 +389,11 @@ class _Loop:
             self.queue.append((child, parent))
         return self.family.param_names[report.chosen_param]
 
-    def record(self, sub: Subfamily, minv, maxv, decision: str,
-               split_param: str | None, best_value: float | None = None):
-        if self.trace is None:
-            return
-        self.trace.append(IterationRecord(
-            index=self.stats.iterations,
-            subfamily=sub.describe(self.family),
-            size=sub.size,
-            min_value=minv,
-            max_value=maxv,
-            decision=decision,
-            split_param=split_param,
-            best_value=best_value,
-        ))
-
     def classify(self, res: dict[str, CheckResult | None]) -> str | None:
         """Threshold decision from the directions solved so far."""
         pinned = "max" in res and res["max"].pinned
         return _classify_threshold(self.spec, *_bounds(res),
                                    0.0 if pinned else MARGIN)
-
-    def settle(self, outcome: SynthesisOutcome, sub: Subfamily,
-               restricted: RestrictedQuotient, goal: frozenset[int],
-               res: dict[str, CheckResult | None], decision: str
-               ) -> str | None:
-        """File ``sub`` in the bucket ``decision`` names, or split it; the
-        split parameter's name."""
-        if decision == "accept":
-            outcome.accepted.append(sub)
-        elif decision == "reject":
-            outcome.rejected.append(sub)
-        elif decision == "undefined":
-            outcome.undefined.append(sub)
-        elif decision == "split":
-            return self.split(sub, restricted, goal, res)
-        return None
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
@@ -460,39 +469,29 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
     """
     if spec.objective_only:
         raise UnsupportedSpecError("threshold synthesis needs a threshold")
-    loop = _Loop(family, spec, config or RefinementConfig(), collect_trace)
+    loop = _Loop(family, spec, config, collect_trace)
     outcome = SynthesisOutcome(mode="threshold", trace=loop.trace,
                                stats=loop.stats)
     # the direction that can accept on its own goes first; the other is
     # solved only when the first cannot decide
     order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
-    while loop.queue:
-        sub, parent = loop.queue.popleft()
-        loop.begin_iteration()
-        restricted, goal = loop.restrict(sub)
-        res: dict[str, CheckResult | None] = {}
+
+    def step(sub, restricted, goal, parent, res):
         for direction in order:
             res[direction] = loop.solve(restricted, goal, direction, parent)
-            t0 = time.perf_counter()
             decision = loop.classify(res)
-            loop.stats.times.analyse += time.perf_counter() - t0
             if decision is not None:
-                break
-        t0 = time.perf_counter()
-        if sub.is_singleton:
-            loop.stats.singletons += 1
-            if decision == "split":
-                decision = loop.decide_exactly(sub.to_realisation())
-        split_param = loop.settle(outcome, sub, restricted, goal, res,
-                                  decision)
-        loop.stats.times.analyse += time.perf_counter() - t0
-        loop.record(sub, *_bounds(res), decision, split_param)
+                return decision
+
+    loop.run(outcome, step)
     return outcome
 
 
 def _feasibility(family: FamilyModel, spec: Specification,
-                 config: RefinementConfig, collect_trace: bool
-                 ) -> tuple[SynthesisOutcome, Realisation | None]:
+                 config: RefinementConfig | None = None, *,
+                 collect_trace: bool = False) -> SynthesisOutcome:
+    """Refine until a member is found; the member, if any, is
+    ``outcome.best``."""
     if spec.objective_only:
         raise UnsupportedSpecError("feasibility needs a threshold")
     loop = _Loop(family, spec, config, collect_trace)
@@ -503,44 +502,36 @@ def _feasibility(family: FamilyModel, spec: Specification,
     # bound; alone it can only reject or find an undefined reward
     witness, other = (("max", "min") if spec.relation in (">=", ">")
                       else ("min", "max"))
-    while loop.queue:
-        sub, parent = loop.queue.popleft()
-        loop.begin_iteration()
-        restricted, goal = loop.restrict(sub)
-        res = {witness: loop.solve(restricted, goal, witness, parent)}
-        t0, check0 = time.perf_counter(), loop.stats.times.check
+
+    def step(sub, restricted, goal, parent, res):
+        res[witness] = loop.solve(restricted, goal, witness, parent)
         decision = loop.classify(res)
-        if sub.is_singleton:
-            loop.stats.singletons += 1
-        member = None
-        if decision is None:
-            value = _at_initial(res[witness])
-            if not math.isinf(value) and \
-                    compare(value, spec.relation, lam) and \
-                    is_consistent(restricted, res[witness].scheduler)[0]:
-                member = next(scheduler_to_realisations(
-                    restricted, res[witness].scheduler).members())
-                decision = loop.decide_exactly(member)
-                if decision == "accept":
-                    decision = "witness"
-                elif not sub.is_singleton:
-                    # the singleton's failed candidate is its exact check
-                    decision = None
-        if decision is None:
-            res[other] = loop.solve(restricted, goal, other, parent)
-            decision = loop.classify(res)
-            if sub.is_singleton and decision == "split":
-                decision = loop.decide_exactly(sub.to_realisation())
-        split_param = loop.settle(outcome, sub, restricted, goal, res,
-                                  decision)
-        loop.stats.times.analyse += time.perf_counter() - t0 - (
-            loop.stats.times.check - check0)
-        loop.record(sub, *_bounds(res), decision, split_param)
-        if decision == "witness":
-            return outcome, member
-        if decision == "accept":
-            return outcome, next(sub.members())
-    return outcome, None
+        if decision is not None:
+            return decision
+        value = _at_initial(res[witness])
+        if not math.isinf(value) and compare(value, spec.relation, lam) and \
+                is_consistent(restricted, res[witness].scheduler)[0]:
+            member = next(scheduler_to_realisations(
+                restricted, res[witness].scheduler).members())
+            decision = loop.decide_exactly(member)
+            if decision == "accept":
+                outcome.best = member
+                return "witness"
+            if sub.is_singleton:
+                return decision  # the failed candidate is its exact check
+        res[other] = loop.solve(restricted, goal, other, parent)
+        decision = loop.classify(res)
+        # the float bounds may accept a member that misses the bound by
+        # less than rounding; return only a confirmed one
+        if decision == "accept" and \
+                loop.decide_exactly(next(sub.members())) != "accept":
+            return "split"
+        return decision
+
+    loop.run(outcome, step, stop=("accept", "witness"))
+    if outcome.accepted:
+        outcome.best = next(outcome.accepted[0].members())
+    return outcome
 
 
 def feasibility(family: FamilyModel, spec: Specification,
@@ -548,87 +539,73 @@ def feasibility(family: FamilyModel, spec: Specification,
     """A satisfying member, or None when no member satisfies ``spec``.
 
     The member is the first exactly confirmed witness-side scheduler's
-    (see the module docstring), or the first member of the first subfamily
-    accepted whole.
+    (see the module docstring), or the exactly confirmed first member of
+    the first subfamily accepted whole.
     """
-    _, member = _feasibility(family, spec, config or RefinementConfig(),
-                             collect_trace=False)
-    return member
+    return _feasibility(family, spec, config).best
 
 
 def _optimise(family: FamilyModel, spec: Specification,
-              config: RefinementConfig, collect_trace: bool
+              config: RefinementConfig | None, collect_trace: bool
               ) -> SynthesisOutcome:
     if not spec.objective_only:
         raise UnsupportedSpecError("max/min synthesis needs an objective-only "
                                    "specification")
     maximize = spec.direction == "max"
     loop = _Loop(family, spec, config, collect_trace)
-    outcome = SynthesisOutcome(mode=spec.direction, trace=loop.trace,
-                               stats=loop.stats)
+    # during the run ``best_value`` is the bound the trace records: a value
+    # some member is known to reach, which may run ahead of ``certified``
+    # via inconsistent subfamilies' other direction
     certified = -math.inf if maximize else math.inf
-    bound = certified  # may run ahead of `certified` via inconsistent minima
-    best: Realisation | None = None
+    outcome = SynthesisOutcome(mode=spec.direction, trace=loop.trace,
+                               stats=loop.stats, best_value=certified)
 
     def better(a: float, b: float) -> bool:
         return a > b if maximize else a < b
 
     lead, other = ("max", "min") if maximize else ("min", "max")
-    while loop.queue:
-        sub, parent = loop.queue.popleft()
-        loop.begin_iteration()
-        restricted, goal = loop.restrict(sub)
-        # the other direction is solved only for a split (which needs both
-        # schedulers and raises the bound) or to tell an undefined Emax
-        # subfamily from one to split
-        res = {lead: loop.solve(restricted, goal, lead, parent)}
-        t0, check0 = time.perf_counter(), loop.stats.times.check
+
+    # the other direction is solved only for a split (which needs both
+    # schedulers and raises the bound) or to tell an undefined Emax
+    # subfamily from one to split
+    def step(sub, restricted, goal, parent, res):
+        nonlocal certified
+        res[lead] = loop.solve(restricted, goal, lead, parent)
         leadv = _at_initial(res[lead])
-        if sub.is_singleton:
-            loop.stats.singletons += 1
-        split_param = None
         if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
-            decision = "discard-undefined"
-        elif not better(leadv, certified) or better(bound, leadv):
+            return "discard-undefined"
+        if not better(leadv, certified) or better(outcome.best_value, leadv):
             # The subfamily cannot strictly beat what is certified, or
             # sits strictly below a value some member of another
             # subfamily is known to reach.
-            decision = "discard"
-        elif math.isinf(leadv):
+            return "discard"
+        if math.isinf(leadv):
             # Reward query where the leading scheduler escapes the goal:
             # an undefined member may hide here, narrow down unless no
             # scheduler reaches the goal almost surely.
-            decision = "discard-undefined"
-            if not sub.is_singleton:
-                res[other] = loop.solve(restricted, goal, other, parent)
-                if res[other] is not None:
-                    decision = "split"
-        elif is_consistent(restricted, res[lead].scheduler)[0]:
-            witness = scheduler_to_realisations(restricted,
-                                                res[lead].scheduler)
-            best = next(witness.members())
-            certified = leadv
-            if better(certified, bound):
-                bound = certified
-            decision = "improve"
-        else:
+            if sub.is_singleton:
+                return "discard-undefined"
             res[other] = loop.solve(restricted, goal, other, parent)
-            otherv = _at_initial(res[other])
-            if not math.isinf(otherv) and better(otherv, bound):
-                bound = otherv
-            decision = "split"
-        if decision == "split":
-            split_param = loop.split(sub, restricted, goal, res)
-        loop.stats.times.analyse += time.perf_counter() - t0 - (
-            loop.stats.times.check - check0)
-        loop.record(sub, *_bounds(res), decision, split_param,
-                    best_value=bound if not math.isinf(bound) else None)
-    if best is None:
+            return "discard-undefined" if res[other] is None else "split"
+        if is_consistent(restricted, res[lead].scheduler)[0]:
+            outcome.best = next(scheduler_to_realisations(
+                restricted, res[lead].scheduler).members())
+            certified = leadv
+            if better(certified, outcome.best_value):
+                outcome.best_value = certified
+            return "improve"
+        res[other] = loop.solve(restricted, goal, other, parent)
+        otherv = _at_initial(res[other])
+        if not math.isinf(otherv) and better(otherv, outcome.best_value):
+            outcome.best_value = otherv
+        return "split"
+
+    loop.run(outcome, step)
+    if outcome.best is None:
         raise UndefinedRewardError(
             "no member of the family has a defined value for the objective")
-    outcome.best = best
     outcome.best_value = certified
     return outcome
 
@@ -639,8 +616,7 @@ def max_synthesis(family: FamilyModel, spec: Specification,
     """Find a member maximising the objective (value and witness)."""
     if spec.direction != "max":
         raise UnsupportedSpecError("max_synthesis needs a *max objective")
-    return _optimise(family, spec, config or RefinementConfig(),
-                     collect_trace)
+    return _optimise(family, spec, config, collect_trace)
 
 
 def min_synthesis(family: FamilyModel, spec: Specification,
@@ -649,5 +625,4 @@ def min_synthesis(family: FamilyModel, spec: Specification,
     """Find a member minimising the objective (value and witness)."""
     if spec.direction != "min":
         raise UnsupportedSpecError("min_synthesis needs a *min objective")
-    return _optimise(family, spec, config or RefinementConfig(),
-                     collect_trace)
+    return _optimise(family, spec, config, collect_trace)

@@ -147,7 +147,7 @@ def test_exit_code_usage(capsys):
     code, _, err = run_cli(capsys, "synth", "--mode", "sideways", MODEL)
     assert code == 1
     for command, flag, value in (("synth", "--queue", "fifo"),
-                                 ("bench", "--epsilon", "1e-8")):
+                                 ("enum", "--epsilon", "1e-8")):
         code, _, _ = run_cli(capsys, command, flag, value, MODEL)
         assert code == 1
     code, _, err = run_cli(capsys, "check", "/nonexistent/file.fmc")
@@ -165,27 +165,51 @@ def test_trace_file_is_json_lines(tmp_path, capsys):
             "split_param", "best_value"} <= set(records[0])
 
 
-def test_feasibility_trace_follows_schema(tmp_path, capsys):
+TRACE_DECISIONS = {
+    "threshold": {"accept", "reject", "undefined", "split"},
+    "feasibility": {"accept", "reject", "undefined", "split", "witness"},
+    "max": {"improve", "split", "discard", "discard-undefined"},
+    "min": {"improve", "split", "discard", "discard-undefined"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_DECISIONS))
+def test_trace_follows_schema(tmp_path, capsys, mode):
     trace = tmp_path / "trace.jsonl"
-    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
-                           "--spec", "phi", "--trace", str(trace), MODEL)
+    spec = "obj" if mode in ("max", "min") else "phi"
+    code, out, _ = run_cli(capsys, "synth", "--mode", mode, "--spec", spec,
+                           "--trace", str(trace), MODEL)
     assert code == 0
-    assert json.loads(out)["found"] is True
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [rec["index"] for rec in records] == \
         list(range(1, len(records) + 1))
+    assert len(records) == json.loads(out)["stats"]["iterations"]
     for rec in records:
         assert set(rec) == {"index", "subfamily", "size", "min", "max",
                             "decision", "split_param", "best_value"}
-        assert rec["decision"] in {"accept", "reject", "undefined", "split",
-                                   "witness"}
-        assert rec["best_value"] is None
+        assert rec["decision"] in TRACE_DECISIONS[mode]
         assert (rec["split_param"] is not None) == (rec["decision"] == "split")
         if rec["decision"] == "split":
             assert rec["min"] is not None and rec["max"] is not None
-    # the loop stops at the first accepted subfamily or confirmed witness
-    found = [rec["decision"] in {"accept", "witness"} for rec in records]
-    assert found[-1] and found.count(True) == 1
+        if mode not in ("max", "min"):
+            assert rec["best_value"] is None
+    if mode == "feasibility":
+        assert json.loads(out)["found"] is True
+        # the loop stops at the first accepted subfamily or confirmed witness
+        found = [rec["decision"] in {"accept", "witness"} for rec in records]
+        assert found[-1] and found.count(True) == 1
+
+
+def test_allinone_reports_its_stats_and_timings(capsys):
+    code, out, _ = run_cli(capsys, "allinone", "--spec", "phi", "--timings",
+                           MODEL)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stats"]["solver_calls"] == 1
+    assert payload["timings"]["build"] > 0 and payload["timings"]["check"] > 0
+    assert payload["timings"]["total"] == pytest.approx(
+        payload["timings"]["build"] + payload["timings"]["check"]
+        + payload["timings"]["analyse"])
 
 
 def test_csv_and_text_outputs(capsys):
@@ -223,17 +247,6 @@ def test_smt_export_writes_problem(tmp_path, capsys):
     code, _, err = run_cli(capsys, "smt-export", "--spec", "obj", str(path))
     assert code == 2
     assert "unsupported-spec" in err
-
-
-def test_bench_runs_all_approaches(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--spec", "phi", MODEL,
-                           "--out", "json")
-    assert code == 0
-    payload = json.loads(out)
-    names = [row["approach"] for row in payload["rows"]]
-    assert names == ["one-by-one", "all-in-one", "consistent-enum",
-                     "refinement"]
-    assert all("time" in row for row in payload["rows"])
 
 
 def test_console_entry_point_via_subprocess():

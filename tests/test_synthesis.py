@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famsynth import (
@@ -292,6 +292,9 @@ goal : 1
        kind=st.sampled_from(["probability", "expected-reward"]),
        relation=st.sampled_from(["<", "<=", ">=", ">"]),
        pick=st.integers(0, 80), shift=st.sampled_from([-1, 0, 1]))
+# a singleton whose bounds straddle the threshold is accepted by its exact
+# check, and that member is the answer
+@example(seed=28, kind="expected-reward", relation=">=", pick=1, shift=0)
 def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
                                                    pick, shift):
     # the threshold sits at a member's exact value or just beside it, where
@@ -321,24 +324,25 @@ def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
 
 @pytest.mark.parametrize("doc, eps, query", [
     (NEAR_TIE_DOC, Fraction(-1, 10 ** 17), "P<=1/2"),
-    (NEAR_TIE_REWARD_DOC, Fraction(1, 10 ** 17), "E<=2")],
-    ids=["prob", "reward"])
+    (NEAR_TIE_REWARD_DOC, Fraction(1, 10 ** 17), "E<=2"),
+    (NEAR_TIE_DOC, Fraction(1, 10 ** 17), "P>=1/2")],
+    ids=["prob", "reward", "accept-whole"])
 def test_feasibility_goes_on_after_a_failed_candidate(doc, eps, query):
     # member k=1 misses the bound by a margin that rounding the chain to
-    # floats erases, so the min scheduler of the whole family ties and
-    # picks it; its exact check fails, the family splits, and k=2 is the
-    # witness.  k=1's singleton reuses the failed check.
+    # floats erases, so the witness-side scheduler of the whole family ties
+    # and picks it; its exact check fails, and the family splits even where
+    # the float bounds accept it whole.  k=2 is the witness, and k=1's
+    # singleton reuses the failed check.
     half = Fraction(1, 2)
     family, _ = parse_family(doc.format(lo=half - eps, hi=half + eps))
     spec = parse_spec(f'{query} F "goal"')
-    out, member = synthesis._feasibility(family, spec, RefinementConfig(),
-                                         collect_trace=True)
+    out = synthesis._feasibility(family, spec, collect_trace=True)
     assert [rec.decision for rec in out.trace] == \
         ["split", "reject", "witness"]
     assert out.stats.exact_calls == 2
     obo = one_by_one(family, spec)
-    assert obo.bucket_members(obo.accepted) == {member.values}
-    assert feasibility(family, spec).values == member.values
+    assert obo.bucket_members(obo.accepted) == {out.best.values}
+    assert feasibility(family, spec).values == out.best.values
 
 
 def test_threshold_reward_undefined_bucket(example1_rewards):
