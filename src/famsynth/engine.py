@@ -419,7 +419,7 @@ def _split_actions(comp, rows, values):
         for r, dist in rows[s]:
             base = r
             scale = abs(r)
-            exit = 0.0
+            exit = 0
             inner = []
             for t, p in dist:
                 if t == s:
@@ -505,7 +505,9 @@ def _factor(chosen):
     Each pivot is recomputed from the nonnegative mass leaving its row
     (Grassmann, Taksar & Heyman, 1985) instead of by subtraction, so even a
     stiff component loses no digits to cancellation, and a zero pivot shows
-    exactly that some state cannot leave.
+    exactly that some state cannot leave.  The exact chain oracle runs it on
+    Fractions, so its zeros and those of ``_split_actions`` are integers: a
+    float zero would turn a Fraction sum into a float.
     """
     rows = [dict(a[2]) for a in chosen]
     exits = [a[3] for a in chosen]
@@ -519,7 +521,7 @@ def _factor(chosen):
         d = exits[k]
         for a in row_k.values():
             d += a
-        if not d > 0.0:
+        if not d > 0:
             return None
         pivots.append(d)
         multipliers = []
@@ -532,7 +534,7 @@ def _factor(chosen):
             exits[i] += f * exits[k]
             for j, a in row_k.items():
                 if j != i:
-                    row_i[j] = row_i.get(j, 0.0) + f * a
+                    row_i[j] = row_i.get(j, 0) + f * a
                     users[j].add(i)
         lower.append(multipliers)
     return rows, pivots, lower
@@ -939,40 +941,29 @@ def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational oracle for chains.  Two backward closures fix the states
-# whose reach probability is exactly 0 or exactly 1; the linear system on
-# the rest is solved one SCC at a time, successors first, by elimination
-# over sparse dict rows.  Every state solved there reaches the goal (or
-# leaves the system) with positive probability, so the system is a
-# nonsingular M-matrix: its unique solution is the exact value, and no
-# pivot of the elimination vanishes.
+# Exact rational oracle for chains, on the engine's own parts.  The graph
+# analyses fix the states whose reach probability is exactly 0 or exactly 1;
+# they read only successors, so the chain's rational rows serve as a
+# one-action MDP.  The linear system on the rest is solved one SCC at a
+# time, successors first, in Fractions: a singleton without a self-loop by
+# one backup, any other component by policy iteration's elimination
+# (``_factor``, ``_lu_solve``).  Every state solved there reaches the goal
+# (or leaves the system) with positive probability, so the system is a
+# nonsingular M-matrix: no pivot vanishes, and a pivot summed from the mass
+# leaving its row is the true pivot, so the solution is the exact value.  As
+# in ``_split_actions``, a row's self-loop is taken as one minus the mass
+# leaving it, which is the row's own self-loop when it sums to exactly one.
 # ---------------------------------------------------------------------------
 
-def _chain_closures(mc: ConcreteMC, goal: frozenset[int]
-                    ) -> tuple[set[int], set[int]]:
-    """States that reach ``goal`` with positive probability, and those that
-    reach it almost surely (goal states are absorbing)."""
-    pre: list[list[int]] = [[] for _ in range(mc.n_states)]
-    for s, row in enumerate(mc.rows):
-        if s not in goal:
-            for t, _ in row:
-                pre[t].append(s)
-
-    def closure(targets):
-        seen = set(targets)
-        stack = list(seen)
-        while stack:
-            for s in pre[stack.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return seen
-
-    reach = closure(goal)
-    # a finite chain misses the goal with positive probability exactly when
-    # it can reach a state that cannot reach the goal at all
-    never = set(range(mc.n_states)) - reach
-    return reach, set(range(mc.n_states)) - closure(never)
+def _chain_sets(mc: ConcreteMC, goal: frozenset[int]
+                ) -> tuple[frozenset[int], frozenset[int]]:
+    """States that cannot reach ``goal`` at all, and those that reach it
+    almost surely."""
+    # plain (dist, tag) pairs: the analyses only unpack a chain's actions
+    mdp = SparseMDP(mc.n_states, mc.initial,
+                    [((row, None),) for row in mc.rows])
+    never = prob0_forall(mdp, goal)
+    return never, prob1_forall(mdp, goal, avoidable=never)
 
 
 def _solve_chain(mc: ConcreteMC, unknown: set[int], values: list,
@@ -980,57 +971,28 @@ def _solve_chain(mc: ConcreteMC, unknown: set[int], values: list,
     """Fill ``values`` on ``unknown`` with the solution of
     ``x_s = const[s] + sum(p * x_t)``, where ``values`` holds every other
     state a row of ``unknown`` leads to."""
-    rows = mc.rows
-    edges = {s: [t for t, _ in rows[s] if t in unknown] for s in unknown}
-    for comp in _scc_decompose(sorted(unknown), edges):
-        inside = set(comp)
-        eqs: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
-        users: dict[int, set[int]] = {s: set() for s in comp}
-        for s in comp:
-            c = const[s]
-            row: dict[int, Fraction] = {}
-            for t, p in rows[s]:
-                if t in inside:
-                    row[t] = row.get(t, 0) + p
-                    users[t].add(s)
-                else:
-                    c += p * values[t]
-            eqs[s] = c, row
-        # forward elimination: each row in turn is solved for its own
-        # state and substituted into the rows not yet eliminated, so a row
-        # ends up mentioning only states eliminated after it
-        for v in comp:
-            c, row = eqs[v]
-            users[v].discard(v)
-            a = row.pop(v, 0)
-            if a:
-                f = 1 / (1 - a)
-                c *= f
-                for t in row:
-                    row[t] *= f
-                eqs[v] = c, row
-            for t in row:
-                users[t].discard(v)
-            for u in users.pop(v):
-                cu, ru = eqs[u]
-                q = ru.pop(v)
-                for t, p in row.items():
-                    ru[t] = ru.get(t, 0) + q * p
-                    users[t].add(u)
-                eqs[u] = cu + q * c, ru
-        for v in reversed(comp):
-            c, row = eqs[v]
-            values[v] = c + sum(p * values[t] for t, p in row.items())
+    rows = {s: [(const[s], mc.rows[s])] for s in sorted(unknown)}
+    edges = {s: [t for t, _ in mc.rows[s] if t in rows] for s in rows}
+    for comp in _scc_decompose(rows, edges):
+        s = comp[0]
+        if len(comp) == 1 and s not in edges[s]:
+            values[s] = _backup(rows[s], values, False)[0]
+            continue
+        chosen = [per[0] for per in _split_actions(comp, rows, values)]
+        x = _lu_solve(_factor(chosen), [a[0] for a in chosen])
+        for s, v in zip(comp, x):
+            values[s] = v
 
 
 def exact_mc_probability(mc: ConcreteMC, goal: frozenset[int]
                          ) -> list[Fraction]:
     """Per-state probability of reaching ``goal``, as exact rationals."""
     goal = frozenset(goal)
-    reach, sure = _chain_closures(mc, goal)
+    never, sure = _chain_sets(mc, goal)
     values = [Fraction(1) if s in sure else Fraction(0)
               for s in range(mc.n_states)]
-    _solve_chain(mc, reach - sure, values, [Fraction(0)] * mc.n_states)
+    _solve_chain(mc, set(range(mc.n_states)) - never - sure, values,
+                 [Fraction(0)] * mc.n_states)
     return values
 
 
@@ -1040,7 +1002,7 @@ def exact_mc_reward(mc: ConcreteMC, goal: frozenset[int]
     if mc.rewards is None:
         raise ModelError("model carries no rewards", code="bad-reward")
     goal = frozenset(goal)
-    _, sure = _chain_closures(mc, goal)
+    _, sure = _chain_sets(mc, goal)
     values: list[Fraction | None] = [
         Fraction(0) if s in goal else None for s in range(mc.n_states)]
     _solve_chain(mc, sure - goal, values, mc.rewards)

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .errors import (
     FamsynthError,
     MalformedModelError,
+    UndefinedRewardError,
     UnsupportedSpecError,
 )
 from .family import (
@@ -39,7 +40,7 @@ from .family import (
     Subfamily,
     instantiate,
 )
-from .engine import prob0_exists, prob1_forall, solve_mc
+from .engine import prob0_exists, prob1_forall, solve_mc_exact
 from .quotient import MergedAction, RestrictedQuotient
 
 SOLVER_ENV_VAR = "FAMSYNTH_SOLVER"
@@ -218,7 +219,8 @@ def decode_model(encoding: SmtEncoding, model_text: str) -> Realisation:
 
     Reads the chosen action per state, maps the merged-action assignments to
     parameter values, completes untouched parameters with the smallest value
-    in the subfamily, and verifies the result against the specification.
+    in the subfamily, and verifies the result against the specification
+    exactly, in rationals.
     """
     assignment: dict[str, bool] = {}
     for regex in (_DEFINE_RE, _PAIR_RE):
@@ -247,8 +249,13 @@ def decode_model(encoding: SmtEncoding, model_text: str) -> Realisation:
                    for k in range(encoding.family.n_params))
     realisation = Realisation(values)
     chain = instantiate(encoding.family, realisation)
-    value, sat = solve_mc(chain, encoding.spec)
-    if not sat and value > float(encoding.spec.threshold) + 1e-6:
+    try:
+        value, sat = solve_mc_exact(chain, encoding.spec)
+    except UndefinedRewardError:
+        raise MalformedModelError(
+            "decoded realisation does not reach the goal almost surely"
+        ) from None
+    if not sat:
         raise MalformedModelError(
             f"decoded realisation has value {value}, violating the bound "
             f"{encoding.spec.threshold}")

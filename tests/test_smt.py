@@ -169,6 +169,21 @@ def test_decode_verifies_against_the_bound(example1_rewards):
         decode_model(enc, text)
 
 
+@pytest.mark.parametrize("bound, wanted", [
+    # exact reward 4, above the bound by only 1e-9, which a float check
+    # with a tolerance would let pass
+    ("3999999999/1000000000", {1: 1, 2: 2}),
+    # the goal is missed with positive probability: no reward is defined
+    ("5", {1: 1, 2: 3})], ids=["reward-4", "undefined"])
+def test_decode_verifies_the_bound_exactly(example1_rewards, bound, wanted):
+    model, _ = example1_rewards
+    spec = parse_spec(f'E<={bound} F "two"')
+    enc = encode_feasibility(full_restriction(model), spec)
+    text = craft_model_text(enc, wanted)
+    with pytest.raises(MalformedModelError):
+        decode_model(enc, text)
+
+
 def test_sat_iff_feasible_with_external_solver():
     command = default_solver_command()
     if command is None:
