@@ -292,6 +292,11 @@ class Subfamily:
     def is_singleton(self) -> bool:
         return all(len(sub) == 1 for sub in self.subsets)
 
+    @property
+    def splittable(self) -> tuple[int, ...]:
+        """The parameters whose subset still has more than one value."""
+        return tuple(k for k, sub in enumerate(self.subsets) if len(sub) > 1)
+
     def to_realisation(self) -> Realisation:
         if not self.is_singleton:
             raise InvalidRealisationError(

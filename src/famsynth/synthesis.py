@@ -34,11 +34,12 @@ of the parent's: the surviving scheduler induces the parent's chain, so the
 parent's certified values stay certified for the child, and they lie
 within the parent's certification margin of the child's optimum.
 
-A split looks only at the states whose min/max gap is at least
-``IMPORTANCE`` times the gap at the initial state.  Every query mode scores
-a parameter the same way, by variance: how far the max and min schedulers'
-choice counts for its values differ over those states.  Subfamilies are
-refined first in, first out.
+A split looks only at the states whose min/max gap is the full gap at the
+initial state, or, when fewer states than splittable parameters have it,
+at least ``IMPORTANCE`` times that gap.  Every query mode scores a
+splittable parameter the same way, by variance: how far the max and min
+schedulers' choice counts for its values differ over those states.
+Subfamilies are refined first in, first out.
 
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
@@ -85,8 +86,9 @@ from .quotient import (
     scheduler_to_realisations,
 )
 
-# A state is important for a split when its min/max gap is at least this
-# share of the gap at the initial state.
+# A state is important for a split when its min/max gap is the full gap at
+# the initial state.  When fewer states than the subfamily's splittable
+# parameters have it, the cut widens to this share of that gap.
 IMPORTANCE = 0.5
 # Threshold classification pushes the side that value iteration may
 # underestimate this far towards splitting.
@@ -103,8 +105,8 @@ class RefinementConfig:
 
 @dataclass
 class ScoreReport:
-    """Split diagnostics: per-parameter variance scores and the selected
-    predicate."""
+    """Split diagnostics: the variance score of each splittable parameter
+    and the selected predicate."""
 
     variance: dict[int, int]
     chosen_param: int
@@ -191,13 +193,17 @@ def _gap(hi: float, lo: float) -> float:
 def important_states(res_min: CheckResult, res_max: CheckResult,
                      restricted: RestrictedQuotient,
                      goal: frozenset[int]) -> frozenset[int]:
-    """States whose min/max gap is at least ``IMPORTANCE`` times the gap at
-    the initial state, restricted to states reachable under either extracted
-    scheduler where the row still varies within the subfamily.
+    """States whose min/max gap is the full gap at the initial state,
+    restricted to states reachable under either extracted scheduler where
+    the row still varies within the subfamily.
 
-    A zero gap at the initial state yields the empty set (no split signal);
-    goal states are skipped because scheduler choices there carry no
-    information.  States and ``goal`` are in ``restricted.mdp`` numbers.
+    When fewer states have the full gap than the subfamily has splittable
+    parameters, the cut widens to ``IMPORTANCE`` times that gap: with fewer
+    states than parameters the variance score leaves most parameters at
+    zero, and the split falls back to declaration order.  A zero gap at the
+    initial state yields the empty set (no split signal); goal states are
+    skipped because scheduler choices there carry no information.  States
+    and ``goal`` are in ``restricted.mdp`` numbers.
     """
     family = restricted.family
     states = restricted.states
@@ -206,35 +212,38 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
     gap0 = _gap(res_max.at_initial, res_min.at_initial)
     if gap0 <= 0.0:
         return frozenset()
+    splittable = set(sub.splittable)
     reach = set()
     for res in (res_max, res_min):
         dists = [acts[c].dist
                  for acts, c in zip(mdp.actions, res.scheduler.choices)]
         reach |= reachable_states(dists, mdp.initial)
-    out = set()
+    gaps = {}
     for s in reach:
         if s in goal:
             continue
-        if not any(len(sub.subsets[k]) > 1
-                   for k in family.support(states[s])):
+        if splittable.isdisjoint(family.support(states[s])):
             continue
-        gap = _gap(res_max.values[s], res_min.values[s])
-        if gap >= IMPORTANCE * gap0:
-            out.add(s)
-    return frozenset(out)
+        gaps[s] = _gap(res_max.values[s], res_min.values[s])
+    full = frozenset(s for s, gap in gaps.items() if gap >= gap0)
+    if len(full) >= len(splittable):
+        return full
+    return frozenset(s for s, gap in gaps.items()
+                     if gap >= IMPORTANCE * gap0)
 
 
 def extract_counts(scheduler: Scheduler, important: frozenset[int],
                    restricted: RestrictedQuotient) -> dict[int, dict[int, int]]:
-    """Per parameter, how often the scheduler picks each domain value over the
-    important states whose row mentions the parameter."""
-    family = restricted.family
-    counts = {k: {t: 0 for t in family.domains[k]}
-              for k in range(family.n_params)}
+    """Per splittable parameter, how often the scheduler picks each value of
+    its current subset over the important states whose row mentions the
+    parameter."""
+    sub = restricted.sub
+    counts = {k: dict.fromkeys(sub.subsets[k], 0) for k in sub.splittable}
     for s in important:
         action = scheduler.tags[s]
         for k, v in zip(action.params, action.values):
-            counts[k][v] += 1
+            if k in counts:
+                counts[k][v] += 1
     return counts
 
 
@@ -245,18 +254,17 @@ def _variance_score(c_max: dict[int, int], c_min: dict[int, int]) -> int:
 def select_predicate(c_max: dict[int, dict[int, int]],
                      c_min: dict[int, dict[int, int]],
                      sub: Subfamily, family: FamilyModel) -> ScoreReport:
-    """Pick the parameter with the highest variance score and the half of
-    its current subset with the largest max-minus-min choice counts.
+    """Pick the splittable parameter with the highest variance score and the
+    half of its current subset with the largest max-minus-min choice counts.
+    The counts need entries only for the splittable parameters.
 
     All ties break deterministically: parameter declaration order, then
     domain order.
     """
-    splittable = [k for k in range(family.n_params)
-                  if len(sub.subsets[k]) > 1]
+    splittable = sub.splittable
     if not splittable:
         raise AssertionError("select_predicate requires a splittable parameter")
-    variance = {k: _variance_score(c_max[k], c_min[k])
-                for k in range(family.n_params)}
+    variance = {k: _variance_score(c_max[k], c_min[k]) for k in splittable}
     best = splittable[0]
     for k in splittable[1:]:
         if variance[k] > variance[best]:

@@ -403,19 +403,35 @@ def worked_results(example1):
 
 @pytest.fixture
 def no_importance_cutoff(monkeypatch):
-    # every state with a varying row counts, whatever its gap
+    # the widened cut takes every state with a varying row, whatever its
+    # gap; it applies only when fewer states have the full gap than the
+    # subfamily has splittable parameters, which never holds on example1's
+    # own values, where every varying state has the full gap
     monkeypatch.setattr(synthesis, "IMPORTANCE", 0.0)
 
 
 def test_importance_ratio_thresholding(example1):
     restricted, res_max, res_min, imp = worked_results(example1)
-    # synthetic per-state values: global gap 1, state 2 gap 0.7, state 3 gap 0.4
+    # synthetic per-state values: global gap 1, state 2 gap 0.7, state 3 gap
+    # 0.4; only state 0 has the full gap, fewer states than the two
+    # splittable parameters, so the cut widens to IMPORTANCE times the gap
     res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 0.9, 0.5))
     res_min = dataclasses.replace(res_min, values=(0.0, 1.0, 0.2, 0.1))
     imp = important_states(res_min, res_max, restricted,
                            restricted.family.label_states("one"))
     assert 2 in imp
     assert 3 not in imp
+
+
+def test_importance_full_gap_states_suffice(example1):
+    restricted, res_max, res_min, _ = worked_results(example1)
+    # gaps 1, 0, 1, 0.7: states 0 and 2 have the full gap, one for each of
+    # the two splittable parameters k1 and k2, so state 3 is left out
+    res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 1.0, 0.8))
+    res_min = dataclasses.replace(res_min, values=(0.0, 1.0, 0.0, 0.1))
+    imp = important_states(res_min, res_max, restricted,
+                           restricted.family.label_states("one"))
+    assert imp == {0, 2}
 
 
 def test_importance_delta_zero_takes_all_varying_states(
@@ -618,12 +634,12 @@ def test_refinement_decisions_pinned_on_larger_family():
     family = random_family(3, max_states=300, max_params=10, max_domain=4,
                            rewards=True)
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
-    assert out.stats.iterations == 233
+    assert out.stats.iterations == 239
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
-    # max alone accepts 72 subfamilies, whose min is never used; 124 of the
+    # max alone accepts 73 subfamilies, whose min is never used; 128 of the
     # directions used are the parent's, taken without a solve
-    assert out.stats.solver_calls == 270
-    assert out.stats.solver_calls + out.stats.inherited == 394
+    assert out.stats.solver_calls == 277
+    assert out.stats.solver_calls + out.stats.inherited == 405
 
 
 def test_optimum_decisions_pinned_on_larger_family():
