@@ -28,6 +28,7 @@ from .family import (
     Subfamily,
     all_realisations,
     instantiate,
+    member_chain,
 )
 from .fmc import parse_family, parse_spec, serialize_family
 from .engine import (

@@ -23,6 +23,7 @@ from .family import (
     Subfamily,
     all_realisations,
     instantiate,
+    member_chain,
 )
 from .engine import solve_mc_exact, solve_prob, solve_reward
 from .quotient import AllInOneMDP, build_all_in_one, build_quotient
@@ -76,7 +77,7 @@ def one_by_one(family: FamilyModel, spec: Specification,
     t0 = time.perf_counter()
     values: list[Fraction | None] = []
     for r in all_realisations(family):
-        chain = instantiate(family, r)
+        chain = member_chain(family, r)
         try:
             value, _ = solve_mc_exact(chain, spec)
         except UndefinedRewardError:

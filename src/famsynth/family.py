@@ -12,6 +12,7 @@ floating point happens only when the numeric engine builds its matrices.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,29 +356,75 @@ class ConcreteMC:
                              code="unknown-label") from None
 
 
+def integer_row(row) -> tuple[int, list[tuple[int, int]]]:
+    """A family row's weights as integer numerators over their common
+    denominator: ``(den, [(numerator, parameter index), ...])``.  One
+    positive scale keeps every sum and comparison the rationals give."""
+    den = math.lcm(*[p.denominator for p, _ in row])
+    return den, [(p.numerator * (den // p.denominator), k) for p, k in row]
+
+
+def _realised_row(row, values) -> tuple[tuple[int, Fraction], ...]:
+    """A family row under the assignment ``values``, as ascending
+    ``(successor, probability)`` pairs.  Weights of distinct parameters that
+    map to the same successor merge additively, in integers."""
+    den, terms = integer_row(row)
+    merged: dict[int, int] = {}
+    for m, k in terms:
+        t = values[k]
+        merged[t] = merged.get(t, 0) + m
+    return tuple([(t, Fraction(m, den)) for t, m in sorted(merged.items())])
+
+
 def instantiate(family: FamilyModel, r: Realisation) -> ConcreteMC:
-    """Realise the family under ``r``.
+    """Realise the family under ``r``, over all of its states.
 
     Weights of distinct parameters that map to the same successor merge
-    additively, so every reachable row still sums to exactly one.
+    additively, so every row still sums to exactly one.
     """
     r.validate(family)
-    rows = []
-    for s in range(family.n_states):
-        merged: dict[int, Fraction] = {}
-        for p, k in family.rows[s]:
-            succ = r.values[k]
-            merged[succ] = merged.get(succ, Fraction(0)) + p
-        rows.append(tuple(sorted(merged.items())))
-    reachable = reachable_states(rows, family.initial)
+    rows = tuple(_realised_row(row, r.values) for row in family.rows)
     return ConcreteMC(
         n_states=family.n_states,
         initial=family.initial,
-        rows=tuple(rows),
+        rows=rows,
         rewards=family.rewards,
-        reachable=reachable,
+        reachable=reachable_states(rows, family.initial),
         labels=dict(family.labels),
     )
+
+
+def member_chain(family: FamilyModel, r: Realisation) -> ConcreteMC:
+    """The states of member ``r`` that its initial state reaches, as a chain
+    of their own, numbered in ascending family order.
+
+    Only the reached rows are built, with the merge rule of
+    :func:`instantiate`; rewards and labels follow the new numbers.  Its
+    value at the initial state, all that an exact check of one member
+    reads, is the one ``instantiate(family, r)`` gives.
+    """
+    r.validate(family)
+    found = {family.initial: ()}
+    stack = [family.initial]
+    while stack:
+        s = stack.pop()
+        row = found[s] = _realised_row(family.rows[s], r.values)
+        for t, _ in row:
+            if t not in found:
+                found[t] = ()
+                stack.append(t)
+    states = sorted(found)
+    local = {s: i for i, s in enumerate(states)}
+    rows = tuple(tuple([(local[t], p) for t, p in found[s]])
+                 for s in states)
+    rewards = None
+    if family.rewards is not None:
+        rewards = tuple([family.rewards[s] for s in states])
+    labels = {name: frozenset([i for i, s in enumerate(states)
+                               if s in marked])
+              for name, marked in family.labels.items()}
+    return ConcreteMC(len(states), local[family.initial], rows, rewards,
+                      frozenset(range(len(states))), labels)
 
 
 def reachable_states(rows, initial: int) -> frozenset[int]:

@@ -6,8 +6,11 @@ that state's row.  Each merged action is keyed by a partial parameter
 assignment (its *signature*); signatures that induce the same distribution
 are unified and represented by the lexicographically smallest surviving
 signature.  A state's signatures are grouped, in integer arithmetic, and
-its groups' distributions made when a restriction first reaches it.  A
-restriction enumerates only the signatures that survive it, and builds a
+its groups' float distributions made when a restriction first reaches it;
+each group keeps its integer masses over the row's common denominator, from
+which a merged action makes its exact distribution only when it is read.
+A state whose row holds one parameter has one Dirac group per domain value.
+A restriction enumerates only the signatures that survive it, and builds a
 signature's action the first time it represents its group.
 Unification is redone per enumeration so that signatures of one
 distribution falling on different sides of a split each keep their own copy.
@@ -28,7 +31,6 @@ whole state space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -42,6 +44,7 @@ from .family import (
     Subfamily,
     all_realisations,
     instantiate,
+    integer_row,
     reachable_states,
 )
 from .engine import CheckResult, MdpAction, Scheduler, SparseMDP
@@ -52,13 +55,23 @@ ALL_IN_ONE_CAP = 100_000
 @dataclass(frozen=True, slots=True)
 class MergedAction:
     """One quotient action: a partial assignment over the parameters in the
-    state's row plus the concrete distribution it induces."""
+    state's row plus the concrete distribution it induces.
+
+    The distribution is kept as ``masses``, ascending ``(successor,
+    numerator)`` pairs over the row's common denominator ``den``.  ``dist``
+    holds their float values, ``m / den`` correctly rounded; the exact
+    ``dist_exact`` is made from the same integers when it is read."""
 
     state: int
     params: tuple[int, ...]
     values: tuple[int, ...]
     dist: tuple[tuple[int, float], ...]
-    dist_exact: tuple[tuple[int, Fraction], ...]
+    masses: tuple[tuple[int, int], ...]
+    den: int
+
+    @property
+    def dist_exact(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple([(t, Fraction(m, self.den)) for t, m in self.masses])
 
     def assignment(self) -> dict[int, int]:
         return dict(zip(self.params, self.values))
@@ -68,13 +81,14 @@ class _Table(NamedTuple):
     """One state's signature table.  ``signatures`` are in domain order and
     ``group`` gives each one's group; ``offsets`` give each supported
     value's share of a signature's index (mixed radix, last fastest).
-    ``dists`` holds each group's float and exact distribution; ``actions``
-    (per signature) fill in on use."""
+    ``dists`` holds each group's float distribution and its integer masses
+    over ``den``; ``actions`` (per signature) fill in on use."""
 
     signatures: list[tuple[int, ...]]
     group: list[int]
     offsets: list[dict[int, int]]
     dists: list[tuple[tuple, tuple]]
+    den: int
     actions: dict[int, MdpAction]
 
 
@@ -98,13 +112,22 @@ class QuotientMDP:
 
     def _build(self, s: int) -> _Table:
         """Build and keep the signature table of state ``s``.  Weights and
-        masses are integer numerators over the row's common denominator: one
-        positive scale keeps the groups that the exact rational sums give."""
+        masses are integer numerators over the row's common denominator
+        (``integer_row``): one positive scale keeps the groups that the
+        exact rational sums give.  A one-parameter row has weight 1, so its
+        groups are its domain values, one Dirac distribution each."""
         family = self.family
-        supp, row = self.supports[s], family.rows[s]
-        den = math.lcm(*(p.denominator for p, _ in row))
-        weights = [sum(p.numerator * (den // p.denominator)
-                       for p, j in row if j == k) for k in supp]
+        supp = self.supports[s]
+        if len(supp) == 1:
+            domain = family.domains[supp[0]]
+            table = self._tables[s] = _Table(
+                [(v,) for v in domain], list(range(len(domain))),
+                [{v: i for i, v in enumerate(domain)}],
+                [(((v, 1.0),), ((v, 1),)) for v in domain], 1, {})
+            return table
+        den, terms = integer_row(family.rows[s])
+        weight = {k: m for m, k in terms}
+        weights = [weight[k] for k in supp]
         sigs = list(product(*(family.domains[k] for k in supp)))
         groups: dict[tuple[tuple[int, int], ...], int] = {}
         group = []
@@ -119,10 +142,9 @@ class QuotientMDP:
             domain = family.domains[k]
             offsets.insert(0, {v: i * stride for i, v in enumerate(domain)})
             stride *= len(domain)
-        dists = [(tuple([(t, m / den) for t, m in key]),
-                  tuple([(t, Fraction(m, den)) for t, m in key]))
+        dists = [(tuple([(t, m / den) for t, m in key]), key)
                  for key in groups]
-        table = self._tables[s] = _Table(sigs, group, offsets, dists, {})
+        table = self._tables[s] = _Table(sigs, group, offsets, dists, den, {})
         return table
 
     @property
@@ -199,10 +221,10 @@ class QuotientMDP:
             seen.add(gid)
             action = cache.get(i)
             if action is None:
-                dist, exact = dists[gid]
+                dist, masses = dists[gid]
                 ma = MergedAction(state=s, params=self.supports[s],
-                                  values=table.signatures[i],
-                                  dist=dist, dist_exact=exact)
+                                  values=table.signatures[i], dist=dist,
+                                  masses=masses, den=table.den)
                 action = cache[i] = MdpAction(ma.dist, ma)
             per_state.append(action)
             if len(seen) == len(dists):

@@ -38,7 +38,7 @@ from .family import (
     Realisation,
     Specification,
     Subfamily,
-    instantiate,
+    member_chain,
 )
 from .engine import prob0_exists, prob1_forall, solve_mc_exact
 from .quotient import MergedAction, RestrictedQuotient
@@ -176,7 +176,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
     lines.append("; almost-sure reachability where it is not guaranteed")
     for s in sorted(s_rel):
         for ai, ma in enumerate(actions[s]):
-            succ = [f"p1g_{t}" for t, _ in ma.dist_exact]
+            succ = [f"p1g_{t}" for t, _ in ma.masses]
             body = f"(= p1g_{s} (and {_conj(succ)} ppg_{s}))"
             lines.append(f"(assert (=> ch_{s}_{ai} {body}))")
     for s in states:
@@ -187,7 +187,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
     for s in sorted(s_crit):
         for ai, ma in enumerate(actions[s]):
             succ = [f"(and ppg_{t} (< o_{s} o_{t}))"
-                    for t, _ in ma.dist_exact]
+                    for t, _ in ma.masses]
             body = f"(= ppg_{s} {_disj(succ)})"
             lines.append(f"(assert (=> ch_{s}_{ai} {body}))")
     for s in states:
@@ -248,7 +248,7 @@ def decode_model(encoding: SmtEncoding, model_text: str) -> Realisation:
     values = tuple(fixed.get(k, encoding.sub.subsets[k][0])
                    for k in range(encoding.family.n_params))
     realisation = Realisation(values)
-    chain = instantiate(encoding.family, realisation)
+    chain = member_chain(encoding.family, realisation)
     try:
         value, sat = solve_mc_exact(chain, encoding.spec)
     except UndefinedRewardError:

@@ -67,7 +67,7 @@ from .family import (
     Specification,
     Subfamily,
     compare,
-    instantiate,
+    member_chain,
     reachable_states,
 )
 from .engine import (
@@ -409,7 +409,7 @@ class _Loop:
         decision = self.exact.get(member.values)
         if decision is None:
             self.stats.exact_calls += 1
-            chain = instantiate(self.family, member)
+            chain = member_chain(self.family, member)
             try:
                 _, sat = solve_mc_exact(chain, self.spec)
                 decision = "accept" if sat else "reject"

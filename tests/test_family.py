@@ -12,9 +12,12 @@ from famsynth import (
     Realisation,
     Specification,
     Subfamily,
+    UndefinedRewardError,
     all_realisations,
     instantiate,
+    member_chain,
     random_family,
+    solve_mc_exact,
 )
 from conftest import R1, R2, R3, R4
 
@@ -190,3 +193,72 @@ def test_split_union_preserves_member_set(seed, data):
     right = {r.values for r in bottom.members()}
     assert left.isdisjoint(right)
     assert left | right == {r.values for r in full.members()}
+
+
+def exact_answer(chain, spec):
+    """``solve_mc_exact``'s answer, or the type of the error it raises."""
+    try:
+        return solve_mc_exact(chain, spec)
+    except (UndefinedRewardError, ModelError) as exc:
+        return type(exc)
+
+
+def assert_member_chain_is_reached_part(family, r):
+    """``member_chain`` holds exactly the states ``instantiate`` reaches,
+    ascending, with their rows, rewards and labels renumbered."""
+    whole = instantiate(family, r)
+    chain = member_chain(family, r)
+    states = sorted(whole.reachable)
+    local = {s: i for i, s in enumerate(states)}
+    assert chain.n_states == len(whole.reachable) == len(chain.rows)
+    assert chain.reachable == frozenset(range(chain.n_states))
+    assert chain.initial == local[family.initial]
+    for row, s in zip(chain.rows, states):
+        assert row == tuple((local[t], p) for t, p in whole.rows[s])
+        assert sum(p for _, p in row) == 1
+    if family.rewards is None:
+        assert chain.rewards is None
+    else:
+        assert chain.rewards == tuple(family.rewards[s] for s in states)
+    assert chain.labels == {name: frozenset(local[s] for s in marked
+                                            if s in local)
+                            for name, marked in family.labels.items()}
+    return whole, chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), rewards=st.booleans())
+def test_member_chain_answers_like_instantiate(seed, rewards):
+    family = random_family(seed, max_states=10, max_params=4, max_domain=4,
+                           rewards=rewards)
+    specs = [Specification(kind="probability", goal="goal", relation=">=",
+                           threshold=H),
+             Specification(kind="expected-reward", goal="goal",
+                           relation="<=", threshold=Fraction(5))]
+    for r in all_realisations(family):
+        whole, chain = assert_member_chain_is_reached_part(family, r)
+        for spec in specs:
+            assert exact_answer(chain, spec) == exact_answer(whole, spec)
+
+
+def test_member_chain_merges_non_dyadic_weights_exactly():
+    # 1/10 + 1/5 on one successor is 3/10 exactly, though not in floats;
+    # state 2 is never reached
+    tenth = Fraction(1, 10)
+    family = FamilyModel(
+        n_states=4, initial=0, param_names=("a", "b", "c", "d"),
+        domains=((1,), (1,), (3,), (2, 3)),
+        rows=(((tenth, 0), (2 * tenth, 1), (7 * tenth, 2)),
+              ((3 * tenth, 2), (7 * tenth, 3)),
+              ((Fraction(1), 3),), ((Fraction(1), 2),)),
+        rewards=(Fraction(1), Fraction(2), Fraction(4), Fraction(0)),
+        labels={"goal": frozenset({2, 3})})
+    r = Realisation((1, 1, 3, 3))
+    _, chain = assert_member_chain_is_reached_part(family, r)
+    assert chain.rows == (((1, 3 * tenth), (2, 7 * tenth)),
+                          ((2, Fraction(1)),), ((2, Fraction(1)),))
+    assert chain.rewards == (Fraction(1), Fraction(2), Fraction(0))
+    assert chain.labels == {"goal": frozenset({2})}
+    reward = Specification(kind="expected-reward", goal="goal",
+                           relation="<=", threshold=Fraction(8, 5))
+    assert solve_mc_exact(chain, reward) == (Fraction(8, 5), True)

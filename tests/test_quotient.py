@@ -651,3 +651,36 @@ def test_restrict_representative_ignores_subset_order(example1):
         assert_restriction_is_naive_filter(quotient, sub)
     assert quotient.restrict(forward).mdp.actions == \
         quotient.restrict(backward).mdp.actions
+
+
+def test_dump_of_worked_example_is_pinned(example1):
+    model, _ = example1
+    assert dump_quotient(build_quotient(model)) == """states 4
+initial 0
+state 0 action k0=0,k1=0 : 0:1
+state 0 action k0=0,k1=1 : 0:1/2 1:1/2
+state 1 action k1=0,k2=2 : 0:1/2 2:1/2
+state 1 action k1=0,k2=3 : 0:1/2 3:1/2
+state 1 action k1=1,k2=2 : 1:1/2 2:1/2
+state 1 action k1=1,k2=3 : 1:1/2 3:1/2
+state 2 action k2=2 : 2:1
+state 2 action k2=3 : 3:1
+state 3 action k1=0,k2=2 : 0:1/2 2:1/2
+state 3 action k1=0,k2=3 : 0:1/2 3:1/2
+state 3 action k1=1,k2=2 : 1:1/2 2:1/2
+state 3 action k1=1,k2=3 : 1:1/2 3:1/2
+"""
+
+
+def test_merged_actions_of_one_signature_compare_equal(example1):
+    # separate quotients build separate objects for the same signature
+    model, _ = example1
+    full = build_quotient(model).restrict(Subfamily.full(model))
+    part = build_quotient(model).restrict(Subfamily(((0,), (1,), (2, 3))))
+    for s, acts in zip(part.states, part.mdp.actions):
+        before = {ma.values: ma for _, ma in full.mdp.actions[s]}
+        for _, ma in acts:
+            twin = before[ma.values]
+            assert twin is not ma
+            assert twin == ma and hash(twin) == hash(ma)
+            assert twin.dist_exact == ma.dist_exact
