@@ -40,7 +40,6 @@ from .engine import (
     induced_chain,
     prob0_exists,
     prob1_forall,
-    solve_mc,
     solve_mc_exact,
     solve_prob,
     solve_reward,

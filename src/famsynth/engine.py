@@ -10,27 +10,26 @@ member reaches.
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
-component graph taken over all actions.  A singleton component takes one
-Bellman backup; with self-loops it is solved in closed form per action and
-shaved down by a relative 2^-40, unless some action is a pure self-loop.
-Other components, that singleton included, are solved by policy iteration
-local to the component: each policy is evaluated by one sparse
-elimination, and the stable policy's values are pushed down by a small
-margin and accepted only when every backup confirms they lie below the
-fixpoint.  A component that fails that check falls back to in-place
-Gauss-Seidel sweeps, which stop on a fixed residual and sweep cap.  All of
-it works from below, so computed values never exceed the true fixpoint (up
-to the rounding of a plain backup); callers exploit that one-sidedness.
+component graph taken over all actions.  A singleton component without a
+self-loop takes one Bellman backup.  Every other component, a singleton
+with self-loops included, is solved by policy iteration local to the
+component: each policy is evaluated by one sparse elimination, and the
+stable policy's values are pushed down by a small margin and accepted only
+when every backup confirms they lie below the fixpoint.  A component that
+fails that check falls back to in-place Gauss-Seidel sweeps, which stop on
+a fixed residual and sweep cap.  All of it works from below, so computed
+values never exceed the true fixpoint (up to the rounding of a plain
+backup); callers exploit that one-sidedness.
 
 Schedulers are the solver's own choices: each state takes the action that
-produced its value (the argmax of its backup, the best closed-form action,
-or the certified policy of its component), so no second argmax pass with a
-tie slack re-derives them.  Every such choice leaves its component or moves
-towards states that do, so a maximising scheduler cannot loiter in an end
-component, which a plain argmax over the fixpoint would happily do (every
-Dirac self-loop ties with the optimum there).  Only the sweep fallback has
-no policy; it picks, among the actions near its best, one that makes
-progress out of the component.
+produced its value (the argmax of its backup or the certified policy of
+its component), so no second argmax pass with a tie slack re-derives them.
+Every such choice leaves its component or moves towards states that do, so
+a maximising scheduler cannot loiter in an end component, which a plain
+argmax over the fixpoint would happily do (every Dirac self-loop ties with
+the optimum there).  Only the sweep fallback has no policy; it picks,
+among the actions near its best, one that makes progress out of the
+component.
 """
 
 from __future__ import annotations
@@ -50,15 +49,11 @@ from .family import (
     REWARD,
     ConcreteMC,
     Specification,
-    compare,
     reachable_states,
 )
 
 DEFAULT_EPSILON = 1e-8
 DEFAULT_MAX_ITER = 10 ** 6
-# Relative shave on closed-form self-loop solutions: far above the rounding
-# error of one backup, so they stay below the true fixpoint.
-SHAVE = 1.0 - 2.0 ** -40
 # Policy iteration switches an action only on a relative gain above IMPROVE;
 # ROUNDING per term bounds the rounding error of a backup (twice the unit
 # roundoff of doubles).
@@ -353,33 +348,6 @@ def _backup(acts, values, maximize):
     return best, pick
 
 
-def _closed_form(s, acts, values, maximize):
-    """Best ``(value, index)`` of a singleton component with self-loops,
-    solved per action in closed form and shaved by ``SHAVE``; None if some
-    action is a pure self-loop.
-
-    The denominator is the action's outgoing mass, summed, not one minus
-    the self-loop: the rounding error of a self-loop near 1 would be
-    magnified by the quotient far beyond the shave.
-    """
-    best = None
-    pick = 0
-    for ai, (r, dist) in enumerate(acts):
-        out = 0.0
-        v = r
-        for t, p in dist:
-            if t != s:
-                out += p
-                v += p * values[t]
-        if out <= 0.0:
-            return None
-        v = v / out * SHAVE
-        if best is None or (v > best if maximize else v < best):
-            best = v
-            pick = ai
-    return best, pick
-
-
 def _rank_towards(pending, ranked, options):
     """Rank states by progress towards the set ``ranked``, which grows.
 
@@ -456,9 +424,9 @@ def _slack(action, x, i):
 
 
 def _improve(acts, x, policy, maximize):
-    """Give each state the action of best closed-form value (as in
-    ``_closed_form``, pure self-loops excluded) if it beats ``x`` by a
-    relative ``IMPROVE`` or the state has none yet; True if any switched."""
+    """Give each state the action of best value, its self-loop solved in
+    closed form (pure self-loops excluded), if it beats ``x`` by a relative
+    ``IMPROVE`` or the state has none yet; True if any switched."""
     switched = False
     for i, per in enumerate(acts):
         if policy[i] is None:
@@ -673,24 +641,18 @@ def _value_iteration(rows, values, choices, maximize):
     ``rows`` maps each unsolved state, in ascending order, to its actions as
     ``(reward, dist)`` pairs; every other state keeps its value.  Components
     of the graph over all actions are solved successors first: a singleton
-    by one backup, or in closed form when it has self-loops and none of its
-    actions is a pure self-loop; anything else by ``_policy_iteration``,
-    whose values are certified from below.  A component it cannot certify
-    falls back to ``_sweep`` with the module's fixed residual and sweep cap.
+    without a self-loop by one backup, anything else by
+    ``_policy_iteration``, whose values are certified from below.  A
+    component it cannot certify falls back to ``_sweep`` with the module's
+    fixed residual and sweep cap.
     """
     edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
              for s, acts in rows.items()}
     for comp in _scc_decompose(rows, edges):
-        if len(comp) == 1:
-            s = comp[0]
-            acts = rows[s]
-            if s not in edges[s]:
-                values[s], choices[s] = _backup(acts, values, maximize)
-                continue
-            solved = _closed_form(s, acts, values, maximize)
-            if solved is not None:
-                values[s], choices[s] = solved
-                continue
+        s = comp[0]
+        if len(comp) == 1 and s not in edges[s]:
+            values[s], choices[s] = _backup(rows[s], values, maximize)
+            continue
         comp.sort()
         if not _policy_iteration(comp, rows, values, choices, maximize):
             for s, ai in _sweep(comp, rows, values, maximize,
@@ -744,8 +706,8 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
             choices[s] = ai
     else:
         _stay_inside(mdp, pin0, choices)
-        # The first visit ends at the goal, but the consistency and
-        # importance walks go on through it, so take its plain argmin.
+        # The first visit ends at the goal, but the importance walk goes on
+        # through it, so take its plain argmin.
         for s in goal:
             choices[s] = _backup([(0.0, dist) for dist, _ in mdp.actions[s]],
                                  values, False)[1]
@@ -906,25 +868,6 @@ def _solve_reward_min(mdp, goal):
     return _result(mdp, "min", REWARD, values, choices)
 
 
-def solve_mc(mc: ConcreteMC, spec: Specification
-             ) -> tuple[float, bool | None]:
-    """Check one chain with the floating engine.
-
-    Returns the value at the initial state and, for threshold specs, whether
-    ``value ~ threshold`` holds.
-    """
-    mdp = mdp_from_mc(mc)
-    goal = mc.label_states(spec.goal)
-    if spec.kind == PROBABILITY:
-        res = solve_prob(mdp, goal, "max")
-    else:
-        res = solve_reward(mdp, goal, "min")
-    value = res.at_initial
-    if spec.objective_only:
-        return value, None
-    return value, compare(value, spec.relation, float(spec.threshold))
-
-
 def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:
     """The chain obtained by fixing the scheduler's choices.
 
@@ -1013,7 +956,12 @@ def exact_mc_reward(mc: ConcreteMC, goal: frozenset[int]
 
 def solve_mc_exact(mc: ConcreteMC, spec: Specification
                    ) -> tuple[Fraction, bool | None]:
-    """Exact-rational twin of :func:`solve_mc`."""
+    """Check one chain exactly.
+
+    Returns the value at the initial state as an exact rational and, for
+    threshold specs, whether ``value ~ threshold`` holds; raises
+    UndefinedRewardError for a reward the chain leaves undefined.
+    """
     goal = mc.label_states(spec.goal)
     if spec.kind == PROBABILITY:
         value = exact_mc_probability(mc, goal)[mc.initial]

@@ -364,7 +364,7 @@ def integer_row(row) -> tuple[int, list[tuple[int, int]]]:
     return den, [(p.numerator * (den // p.denominator), k) for p, k in row]
 
 
-def _realised_row(row, values) -> tuple[tuple[int, Fraction], ...]:
+def realised_row(row, values) -> tuple[tuple[int, Fraction], ...]:
     """A family row under the assignment ``values``, as ascending
     ``(successor, probability)`` pairs.  Weights of distinct parameters that
     map to the same successor merge additively, in integers."""
@@ -383,7 +383,7 @@ def instantiate(family: FamilyModel, r: Realisation) -> ConcreteMC:
     additively, so every row still sums to exactly one.
     """
     r.validate(family)
-    rows = tuple(_realised_row(row, r.values) for row in family.rows)
+    rows = tuple(realised_row(row, r.values) for row in family.rows)
     return ConcreteMC(
         n_states=family.n_states,
         initial=family.initial,
@@ -408,7 +408,7 @@ def member_chain(family: FamilyModel, r: Realisation) -> ConcreteMC:
     stack = [family.initial]
     while stack:
         s = stack.pop()
-        row = found[s] = _realised_row(family.rows[s], r.values)
+        row = found[s] = realised_row(family.rows[s], r.values)
         for t, _ in row:
             if t not in found:
                 found[t] = ()

@@ -43,9 +43,9 @@ from .family import (
     Realisation,
     Subfamily,
     all_realisations,
-    instantiate,
     integer_row,
     reachable_states,
+    realised_row,
 )
 from .engine import CheckResult, MdpAction, Scheduler, SparseMDP
 
@@ -309,14 +309,19 @@ def inherit(parent_states: tuple[int, ...], result: CheckResult | None,
                        result.at_initial, result.pinned)
 
 
-def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):
+def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler,
+                       goal: frozenset[int]):
     """Walk the scheduler-induced chain from the initial state and collect the
-    chosen value per parameter; stop at the first conflict.  The conflict
-    witness ``(param, state, state)`` names family states."""
+    chosen value per parameter; stop at the first conflict.  The walk ends
+    at ``goal`` states (in ``restricted.mdp`` numbers) and reads no choice
+    there, because a first-visit value never uses it.  The conflict witness
+    ``(param, state, state)`` names family states."""
     mdp = restricted.mdp
-    dists = [acts[c].dist for acts, c in zip(mdp.actions, scheduler.choices)]
+    dists = [() if s in goal else acts[c].dist
+             for s, (acts, c) in enumerate(zip(mdp.actions,
+                                               scheduler.choices))]
     chosen: dict[int, tuple[int, int]] = {}
-    for s in sorted(reachable_states(dists, mdp.initial)):
+    for s in sorted(reachable_states(dists, mdp.initial) - goal):
         action: MergedAction = scheduler.tags[s]
         for k, v in zip(action.params, action.values):
             prev = chosen.get(k)
@@ -327,20 +332,23 @@ def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler):
     return chosen, None
 
 
-def is_consistent(restricted: RestrictedQuotient, scheduler: Scheduler
+def is_consistent(restricted: RestrictedQuotient, scheduler: Scheduler,
+                  goal: frozenset[int]
                   ) -> tuple[bool, tuple[int, int, int] | None]:
     """Does the scheduler pick a single value per parameter over the states it
-    actually reaches?  Returns a witness ``(param, state, state)``, in family
-    numbers, if not."""
-    _, conflict = _reachable_choices(restricted, scheduler)
+    actually reaches before ``goal``?  Returns a witness ``(param, state,
+    state)``, in family numbers, if not."""
+    _, conflict = _reachable_choices(restricted, scheduler, goal)
     return conflict is None, conflict
 
 
 def scheduler_to_realisations(restricted: RestrictedQuotient,
-                              scheduler: Scheduler) -> Subfamily:
+                              scheduler: Scheduler,
+                              goal: frozenset[int]) -> Subfamily:
     """The subfamily a consistent scheduler corresponds to: parameters it
-    fixes become singletons, untouched parameters keep their full subsets."""
-    chosen, conflict = _reachable_choices(restricted, scheduler)
+    fixes before ``goal`` become singletons, untouched parameters keep their
+    subsets."""
+    chosen, conflict = _reachable_choices(restricted, scheduler, goal)
     if conflict is not None:
         k, s1, s2 = conflict
         name = restricted.family.param_names[k]
@@ -377,14 +385,15 @@ def build_all_in_one(family: FamilyModel,
                      cap: int = ALL_IN_ONE_CAP) -> AllInOneMDP:
     """Build the reachable fragment of the all-in-one MDP.
 
-    Its size is proportional to states times members, so a cap guards it.
+    A member's row of a state is realised only when the walk reaches the
+    state under it.  The size is proportional to states times members, so
+    a cap guards it.
     """
     weight = family.n_states * family.n_realisations
     if weight > cap:
         raise SizeCapError(
             f"all-in-one MDP needs {weight} state slots, cap is {cap}")
     realisations = list(all_realisations(family))
-    chains = [instantiate(family, r) for r in realisations]
     state_info: list[tuple[int, int] | None] = [None]
     state_id: dict[tuple[int, int], int] = {}
 
@@ -404,7 +413,8 @@ def build_all_in_one(family: FamilyModel,
     frontier = 1
     while frontier < len(state_info):
         s, ri = state_info[frontier]
-        dist = tuple((intern(t, ri), float(p)) for t, p in chains[ri].rows[s])
+        row = realised_row(family.rows[s], realisations[ri].values)
+        dist = tuple((intern(t, ri), float(p)) for t, p in row)
         actions.append([MdpAction(dist, ri)])
         frontier += 1
     rewards = None

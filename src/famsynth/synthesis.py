@@ -12,8 +12,9 @@ direction that can decide alone (max for ``<``/``<=`` and max objectives,
 min otherwise).
 
 Feasibility, as in the paper, leads with the witness side instead (max for
-``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent and
-meets the bound at the initial state, its member is a candidate witness.
+``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent (one
+value per parameter over the states it reaches before the goal) and meets
+the bound at the initial state, its member is a candidate witness.
 The candidate is confirmed with the exact rational chain solver before it
 is returned, because on the min side the value bounds only the optimum
 from below, not the member's own value.  A candidate that fails leaves the
@@ -43,9 +44,10 @@ Subfamilies are refined first in, first out.
 
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
-literally; the other side gets a safety margin of ``MARGIN`` unless
-qualitative analysis pinned it to an exact 0 or 1, and anything still
-inconclusive at a singleton is decided with the exact rational chain solver.
+literally; the other side gets a safety margin of ``MARGIN``, relative to
+thresholds above 1, unless qualitative analysis pinned it to an exact 0 or
+1, and anything still inconclusive at a singleton is decided with the exact
+rational chain solver.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ from .quotient import (
 # parameters have it, the cut widens to this share of that gap.
 IMPORTANCE = 0.5
 # Threshold classification pushes the side that value iteration may
-# underestimate this far towards splitting.
+# underestimate this far towards splitting, times the threshold when it
+# exceeds 1: the solver's error below the fixpoint is relative.
 MARGIN = 1e-6
 
 
@@ -400,8 +403,9 @@ class _Loop:
     def classify(self, res: dict[str, CheckResult | None]) -> str | None:
         """Threshold decision from the directions solved so far."""
         pinned = "max" in res and res["max"].pinned
+        margin = MARGIN * max(1.0, float(self.spec.threshold))
         return _classify_threshold(self.spec, *_bounds(res),
-                                   0.0 if pinned else MARGIN)
+                                   0.0 if pinned else margin)
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
@@ -518,9 +522,9 @@ def _feasibility(family: FamilyModel, spec: Specification,
             return decision
         value = _at_initial(res[witness])
         if not math.isinf(value) and compare(value, spec.relation, lam) and \
-                is_consistent(restricted, res[witness].scheduler)[0]:
+                is_consistent(restricted, res[witness].scheduler, goal)[0]:
             member = next(scheduler_to_realisations(
-                restricted, res[witness].scheduler).members())
+                restricted, res[witness].scheduler, goal).members())
             decision = loop.decide_exactly(member)
             if decision == "accept":
                 outcome.best = member
@@ -597,9 +601,9 @@ def _optimise(family: FamilyModel, spec: Specification,
                 return "discard-undefined"
             res[other] = loop.solve(restricted, goal, other, parent)
             return "discard-undefined" if res[other] is None else "split"
-        if is_consistent(restricted, res[lead].scheduler)[0]:
+        if is_consistent(restricted, res[lead].scheduler, goal)[0]:
             outcome.best = next(scheduler_to_realisations(
-                restricted, res[lead].scheduler).members())
+                restricted, res[lead].scheduler, goal).members())
             certified = leadv
             if better(certified, outcome.best_value):
                 outcome.best_value = certified

@@ -32,12 +32,12 @@ from famsynth import (
     random_family,
     random_spec,
     run_solver,
-    solve_mc,
     solve_prob,
     solve_reward,
     threshold_synthesis,
 )
 from famsynth.cli import main
+from famsynth.engine import mdp_from_mc
 from conftest import EXAMPLE1, R1, R2, R3, R4
 from test_synthesis import NEAR_OPTIMAL_DOC
 
@@ -307,8 +307,9 @@ def test_criterion_9_smt_cross_check(capsys):
             bad.append((seed, status, feasible))
         elif status == "sat":
             member = decode_model(enc, model_text)
-            value, sat = solve_mc(instantiate(family, member), spec)
-            if not sat and value > float(spec.threshold) + TOL:
+            value = solve_reward(mdp_from_mc(instantiate(family, member)),
+                                 family.label_states("goal"), "min").at_initial
+            if value > float(spec.threshold) + TOL:
                 bad.append((seed, "decode", value))
         checked += 1
         if checked >= 20:
@@ -322,10 +323,10 @@ def test_criterion_10_numeric_oracle(corpus, capsys):
     bad = []
     for entry in corpus:
         family = entry["family"]
+        goal = family.label_states("goal")
         for r, p in zip(all_realisations(family), entry["prob_values"]):
-            mc = instantiate(family, r)
-            value, _ = solve_mc(mc, Specification(
-                kind="probability", goal="goal", direction="max"))
+            mdp = mdp_from_mc(instantiate(family, r))
+            value = solve_prob(mdp, goal, "max").at_initial
             if abs(value - float(p)) > TOL:
                 bad.append((entry["seed"], "prob", value, float(p)))
         if entry["reward_values"] is None:
@@ -333,9 +334,8 @@ def test_criterion_10_numeric_oracle(corpus, capsys):
         for r, w in zip(all_realisations(family), entry["reward_values"]):
             if w is None:
                 continue
-            mc = instantiate(family, r)
-            value, _ = solve_mc(mc, Specification(
-                kind="expected-reward", goal="goal", direction="min"))
+            mdp = mdp_from_mc(instantiate(family, r))
+            value = solve_reward(mdp, goal, "min").at_initial
             if abs(value - float(w)) > TOL:
                 bad.append((entry["seed"], "reward", value, float(w)))
     with capsys.disabled():

@@ -24,7 +24,6 @@ from famsynth import (
     prob0_exists,
     prob1_forall,
     random_family,
-    solve_mc,
     solve_mc_exact,
     solve_prob,
     solve_reward,
@@ -183,15 +182,18 @@ def test_solve_reward_min_undefined_at_initial():
     assert math.isinf(solve_reward(mdp, frozenset({1}), "max").at_initial)
 
 
-def test_solve_mc_worked_example(example1):
+def test_chain_values_on_worked_example(example1):
     model, specs = example1
     spec = specs["phi"]
-    value, sat = solve_mc(instantiate(model, Realisation(R1)), spec)
-    assert (value, sat) == (0.0, False)
-    value, sat = solve_mc(instantiate(model, Realisation(R2)), spec)
-    assert (value, sat) == (1.0, True)
-    anyp = parse_spec('P>=0 F "one"')
-    assert solve_mc(instantiate(model, Realisation(R1)), anyp)[1] is True
+    goal = model.label_states(spec.goal)
+
+    def value(r):
+        mdp = mdp_from_mc(instantiate(model, Realisation(r)))
+        return solve_prob(mdp, goal, "max").at_initial
+
+    assert value(R1) == 0.0 and not spec.satisfied(value(R1))
+    assert value(R2) == 1.0 and spec.satisfied(value(R2))
+    assert parse_spec('P>=0 F "one"').satisfied(value(R1))
 
 
 def test_sparse_mdp_validation():
@@ -220,10 +222,10 @@ def test_non_convergence_carries_residual():
 def test_float_engine_matches_exact_oracle_on_chains(seed):
     family = random_family(seed, max_states=8, rewards=seed % 2 == 0)
     goal = family.label_states("goal")
-    spec_p = Specification(kind="probability", goal="goal", direction="max")
     for r in all_realisations(family):
         mc = instantiate(family, r)
-        value, _ = solve_mc(mc, spec_p)
+        mdp = mdp_from_mc(mc)
+        value = solve_prob(mdp, goal, "max").at_initial
         assert value == pytest.approx(
             float(exact_mc_probability(mc, goal)[mc.initial]), abs=1e-6)
         if family.rewards is not None:
@@ -233,8 +235,7 @@ def test_float_engine_matches_exact_oracle_on_chains(seed):
                     solve_mc_exact(mc, Specification(
                         kind="expected-reward", goal="goal", direction="min"))
             else:
-                value, _ = solve_mc(mc, Specification(
-                    kind="expected-reward", goal="goal", direction="min"))
+                value = solve_reward(mdp, goal, "min").at_initial
                 assert value == pytest.approx(float(exact), abs=1e-6)
 
 
@@ -397,6 +398,34 @@ def test_values_never_exceed_exact_on_stiff_cycles(exponents, to_sink,
                     frozenset(range(n + 2)))
     assert_never_above_exact(mc, frozenset({goal}))
     assert_never_above_exact(mc, frozenset({goal, sink}))
+
+
+@pytest.mark.parametrize("kind", ["probability", "reward"])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_stiff_self_loops_lie_just_below_exact(k, kind):
+    # state 0 has two actions that keep 1 - e and 1 - e/2 on a self-loop
+    # and leave towards the goal 1 (and, for probabilities, the sink 2);
+    # both directions must come within a relative 2**-45 below the exact
+    # optimum of the float chain, each action's value in closed form
+    e = 10.0 ** -k
+    if kind == "probability":
+        exits = [((1, e / 3), (2, e * 2 / 3)), ((1, e / 8), (2, e * 3 / 8))]
+        reward = 0.0
+    else:
+        exits = [((1, e),), ((1, e / 2),)]
+        reward = 3.0
+    actions = [MdpAction(((0, 1.0 - sum(p for _, p in out)),) + out, ai)
+               for ai, out in enumerate(exits)]
+    mdp = SparseMDP(3, 0, [actions, [MdpAction(((1, 1.0),), None)],
+                           [MdpAction(((2, 1.0),), None)]],
+                    rewards=[reward, 0.0, 0.0])
+    value = {1: Fraction(kind == "probability"), 2: Fraction(0)}
+    exact = [(Fraction(reward) + sum(Fraction(p) * value[t] for t, p in out))
+             / sum(Fraction(p) for _, p in out) for out in exits]
+    solve = solve_prob if kind == "probability" else solve_reward
+    for direction, best in (("max", max(exact)), ("min", min(exact))):
+        got = solve(mdp, frozenset({1}), direction).at_initial
+        assert 0 <= best - Fraction(got) <= best * Fraction(1, 2 ** 45)
 
 
 def assert_exact_equations(mc, goal):

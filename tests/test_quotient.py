@@ -162,11 +162,11 @@ def test_inconsistent_scheduler_detected(example1):
             tags[1] = restricted.mdp.actions[1][ai].tag
             break
     sched = Scheduler(tuple(choices), tuple(tags))
-    ok, witness = is_consistent(restricted, sched)
+    ok, witness = is_consistent(restricted, sched, frozenset())
     assert not ok
     assert witness[0] == 1  # parameter index of k1
     with pytest.raises(ConsistencyError):
-        scheduler_to_realisations(restricted, sched)
+        scheduler_to_realisations(restricted, sched, frozenset())
 
 
 def test_singleton_restriction_scheduler_is_consistent(example1):
@@ -174,10 +174,10 @@ def test_singleton_restriction_scheduler_is_consistent(example1):
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.of_realisation(Realisation(R2)))
     sched = pick_scheduler(restricted, {})
-    ok, _ = is_consistent(restricted, sched)
+    ok, _ = is_consistent(restricted, sched, frozenset())
     assert ok
-    assert scheduler_to_realisations(restricted, sched).to_realisation() == \
-        Realisation(R2)
+    sub = scheduler_to_realisations(restricted, sched, frozenset())
+    assert sub.to_realisation() == Realisation(R2)
 
 
 def test_conflict_at_unreachable_state_is_ignored():
@@ -200,9 +200,9 @@ def test_conflict_at_unreachable_state_is_ignored():
         choices.append(pick)
         tags.append(acts[pick].tag)
     sched = Scheduler(tuple(choices), tuple(tags))
-    ok, _ = is_consistent(restricted, sched)
+    ok, _ = is_consistent(restricted, sched, frozenset())
     assert ok
-    sub = scheduler_to_realisations(restricted, sched)
+    sub = scheduler_to_realisations(restricted, sched, frozenset())
     assert sub.subsets[0] == (1,)
 
 
@@ -215,7 +215,7 @@ def test_scheduler_to_realisations_keeps_unseen_params_free():
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
     sched = pick_scheduler(restricted, {})
-    sub = scheduler_to_realisations(restricted, sched)
+    sub = scheduler_to_realisations(restricted, sched, frozenset())
     assert sub.subsets == ((1,), (0, 2))
 
 
@@ -224,9 +224,9 @@ def test_worked_example_consistent_scheduler_maps_to_r2(example1):
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
     sched = pick_scheduler(restricted, {"k1": 1, "k2": 2})
-    ok, _ = is_consistent(restricted, sched)
+    ok, _ = is_consistent(restricted, sched, frozenset())
     assert ok
-    sub = scheduler_to_realisations(restricted, sched)
+    sub = scheduler_to_realisations(restricted, sched, frozenset())
     assert sub.to_realisation() == Realisation(R2)
 
 
@@ -572,9 +572,10 @@ def test_conflict_witness_names_family_states():
             if s not in wanted or ma.values == (wanted[s],)))
     scheduler = Scheduler(tuple(choices), tuple(
         acts[c].tag for acts, c in zip(restricted.mdp.actions, choices)))
-    assert is_consistent(restricted, scheduler) == (False, (0, 0, 3))
+    assert is_consistent(restricted, scheduler, frozenset()) == \
+        (False, (0, 0, 3))
     with pytest.raises(ConsistencyError, match="for k at states 0 and 3$"):
-        scheduler_to_realisations(restricted, scheduler)
+        scheduler_to_realisations(restricted, scheduler, frozenset())
 
 
 def test_dump_names_family_states_and_skips_unreached_ones():

@@ -181,6 +181,17 @@ def test_max_synthesis_worked_example(example1):
     assert out.best.values in {R2, R3}
 
 
+def test_consistency_ignores_choices_at_the_goal(example1):
+    # the root's max scheduler takes k1=1 at state 0 and k1=0 at state 1,
+    # the goal; a first visit never uses the goal's choice, so the scheduler
+    # is consistent and its member ends the run at the root
+    model, specs = example1
+    out = max_synthesis(model, specs["obj"], collect_trace=True)
+    assert [rec.decision for rec in out.trace] == ["improve"]
+    assert out.best.values == R2
+    assert out.best_value == 1.0
+
+
 def test_max_synthesis_single_member_family():
     family = random_family(3, max_params=1, max_domain=1)
     assert family.n_realisations == 1
@@ -376,6 +387,38 @@ def test_near_tie_feasibility_finds_the_member_below():
     obo = one_by_one(family, spec)
     assert member is not None
     assert {member.values} == obo.bucket_members(obo.accepted)
+
+
+# One member whose state 0 keeps 1 - 10**-k on a self-loop, leaves for
+# ``done`` with the rest and pays 3 per step, so its reward is 3 * 10**k.
+STIFF_REWARD_DOC = """
+states 2
+initial 0
+params
+a : 0
+d : 1
+trans
+0 : {stay}:a + {leave}:d
+1 : 1:d
+rewards
+0 : 3
+labels
+done : 1
+"""
+
+
+@pytest.mark.parametrize("relation", ["<", ">="])
+@pytest.mark.parametrize("k", range(6, 13))
+def test_large_threshold_at_the_exact_value_matches_one_by_one(k, relation):
+    # the engine's value lies a relative rounding error below 3 * 10**k,
+    # more than an absolute 1e-6 once k >= 6, so the margin must scale
+    # with the threshold
+    leave = Fraction(1, 10 ** k)
+    family, _ = parse_family(STIFF_REWARD_DOC.format(stay=1 - leave,
+                                                     leave=leave))
+    spec = parse_spec(f'E{relation}{3 * 10 ** k} F "done"')
+    assert buckets(threshold_synthesis(family, spec)) == \
+        buckets(one_by_one(family, spec))
 
 
 def test_threshold_reward_undefined_bucket(example1_rewards):
@@ -592,8 +635,8 @@ def test_subfamily_budget_enforced(example1):
                                    ">=1/2", ">1/2"])
 def test_stiff_self_loop_threshold_matches_one_by_one(k, bound):
     # both members are worth exactly 1/2: sweeps stop far short of it at
-    # k=5 and hit the sweep cap at k=6, and a closed-form value rounded
-    # above it would put them in the wrong bucket at 1/2 itself
+    # k=5 and hit the sweep cap at k=6, and a value rounded above it
+    # would put them in the wrong bucket at 1/2 itself
     family = ladder(k)
     spec = parse_spec(f'P{bound} F "goal"')
     assert buckets(threshold_synthesis(family, spec)) == \
@@ -650,22 +693,23 @@ def test_optimum_decisions_pinned_on_larger_family():
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'))
     # inheritance changes no decision here: solving every direction afresh
-    # explores the same 49 subfamilies with 73 solves
-    assert out.stats.iterations == 49
-    assert out.best.values == (16, 31, 6, 0, 14, 1, 34, 24, 1, 31)
+    # explores the same 25 subfamilies with 37 solves
+    assert out.stats.iterations == 25
+    assert out.best.values == (16, 31, 13, 0, 6, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
     # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 49
-    assert out.stats.inherited == 24
+    assert out.stats.solver_calls == 26
+    assert out.stats.inherited == 11
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
+    # the root's schedulers are consistent on the states they reach before
+    # the goal, so both reward optima end at or near the root
     out = min_synthesis(family, parse_spec('Emin F "goal"'))
-    assert out.stats.iterations == 63
+    assert out.stats.iterations == 1
     assert out.best.values == (14, 13, 7, 10, 23, 19, 19, 14)
-    assert out.stats.solver_calls == 66
-    assert out.stats.solver_calls + out.stats.inherited == 94
+    assert out.stats.solver_calls == 1
     out = max_synthesis(family, parse_spec('Emax F "goal"'))
-    assert out.stats.iterations == 39
+    assert out.stats.iterations == 3
     assert out.best.values == (13, 13, 0, 9, 19, 0, 4, 14)
-    assert out.stats.solver_calls == 37
-    assert out.stats.solver_calls + out.stats.inherited == 59
+    assert out.stats.solver_calls == 5
+    assert out.stats.solver_calls + out.stats.inherited == 5
