@@ -148,12 +148,12 @@ def enumerate_consistent(family: FamilyModel, spec: Specification,
     values: list[float | None] = []
     for r in all_realisations(family):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
-        assert all(len(acts) == 1 for acts in restricted.mdp.actions)
-        local_goal = restricted.local(goal)
+        assert all(len(restricted.mdp.actions[s]) == 1
+                   for s in restricted.states)
         if spec.kind == PROBABILITY:
-            value = solve_prob(restricted.mdp, local_goal, "max").at_initial
+            value = solve_prob(restricted.mdp, goal, "max").at_initial
         else:
-            value = solve_reward(restricted.mdp, local_goal, "max").at_initial
+            value = solve_reward(restricted.mdp, goal, "max").at_initial
         values.append(None if math.isinf(value) else value)
     mode = spec.direction if spec.objective_only else "threshold"
     outcome = _outcome_from_values(family, spec, values, mode)

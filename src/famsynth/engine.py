@@ -6,7 +6,9 @@ schedulers that attain them, and an exact rational solver for chains (the
 oracle of the enumeration baseline and the test suite, and the check of
 singletons and feasibility witnesses in the refinement loop).  The member
 checks hand it ``member_chain``'s chain, which holds only the states the
-member reaches.
+member reaches.  An MDP with ``live`` states, such as a restriction, is
+solved on those alone, ascending, so each gets the value and choice it
+would get with the others numbered away.
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
@@ -68,12 +70,17 @@ class MdpAction(NamedTuple):
 
 @dataclass
 class SparseMDP:
-    """Per-state action lists with sparse float successor distributions."""
+    """Per-state action lists with sparse float successor distributions.
+
+    ``live`` (None: every state) lists the states to solve, ascending and
+    closed under successors; every other state has no action, and results
+    hold placeholders there."""
 
     n_states: int
     initial: int
     actions: list[list[MdpAction]]
     rewards: list[float] | None = None
+    live: tuple[int, ...] | None = None
     # built by the graph analyses on first use; actions are fixed from then on
     _pred_index: object = field(default=None, init=False, repr=False,
                                 compare=False)
@@ -84,7 +91,8 @@ class SparseMDP:
         if len(self.actions) != self.n_states:
             raise ModelError("one action list per state required",
                              code="bad-row")
-        for s, acts in enumerate(self.actions):
+        for s in _live(self):
+            acts = self.actions[s]
             if not acts:
                 raise ModelError(f"state {s} has no action", code="bad-row")
             for dist, _ in acts:
@@ -124,6 +132,11 @@ def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
     return SparseMDP(mc.n_states, mc.initial, actions, rewards)
 
 
+def _live(mdp: SparseMDP):
+    """The states to solve, ascending."""
+    return range(mdp.n_states) if mdp.live is None else mdp.live
+
+
 # ---------------------------------------------------------------------------
 # Qualitative graph analyses.  Goal states are absorbing for all of them:
 # reachability is about the first visit.  Each is a linear worklist on one
@@ -133,8 +146,8 @@ def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
 # ---------------------------------------------------------------------------
 
 class _Predecessors(NamedTuple):
-    """Actions numbered consecutively over the states: the actions of state
-    ``s`` are ``base[s]``, ``base[s] + 1``, ... up to ``base[s + 1]``."""
+    """Actions numbered consecutively over the live states: the actions of
+    state ``s`` are ``base[s]``, ``base[s] + 1``, ..."""
 
     base: list[int]
     owner: list[int]  # state of each action
@@ -144,18 +157,17 @@ class _Predecessors(NamedTuple):
 def _predecessors(mdp: SparseMDP) -> _Predecessors:
     index = mdp._pred_index
     if index is None:
-        base = []
+        base = [0] * mdp.n_states
         owner = []
         pre: list[list[int]] = [[] for _ in range(mdp.n_states)]
         a = 0
-        for s, acts in enumerate(mdp.actions):
-            base.append(a)
-            for dist, _ in acts:
+        for s in _live(mdp):
+            base[s] = a
+            for dist, _ in mdp.actions[s]:
                 owner.append(s)
                 for t, _ in dist:
                     pre[t].append(a)
                 a += 1
-        base.append(a)
         index = mdp._pred_index = _Predecessors(base, owner, pre)
     return index
 
@@ -204,7 +216,7 @@ def prob0_exists(mdp: SparseMDP, goal: frozenset[int]) -> frozenset[int]:
 
     Greatest fixpoint of "outside the goal, some action stays inside".
     """
-    return frozenset(_trim(mdp, set(range(mdp.n_states)) - set(goal)))
+    return frozenset(_trim(mdp, set(_live(mdp)) - set(goal)))
 
 
 def _backward_closure(mdp: SparseMDP, targets, skip: frozenset[int]) -> set[int]:
@@ -232,13 +244,13 @@ def prob1_forall(mdp: SparseMDP, goal: frozenset[int],
     if avoidable is None:
         avoidable = prob0_exists(mdp, goal)
     bad = _backward_closure(mdp, avoidable, skip=goal)
-    return frozenset(range(mdp.n_states)) - bad
+    return frozenset(_live(mdp)) - bad
 
 
 def prob0_forall(mdp: SparseMDP, goal: frozenset[int]) -> frozenset[int]:
     """States from which no scheduler can reach the goal at all."""
     reach = _backward_closure(mdp, goal, skip=frozenset())
-    return frozenset(range(mdp.n_states)) - reach
+    return frozenset(_live(mdp)) - reach
 
 
 def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
@@ -251,7 +263,7 @@ def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
     """
     base, owner, pre = _predecessors(mdp)
     outside = [0] * len(owner)  # per action, successors not in the universe
-    universe = set(range(mdp.n_states))
+    universe = set(_live(mdp))
     while True:
         found = set(goal) & universe
         layer = list(found)
@@ -671,8 +683,10 @@ def _stay_inside(mdp, region, choices):
 
 def _result(mdp, direction, kind, values, choices,
             pinned=False) -> CheckResult:
-    tags = tuple(mdp.actions[s][choices[s]].tag for s in range(mdp.n_states))
-    sched = Scheduler(tuple(choices), tags)
+    tags = [None] * mdp.n_states
+    for s in _live(mdp):
+        tags[s] = mdp.actions[s][choices[s]].tag
+    sched = Scheduler(tuple(choices), tuple(tags))
     return CheckResult(direction, kind, tuple(values), sched,
                        values[mdp.initial], pinned)
 
@@ -698,7 +712,7 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
         values[s] = 1.0
     frozen = pin1 | pin0
     rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
-            for s in range(mdp.n_states) if s not in frozen}
+            for s in _live(mdp) if s not in frozen}
     choices = [0] * mdp.n_states
     _value_iteration(rows, values, choices, direction == "max")
     if direction == "max":
@@ -751,7 +765,7 @@ def _solve_reward_max(mdp, goal):
     # misses the goal with positive probability.
     _stay_inside(mdp, avoid, choices)
     picked, undecided = _rank_towards(
-        [s for s in range(mdp.n_states) if s not in sure and s not in avoid],
+        [s for s in _live(mdp) if s not in sure and s not in avoid],
         set(avoid),
         lambda s: ((ai, dist) for ai, (dist, _) in enumerate(mdp.actions[s])))
     assert not undecided, "every unsure state can reach the avoidable region"
@@ -872,11 +886,11 @@ def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:
     """The chain obtained by fixing the scheduler's choices.
 
     Float probabilities convert to exact rationals (binary floats are
-    rationals), so the result feeds the exact oracle directly.
-    """
+    rationals), so the result feeds the exact oracle directly.  A state
+    without actions gets an empty row."""
     rows = []
-    for s in range(mdp.n_states):
-        dist = mdp.actions[s][scheduler.choices[s]].dist
+    for acts, c in zip(mdp.actions, scheduler.choices):
+        dist = acts[c].dist if acts else ()
         rows.append(tuple((t, Fraction(p)) for t, p in dist))
     rewards = None
     if mdp.rewards is not None:

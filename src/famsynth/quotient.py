@@ -20,13 +20,15 @@ the quotient memoises it under them.  A child of a split re-enumerates only
 the states whose support holds the split parameter; siblings and cousins hit
 the memo too.
 
-A restriction holds only the states the initial state reaches under the
-surviving actions, numbered in ascending family order, so the engine solves
-no dead state.  Its distributions use that local numbering; the
-``MergedAction`` tags, and every message or dump meant for a reader, keep
-family numbers.  Ascending order keeps every tie the engine breaks by state
-index, so a reached state gets the value and choice it would get in the
-whole state space.
+A restriction keeps family state numbers.  Its MDP holds each state the
+initial state reaches under the surviving actions with that state's
+memoised action list itself, not a copy, lists those states ascending as
+its ``live`` states, and gives every other state an empty list, so the
+engine solves no dead state.  Solving ``live`` in family order keeps every
+tie the engine breaks by state index, so a reached state gets the value and
+choice it would get in the whole state space.  A child's MDP shares its
+parent's list object at every state whose support lacks the split
+parameter, which is what ``inherit`` skips.
 """
 
 from __future__ import annotations
@@ -167,13 +169,14 @@ class QuotientMDP:
         The walk from the initial state looks up each reached state's action
         list under the value subsets of its support; only a miss enumerates
         it.  A child therefore misses only at the states whose support holds
-        the split parameter.  The memoised distributions are then rewritten
-        in local numbers.
+        the split parameter.  The memoised lists go into the MDP as they
+        are, in family numbers.
         """
         family = self.family
         subsets = sub.subsets
         memo, key_of = self._memo, self._key_of
-        found: dict[int, list[MdpAction] | None] = {family.initial: None}
+        actions: list[list[MdpAction]] = [[]] * family.n_states
+        found = {family.initial}
         stack = [family.initial]
         while stack:
             s = stack.pop()
@@ -184,20 +187,15 @@ class QuotientMDP:
                 successors = tuple({t for dist, _ in per_state
                                     for t, _ in dist})
                 hit = memo[s][key] = (per_state, successors)
-            found[s] = hit[0]
+            actions[s] = hit[0]
             for t in hit[1]:
                 if t not in found:
-                    found[t] = None
+                    found.add(t)
                     stack.append(t)
-        states = sorted(found)
-        local = {s: i for i, s in enumerate(states)}
-        actions = [[MdpAction(tuple([(local[t], p) for t, p in dist]), ma)
-                    for dist, ma in found[s]] for s in states]
-        rewards = None
-        if self._rewards_float is not None:
-            rewards = [self._rewards_float[s] for s in states]
-        mdp = SparseMDP(len(states), local[family.initial], actions, rewards)
-        return RestrictedQuotient(self, sub, mdp, tuple(states))
+        live = tuple(sorted(found))
+        mdp = SparseMDP(family.n_states, family.initial, actions,
+                        self._rewards_float, live)
+        return RestrictedQuotient(self, sub, mdp, live)
 
     def _enumerate(self, s: int, sub: Subfamily) -> list[MdpAction]:
         """The actions of state ``s`` in ``sub``: the surviving signatures
@@ -238,11 +236,9 @@ def build_quotient(family: FamilyModel) -> QuotientMDP:
 
 @dataclass
 class RestrictedQuotient:
-    """A restriction of the quotient to a subfamily.
-
-    ``mdp`` holds the states the initial state reaches, and its state ``i``
-    is the family state ``states[i]``; ``states`` ascends.
-    """
+    """A restriction of the quotient to a subfamily.  ``mdp`` is numbered
+    like the family; ``states``, its ``live`` states, are those the initial
+    state reaches, ascending."""
 
     quotient: QuotientMDP
     sub: Subfamily
@@ -253,16 +249,12 @@ class RestrictedQuotient:
     def family(self) -> FamilyModel:
         return self.quotient.family
 
-    def local(self, family_states: frozenset[int]) -> frozenset[int]:
-        """The reached states among ``family_states``, in ``mdp`` numbers."""
-        return frozenset(i for i, s in enumerate(self.states)
-                         if s in family_states)
 
-
-def inherit(parent_states: tuple[int, ...], result: CheckResult | None,
+def inherit(parent_actions: list[list[MdpAction]],
+            result: CheckResult | None,
             child: RestrictedQuotient) -> CheckResult | None:
-    """``result``, solved on the parent restriction whose family states are
-    ``parent_states``, as a result on ``child``, a restriction to a
+    """``result``, solved on the parent restriction whose ``mdp.actions``
+    are ``parent_actions``, as a result on ``child``, a restriction to a
     subfamily of the parent's; None unless at every state of ``child`` the
     child keeps an action with the distribution the parent's scheduler
     chose there.
@@ -270,7 +262,10 @@ def inherit(parent_states: tuple[int, ...], result: CheckResult | None,
     Values and ``pinned`` are copied; the choices and tags are the child's
     own actions, so consistency checks and witnesses stay inside the child's
     subfamily.  A ``result`` of None (a reward ``min`` that no scheduler
-    defines) stays None: the child has fewer schedulers still.
+    defines) stays None: the child has fewer schedulers still.  A child
+    state whose action list is the parent's own object keeps the parent's
+    choice unchecked: that holds wherever the memo key, the value subsets
+    of the state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
     parent's, and the chosen ones survive at every state the child holds,
@@ -286,26 +281,23 @@ def inherit(parent_states: tuple[int, ...], result: CheckResult | None,
     """
     if result is None:
         return None
-    tags = result.scheduler.tags
-    values = result.values
-    kept_values = []
-    choices = []
-    kept_tags = []
-    j = 0
-    for s, acts in zip(child.states, child.mdp.actions):
-        while parent_states[j] != s:
-            j += 1
-        dist = tags[j].dist
+    choices = list(result.scheduler.choices)
+    tags = list(result.scheduler.tags)
+    actions = child.mdp.actions
+    for s in child.states:
+        acts = actions[s]
+        if acts is parent_actions[s]:
+            continue
+        dist = tags[s].dist
         for c, (_, ma) in enumerate(acts):
             if ma.dist == dist:
                 break
         else:
             return None
-        kept_values.append(values[j])
-        choices.append(c)
-        kept_tags.append(ma)
-    return CheckResult(result.direction, result.kind, tuple(kept_values),
-                       Scheduler(tuple(choices), tuple(kept_tags)),
+        choices[s] = c
+        tags[s] = ma
+    return CheckResult(result.direction, result.kind, result.values,
+                       Scheduler(tuple(choices), tuple(tags)),
                        result.at_initial, result.pinned)
 
 
@@ -313,13 +305,13 @@ def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler,
                        goal: frozenset[int]):
     """Walk the scheduler-induced chain from the initial state and collect the
     chosen value per parameter; stop at the first conflict.  The walk ends
-    at ``goal`` states (in ``restricted.mdp`` numbers) and reads no choice
-    there, because a first-visit value never uses it.  The conflict witness
-    ``(param, state, state)`` names family states."""
+    at ``goal`` states and reads no choice there, because a first-visit
+    value never uses it.  The conflict witness is ``(param, state,
+    state)``."""
     mdp = restricted.mdp
-    dists = [() if s in goal else acts[c].dist
-             for s, (acts, c) in enumerate(zip(mdp.actions,
-                                               scheduler.choices))]
+    choices = scheduler.choices
+    dists = {s: () if s in goal else mdp.actions[s][choices[s]].dist
+             for s in restricted.states}
     chosen: dict[int, tuple[int, int]] = {}
     for s in sorted(reachable_states(dists, mdp.initial) - goal):
         action: MergedAction = scheduler.tags[s]
@@ -337,7 +329,7 @@ def is_consistent(restricted: RestrictedQuotient, scheduler: Scheduler,
                   ) -> tuple[bool, tuple[int, int, int] | None]:
     """Does the scheduler pick a single value per parameter over the states it
     actually reaches before ``goal``?  Returns a witness ``(param, state,
-    state)``, in family numbers, if not."""
+    state)`` if not."""
     _, conflict = _reachable_choices(restricted, scheduler, goal)
     return conflict is None, conflict
 

@@ -100,16 +100,12 @@ def encode_feasibility(restricted: RestrictedQuotient,
         raise UnsupportedSpecError("the family carries no rewards")
     mdp = restricted.mdp
     states = restricted.states
-    local_goal = restricted.local(family.label_states(spec.goal))
+    goal = family.label_states(spec.goal)
     kappa = spec.threshold
-    # the graph analyses run in the restriction's numbering; everything
-    # below is in family numbers
-    goal = frozenset(states[i] for i in local_goal)
-    sure = prob1_forall(mdp, local_goal)
-    s_rel = frozenset(s for i, s in enumerate(states) if i not in sure)
-    s_crit = frozenset(states[i] for i in prob0_exists(mdp, local_goal))
-    actions = {s: [ma for _, ma in acts]
-               for s, acts in zip(states, mdp.actions)}
+    sure = prob1_forall(mdp, goal)
+    s_rel = frozenset(s for s in states if s not in sure)
+    s_crit = prob0_exists(mdp, goal)
+    actions = {s: [ma for _, ma in mdp.actions[s]] for s in states}
 
     lines: list[str] = [
         "(set-logic QF_LRA)",
@@ -138,7 +134,7 @@ def encode_feasibility(restricted: RestrictedQuotient,
     lines.append(f"(assert p1g_{family.initial})")
 
     lines.append("; goal states accumulate nothing")
-    for s in sorted(goal):
+    for s in sorted(goal.intersection(states)):
         lines.append(f"(assert (= e_{s} 0.0))")
 
     lines.append("; expected-reward lower bounds per chosen action")

@@ -205,11 +205,9 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
     states than parameters the variance score leaves most parameters at
     zero, and the split falls back to declaration order.  A zero gap at the
     initial state yields the empty set (no split signal); goal states are
-    skipped because scheduler choices there carry no information.  States
-    and ``goal`` are in ``restricted.mdp`` numbers.
+    skipped because scheduler choices there carry no information.
     """
     family = restricted.family
-    states = restricted.states
     sub = restricted.sub
     mdp = restricted.mdp
     gap0 = _gap(res_max.at_initial, res_min.at_initial)
@@ -218,14 +216,15 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
     splittable = set(sub.splittable)
     reach = set()
     for res in (res_max, res_min):
-        dists = [acts[c].dist
-                 for acts, c in zip(mdp.actions, res.scheduler.choices)]
+        choices = res.scheduler.choices
+        dists = {s: mdp.actions[s][choices[s]].dist
+                 for s in restricted.states}
         reach |= reachable_states(dists, mdp.initial)
     gaps = {}
     for s in reach:
         if s in goal:
             continue
-        if splittable.isdisjoint(family.support(states[s])):
+        if splittable.isdisjoint(family.support(s)):
             continue
         gaps[s] = _gap(res_max.values[s], res_min.values[s])
     full = frozenset(s for s, gap in gaps.items() if gap >= gap0)
@@ -287,9 +286,9 @@ def select_predicate(c_max: dict[int, dict[int, int]],
 
 @dataclass
 class _Parent:
-    """A split subfamily's restricted states and its solved directions."""
+    """A split subfamily's MDP action lists and its solved directions."""
 
-    states: tuple[int, ...]
+    actions: list
     res: dict[str, CheckResult | None]
 
 
@@ -305,8 +304,8 @@ class _Loop:
         t0 = time.perf_counter()
         self.quotient: QuotientMDP = build_quotient(family)
         self.stats.times.build += time.perf_counter() - t0
-        # each queued child carries its parent's restricted states and
-        # solved directions, one record shared by both siblings
+        # each queued child carries its parent's restricted action lists
+        # and solved directions, one record shared by both siblings
         self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
             [(Subfamily.full(family), None)])
         # exact decisions by member values
@@ -335,19 +334,18 @@ class _Loop:
                 "refinement explored more subfamilies than the binary tree bound"
             t0 = time.perf_counter()
             restricted = self.quotient.restrict(sub)
-            goal = restricted.local(self.goal)
             t1 = time.perf_counter()
             stats.times.build += t1 - t0
             check0 = stats.times.check
             if sub.is_singleton:
                 stats.singletons += 1
             res: dict[str, CheckResult | None] = {}
-            decision = step(sub, restricted, goal, parent, res)
+            decision = step(sub, restricted, self.goal, parent, res)
             if decision == "split" and sub.is_singleton:
                 decision = self.decide_exactly(sub.to_realisation())
             split_param = None
             if decision == "split":
-                split_param = self.split(sub, restricted, goal, res)
+                split_param = self.split(sub, restricted, self.goal, res)
             elif decision in buckets:
                 buckets[decision].append(sub)
             stats.times.analyse += time.perf_counter() - t1 - (
@@ -374,7 +372,7 @@ class _Loop:
         try:
             if parent is not None and direction in parent.res:
                 solved = parent.res[direction]
-                res = inherit(parent.states, solved, restricted)
+                res = inherit(parent.actions, solved, restricted)
                 if res is not None or solved is None:
                     self.stats.inherited += 1
                     return res
@@ -395,7 +393,7 @@ class _Loop:
         c_max = extract_counts(res["max"].scheduler, imp, restricted)
         c_min = extract_counts(res["min"].scheduler, imp, restricted)
         report = select_predicate(c_max, c_min, sub, self.family)
-        parent = _Parent(restricted.states, res)
+        parent = _Parent(restricted.mdp.actions, res)
         for child in sub.split(report.chosen_param, report.chosen_values):
             self.queue.append((child, parent))
         return self.family.param_names[report.chosen_param]

@@ -193,7 +193,7 @@ def test_criterion_5_sandwich_property(corpus, capsys):
     for entry in corpus:
         family = entry["family"]
         restricted = build_quotient(family).restrict(Subfamily.full(family))
-        goal = restricted.local(family.label_states("goal"))
+        goal = family.label_states("goal")
         hi = solve_prob(restricted.mdp, goal, "max").at_initial
         lo = solve_prob(restricted.mdp, goal, "min").at_initial
         for v in entry["prob_values"]:
@@ -246,7 +246,7 @@ def test_criterion_7_baseline_agreement(corpus, capsys):
         quotient = build_quotient(family)
         for r in all_realisations(family):
             restricted = quotient.restrict(Subfamily.of_realisation(r))
-            goal = restricted.local(family.label_states("goal"))
+            goal = family.label_states("goal")
             if spec.kind == "probability":
                 enum_vals.append(
                     solve_prob(restricted.mdp, goal, "max").at_initial)

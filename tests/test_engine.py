@@ -245,7 +245,7 @@ def test_max_dominates_min_per_state(seed):
     family = random_family(seed, max_states=7)
     restricted = build_quotient(family).restrict(Subfamily.full(family))
     mdp = restricted.mdp
-    goal = restricted.local(family.label_states("goal"))
+    goal = family.label_states("goal")
     hi = solve_prob(mdp, goal, "max").values
     lo = solve_prob(mdp, goal, "min").values
     assert all(h >= l - 1e-9 for h, l in zip(hi, lo))
@@ -257,7 +257,7 @@ def test_qualitative_pinning_is_exact(seed):
     family = random_family(seed, max_states=7)
     restricted = build_quotient(family).restrict(Subfamily.full(family))
     mdp = restricted.mdp
-    goal = restricted.local(family.label_states("goal"))
+    goal = family.label_states("goal")
     res_min = solve_prob(mdp, goal, "min")
     for s in prob1_forall(mdp, goal):
         assert res_min.values[s] == 1.0
@@ -277,7 +277,7 @@ def test_extracted_scheduler_attains_reported_value(seed):
     family = random_family(seed, max_states=7, rewards=seed % 2 == 0)
     restricted = build_quotient(family).restrict(Subfamily.full(family))
     mdp = restricted.mdp
-    goal = restricted.local(family.label_states("goal"))
+    goal = family.label_states("goal")
     results = [solve_prob(mdp, goal, "max"), solve_prob(mdp, goal, "min")]
     if family.rewards is not None:
         results.append(solve_reward(mdp, goal, "max"))
@@ -499,10 +499,14 @@ def test_exact_solver_satisfies_its_equations_on_stiff_chains(k):
 
 
 # Fixpoint formulations of the graph analyses, kept as references for the
-# worklist versions: each sweeps every state until nothing changes.
+# worklist versions: each sweeps every live state until nothing changes.
+
+def live_states(mdp):
+    return range(mdp.n_states) if mdp.live is None else mdp.live
+
 
 def fixpoint_prob0_exists(mdp, goal):
-    inside = set(range(mdp.n_states)) - set(goal)
+    inside = set(live_states(mdp)) - set(goal)
     changed = True
     while changed:
         changed = False
@@ -519,7 +523,7 @@ def fixpoint_backward_closure(mdp, targets, skip):
     changed = True
     while changed:
         changed = False
-        for s in range(mdp.n_states):
+        for s in live_states(mdp):
             if s in seen or s in skip:
                 continue
             if any(t in seen for dist, _ in mdp.actions[s] for t, _ in dist):
@@ -529,14 +533,14 @@ def fixpoint_backward_closure(mdp, targets, skip):
 
 
 def fixpoint_prob1_exists(mdp, goal):
-    universe = set(range(mdp.n_states))
+    universe = set(live_states(mdp))
     while True:
         value_set = set(goal) & universe
         choice = {}
         while True:
             frontier = frozenset(value_set)
             added = False
-            for s in range(mdp.n_states):
+            for s in live_states(mdp):
                 if s not in universe or s in frontier:
                     continue
                 for ai, (dist, _) in enumerate(mdp.actions[s]):
@@ -567,8 +571,10 @@ def test_graph_analyses_match_fixpoint_references(seed):
                 random_subfamily(family, rng)):
         restricted = quotient.restrict(sub)
         mdp = restricted.mdp
-        everything = restricted.local(frozenset(states))
-        for goal in map(restricted.local, goals):
+        # family numbers throughout: goal states the restriction does not
+        # reach are passed as they are
+        everything = frozenset(mdp.live)
+        for goal in goals:
             avoidable = fixpoint_prob0_exists(mdp, goal)
             assert prob0_exists(mdp, goal) == avoidable
             sure = everything - fixpoint_backward_closure(mdp, avoidable, goal)
@@ -580,3 +586,49 @@ def test_graph_analyses_match_fixpoint_references(seed):
             ref_region, ref_witness = fixpoint_prob1_exists(mdp, goal)
             assert region == ref_region
             assert witness == ref_witness
+
+
+def compacted(mdp):
+    """``mdp``'s live states renumbered 0, 1, ... in ascending order, as an
+    MDP without dead states, and the map from its numbers to the new ones."""
+    local = {s: i for i, s in enumerate(mdp.live)}
+    actions = [[MdpAction(tuple((local[t], p) for t, p in dist), tag)
+                for dist, tag in mdp.actions[s]] for s in mdp.live]
+    rewards = None if mdp.rewards is None else \
+        [mdp.rewards[s] for s in mdp.live]
+    return SparseMDP(len(local), local[mdp.initial], actions, rewards), local
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_family_numbered_restriction_solves_like_its_compacted_copy(seed):
+    # the engine solves only a restriction's live states, and in family
+    # order: bit for bit the solve of the same states numbered 0, 1, ...
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([6, 12, 24]),
+                           max_params=rng.choice([3, 6]), max_domain=4,
+                           rewards=True)
+    goal = family.label_states("goal")
+    quotient = build_quotient(family)
+    for sub in (Subfamily.full(family), random_subfamily(family, rng),
+                random_subfamily(family, rng)):
+        mdp = quotient.restrict(sub).mdp
+        small, local = compacted(mdp)
+        small_goal = frozenset(local[s] for s in goal if s in local)
+        for solve in (solve_prob, solve_reward):
+            for direction in ("max", "min"):
+                try:
+                    want = solve(small, small_goal, direction)
+                except UndefinedRewardError:
+                    with pytest.raises(UndefinedRewardError):
+                        solve(mdp, goal, direction)
+                    continue
+                got = solve(mdp, goal, direction)
+                assert got.pinned == want.pinned
+                assert got.at_initial.hex() == want.at_initial.hex()
+                assert [got.values[s].hex() for s in local] == \
+                    [v.hex() for v in want.values]
+                assert [got.scheduler.choices[s] for s in local] == \
+                    list(want.scheduler.choices)
+                assert [got.scheduler.tags[s] for s in local] == \
+                    list(want.scheduler.tags)

@@ -36,8 +36,9 @@ H = Fraction(1, 2)
 
 
 def pick_scheduler(restricted, wanted):
-    """Build a scheduler choosing, per state, the first action whose partial
-    assignment agrees with ``wanted`` (a dict of param name -> value)."""
+    """Build a scheduler choosing, per reached state, the first action whose
+    partial assignment agrees with ``wanted`` (a dict of param name ->
+    value); the tag is None at every other state."""
     family = restricted.family
     choices = []
     tags = []
@@ -50,7 +51,7 @@ def pick_scheduler(restricted, wanted):
                 pick = ai
                 break
         choices.append(pick)
-        tags.append(acts[pick].tag)
+        tags.append(acts[pick].tag if acts else None)
     return Scheduler(tuple(choices), tuple(tags))
 
 
@@ -118,8 +119,8 @@ def test_singleton_restriction_replays_instantiation(example1):
     for r in all_realisations(model):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(model, r)
-        for s, acts in zip(restricted.states, restricted.mdp.actions):
-            [(dist, ma)] = acts
+        for s in restricted.states:
+            [(dist, ma)] = restricted.mdp.actions[s]
             assert ma.dist_exact == mc.rows[s]
 
 
@@ -131,8 +132,8 @@ def test_merged_replay_on_random_families(seed):
     for r in all_realisations(family):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(family, r)
-        for s, acts in zip(restricted.states, restricted.mdp.actions):
-            [(_, ma)] = acts
+        for s in restricted.states:
+            [(_, ma)] = restricted.mdp.actions[s]
             assert ma.dist_exact == mc.rows[s]
 
 
@@ -246,7 +247,7 @@ def test_consistent_scheduler_value_multisets_agree(seed):
         member_values.append(float(exact_mc_probability(mc, goal)[mc.initial]))
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         consistent_values.append(solve_prob(
-            restricted.mdp, restricted.local(goal), "max").at_initial)
+            restricted.mdp, goal, "max").at_initial)
     member_values.sort()
     consistent_values.sort()
     assert all(abs(a - b) <= 1e-6
@@ -260,9 +261,8 @@ def test_sandwich_min_member_max(seed):
     goal = family.label_states("goal")
     quotient = build_quotient(family)
     restricted = quotient.restrict(Subfamily.full(family))
-    local_goal = restricted.local(goal)
-    hi = solve_prob(restricted.mdp, local_goal, "max").at_initial
-    lo = solve_prob(restricted.mdp, local_goal, "min").at_initial
+    hi = solve_prob(restricted.mdp, goal, "max").at_initial
+    lo = solve_prob(restricted.mdp, goal, "min").at_initial
     for r in all_realisations(family):
         mc = instantiate(family, r)
         v = float(exact_mc_probability(mc, goal)[mc.initial])
@@ -300,8 +300,7 @@ def test_all_in_one_extremes_match_quotient_extremes(seed):
     aio = build_all_in_one(family)
     aio_goal = aio.goal_ids("goal")
     for direction in ("max", "min"):
-        q = solve_prob(quotient.mdp, quotient.local(goal),
-                       direction).at_initial
+        q = solve_prob(quotient.mdp, goal, direction).at_initial
         a = solve_prob(aio.mdp, aio_goal, direction).at_initial
         assert a == pytest.approx(q, abs=1e-6)
 
@@ -377,21 +376,23 @@ def naive_reached(family, rows):
 
 
 def assert_restriction_is_naive_filter(quotient, sub):
-    """The restriction holds exactly the states the naive filter reaches,
-    ascending, with the naive filter's actions in local numbers."""
+    """The restriction's live states are exactly the states the naive filter
+    reaches, ascending; they hold the naive filter's actions in family
+    numbers, and every other state holds none."""
     family = quotient.family
     restricted = quotient.restrict(sub)
     rows = naive_restriction(family, sub)
-    assert restricted.states == tuple(sorted(naive_reached(family, rows)))
-    local = {s: i for i, s in enumerate(restricted.states)}
-    assert restricted.mdp.initial == local[family.initial]
-    for s, actions in zip(restricted.states, restricted.mdp.actions):
+    assert restricted.states == restricted.mdp.live == \
+        tuple(sorted(naive_reached(family, rows)))
+    assert restricted.mdp.n_states == family.n_states
+    assert restricted.mdp.initial == family.initial
+    for s, actions in enumerate(restricted.mdp.actions):
         got = [(ma.params, ma.values, ma.dist_exact) for _, ma in actions]
-        assert got == rows[s]
+        assert got == (rows[s] if s in restricted.states else [])
         for dist, ma in actions:
             assert ma.state == s
             assert ma.dist == tuple((t, float(p)) for t, p in ma.dist_exact)
-            assert dist == tuple((local[t], p) for t, p in ma.dist)
+            assert dist == ma.dist
     return restricted
 
 
@@ -410,7 +411,6 @@ def assert_solutions_match_naive(restricted, goal):
     """Both directions give bit-identical values and equal choices at every
     reached state, against the engine run on the family-numbered MDP."""
     naive = naive_mdp(restricted.family, restricted.sub)
-    local_goal = restricted.local(goal)
     states = restricted.states
     solvers = [solve_prob]
     if naive.rewards is not None:
@@ -421,12 +421,12 @@ def assert_solutions_match_naive(restricted, goal):
                 want = solve(naive, goal, direction)
             except UndefinedRewardError:
                 with pytest.raises(UndefinedRewardError):
-                    solve(restricted.mdp, local_goal, direction)
+                    solve(restricted.mdp, goal, direction)
                 continue
-            got = solve(restricted.mdp, local_goal, direction)
-            assert got.values == tuple(want.values[s] for s in states)
-            assert got.scheduler.choices == \
-                tuple(want.scheduler.choices[s] for s in states)
+            got = solve(restricted.mdp, goal, direction)
+            for s in states:
+                assert got.values[s] == want.values[s]
+                assert got.scheduler.choices[s] == want.scheduler.choices[s]
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,44 +460,43 @@ def test_restrict_matches_naive_filter(seed):
                 assert restricted.mdp.actions == \
                     build_quotient(family).restrict(child).mdp.actions
                 assert_solutions_match_naive(restricted, goal)
-                before = dict(zip(parent.states, parent.mdp.actions))
-                for s, actions in zip(restricted.states,
-                                      restricted.mdp.actions):
-                    if k not in family.support(s) and s in before:
-                        assert len(actions) == len(before[s])
-                        assert all(a.tag is b.tag
-                                   for a, b in zip(actions, before[s]))
+                assert set(restricted.states) <= set(parent.states)
+                for s in restricted.states:
+                    if k not in family.support(s):
+                        assert restricted.mdp.actions[s] is \
+                            parent.mdp.actions[s]
 
 
 def assert_inherited_is_sound(parent, res, child, got, goal):
-    """``got = inherit(parent.states, res, child)`` is None exactly when
-    some state of ``child`` lost the distribution the parent's scheduler
-    chose there; otherwise it agrees with a fresh solve on ``child`` and is
-    attained by the scheduler it carries, whose tags are the child's own
-    actions."""
+    """``got = inherit(parent.mdp.actions, res, child)`` is None exactly
+    when some state of ``child`` lost the distribution the parent's
+    scheduler chose there; otherwise, at every state of ``child``, it
+    agrees with a fresh solve on ``child`` and is attained by the scheduler
+    it carries, whose tags are the child's own actions."""
     solve = solve_prob if res.kind == "probability" else solve_reward
-    chosen = dict(zip(parent.states, res.scheduler.tags))
+    chosen = res.scheduler.tags
     survives = all(any(ma.dist_exact == chosen[s].dist_exact
-                       for _, ma in acts)
-                   for s, acts in zip(child.states, child.mdp.actions))
+                       for _, ma in child.mdp.actions[s])
+                   for s in child.states)
     assert (got is not None) == survives
     if got is None:
         return
     fresh = solve(child.mdp, goal, res.direction)
     assert got.pinned == res.pinned
     assert got.at_initial == got.values[child.mdp.initial]
-    for v, w in zip(got.values, fresh.values):
+    for s in child.states:
+        v, w = got.values[s], fresh.values[s]
         assert v == w == float("inf") or v == pytest.approx(w, rel=1e-9,
                                                             abs=0)
-    for acts, c, tag in zip(child.mdp.actions, got.scheduler.choices,
-                            got.scheduler.tags):
-        assert acts[c].tag is tag
+        acts = child.mdp.actions[s]
+        assert acts[got.scheduler.choices[s]].tag is got.scheduler.tags[s]
     chain = induced_chain(child.mdp, got.scheduler)
     if res.kind == "probability":
         exact = exact_mc_probability(chain, goal)
     else:
         exact = exact_mc_reward(chain, goal)
-    for v, e in zip(got.values, exact):
+    for s in child.states:
+        v, e = got.values[s], exact[s]
         if v == float("inf"):
             assert e is None
         else:
@@ -526,36 +525,38 @@ def test_inherited_result_is_the_childs_own(seed):
         keep = rng.sample(current, rng.randint(1, len(current) - 1))
         children = [quotient.restrict(child)
                     for child in parent.sub.split(k, keep)]
-        parent_goal = parent.local(goal)
         for solve in (solve_prob, solve_reward):
             for direction in ("max", "min"):
                 try:
-                    res = solve(parent.mdp, parent_goal, direction)
+                    res = solve(parent.mdp, goal, direction)
                 except UndefinedRewardError:
                     for child in children:
-                        assert inherit(parent.states, None, child) is None
+                        assert inherit(parent.mdp.actions, None,
+                                       child) is None
                         with pytest.raises(UndefinedRewardError):
-                            solve(child.mdp, child.local(goal), direction)
+                            solve(child.mdp, goal, direction)
                     continue
                 for child in children:
                     assert_inherited_is_sound(
-                        parent, res, child, inherit(parent.states, res, child),
-                        child.local(goal))
+                        parent, res, child,
+                        inherit(parent.mdp.actions, res, child), goal)
         parent = rng.choice(children)
 
 
 def test_restriction_drops_states_the_initial_state_cannot_reach():
     quotient = build_quotient(unreachable_family())
     full = quotient.restrict(Subfamily.full(quotient.family))
-    assert full.states == (0, 1, 3)
-    assert full.local(frozenset({1, 2, 3})) == frozenset({1, 2})
-    # family state 3 is local state 2; its successor keeps local number 1
+    assert full.states == full.mdp.live == (0, 1, 3)
+    # family state 2 keeps no action; state 3 and its successor keep their
+    # family numbers
+    assert full.mdp.actions[2] == []
     assert [dist for dist, _ in full.mdp.actions[0]] == \
-        [((1, 1.0),), ((2, 1.0),)]
-    assert full.mdp.rewards == [1.0, 0.0, 2.0]
-    # a reached prefix keeps its numbers
+        [((1, 1.0),), ((3, 1.0),)]
+    assert full.mdp.rewards == [1.0, 0.0, 5.0, 2.0]
+    # a smaller restriction drops state 3 and keeps the others' numbers
     only_one = quotient.restrict(Subfamily(((1,), (1,))))
     assert only_one.states == (0, 1)
+    assert only_one.mdp.actions[3] == []
     assert only_one.mdp.actions[0] == full.mdp.actions[0][:1]
 
 
@@ -565,13 +566,13 @@ def test_conflict_witness_names_family_states():
     assert restricted.states == (0, 1, 3)
     # k = 3 at state 0 leads to state 3, which picks k = 1
     wanted = {0: 3, 3: 1}
-    choices = []
-    for s, acts in zip(restricted.states, restricted.mdp.actions):
-        choices.append(next(
-            ai for ai, (_, ma) in enumerate(acts)
-            if s not in wanted or ma.values == (wanted[s],)))
-    scheduler = Scheduler(tuple(choices), tuple(
-        acts[c].tag for acts, c in zip(restricted.mdp.actions, choices)))
+    choices, tags = [0] * 4, [None] * 4
+    for s in restricted.states:
+        acts = restricted.mdp.actions[s]
+        choices[s] = next(ai for ai, (_, ma) in enumerate(acts)
+                          if s not in wanted or ma.values == (wanted[s],))
+        tags[s] = acts[choices[s]].tag
+    scheduler = Scheduler(tuple(choices), tuple(tags))
     assert is_consistent(restricted, scheduler, frozenset()) == \
         (False, (0, 0, 3))
     with pytest.raises(ConsistencyError, match="for k at states 0 and 3$"):
@@ -639,7 +640,7 @@ def test_unification_is_exact_for_non_dyadic_weights():
                    (1, Subfamily(((1, 2), (1, 2), (1, 2), (2,), (0, 2),
                                   (0, 2), (0, 2), (2,))))):
         restricted = assert_restriction_is_naive_filter(quotient, sub)
-        acts = dict(zip(restricted.states, restricted.mdp.actions))[s]
+        acts = restricted.mdp.actions[s]
         assert merged[s][1] in [ma.values for _, ma in acts]
 
 
@@ -678,9 +679,9 @@ def test_merged_actions_of_one_signature_compare_equal(example1):
     model, _ = example1
     full = build_quotient(model).restrict(Subfamily.full(model))
     part = build_quotient(model).restrict(Subfamily(((0,), (1,), (2, 3))))
-    for s, acts in zip(part.states, part.mdp.actions):
+    for s in part.states:
         before = {ma.values: ma for _, ma in full.mdp.actions[s]}
-        for _, ma in acts:
+        for _, ma in part.mdp.actions[s]:
             twin = before[ma.values]
             assert twin is not ma
             assert twin == ma and hash(twin) == hash(ma)
