@@ -1,8 +1,7 @@
 """famsynth: synthesis over finite families of Markov chains.
 
 Threshold, max/min and feasibility queries answered by quotient-MDP
-abstraction refinement, with enumeration and all-in-one baselines and an
-SMT-LIB2 exporter for cross-validation.
+abstraction refinement, with enumeration and all-in-one baselines.
 """
 
 from .errors import (
@@ -11,7 +10,6 @@ from .errors import (
     FormatError,
     InvalidRealisationError,
     InvalidSplitError,
-    MalformedModelError,
     ModelError,
     NonConvergenceError,
     SizeCapError,
@@ -73,13 +71,6 @@ from .baselines import (
     one_by_one,
     random_family,
     random_spec,
-)
-from .smt import (
-    SmtEncoding,
-    decode_model,
-    default_solver_command,
-    encode_feasibility,
-    run_solver,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``check`` (member-by-member), ``allinone``, ``enum``
-(consistent-scheduler enumeration), ``synth`` (abstraction refinement),
-``smt-export`` and ``gen`` (random families).  ``synth`` sends its four
-modes through one dispatch table; they share one refinement loop and
-differ only in its decision step.  Exit codes: 0 success, 1 usage,
+(consistent-scheduler enumeration), ``synth`` (abstraction refinement)
+and ``gen`` (random families).  ``synth`` sends its four modes through
+one dispatch table; they share one refinement loop and differ only in its
+decision step.  Exit codes: 0 success, 1 usage,
 2 parse/semantic error, 3 resource cap, 4 undefined reward.
 """
 
@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SizeCapError,
     UndefinedRewardError,
 )
-from .family import FamilyModel, Specification, Subfamily
+from .family import FamilyModel, Specification
 from .fmc import parse_family, parse_spec, serialize_family
 from .baselines import (
     all_in_one_check,
@@ -33,13 +32,6 @@ from .baselines import (
     one_by_one,
     random_family,
     random_spec,
-)
-from .quotient import build_quotient
-from .smt import (
-    SOLVER_ENV_VAR,
-    decode_model,
-    encode_feasibility,
-    run_solver,
 )
 from .synthesis import (
     SynthesisOutcome,
@@ -169,8 +161,10 @@ def _to_csv(payload: dict, family: FamilyModel) -> str:
         writer.writerow([payload["best"][n] for n in family.param_names]
                         + [payload["value"]])
     else:
-        for k, v in payload.items():
-            writer.writerow([k, v])
+        writer.writerow(list(family.param_names))
+        if payload["member"] is not None:
+            writer.writerow([payload["member"][n]
+                             for n in family.param_names])
     return buf.getvalue()
 
 
@@ -219,13 +213,22 @@ def _write_trace(path: str, outcome: SynthesisOutcome):
             }) + "\n")
 
 
-def _add_common(sub, spec_flags=True):
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_common(sub):
     sub.add_argument("model", help="input .fmc file, or - for stdin")
-    if spec_flags:
-        sub.add_argument("--spec", metavar="NAME",
-                         help="named spec from the input (default: first)")
-        sub.add_argument("--spec-string", metavar="SPEC",
-                         help="ad-hoc spec string instead of a named one")
+    sub.add_argument("--spec", metavar="NAME",
+                     help="named spec from the input (default: first)")
+    sub.add_argument("--spec-string", metavar="SPEC",
+                     help="ad-hoc spec string instead of a named one")
     sub.add_argument("--out", choices=("json", "csv", "text"),
                      default="json")
     sub.add_argument("--timings", action="store_true",
@@ -257,20 +260,11 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", metavar="PATH",
                    help="write a JSON-lines refinement trace")
 
-    p = commands.add_parser("smt-export",
-                            help="emit the feasibility problem as SMT-LIB2")
-    _add_common(p, spec_flags=True)
-    p.add_argument("--output", metavar="PATH",
-                   help="write the .smt2 text here instead of stdout")
-    p.add_argument("--solver", metavar="CMD",
-                   help="run this SMT solver and decode its model")
-    p.add_argument("--timeout", type=float, default=60.0)
-
     p = commands.add_parser("gen", help="generate a random family document")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=int, default=8)
-    p.add_argument("--params", type=int, default=3)
-    p.add_argument("--domain", type=int, default=3)
+    p.add_argument("--states", type=_positive_int, default=8)
+    p.add_argument("--params", type=_positive_int, default=3)
+    p.add_argument("--domain", type=_positive_int, default=3)
     p.add_argument("--rewards", action="store_true")
     p.add_argument("--output", metavar="PATH",
                    help="write the document here instead of stdout")
@@ -334,30 +328,6 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_smt_export(args) -> int:
-    family, specs = _read_model(args.model)
-    spec = _pick_spec(specs, args.spec, args.spec_string)
-    quotient = build_quotient(family)
-    restricted = quotient.restrict(Subfamily.full(family))
-    encoding = encode_feasibility(restricted, spec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(encoding.text)
-    else:
-        sys.stdout.write(encoding.text)
-    command = args.solver or os.environ.get(SOLVER_ENV_VAR)
-    if command:
-        status, model_text = run_solver(encoding, command,
-                                        timeout=args.timeout)
-        print(status, file=sys.stderr)
-        if status == "sat":
-            member = decode_model(encoding, model_text)
-            line = " ".join(f"{n}={v}" for n, v in
-                            member.as_dict(family).items())
-            print(line)
-    return EXIT_OK
-
-
 def _cmd_gen(args) -> int:
     family = random_family(args.seed, max_states=args.states,
                            max_params=args.params, max_domain=args.domain,
@@ -381,7 +351,6 @@ _COMMANDS = {
     "allinone": _cmd_allinone,
     "enum": _cmd_enum,
     "synth": _cmd_synth,
-    "smt-export": _cmd_smt_export,
     "gen": _cmd_gen,
 }
 

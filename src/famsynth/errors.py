@@ -76,9 +76,3 @@ class ConsistencyError(FamsynthError):
 
 class UnsupportedSpecError(FamsynthError):
     code = "unsupported-spec"
-
-
-class MalformedModelError(FamsynthError):
-    """An SMT solver model that does not fit the emitted encoding."""
-
-    code = "malformed-model"

@@ -75,9 +75,6 @@ class MergedAction:
     def dist_exact(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple([(t, Fraction(m, self.den)) for t, m in self.masses])
 
-    def assignment(self) -> dict[int, int]:
-        return dict(zip(self.params, self.values))
-
 
 class _Table(NamedTuple):
     """One state's signature table.  ``signatures`` are in domain order and

@@ -8,7 +8,6 @@ size 3, thresholds drawn per seed) is shared across criteria.
 import json
 import math
 import time
-import warnings
 
 import pytest
 
@@ -18,20 +17,15 @@ from famsynth import (
     all_in_one_check,
     all_realisations,
     build_quotient,
-    decode_model,
-    default_solver_command,
     enumerate_consistent,
     exact_mc_probability,
     exact_mc_reward,
     instantiate,
     max_synthesis,
     min_synthesis,
-    one_by_one,
     parse_family,
-    parse_spec,
     random_family,
     random_spec,
-    run_solver,
     solve_prob,
     solve_reward,
     threshold_synthesis,
@@ -279,44 +273,6 @@ def test_criterion_8_termination_and_near_optimal_speedup(corpus,
                f"bound ok on corpus; near-optimal fixture took "
                f"{out.stats.iterations} iterations for "
                f"{model.n_realisations} members")
-
-
-def test_criterion_9_smt_cross_check(capsys):
-    command = default_solver_command()
-    if command is None:
-        with capsys.disabled():
-            print("[acceptance] criterion  9: SKIP (no SMT solver binary "
-                  "configured; set FAMSYNTH_SOLVER to enable)")
-        warnings.warn("criterion 9 skipped: no SMT solver binary configured")
-        pytest.skip("no SMT solver binary configured")
-    from famsynth import encode_feasibility
-    checked = 0
-    bad = []
-    for seed in range(200):
-        family = random_family(seed, max_states=7, max_params=3,
-                               max_domain=3, rewards=True)
-        if family.n_realisations > 32:
-            continue
-        spec = parse_spec(f'E<={(seed % 12) + 1} F "goal"')
-        restricted = build_quotient(family).restrict(Subfamily.full(family))
-        enc = encode_feasibility(restricted, spec)
-        status, model_text = run_solver(enc, command)
-        obo = one_by_one(family, spec)
-        feasible = bool(obo.accepted)
-        if (status == "sat") != feasible:
-            bad.append((seed, status, feasible))
-        elif status == "sat":
-            member = decode_model(enc, model_text)
-            value = solve_reward(mdp_from_mc(instantiate(family, member)),
-                                 family.label_states("goal"), "min").at_initial
-            if value > float(spec.threshold) + TOL:
-                bad.append((seed, "decode", value))
-        checked += 1
-        if checked >= 20:
-            break
-    with capsys.disabled():
-        report(9, checked >= 20 and not bad,
-               f"{checked} fixtures, failures: {bad[:3] or 'none'}")
 
 
 def test_criterion_10_numeric_oracle(corpus, capsys):

@@ -230,23 +230,28 @@ def test_gen_is_deterministic(capsys):
     assert a != c
 
 
-def test_smt_export_writes_problem(tmp_path, capsys):
-    doc = EXAMPLE1.read_text().replace(
-        "labels", "rewards\n0 : 1\n1 : 1\n2 : 0\n3 : 5\n\nlabels", 1)
-    doc = doc.replace('phi : P>=1/10 F "one"', 'phi : E<=5 F "two"')
-    path = tmp_path / "rew.fmc"
-    path.write_text(doc)
-    out_path = tmp_path / "problem.smt2"
-    code, _, _ = run_cli(capsys, "smt-export", "--spec", "phi", str(path),
-                         "--output", str(out_path))
+def test_feasibility_csv_lists_the_member(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
+                           "--spec", "phi", "--out", "csv", MODEL)
     assert code == 0
-    text = out_path.read_text()
-    assert text.startswith("(set-logic QF_LRA)")
-    assert "(check-sat)" in text
-    # unsupported spec exits semantically
-    code, _, err = run_cli(capsys, "smt-export", "--spec", "obj", str(path))
-    assert code == 2
-    assert "unsupported-spec" in err
+    assert out.splitlines() == ["k0,k1,k2", "0,1,2"]
+    # with k1 fixed to 0 state 0 never leaves its self-loop: no member
+    # reaches "one" and only the header is printed
+    path = tmp_path / "stuck.fmc"
+    path.write_text(EXAMPLE1.read_text().replace("k1 : 0 1", "k1 : 0", 1))
+    code, out, _ = run_cli(capsys, "synth", "--mode", "feasibility",
+                           "--spec", "phi", "--out", "csv", str(path))
+    assert code == 0
+    assert out.splitlines() == ["k0,k1,k2"]
+
+
+@pytest.mark.parametrize("flag", ["--states", "--params", "--domain"])
+def test_gen_rejects_counts_below_one(capsys, flag):
+    code, out, err = run_cli(capsys, "gen", "--seed", "1", flag, "0")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_console_entry_point_via_subprocess():
