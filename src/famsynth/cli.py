@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(exc, file=sys.stderr)
+        print(f"famsynth: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

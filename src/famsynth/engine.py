@@ -17,11 +17,14 @@ self-loop takes one Bellman backup.  Every other component, a singleton
 with self-loops included, is solved by policy iteration local to the
 component: each policy is evaluated by one sparse elimination, and the
 stable policy's values are pushed down by a small margin and accepted only
-when every backup confirms they lie below the fixpoint.  A component that
-fails that check falls back to in-place Gauss-Seidel sweeps, which stop on
-a fixed residual and sweep cap.  All of it works from below, so computed
-values never exceed the true fixpoint (up to the rounding of a plain
-backup); callers exploit that one-sidedness.
+when every backup confirms they lie below the fixpoint.  The first policy
+is greedy over the caller's hint, such as a split child's parent values,
+or else over placeholders; the hint moves only where the search starts, so
+a tie broken differently may move a certified value in its last digits.  A
+component that fails certification falls back to in-place Gauss-Seidel
+sweeps, which stop on a fixed residual and sweep cap.  All of it works
+from below, so computed values never exceed the true fixpoint (up to the
+rounding of a plain backup); callers exploit that one-sidedness.
 
 Schedulers are the solver's own choices: each state takes the action that
 produced its value (the argmax of its backup or the certified policy of
@@ -568,21 +571,26 @@ def _certify(acts, policy, chosen, factors, x, maximize):
     return y if certified else None
 
 
-def _policy_iteration(comp, rows, values, choices, maximize):
+def _policy_iteration(comp, rows, values, choices, maximize, start=None):
     """Solve the component ``comp`` directly by policy iteration, treating
     values outside it as constants; write the values and the policy into
     ``values`` and ``choices`` and return True only if ``_certify`` accepts
     them, else change nothing and return False.
 
-    The greedy start policy is made proper (``_make_proper``).  Each round
-    evaluates the policy by one elimination (``_factor``) and improves it
-    (``_improve``); a stable policy's values go to ``_certify``, which may
-    hand back a changed policy for another round.  A repeated policy gives
-    up.
+    The start policy is greedy over the hint ``start`` (``values`` where
+    it is None or not finite) and made proper (``_make_proper``).  Each
+    round evaluates the policy by one elimination (``_factor``) and
+    improves it (``_improve``); a stable policy's values go to
+    ``_certify``, which may hand back a changed policy for another round.
+    A repeated policy gives up.  The hint moves only where the search
+    starts: a tie broken differently may move a certified value in its last
+    digits.
     """
     acts = _split_actions(comp, rows, values)
     policy = [None] * len(comp)
-    _improve(acts, [values[s] for s in comp], policy, maximize)
+    hint = [values[s] if start is None or not math.isfinite(start[s])
+            else start[s] for s in comp]
+    _improve(acts, hint, policy, maximize)
     if None in policy:
         return False  # a state with only pure self-loops
     seen = set()
@@ -646,7 +654,7 @@ def _sweep(comp, rows, values, maximize, epsilon, max_iter):
     return choices
 
 
-def _value_iteration(rows, values, choices, maximize):
+def _value_iteration(rows, values, choices, maximize, start=None):
     """Solve ``values[s]`` for every state in ``rows``, in place, and set
     ``choices[s]`` to the index of the action in ``rows[s]`` that yields it.
 
@@ -654,9 +662,9 @@ def _value_iteration(rows, values, choices, maximize):
     ``(reward, dist)`` pairs; every other state keeps its value.  Components
     of the graph over all actions are solved successors first: a singleton
     without a self-loop by one backup, anything else by
-    ``_policy_iteration``, whose values are certified from below.  A
-    component it cannot certify falls back to ``_sweep`` with the module's
-    fixed residual and sweep cap.
+    ``_policy_iteration`` from the hint ``start``, whose values are
+    certified from below.  A component it cannot certify falls back to
+    ``_sweep`` with the module's fixed residual and sweep cap.
     """
     edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
              for s, acts in rows.items()}
@@ -666,7 +674,8 @@ def _value_iteration(rows, values, choices, maximize):
             values[s], choices[s] = _backup(rows[s], values, maximize)
             continue
         comp.sort()
-        if not _policy_iteration(comp, rows, values, choices, maximize):
+        if not _policy_iteration(comp, rows, values, choices, maximize,
+                                 start):
             for s, ai in _sweep(comp, rows, values, maximize,
                                 DEFAULT_EPSILON, DEFAULT_MAX_ITER).items():
                 choices[s] = ai
@@ -691,12 +700,14 @@ def _result(mdp, direction, kind, values, choices,
                        values[mdp.initial], pinned)
 
 
-def solve_prob(mdp: SparseMDP, goal: frozenset[int],
-               direction: str) -> CheckResult:
+def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
+               start=None) -> CheckResult:
     """Optimal reachability probabilities plus an attaining scheduler.
 
     Qualitative precomputation pins the direction's certain states to exact
     0/1 before iterating; ``pinned`` tells whether the initial state is one.
+    ``start``, per state, is where policy iteration starts its search, such
+    as the values of an MDP with more actions; it does not bound the result.
     """
     goal = frozenset(goal)
     if direction == "max":
@@ -714,7 +725,7 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
     rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
             for s in _live(mdp) if s not in frozen}
     choices = [0] * mdp.n_states
-    _value_iteration(rows, values, choices, direction == "max")
+    _value_iteration(rows, values, choices, direction == "max", start)
     if direction == "max":
         for s, ai in attractor.items():
             choices[s] = ai
@@ -729,26 +740,27 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int],
                    pinned=mdp.initial in frozen)
 
 
-def solve_reward(mdp: SparseMDP, goal: frozenset[int],
-                 direction: str) -> CheckResult:
+def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
+                 start=None) -> CheckResult:
     """Optimal expected reward accumulated until the goal is first reached.
 
     States whose relevant reachability guarantee fails get the +inf sentinel:
     under ``max`` every state some scheduler steers away from the goal, under
     ``min`` every state no scheduler can reach almost surely.  A ``min`` query
     whose initial state is such a state raises, everything else compares.
+    ``start`` is the hint of ``solve_prob``.
     """
     goal = frozenset(goal)
     if mdp.rewards is None:
         raise ModelError("model carries no rewards", code="bad-reward")
     if direction == "max":
-        return _solve_reward_max(mdp, goal)
+        return _solve_reward_max(mdp, goal, start)
     if direction == "min":
-        return _solve_reward_min(mdp, goal)
+        return _solve_reward_min(mdp, goal, start)
     raise ValueError(f"direction must be max or min, got {direction!r}")
 
 
-def _solve_reward_max(mdp, goal):
+def _solve_reward_max(mdp, goal, start):
     avoid = prob0_exists(mdp, goal)
     sure = prob1_forall(mdp, goal, avoidable=avoid)
     values = [math.inf] * mdp.n_states
@@ -759,7 +771,7 @@ def _solve_reward_max(mdp, goal):
     rows = {s: [(mdp.rewards[s], dist) for dist, _ in mdp.actions[s]]
             for s in sorted(sure - goal)}
     choices = [0] * mdp.n_states
-    _value_iteration(rows, values, choices, True)
+    _value_iteration(rows, values, choices, True, start)
     # Infinite states must witness the infinity: steer towards the region
     # where the goal is avoidable and stay inside it, so the induced chain
     # misses the goal with positive probability.
@@ -799,7 +811,7 @@ def _zero_reward_mecs(mdp, candidates, allowed):
     return result
 
 
-def _solve_reward_min(mdp, goal):
+def _solve_reward_min(mdp, goal, start):
     region, attractor = prob1_exists(mdp, goal)
     if mdp.initial not in region:
         raise UndefinedRewardError(
@@ -839,19 +851,22 @@ def _solve_reward_min(mdp, goal):
             dist = mdp.actions[s][ai].dist
             if mec is not None and all(t in mec for t, _ in dist):
                 continue  # internal to the collapsed component
-            merged: dict[int, float] = {}
-            for t, p in dist:
-                u = node(t)
-                merged[u] = merged.get(u, 0.0) + p
-            node_actions[node(s)].append((s, ai, tuple(sorted(merged.items()))))
+            if rep:  # else every node is its own state
+                merged: dict[int, float] = {}
+                for t, p in dist:
+                    u = node(t)
+                    merged[u] = merged.get(u, 0.0) + p
+                dist = tuple(sorted(merged.items()))
+            node_actions[node(s)].append((s, ai, dist))
 
-    # Node values live at the representative's index; goal nodes stay 0.
+    # Node values, and the hint they start from, live at the representative's
+    # index; goal nodes stay 0.
     values_n = [0.0] * n
     choices_n = [0] * n
     goal_nodes = {node(g) for g in goal if g in region}
     rows = {v: [(mdp.rewards[s], dist) for s, _, dist in node_actions[v]]
             for v in nodes if v not in goal_nodes}
-    _value_iteration(rows, values_n, choices_n, False)
+    _value_iteration(rows, values_n, choices_n, False, start)
 
     values = [math.inf] * n
     for s in region:

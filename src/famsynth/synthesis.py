@@ -33,7 +33,12 @@ every action of the parent's max scheduler and the other every action of
 its min scheduler.  This is sound because the child's actions are a subset
 of the parent's: the surviving scheduler induces the parent's chain, so the
 parent's certified values stay certified for the child, and they lie
-within the parent's certification margin of the child's optimum.
+within the parent's certification margin of the child's optimum.  A child
+that cannot inherit a direction starts its solve from the parent's values
+for it (restrictions keep family state numbers, so they index the child's
+states), which usually leaves policy iteration fewer rounds; the start
+changes only the search, so a tie broken differently may move a certified
+value in its last digits.
 
 A split looks only at the states whose min/max gap is the full gap at the
 initial state, or, when fewer states than splittable parameters have it,
@@ -367,19 +372,21 @@ class _Loop:
               direction: str, parent: _Parent | None) -> CheckResult | None:
         """Solve one direction; None for a reward ``min`` whose goal no
         scheduler reaches almost surely.  The parent's result is taken
-        instead when its scheduler survives in ``restricted``."""
+        instead when its scheduler survives in ``restricted``; otherwise
+        the solve starts from the parent's values."""
         t0 = time.perf_counter()
         try:
+            start = None
             if parent is not None and direction in parent.res:
                 solved = parent.res[direction]
                 res = inherit(parent.actions, solved, restricted)
                 if res is not None or solved is None:
                     self.stats.inherited += 1
                     return res
+                start = solved.values
             self.stats.solver_calls += 1
-            if self.spec.kind == REWARD:
-                return solve_reward(restricted.mdp, goal, direction)
-            return solve_prob(restricted.mdp, goal, direction)
+            solver = solve_reward if self.spec.kind == REWARD else solve_prob
+            return solver(restricted.mdp, goal, direction, start=start)
         except UndefinedRewardError:
             return None
         finally:

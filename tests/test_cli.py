@@ -144,8 +144,14 @@ obj : Emax F "goal"
 
 
 def test_exit_code_usage(capsys):
-    code, _, err = run_cli(capsys, "synth", "--mode", "sideways", MODEL)
-    assert code == 1
+    # a one-line diagnostic with the code "usage", as for every failure
+    for argv in (("gen", "--domain", "0"),
+                 ("synth", "--mode", "sideways", MODEL),
+                 ("sideways",)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("famsynth: usage: famsynth")
+        assert err.count("\n") == 1 and err.endswith("\n")
     for command, flag, value in (("synth", "--queue", "fifo"),
                                  ("enum", "--epsilon", "1e-8")):
         code, _, _ = run_cli(capsys, command, flag, value, MODEL)

@@ -47,22 +47,32 @@ def quotient_mdp(example1):
     return build_quotient(model).restrict(Subfamily.full(model)).mdp
 
 
-def brute_force_extremes(mdp, goal):
+def exact_optima(mdp, goal, kind, cap=64):
     """Independent oracle: enumerate every memoryless scheduler, evaluate its
-    induced chain with exact rationals, return (min, max) at the initial."""
-    best = None
-    worst = None
-    ranges = [range(len(acts)) for acts in mdp.actions]
+    induced chain with exact rationals, and return per live state the
+    (min, max) over them, ``inf`` for an undefined reward; None when there
+    are more than ``cap`` schedulers."""
+    free = [s for s in live_states(mdp) if s not in goal]
+    ranges = [range(len(mdp.actions[s])) for s in free]
+    if math.prod(len(r) for r in ranges) > cap:
+        return None
+    lo = {s: math.inf for s in live_states(mdp)}
+    hi = {s: -math.inf for s in live_states(mdp)}
+    choices = [0] * mdp.n_states
     for combo in itertools.product(*ranges):
-        rows = tuple(
-            tuple((t, Fraction(p)) for t, p in mdp.actions[s][combo[s]].dist)
-            for s in range(mdp.n_states))
-        chain = ConcreteMC(mdp.n_states, mdp.initial, rows, None,
-                           frozenset(range(mdp.n_states)), {})
-        v = exact_mc_probability(chain, goal)[mdp.initial]
-        best = v if best is None or v > best else best
-        worst = v if worst is None or v < worst else worst
-    return worst, best
+        for s, ai in zip(free, combo):
+            choices[s] = ai
+        chain = induced_chain(mdp, engine.Scheduler(tuple(choices),
+                                                    (None,) * mdp.n_states))
+        if kind == "probability":
+            exact = exact_mc_probability(chain, goal)
+        else:
+            exact = exact_mc_reward(chain, goal)
+        for s in lo:
+            v = math.inf if exact[s] is None else exact[s]
+            lo[s] = min(lo[s], v)
+            hi[s] = max(hi[s], v)
+    return lo, hi
 
 
 def test_prob0_exists_on_worked_quotient(example1):
@@ -107,8 +117,8 @@ def test_solve_prob_geometric_loop_sums_to_one():
 
 def test_solve_prob_worked_quotient_matches_scheduler_enumeration(example1):
     mdp = quotient_mdp(example1)
-    worst, best = brute_force_extremes(mdp, ONE)
-    assert (worst, best) == (0, 1)
+    worst, best = exact_optima(mdp, ONE, "probability")
+    assert (worst[mdp.initial], best[mdp.initial]) == (0, 1)
     assert solve_prob(mdp, ONE, "max").at_initial == pytest.approx(1.0, abs=1e-6)
     assert solve_prob(mdp, ONE, "min").at_initial == pytest.approx(0.0, abs=1e-6)
 
@@ -632,3 +642,112 @@ def test_family_numbered_restriction_solves_like_its_compacted_copy(seed):
                     list(want.scheduler.choices)
                 assert [got.scheduler.tags[s] for s in local] == \
                     list(want.scheduler.tags)
+
+
+def assert_hint_changes_nothing(mdp, goal, hints):
+    """Solve both directions for probabilities and rewards, cold and from
+    each hint: every value stays at or below the exact optimum (where the
+    scheduler enumeration is small enough), and the value at the initial
+    state within a relative 1e-9 of the cold solve's."""
+    kinds = [(solve_prob, "probability")]
+    if mdp.rewards is not None:
+        kinds.append((solve_reward, "reward"))
+    for solve, kind in kinds:
+        optima = exact_optima(mdp, goal, kind)
+        for i, direction in enumerate(("min", "max")):
+            try:
+                cold = solve(mdp, goal, direction)
+            except UndefinedRewardError:
+                for hint in hints:
+                    with pytest.raises(UndefinedRewardError):
+                        solve(mdp, goal, direction, start=hint)
+                continue
+            for hint in hints + [list(cold.values)]:
+                got = solve(mdp, goal, direction, start=hint)
+                assert math.isclose(got.at_initial, cold.at_initial,
+                                    rel_tol=1e-9)
+                if optima is None:
+                    continue
+                for s, bound in optima[i].items():
+                    v = got.values[s]
+                    assert v <= bound if math.isinf(v) else \
+                        Fraction(v) <= bound
+
+
+# Hints of the magnitude a solve produces, with non-finite entries, which
+# the engine ignores; a hint near the float range could overflow the first
+# greedy backup and is not a value any solve hands on.
+hint_entries = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, 1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_start_hint_keeps_certified_values_on_restrictions(seed, data):
+    # a child restriction solved from arbitrary hints and from the values of
+    # its parent, a restriction with more actions, as the loop hands them
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=8, max_params=3, rewards=True)
+    goal = family.label_states("goal")
+    quotient = build_quotient(family)
+    parent = quotient.restrict(Subfamily.full(family)).mdp
+    child = quotient.restrict(random_subfamily(family, rng)).mdp
+    n = family.n_states
+    hints = [data.draw(st.lists(hint_entries, min_size=n, max_size=n))]
+    for solve in (solve_prob, solve_reward):
+        for direction in ("min", "max"):
+            try:
+                hints.append(list(solve(parent, goal, direction).values))
+            except UndefinedRewardError:
+                pass
+    assert_hint_changes_nothing(child, goal, hints)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digits=st.integers(1, 9),
+       to_sink=st.lists(st.booleans(), min_size=1, max_size=4),
+       rewards=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+       data=st.data())
+def test_start_hint_keeps_certified_values_on_stiff_ladders(
+        digits, to_sink, rewards, data):
+    # rung i keeps 1-10**-digits or 1-10**-digits/2 on a self-loop and
+    # splits the rest between the next rung and either the sink or the
+    # goal; none of these probabilities is dyadic, so rounding shows
+    rungs = len(to_sink)
+    goal, sink = rungs, rungs + 1
+    actions = []
+    for i, sink_side in enumerate(to_sink):
+        per = []
+        for e in (10.0 ** -digits, 10.0 ** -digits / 2):
+            per.append(MdpAction(((i, 1 - e), (i + 1, e / 2),
+                                  (sink if sink_side else goal, e / 2)), e))
+        actions.append(per)
+    actions += [[MdpAction(((goal, 1.0),), None)],
+                [MdpAction(((sink, 1.0),), None)]]
+    mdp = SparseMDP(rungs + 2, 0, actions,
+                    [float(r) for r in rewards[:rungs]] + [0.0, 0.0])
+    n = rungs + 2
+    hints = [data.draw(st.lists(hint_entries, min_size=n, max_size=n))]
+    assert_hint_changes_nothing(mdp, frozenset({goal}), hints)
+
+
+@pytest.mark.parametrize("swap_reward", [0.0, 1.0],
+                         ids=["zero-reward-end-component", "no-end-component"])
+@settings(max_examples=25, deadline=None)
+@given(leave=st.sampled_from([0.5, 0.25, 1e-6]),
+       data=st.data())
+def test_start_hint_keeps_reward_min_with_and_without_end_components(
+        swap_reward, leave, data):
+    # states 0 and 1 swap, or leave towards the goal 3 through state 2,
+    # which costs 10, or by a lossy exit that may land back at 0; with a
+    # zero swap reward the pair is an end component the solver collapses
+    mdp = SparseMDP(4, 0,
+                    [[MdpAction(((1, 1.0),), "swap"),
+                      MdpAction(((0, 1 - leave), (2, leave)), "leave")],
+                     [MdpAction(((0, 1.0),), "swap"),
+                      MdpAction(((2, 1.0),), "leave")],
+                     [MdpAction(((3, 1.0),), None)],
+                     [MdpAction(((3, 1.0),), None)]],
+                    rewards=[swap_reward, swap_reward, 10.0, 0.0])
+    hints = [data.draw(st.lists(hint_entries, min_size=4, max_size=4))]
+    assert_hint_changes_nothing(mdp, frozenset({3}), hints)

@@ -19,6 +19,7 @@ from famsynth import (
     important_states,
     instantiate,
     max_synthesis,
+    member_chain,
     min_synthesis,
     one_by_one,
     parse_family,
@@ -31,7 +32,7 @@ from famsynth import (
     solve_reward,
     threshold_synthesis,
 )
-from famsynth import synthesis
+from famsynth import engine, synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
 from conftest import R1, R2, R3, R4, ladder
@@ -713,3 +714,70 @@ def test_optimum_decisions_pinned_on_larger_family():
     assert out.best.values == (13, 13, 0, 9, 19, 0, 4, 14)
     assert out.stats.solver_calls == 5
     assert out.stats.solver_calls + out.stats.inherited == 5
+
+
+
+def query_answers(family, seed):
+    """Each query's answer and trace decisions on ``family``, for three
+    ``random_spec`` thresholds (threshold and feasibility) and the four
+    optima, and apart the optima's float values."""
+    answers, values = [], []
+
+    def decisions(out):
+        return [(r.subfamily, r.decision, r.split_param) for r in out.trace]
+
+    for i in range(3):
+        spec = random_spec(seed + 1000 * i, family)
+        out = threshold_synthesis(family, spec, collect_trace=True)
+        answers.append(([out.bucket_members(b) for b in
+                         (out.accepted, out.rejected, out.undefined)],
+                        decisions(out)))
+        out = synthesis._feasibility(family, spec, collect_trace=True)
+        answers.append((out.best, decisions(out)))
+    for query, synth in (("Pmax", max_synthesis), ("Pmin", min_synthesis),
+                         ("Emax", max_synthesis), ("Emin", min_synthesis)):
+        spec = parse_spec(f'{query} F "goal"')
+        try:
+            out = synth(family, spec, collect_trace=True)
+        except UndefinedRewardError:
+            answers.append(None)
+            continue
+        exact, _ = solve_mc_exact(member_chain(family, out.best), spec)
+        answers.append((out.best, exact, decisions(out)))
+        values.append(out.best_value)
+    return answers, values
+
+
+def test_parent_values_hint_changes_no_answer_and_saves_factorisations(
+        monkeypatch):
+    # a child that cannot inherit starts its solve from the parent's values;
+    # against solves that start cold, every partition, witness, exact
+    # optimum and decision stays, and fewer policies are evaluated
+    calls = [0]
+    factor = engine._factor
+
+    def counting(chosen):
+        calls[0] += 1
+        return factor(chosen)
+
+    monkeypatch.setattr(engine, "_factor", counting)
+    shipped = cold = 0
+    for seed in (0, 3, 16, 27):
+        family = random_family(seed, max_states=40, max_params=6,
+                               rewards=True)
+        before = calls[0]
+        want, want_values = query_answers(family, seed)
+        shipped += calls[0] - before
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "solve_prob",
+                      lambda mdp, goal, d, start=None: solve_prob(mdp, goal, d))
+            m.setattr(synthesis, "solve_reward",
+                      lambda mdp, goal, d, start=None:
+                      solve_reward(mdp, goal, d))
+            before = calls[0]
+            got, got_values = query_answers(family, seed)
+            cold += calls[0] - before
+        assert got == want
+        # certified optima may differ in their last digits
+        assert got_values == pytest.approx(want_values, rel=1e-9)
+    assert shipped < cold
