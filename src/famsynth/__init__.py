@@ -1,7 +1,7 @@
 """famsynth: synthesis over finite families of Markov chains.
 
 Threshold, max/min and feasibility queries answered by quotient-MDP
-abstraction refinement, with enumeration and all-in-one baselines.
+abstraction refinement, with one-by-one and all-in-one baselines.
 """
 
 from .errors import (
@@ -67,7 +67,6 @@ from .synthesis import (
 )
 from .baselines import (
     all_in_one_check,
-    enumerate_consistent,
     one_by_one,
     random_family,
     random_spec,

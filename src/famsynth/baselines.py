@@ -2,8 +2,8 @@
 
 The member-by-member baseline solves every realisation with the exact
 rational chain solver, making it the ground truth the refinement loop and
-the other approaches are tested against.  The all-in-one and the
-consistent-scheduler enumeration baselines use the floating engine.
+the all-in-one baseline are tested against.  The all-in-one baseline
+solves one product MDP with the floating engine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .family import (
     member_chain,
 )
 from .engine import solve_mc_exact, solve_prob, solve_reward
-from .quotient import AllInOneMDP, build_all_in_one, build_quotient
+from .quotient import AllInOneMDP, build_all_in_one
 from .synthesis import SynthesisOutcome, SynthesisStats
 
 ONE_BY_ONE_CAP = 10 ** 6
@@ -134,33 +134,6 @@ def all_in_one_check(family: FamilyModel, spec: Specification,
     minimum = min(finite) if finite else math.inf
     maximum = max(finite) if finite else math.inf
     return AllInOneResult(aio, member_values, minimum, maximum, stats)
-
-
-def enumerate_consistent(family: FamilyModel, spec: Specification,
-                         cap: int = ONE_BY_ONE_CAP) -> SynthesisOutcome:
-    """Iterate the consistent schedulers of the quotient, one per member:
-    each singleton restriction leaves a single action per state, and solving
-    that induced chain must reproduce the member's value."""
-    _check_cap(family, cap)
-    t0 = time.perf_counter()
-    quotient = build_quotient(family)
-    goal = family.label_states(spec.goal)
-    values: list[float | None] = []
-    for r in all_realisations(family):
-        restricted = quotient.restrict(Subfamily.of_realisation(r))
-        assert all(len(restricted.mdp.actions[s]) == 1
-                   for s in restricted.states)
-        if spec.kind == PROBABILITY:
-            value = solve_prob(restricted.mdp, goal, "max").at_initial
-        else:
-            value = solve_reward(restricted.mdp, goal, "max").at_initial
-        values.append(None if math.isinf(value) else value)
-    mode = spec.direction if spec.objective_only else "threshold"
-    outcome = _outcome_from_values(family, spec, values, mode)
-    outcome.stats = SynthesisStats(iterations=len(values),
-                                   solver_calls=len(values))
-    outcome.stats.times.check = time.perf_counter() - t0
-    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``check`` (member-by-member), ``allinone``, ``enum``
-(consistent-scheduler enumeration), ``synth`` (abstraction refinement)
-and ``gen`` (random families).  ``synth`` sends its four modes through
-one dispatch table; they share one refinement loop and differ only in its
-decision step.  Exit codes: 0 success, 1 usage,
-2 parse/semantic error, 3 resource cap, 4 undefined reward.
+Subcommands: ``check`` (member-by-member), ``allinone`` (one product
+MDP), ``synth`` (abstraction refinement) and ``gen`` (random families).
+``synth`` sends its four modes through one dispatch table; they share one
+refinement loop and differ only in its decision step.  Exit codes:
+0 success, 1 usage, 2 parse/semantic error, 3 resource cap, 4 undefined
+reward.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from .errors import (
 from .family import FamilyModel, Specification
 from .fmc import parse_family, parse_spec, serialize_family
 from .baselines import (
+    ONE_BY_ONE_CAP,
     all_in_one_check,
-    enumerate_consistent,
     one_by_one,
     random_family,
     random_spec,
 )
+from .quotient import ALL_IN_ONE_CAP
 from .synthesis import (
     SynthesisOutcome,
     _feasibility,
@@ -242,16 +243,11 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("check", help="member-by-member exact check")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=ONE_BY_ONE_CAP)
 
     p = commands.add_parser("allinone", help="solve the all-in-one MDP")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=100_000)
-
-    p = commands.add_parser("enum",
-                            help="enumerate consistent quotient schedulers")
-    _add_common(p)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=ALL_IN_ONE_CAP)
 
     p = commands.add_parser("synth", help="abstraction-refinement synthesis")
     _add_common(p)
@@ -276,16 +272,6 @@ def _cmd_check(args) -> int:
     spec = _pick_spec(specs, args.spec, args.spec_string)
     outcome = one_by_one(family, spec, cap=args.cap)
     payload = _outcome_payload(outcome, family, spec, "one-by-one",
-                               args.timings)
-    _emit(payload, args.out, family)
-    return EXIT_OK
-
-
-def _cmd_enum(args) -> int:
-    family, specs = _read_model(args.model)
-    spec = _pick_spec(specs, args.spec, args.spec_string)
-    outcome = enumerate_consistent(family, spec, cap=args.cap)
-    payload = _outcome_payload(outcome, family, spec, "consistent-enum",
                                args.timings)
     _emit(payload, args.out, family)
     return EXIT_OK
@@ -349,7 +335,6 @@ def _cmd_gen(args) -> int:
 _COMMANDS = {
     "check": _cmd_check,
     "allinone": _cmd_allinone,
-    "enum": _cmd_enum,
     "synth": _cmd_synth,
     "gen": _cmd_gen,
 }

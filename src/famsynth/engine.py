@@ -3,7 +3,7 @@
 Qualitative graph analyses, min/max value iteration for reachability
 probability and expected reward with the memoryless deterministic
 schedulers that attain them, and an exact rational solver for chains (the
-oracle of the enumeration baseline and the test suite, and the check of
+oracle of the one-by-one baseline and the test suite, and the check of
 singletons and feasibility witnesses in the refinement loop).  The member
 checks hand it ``member_chain``'s chain, which holds only the states the
 member reaches.  An MDP with ``live`` states, such as a restriction, is

@@ -17,7 +17,6 @@ from famsynth import (
     all_in_one_check,
     all_realisations,
     build_quotient,
-    enumerate_consistent,
     exact_mc_probability,
     exact_mc_reward,
     instantiate,
@@ -235,25 +234,23 @@ def test_criterion_7_baseline_agreement(corpus, capsys):
                  else entry["reward_values"])
         exact_f = [math.inf if v is None else float(v) for v in exact]
         aio = all_in_one_check(family, spec)
-        enum = enumerate_consistent(family, spec)
-        enum_vals = []
+        singleton_vals = []
         quotient = build_quotient(family)
         for r in all_realisations(family):
             restricted = quotient.restrict(Subfamily.of_realisation(r))
             goal = family.label_states("goal")
             if spec.kind == "probability":
-                enum_vals.append(
+                singleton_vals.append(
                     solve_prob(restricted.mdp, goal, "max").at_initial)
             else:
-                enum_vals.append(
+                singleton_vals.append(
                     solve_reward(restricted.mdp, goal, "max").at_initial)
         for name, got in (("all-in-one", aio.member_values),
-                          ("enum", enum_vals)):
+                          ("singleton restriction", singleton_vals)):
             for e, g in zip(exact_f, got):
                 same_inf = math.isinf(e) == math.isinf(g)
                 if not same_inf or (not math.isinf(e) and abs(e - g) > TOL):
                     bad.append((entry["seed"], name, e, g))
-        del enum
     with capsys.disabled():
         report(7, not bad, f"failures: {bad[:3] or 'none'}")
 

@@ -7,7 +7,6 @@ from famsynth import (
     SizeCapError,
     all_in_one_check,
     all_realisations,
-    enumerate_consistent,
     exact_mc_probability,
     instantiate,
     one_by_one,
@@ -86,41 +85,11 @@ def test_all_in_one_values_match_exact_oracle():
                 assert math.isinf(got)
 
 
-def test_enumerate_consistent_matches_one_by_one(example1):
-    model, specs = example1
-    enum = enumerate_consistent(model, specs["phi"])
-    obo = one_by_one(model, specs["phi"])
-    assert enum.bucket_members(enum.accepted) == \
-        obo.bucket_members(obo.accepted)
-    assert enum.bucket_members(enum.rejected) == \
-        obo.bucket_members(obo.rejected)
-
-
-def test_enumerate_consistent_single_member():
-    family = random_family(3, max_params=1, max_domain=1)
-    spec = random_spec(3, family)
-    out = enumerate_consistent(family, spec)
-    assert out.stats.iterations == 1
-
-
-def test_enumerate_consistent_value_multiset_matches_oracle():
-    for seed in range(10):
-        family = random_family(seed, max_states=6)
-        if family.n_realisations > 64:
-            continue
-        spec = random_spec(seed, family)
-        enum = enumerate_consistent(family, spec)
-        obo = one_by_one(family, spec)
-        for bucket in ("accepted", "rejected", "undefined"):
-            assert enum.bucket_members(getattr(enum, bucket)) == \
-                obo.bucket_members(getattr(obo, bucket))
-
-
 def test_random_family_is_deterministic():
     a = random_family(42, rewards=True)
     b = random_family(42, rewards=True)
     assert a == b
-    assert random_family(42) != random_family(43) or True  # both valid either way
+    assert random_family(42) != random_family(43)
 
 
 def test_random_family_roundtrips_and_validates():
@@ -144,9 +113,8 @@ def test_approaches_agree_on_random_corpus():
         family = random_family(seed, max_states=6, rewards=seed % 2 == 0)
         spec = random_spec(seed, family)
         obo = one_by_one(family, spec)
-        enum = enumerate_consistent(family, spec)
         aio = all_in_one_check(family, spec).outcome(spec)
         ref = threshold_synthesis(family, spec)
         want = obo.bucket_members(obo.accepted)
-        for other in (enum, aio, ref):
+        for other in (aio, ref):
             assert other.bucket_members(other.accepted) == want

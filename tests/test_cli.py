@@ -147,13 +147,14 @@ def test_exit_code_usage(capsys):
     # a one-line diagnostic with the code "usage", as for every failure
     for argv in (("gen", "--domain", "0"),
                  ("synth", "--mode", "sideways", MODEL),
-                 ("sideways",)):
+                 ("sideways",),
+                 ("enum", MODEL)):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
         assert err.startswith("famsynth: usage: famsynth")
         assert err.count("\n") == 1 and err.endswith("\n")
     for command, flag, value in (("synth", "--queue", "fifo"),
-                                 ("enum", "--epsilon", "1e-8")):
+                                 ("check", "--epsilon", "1e-8")):
         code, _, _ = run_cli(capsys, command, flag, value, MODEL)
         assert code == 1
     code, _, err = run_cli(capsys, "check", "/nonexistent/file.fmc")
