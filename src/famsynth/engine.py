@@ -732,10 +732,13 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     else:
         _stay_inside(mdp, pin0, choices)
         # The first visit ends at the goal, but the importance walk goes on
-        # through it, so take its plain argmin.
+        # through it, so take its plain argmin; a goal state the MDP holds
+        # no action at keeps choice 0.
         for s in goal:
-            choices[s] = _backup([(0.0, dist) for dist, _ in mdp.actions[s]],
-                                 values, False)[1]
+            if mdp.actions[s]:
+                choices[s] = _backup(
+                    [(0.0, dist) for dist, _ in mdp.actions[s]], values,
+                    False)[1]
     return _result(mdp, direction, PROBABILITY, values, choices,
                    pinned=mdp.initial in frozen)
 

@@ -5,13 +5,25 @@ successor distribution reachable by assigning the parameters that occur in
 that state's row.  Each merged action is keyed by a partial parameter
 assignment (its *signature*); signatures that induce the same distribution
 are unified and represented by the lexicographically smallest surviving
-signature.  A state's signatures are grouped, in integer arithmetic, and
-its groups' float distributions made when a restriction first reaches it;
-each group keeps its integer masses over the row's common denominator, from
-which a merged action makes its exact distribution only when it is read.
-A state whose row holds one parameter has one Dirac group per domain value.
-A restriction enumerates only the signatures that survive it, and builds a
-signature's action the first time it represents its group.
+signature.
+
+Nothing is set up per state in advance.  A restriction that first reaches a
+state builds its table: the memo and its key below, and the signatures
+grouped in integer arithmetic, with each group's float distribution and
+first signature.  Each group keeps its integer masses over the row's common
+denominator, from which a merged action makes its exact distribution only
+when it is read.  A state whose row holds one parameter has one Dirac group
+per domain value.  When the support's domains are pairwise disjoint, no two
+signatures share a distribution, so every signature is its own group and no
+grouping key is looked up; otherwise a signature's key is its sorted
+``(successor, summed numerator)`` pairs.
+
+A restriction that keeps every value of each parameter in a state's support
+(the full family, and every state a split does not narrow) emits the
+groups' first signatures in group order, with no signature product.  Any
+other restriction enumerates only the signatures that survive it, in
+order, and the first survivor of each group represents it.  Either way a
+signature's action is built the first time it represents its group.
 Unification is redone per enumeration so that signatures of one
 distribution falling on different sides of a split each keep their own copy.
 
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SizeCapError
 from .family import (
@@ -54,8 +66,7 @@ from .engine import CheckResult, MdpAction, Scheduler, SparseMDP
 ALL_IN_ONE_CAP = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class MergedAction:
+class MergedAction(NamedTuple):
     """One quotient action: a partial assignment over the parameters in the
     state's row plus the concrete distribution it induces.
 
@@ -77,17 +88,30 @@ class MergedAction:
 
 
 class _Table(NamedTuple):
-    """One state's signature table.  ``signatures`` are in domain order and
-    ``group`` gives each one's group; ``offsets`` give each supported
-    value's share of a signature's index (mixed radix, last fastest).
-    ``dists`` holds each group's float distribution and its integer masses
-    over ``den``; ``actions`` (per signature) fill in on use."""
+    """One state's table, built on first reach.  ``key`` gives a
+    subfamily's memo key, the value subsets of the state's support
+    ``params``; ``whole`` is the key of the whole domains, and ``memo``
+    maps a key to the action list and its distinct successors (lists are
+    never mutated).
+    ``signatures`` are in domain order; ``group`` gives each one's group
+    and ``first`` each group's first signature (both ranges when every
+    signature is its own group).  ``dists`` holds each group's float
+    distribution and its integer masses over ``den``, and ``successors``
+    every domain value of the support.  ``offsets`` give each supported
+    value's share of a signature's index (mixed radix, last fastest) and
+    ``actions`` (per signature) fill in on use."""
 
+    params: tuple[int, ...]
+    key: Callable[[tuple], tuple]
+    whole: tuple
+    memo: dict[tuple, tuple]
     signatures: list[tuple[int, ...]]
-    group: list[int]
-    offsets: list[dict[int, int]]
+    group: Sequence[int]
+    first: Sequence[int]
     dists: list[tuple[tuple, tuple]]
     den: int
+    successors: tuple[int, ...]
+    offsets: list[dict[int, int]]
     actions: dict[int, MdpAction]
 
 
@@ -97,53 +121,61 @@ class QuotientMDP:
 
     def __init__(self, family: FamilyModel):
         self.family = family
-        n = family.n_states
-        self.supports = [family.support(s) for s in range(n)]
-        # Per state: its signature table, built by ``_build`` on first reach.
-        self._tables: list[_Table | None] = [None] * n
-        # Per state: its action list and the list's distinct successors
-        # under each combination of its support's value subsets seen so
-        # far, keyed by ``_key_of[s](sub.subsets)``; lists are never mutated.
-        self._memo: list[dict[tuple, tuple]] = [{} for _ in range(n)]
-        self._key_of = [itemgetter(*supp) for supp in self.supports]
+        # Per state: its table, built by ``_build`` on first reach.
+        self._tables: list[_Table | None] = [None] * family.n_states
         self._rewards_float = (None if family.rewards is None else
-                               [float(r) for r in family.rewards])
+                               [r.numerator / r.denominator
+                                for r in family.rewards])
 
     def _build(self, s: int) -> _Table:
-        """Build and keep the signature table of state ``s``.  Weights and
-        masses are integer numerators over the row's common denominator
+        """Build and keep the table of state ``s``.  Weights and masses are
+        integer numerators over the row's common denominator
         (``integer_row``): one positive scale keeps the groups that the
         exact rational sums give.  A one-parameter row has weight 1, so its
-        groups are its domain values, one Dirac distribution each."""
+        groups are its domain values, one Dirac distribution each.  Over
+        pairwise disjoint domains every signature is its own group; else a
+        signature's group key is its sorted ``(successor, numerator)``
+        pairs, summed over repeated successors."""
         family = self.family
-        supp = self.supports[s]
+        supp = family.support(s)
+        key = itemgetter(*supp)
+        whole = key(family.domains)
         if len(supp) == 1:
-            domain = family.domains[supp[0]]
+            every = range(len(whole))
             table = self._tables[s] = _Table(
-                [(v,) for v in domain], list(range(len(domain))),
-                [{v: i for i, v in enumerate(domain)}],
-                [(((v, 1.0),), ((v, 1),)) for v in domain], 1, {})
+                supp, key, whole, {}, [(v,) for v in whole], every, every,
+                [(((v, 1.0),), ((v, 1),)) for v in whole], 1, whole, [], {})
             return table
         den, terms = integer_row(family.rows[s])
         weight = {k: m for m, k in terms}
         weights = [weight[k] for k in supp]
-        sigs = list(product(*(family.domains[k] for k in supp)))
-        groups: dict[tuple[tuple[int, int], ...], int] = {}
-        group = []
-        for sig in sigs:
-            merged: dict[int, int] = {}
-            for t, w in zip(sig, weights):
-                merged[t] = merged.get(t, 0) + w
-            group.append(groups.setdefault(tuple(sorted(merged.items())),
-                                           len(groups)))
-        offsets, stride = [], 1
-        for k in reversed(supp):
-            domain = family.domains[k]
-            offsets.insert(0, {v: i * stride for i, v in enumerate(domain)})
-            stride *= len(domain)
-        dists = [(tuple([(t, m / den) for t, m in key]), key)
-                 for key in groups]
-        table = self._tables[s] = _Table(sigs, group, offsets, dists, den, {})
+        sigs = list(product(*whole))
+        successors = set().union(*whole)
+        if len(successors) == sum(map(len, whole)):
+            floats = [m / den for m in weights]
+            group = first = range(len(sigs))
+            dists = [(tuple(sorted(zip(sig, floats))),
+                      tuple(sorted(zip(sig, weights)))) for sig in sigs]
+        else:
+            groups: dict[tuple[tuple[int, int], ...], int] = {}
+            group, first, dists = [], [], []
+            for i, sig in enumerate(sigs):
+                if len(set(sig)) == len(sig):
+                    masses = tuple(sorted(zip(sig, weights)))
+                else:
+                    merged: dict[int, int] = {}
+                    for t, w in zip(sig, weights):
+                        merged[t] = merged.get(t, 0) + w
+                    masses = tuple(sorted(merged.items()))
+                gid = groups.setdefault(masses, len(groups))
+                if gid == len(first):
+                    first.append(i)
+                    dists.append((tuple([(t, m / den) for t, m in masses]),
+                                  masses))
+                group.append(gid)
+        table = self._tables[s] = _Table(
+            supp, key, whole, {}, sigs, group, first, dists, den,
+            tuple(successors), [], {})
         return table
 
     @property
@@ -171,19 +203,18 @@ class QuotientMDP:
         """
         family = self.family
         subsets = sub.subsets
-        memo, key_of = self._memo, self._key_of
+        tables = self._tables
         actions: list[list[MdpAction]] = [[]] * family.n_states
         found = {family.initial}
         stack = [family.initial]
         while stack:
             s = stack.pop()
-            key = key_of[s](subsets)
-            hit = memo[s].get(key)
+            table = tables[s] or self._build(s)
+            key = table.key(subsets)
+            hit = table.memo.get(key)
             if hit is None:
-                per_state = self._enumerate(s, sub)
-                successors = tuple({t for dist, _ in per_state
-                                    for t, _ in dist})
-                hit = memo[s][key] = (per_state, successors)
+                hit = table.memo[key] = self._enumerate(s, table, key,
+                                                        subsets)
             actions[s] = hit[0]
             for t in hit[1]:
                 if t not in found:
@@ -194,37 +225,56 @@ class QuotientMDP:
                         self._rewards_float, live)
         return RestrictedQuotient(self, sub, mdp, live)
 
-    def _enumerate(self, s: int, sub: Subfamily) -> list[MdpAction]:
-        """The actions of state ``s`` in ``sub``: the surviving signatures
-        are enumerated as sorted indices, and the first survivor of each
-        group, the lexicographically smallest in domain order, represents
-        it."""
-        table = self._tables[s] or self._build(s)
-        picks = [[off[v] for v in sub.subsets[k]]
-                 for k, off in zip(self.supports[s], table.offsets)]
-        if len(picks) == 1:
-            survivors = sorted(picks[0])
+    def _enumerate(self, s: int, table: _Table, key: tuple,
+                   subsets: tuple[tuple[int, ...], ...]
+                   ) -> tuple[list[MdpAction], tuple[int, ...]]:
+        """The actions of state ``s`` under ``subsets``, whose memo key is
+        ``key``, and their distinct successors.  Each group is represented
+        by its first surviving signature in domain order, and the actions
+        are in the order of these.  Where ``key`` keeps whole domains every
+        signature survives, so they are the groups' first signatures in
+        group order; otherwise the surviving signatures are enumerated as
+        sorted indices and skipped once their group is represented."""
+        group, dists = table.group, table.dists
+        if key == table.whole:
+            order, successors = table.first, table.successors
         else:
-            survivors = sorted(map(sum, product(*picks)))
-        groups, dists, cache = table.group, table.dists, table.actions
+            successors = None
+            if not table.offsets:
+                stride = 1
+                for k in reversed(table.params):
+                    domain = self.family.domains[k]
+                    table.offsets.insert(
+                        0, {v: i * stride for i, v in enumerate(domain)})
+                    stride *= len(domain)
+            picks = [[off[v] for v in subsets[k]]
+                     for k, off in zip(table.params, table.offsets)]
+            if len(picks) == 1:
+                survivors = sorted(picks[0])
+            else:
+                survivors = sorted(map(sum, product(*picks)))
+            order = []
+            seen: set[int] = set()
+            for i in survivors:
+                gid = group[i]
+                if gid not in seen:
+                    seen.add(gid)
+                    order.append(i)
+                    if len(seen) == len(dists):
+                        break
+        supp, sigs, den = table.params, table.signatures, table.den
+        cache = table.actions
         per_state: list[MdpAction] = []
-        seen: set[int] = set()
-        for i in survivors:
-            gid = groups[i]
-            if gid in seen:
-                continue
-            seen.add(gid)
+        for i in order:
             action = cache.get(i)
             if action is None:
-                dist, masses = dists[gid]
-                ma = MergedAction(state=s, params=self.supports[s],
-                                  values=table.signatures[i], dist=dist,
-                                  masses=masses, den=table.den)
-                action = cache[i] = MdpAction(ma.dist, ma)
+                dist, masses = dists[group[i]]
+                action = cache[i] = MdpAction(
+                    dist, MergedAction(s, supp, sigs[i], dist, masses, den))
             per_state.append(action)
-            if len(seen) == len(dists):
-                break
-        return per_state
+        if successors is None:
+            successors = tuple({t for dist, _ in per_state for t, _ in dist})
+        return per_state, successors
 
 
 def build_quotient(family: FamilyModel) -> QuotientMDP:

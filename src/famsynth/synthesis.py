@@ -315,6 +315,12 @@ class _Loop:
             [(Subfamily.full(family), None)])
         # exact decisions by member values
         self.exact: dict[tuple[int, ...], str] = {}
+        # a binary tree over the members has this many nodes at most
+        self.tree_bound = 2 * family.n_realisations - 1
+        # what ``classify`` compares with, for threshold specs
+        if spec.threshold is not None:
+            self.lam = float(spec.threshold)
+            self.margin = MARGIN * max(1.0, self.lam)
 
     def run(self, outcome: SynthesisOutcome, step, stop=()):
         """Refine until the queue is empty or a decision in ``stop``.
@@ -335,7 +341,7 @@ class _Loop:
             stats.iterations += 1
             if budget is not None and stats.iterations > budget:
                 raise SizeCapError(f"subfamily budget of {budget} exceeded")
-            assert stats.iterations <= 2 * self.family.n_realisations - 1, \
+            assert stats.iterations <= self.tree_bound, \
                 "refinement explored more subfamilies than the binary tree bound"
             t0 = time.perf_counter()
             restricted = self.quotient.restrict(sub)
@@ -408,9 +414,8 @@ class _Loop:
     def classify(self, res: dict[str, CheckResult | None]) -> str | None:
         """Threshold decision from the directions solved so far."""
         pinned = "max" in res and res["max"].pinned
-        margin = MARGIN * max(1.0, float(self.spec.threshold))
-        return _classify_threshold(self.spec, *_bounds(res),
-                                   0.0 if pinned else margin)
+        return _classify_threshold(self.spec, self.lam, *_bounds(res),
+                                   0.0 if pinned else self.margin)
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
@@ -442,9 +447,11 @@ def _bounds(res: dict[str, CheckResult | None]
                  for d in ("min", "max"))
 
 
-def _classify_threshold(spec: Specification, minv: float | None,
-                        maxv: float | None, margin: float) -> str | None:
-    """Sound subfamily classification from one-sided min/max estimates.
+def _classify_threshold(spec: Specification, lam: float,
+                        minv: float | None, maxv: float | None,
+                        margin: float) -> str | None:
+    """Sound subfamily classification from one-sided min/max estimates
+    against ``lam``, the threshold as a float.
 
     ``None`` stands for a direction not solved yet (``inf`` for a reward
     ``min`` that is undefined); the result is None when the solved side
@@ -452,7 +459,6 @@ def _classify_threshold(spec: Specification, minv: float | None,
     relation; the side that could be underestimated gets a margin pushed
     towards splitting (0 when the caller knows ``maxv`` is exact).
     """
-    lam = float(spec.threshold)
     if spec.kind == REWARD:
         if minv is not None and math.isinf(minv):
             return "undefined"  # no scheduler at all reaches almost surely

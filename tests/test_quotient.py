@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -601,10 +601,15 @@ def test_tables_are_built_on_first_reach(monkeypatch):
     monkeypatch.setattr(QuotientMDP, "_build", counting)
     quotient = build_quotient(unreachable_family())
     assert built == []
+    # nothing per state before the first restriction: no table, memo or
+    # memo key, only the rewards the engine reads at every state
+    assert quotient._tables == [None] * 4
+    assert set(vars(quotient)) == {"family", "_tables", "_rewards_float"}
     quotient.restrict(Subfamily.full(quotient.family))
     quotient.restrict(Subfamily(((1,), (1,))))
     # state 2 is never reached, and no reached state is built twice
     assert sorted(built) == [0, 1, 3]
+    assert quotient._tables[2] is None
     assert quotient.action_counts() == (2, 1, 1, 1)
     assert sorted(built) == [0, 1, 2, 3]
 
@@ -686,3 +691,69 @@ def test_merged_actions_of_one_signature_compare_equal(example1):
             assert twin is not ma
             assert twin == ma and hash(twin) == hash(ma)
             assert twin.dist_exact == ma.dist_exact
+
+
+F = Fraction
+
+# Three parameters over pairwise disjoint domains: no two signatures of a
+# row share a distribution.
+DISJOINT = FamilyModel(
+    n_states=6, initial=0, param_names=("a", "b", "c"),
+    domains=((1, 2), (3, 4), (0, 5)),
+    rows=(((H, 0), (F(1, 4), 1), (F(1, 4), 2)), ((H, 1), (H, 2)),
+          ((F(1, 3), 0), (F(2, 3), 1)), ((F(1), 2),), ((H, 0), (H, 2)),
+          ((F(1), 0),)))
+
+# ``x`` and ``y`` carry equal weights over one shared domain, so the
+# signatures (x, y) and (y, x) unify at states 0 and 1.
+SWAPPED = FamilyModel(
+    n_states=5, initial=0, param_names=("x", "y", "z"),
+    domains=((1, 2, 3), (1, 2, 3), (0, 4)),
+    rows=(((H, 0), (H, 1)), ((F(1, 4), 0), (F(1, 4), 1), (H, 2)),
+          ((F(1), 2),), ((H, 0), (H, 2)), ((H, 1), (H, 2))))
+
+# Unequal weights over overlapping domains: a signature may repeat a
+# successor, whose masses then add up.
+REPEATED = FamilyModel(
+    n_states=4, initial=0, param_names=("u", "v", "w"),
+    domains=((0, 1), (1, 2), (2, 3)),
+    rows=(((F(1, 6), 0), (F(1, 3), 1), (H, 2)), ((F(1, 3), 0), (F(2, 3), 1)),
+          ((H, 1), (H, 2)), ((F(1), 2),)))
+
+
+def boxes(family):
+    """Every subfamily whose subset of each parameter is its whole domain or
+    a part of it, in domain order."""
+    return [Subfamily(box) for box in product(*(
+        [part for r in range(1, len(dom) + 1)
+         for part in combinations(dom, r)] for dom in family.domains))]
+
+
+@pytest.mark.parametrize("family", [DISJOINT, SWAPPED, REPEATED],
+                         ids=["disjoint", "swapped", "repeated"])
+def test_whole_and_partial_domains_match_naive_filter(family):
+    # every box after the full family on one quotient, where a state whose
+    # support keeps its whole domains hits the memo, and each on a fresh
+    # quotient, where such a state is enumerated beside narrowed ones
+    shared = build_quotient(family)
+    full = assert_restriction_is_naive_filter(shared, Subfamily.full(family))
+    for sub in boxes(family):
+        assert_restriction_is_naive_filter(shared, sub)
+        fresh = assert_restriction_is_naive_filter(build_quotient(family),
+                                                   sub)
+        assert fresh.mdp.actions == shared.restrict(sub).mdp.actions
+    counts = tuple(len(acts) for acts in full.mdp.actions)
+    signatures = tuple(len(list(product(*(family.domains[k]
+                                          for k in family.support(s)))))
+                       for s in range(family.n_states))
+    if family is DISJOINT:
+        assert counts == signatures == (8, 4, 4, 2, 4, 2)
+    elif family is SWAPPED:
+        # 9 signatures, 6 distributions: (x, y) and (y, x) share one
+        assert counts[:2] == (6, 12) and signatures[:2] == (9, 18)
+    else:
+        # u = v = 1 puts 1/2 on state 1 at state 0 and 1 at state 1
+        assert [ma.dist_exact for _, ma in full.mdp.actions[1]
+                if ma.values == (1, 1)] == [((1, F(1)),)]
+        assert ((1, H), (2, H)) in [ma.dist_exact
+                                    for _, ma in full.mdp.actions[0]]
