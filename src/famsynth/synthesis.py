@@ -7,9 +7,13 @@ next subfamily, restrict the quotient to it, let the mode's step decide,
 then split the subfamily or file it, and record the iteration.  The steps
 differ only in the directions they solve and how they read them: each
 solves one direction and the other only when the first cannot decide or
-the subfamily splits.  Threshold and max/min synthesis lead with the
-direction that can decide alone (max for ``<``/``<=`` and max objectives,
-min otherwise).
+the subfamily splits.  A singleton's restriction has one action per state,
+so both directions solve its member's chain: it takes the other direction
+from the first instead of solving it again.  Threshold and max/min
+synthesis lead with the direction that can decide alone (max for
+``<``/``<=`` and max objectives, min otherwise).  Max/min synthesis stops
+at the first consistent scheduler pinned at exactly 1 (max) or 0 (min):
+that is its member's exact value, and no member beats it.
 
 Feasibility, as in the paper, leads with the witness side instead (max for
 ``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent (one
@@ -57,6 +61,7 @@ rational chain solver.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from collections import deque
@@ -375,13 +380,25 @@ class _Loop:
                 return
 
     def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
-              direction: str, parent: _Parent | None) -> CheckResult | None:
+              direction: str, parent: _Parent | None,
+              res: dict[str, CheckResult | None]) -> CheckResult | None:
         """Solve one direction; None for a reward ``min`` whose goal no
-        scheduler reaches almost surely.  The parent's result is taken
-        instead when its scheduler survives in ``restricted``; otherwise
-        the solve starts from the parent's values."""
+        scheduler reaches almost surely.
+
+        A singleton takes the other direction's result from ``res``, the
+        iteration's results so far, when it is there: its restriction has
+        one action per state, so both directions solve the member's chain.
+        Otherwise the parent's result is taken when its scheduler survives
+        in ``restricted``, or the solve starts from the parent's values.
+        """
         t0 = time.perf_counter()
         try:
+            other = res.get("min" if direction == "max" else "max")
+            if restricted.sub.is_singleton and other is not None:
+                self.stats.inherited += 1
+                if math.isinf(other.at_initial):
+                    return None  # the chain misses the goal: no reward min
+                return dataclasses.replace(other, direction=direction)
             start = None
             if parent is not None and direction in parent.res:
                 solved = parent.res[direction]
@@ -437,6 +454,13 @@ def _at_initial(res: CheckResult | None) -> float:
     """A solved direction's value at the initial state; ``inf`` for a reward
     ``min`` that no scheduler defines."""
     return res.at_initial if res is not None else math.inf
+
+
+def _pinned_extreme(res: CheckResult, maximize: bool) -> bool:
+    """Whether qualitative analysis pinned ``res`` at the initial state to
+    exactly 1 (``maximize``) or 0 (otherwise), a probability no member
+    beats."""
+    return res.pinned and res.at_initial == (1.0 if maximize else 0.0)
 
 
 def _bounds(res: dict[str, CheckResult | None]
@@ -501,7 +525,8 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
 
     def step(sub, restricted, goal, parent, res):
         for direction in order:
-            res[direction] = loop.solve(restricted, goal, direction, parent)
+            res[direction] = loop.solve(restricted, goal, direction, parent,
+                                        res)
             decision = loop.classify(res)
             if decision is not None:
                 return decision
@@ -527,7 +552,7 @@ def _feasibility(family: FamilyModel, spec: Specification,
                       else ("min", "max"))
 
     def step(sub, restricted, goal, parent, res):
-        res[witness] = loop.solve(restricted, goal, witness, parent)
+        res[witness] = loop.solve(restricted, goal, witness, parent, res)
         decision = loop.classify(res)
         if decision is not None:
             return decision
@@ -542,7 +567,7 @@ def _feasibility(family: FamilyModel, spec: Specification,
                 return "witness"
             if sub.is_singleton:
                 return decision  # the failed candidate is its exact check
-        res[other] = loop.solve(restricted, goal, other, parent)
+        res[other] = loop.solve(restricted, goal, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
         # less than rounding; return only a confirmed one
@@ -590,10 +615,12 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     # the other direction is solved only for a split (which needs both
     # schedulers and raises the bound) or to tell an undefined Emax
-    # subfamily from one to split
+    # subfamily from one to split; a consistent lead pinned at exactly 1
+    # (max) or 0 (min) is its member's value and the optimum, so the
+    # subfamilies still queued are dropped unsolved
     def step(sub, restricted, goal, parent, res):
         nonlocal certified
-        res[lead] = loop.solve(restricted, goal, lead, parent)
+        res[lead] = loop.solve(restricted, goal, lead, parent, res)
         leadv = _at_initial(res[lead])
         if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
@@ -610,7 +637,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             # scheduler reaches the goal almost surely.
             if sub.is_singleton:
                 return "discard-undefined"
-            res[other] = loop.solve(restricted, goal, other, parent)
+            res[other] = loop.solve(restricted, goal, other, parent, res)
             return "discard-undefined" if res[other] is None else "split"
         if is_consistent(restricted, res[lead].scheduler, goal)[0]:
             outcome.best = next(scheduler_to_realisations(
@@ -618,8 +645,10 @@ def _optimise(family: FamilyModel, spec: Specification,
             certified = leadv
             if better(certified, outcome.best_value):
                 outcome.best_value = certified
+            if _pinned_extreme(res[lead], maximize):
+                loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
-        res[other] = loop.solve(restricted, goal, other, parent)
+        res[other] = loop.solve(restricted, goal, other, parent, res)
         otherv = _at_initial(res[other])
         if not math.isinf(otherv) and better(otherv, outcome.best_value):
             outcome.best_value = otherv

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +38,7 @@ from famsynth import (
 from famsynth import engine, synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
-from conftest import R1, R2, R3, R4, ladder
+from conftest import R1, R2, R3, R4, ladder, random_subfamily
 
 NEAR_OPTIMAL_DOC = """
 states 4
@@ -700,9 +702,10 @@ def test_refinement_decisions_pinned_on_larger_family():
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
     assert out.stats.iterations == 239
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
-    # max alone accepts 73 subfamilies, whose min is never used; 128 of the
-    # directions used are the parent's, taken without a solve
-    assert out.stats.solver_calls == 277
+    # max alone accepts 73 subfamilies, whose min is never used; 129 of the
+    # directions used are taken without a solve, 128 from the parent and
+    # one from a singleton's other direction
+    assert out.stats.solver_calls == 276
     assert out.stats.solver_calls + out.stats.inherited == 405
 
 
@@ -714,13 +717,15 @@ def test_optimum_decisions_pinned_on_larger_family():
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'))
     # inheritance changes no decision here: solving every direction afresh
-    # explores the same 25 subfamilies with 37 solves
-    assert out.stats.iterations == 25
+    # explores the same 16 subfamilies with 28 solves; the last one's member
+    # is pinned at probability 1, so the 9 subfamilies still queued are
+    # dropped unsolved
+    assert out.stats.iterations == 16
     assert out.best.values == (16, 31, 13, 0, 6, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
     # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 26
-    assert out.stats.inherited == 11
+    assert out.stats.solver_calls == 20
+    assert out.stats.inherited == 8
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
     # the root's schedulers are consistent on the states they reach before
@@ -735,6 +740,119 @@ def test_optimum_decisions_pinned_on_larger_family():
     assert out.stats.solver_calls == 5
     assert out.stats.solver_calls + out.stats.inherited == 5
 
+
+# ---------------------------------------------------------------------------
+# Solves skipped where the answer is fixed
+# ---------------------------------------------------------------------------
+
+def assert_same_result(got, want, states):
+    """Bit for bit at ``states``: values, choices, tags, ``pinned``."""
+    if want is None:
+        assert got is None
+        return
+    assert (got.direction, got.kind, got.pinned) == \
+        (want.direction, want.kind, want.pinned)
+    assert [got.values[s].hex() for s in states] == \
+        [want.values[s].hex() for s in states]
+    assert [got.scheduler.choices[s] for s in states] == \
+        [want.scheduler.choices[s] for s in states]
+    assert [got.scheduler.tags[s] for s in states] == \
+        [want.scheduler.tags[s] for s in states]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["probability", "expected-reward"]),
+       order=st.sampled_from([("max", "min"), ("min", "max")]))
+def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
+                                                               order):
+    # a singleton's restriction has one action per state, so both
+    # directions solve its member's chain: the second is the first, counted
+    # as inherited; any larger subfamily still solves it
+    rng = random.Random(seed)
+    reward = kind == "expected-reward"
+    family = random_family(seed, max_states=rng.choice([6, 12, 24]),
+                           max_params=rng.choice([3, 6]), max_domain=4,
+                           rewards=reward)
+    loop = synthesis._Loop(family, Specification(
+        kind=kind, goal="goal", direction="max"), None, False)
+    goal, stats = loop.goal, loop.stats
+    first, second = order
+
+    def fresh(restricted, direction):
+        try:
+            return (solve_reward if reward else solve_prob)(
+                restricted.mdp, goal, direction)
+        except UndefinedRewardError:
+            return None
+
+    def both(restricted, parent=None):
+        """Solve ``first`` then ``second`` as a step does; whether
+        ``second`` was solved rather than taken."""
+        res = {}
+        res[first] = loop.solve(restricted, goal, first, parent, res)
+        calls, used = stats.solver_calls, stats.solver_calls + stats.inherited
+        res[second] = loop.solve(restricted, goal, second, parent, res)
+        assert stats.solver_calls + stats.inherited == used + 1
+        return res, stats.solver_calls > calls
+
+    sub = random_subfamily(family, rng)
+    restricted = loop.quotient.restrict(sub)
+    res, solved = both(restricted)
+    if not sub.is_singleton:
+        assert solved
+        assert_same_result(res[second], fresh(restricted, second),
+                           restricted.states)
+    member = Realisation(tuple(rng.choice(values) for values in sub.subsets))
+    single = loop.quotient.restrict(Subfamily.of_realisation(member))
+    # taken from a fresh solve: a fresh solve of the singleton
+    got, solved = both(single)
+    assert solved == (got[first] is None)
+    assert_same_result(got[second], fresh(single, second), single.states)
+    # taken from the parent's result: at most the member's exact values
+    got, solved = both(single, synthesis._Parent(restricted.mdp.actions, res))
+    assert not solved or got[first] is None
+    chain = member_chain(family, member)
+    exact = (exact_mc_reward if reward else exact_mc_probability)(
+        chain, chain.label_states("goal"))
+    # the chain holds the states the singleton reaches, renumbered in order
+    assert chain.n_states == len(single.states)
+    local = {s: i for i, s in enumerate(single.states)}
+    if got[second] is None:
+        assert exact[chain.initial] is None
+        return
+    for s in single.states:
+        v, bound = got[second].values[s], exact[local[s]]
+        if bound is not None:
+            assert v <= bound if math.isinf(v) else Fraction(v) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]))
+@example(seed=943, direction="max")  # the first member found is pinned at 0
+def test_optimum_stop_at_pinned_extreme_keeps_the_optimum(seed, direction):
+    # a consistent scheduler pinned at exactly 1 (max) or 0 (min) is its
+    # member's value and the optimum: runs that stop there return what runs
+    # that go on return, in no more iterations
+    family = random_family(seed, max_states=12, max_params=4, max_domain=4)
+    spec = Specification(kind="probability", goal="goal", direction=direction)
+    run = max_synthesis if direction == "max" else min_synthesis
+    out = run(family, spec, collect_trace=True)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synthesis, "_pinned_extreme", lambda res, maximize: False)
+        full = run(family, spec, collect_trace=True)
+    assert (out.best, out.best_value) == (full.best, full.best_value)
+    assert out.trace == full.trace[:len(out.trace)]
+
+
+def test_optimum_goes_on_past_a_max_pinned_at_zero():
+    # the first member found is pinned at 0, which later members beat
+    family = random_family(943, max_states=12, max_params=4, max_domain=4)
+    out = max_synthesis(family, parse_spec('Pmax F "goal"'),
+                        collect_trace=True)
+    assert [(r.decision, r.max_value) for r in out.trace] == [
+        ("split", 1.0), ("split", 1.0), ("improve", 0.0), ("improve", 1.0)]
+    assert out.best_value == 1.0
 
 
 def query_answers(family, seed):
