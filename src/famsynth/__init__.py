@@ -11,7 +11,6 @@ from .errors import (
     InvalidRealisationError,
     InvalidSplitError,
     ModelError,
-    NonConvergenceError,
     SizeCapError,
     UndefinedRewardError,
     UnsupportedSpecError,

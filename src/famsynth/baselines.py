@@ -117,7 +117,10 @@ def all_in_one_check(family: FamilyModel, spec: Specification,
                      cap: int | None = None) -> AllInOneResult:
     """Solve the product MDP once; the states entered right after the initial
     member choice carry every member's value.  Past the member choice each
-    state has one action, so the max direction alone gives every value."""
+    state has one action, so the max direction alone gives every value.
+    The values are read as they are: a solve with ``certified=False`` has
+    values that bound nothing, so its members may land in the wrong
+    bucket."""
     kwargs = {} if cap is None else {"cap": cap}
     t0 = time.perf_counter()
     aio = build_all_in_one(family, **kwargs)

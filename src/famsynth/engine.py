@@ -20,11 +20,12 @@ stable policy's values are pushed down by a small margin and accepted only
 when every backup confirms they lie below the fixpoint.  The first policy
 is greedy over the caller's hint, such as a split child's parent values,
 or else over placeholders; the hint moves only where the search starts, so
-a tie broken differently may move a certified value in its last digits.  A
-component that fails certification falls back to in-place Gauss-Seidel
-sweeps, which stop on a fixed residual and sweep cap.  All of it works
-from below, so computed values never exceed the true fixpoint (up to the
-rounding of a plain backup); callers exploit that one-sidedness.
+a tie broken differently may move a certified value in its last digits.
+Certified values never exceed the true fixpoint (up to the rounding of a
+plain backup); callers exploit that one-sidedness.  A component that fails
+certification keeps the last policy evaluated, and the result is marked
+``certified=False``: its values bound nothing, and callers may read them
+only as hints, such as split scores.
 
 Schedulers are the solver's own choices: each state takes the action that
 produced its value (the argmax of its backup or the certified policy of
@@ -32,9 +33,8 @@ its component), so no second argmax pass with a tie slack re-derives them.
 Every such choice leaves its component or moves towards states that do, so
 a maximising scheduler cannot loiter in an end component, which a plain
 argmax over the fixpoint would happily do (every Dirac self-loop ties with
-the optimum there).  Only the sweep fallback has no policy; it picks,
-among the actions near its best, one that makes progress out of the
-component.
+the optimum there).  That holds for a component that fails certification
+too: the policy it keeps was made proper.
 """
 
 from __future__ import annotations
@@ -44,11 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    ModelError,
-    NonConvergenceError,
-    UndefinedRewardError,
-)
+from .errors import ModelError, UndefinedRewardError
 from .family import (
     PROBABILITY,
     REWARD,
@@ -57,8 +53,6 @@ from .family import (
     reachable_states,
 )
 
-DEFAULT_EPSILON = 1e-8
-DEFAULT_MAX_ITER = 10 ** 6
 # Policy iteration switches an action only on a relative gain above IMPROVE;
 # ROUNDING per term bounds the rounding error of a backup (twice the unit
 # roundoff of doubles).
@@ -124,6 +118,9 @@ class CheckResult:
     at_initial: float
     # True when qualitative analysis fixed the initial value to exact 0 or 1
     pinned: bool = False
+    # False when some component failed certification: then no value of the
+    # solve bounds its optimum, and only split scores may read them
+    certified: bool = True
 
 
 def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
@@ -574,17 +571,18 @@ def _certify(acts, policy, chosen, factors, x, maximize):
 def _policy_iteration(comp, rows, values, choices, maximize, start=None):
     """Solve the component ``comp`` directly by policy iteration, treating
     values outside it as constants; write the values and the policy into
-    ``values`` and ``choices`` and return True only if ``_certify`` accepts
-    them, else change nothing and return False.
+    ``values`` and ``choices`` and return whether ``_certify`` accepts them.
 
     The start policy is greedy over the hint ``start`` (``values`` where
     it is None or not finite) and made proper (``_make_proper``).  Each
     round evaluates the policy by one elimination (``_factor``) and
     improves it (``_improve``); a stable policy's values go to
     ``_certify``, which may hand back a changed policy for another round.
-    A repeated policy gives up.  The hint moves only where the search
-    starts: a tie broken differently may move a certified value in its last
-    digits.
+    A repeated policy, or one that cannot be made proper, gives up and
+    leaves the last policy evaluated, values and choices: they bound
+    nothing, but split scores can read them.  The hint moves only where the
+    search starts: a tie broken differently may move a certified value in
+    its last digits.
     """
     acts = _split_actions(comp, rows, values)
     policy = [None] * len(comp)
@@ -594,91 +592,53 @@ def _policy_iteration(comp, rows, values, choices, maximize, start=None):
     if None in policy:
         return False  # a state with only pure self-loops
     seen = set()
-    while True:
+    while tuple(policy) not in seen:
         seen.add(tuple(policy))
         chosen = [acts[i][ai] for i, ai in enumerate(policy)]
         factors = _factor(chosen)
         if factors is None:
             if not _make_proper(acts, policy):
                 return False
-        else:
-            x = _lu_solve(factors, [a[0] for a in chosen])
-            if not _improve(acts, x, policy, maximize):
-                y = _certify(acts, policy, chosen, factors, x, maximize)
-                if y is not None:
-                    for s, v, ai in zip(comp, y, policy):
-                        values[s] = v
-                        choices[s] = ai
-                    return True
-        if tuple(policy) in seen:
-            return False
-
-
-def _sweep(comp, rows, values, maximize, epsilon, max_iter):
-    """In-place Gauss-Seidel sweeps over ``comp`` until the residual is at
-    most ``epsilon``; NonConvergenceError after ``max_iter`` sweeps.
-
-    Sweeps leave no policy, so the returned choice per state is its first
-    action within ``10 * epsilon`` of the best that moves towards states
-    outside the component or already ranked (``_rank_towards``): a plain
-    argmax could keep a Dirac self-loop, which ties with the best.
-    """
-    delta = math.inf
-    for _ in range(max_iter):
-        delta = 0.0
-        for s in comp:
-            v, _ = _backup(rows[s], values, maximize)
-            d = abs(v - values[s])
-            if d > delta:
-                delta = d
+            continue
+        x = _lu_solve(factors, [a[0] for a in chosen])
+        for s, v, ai in zip(comp, x, policy):
             values[s] = v
-        if delta <= epsilon:
-            break
-    else:
-        raise NonConvergenceError(
-            f"value iteration stopped after {max_iter} sweeps",
-            residual=delta)
-    inside = set(comp)
-    slack = 10.0 * epsilon
-    near = {}
-    for s in comp:
-        q = [r + sum(p * values[t] for t, p in dist) for r, dist in rows[s]]
-        best = max(q) if maximize else min(q)
-        # -1 stands for every state outside the component
-        near[s] = [(ai, [(t if t in inside else -1, p) for t, p in dist])
-                   for ai, (_, dist) in enumerate(rows[s])
-                   if abs(q[ai] - best) <= slack]
-    choices, stuck = _rank_towards(comp, {-1}, near.__getitem__)
-    for s in stuck:  # values too far from the fixpoint to tell; greedy
-        choices[s] = _backup(rows[s], values, maximize)[1]
-    return choices
+            choices[s] = ai
+        if not _improve(acts, x, policy, maximize):
+            y = _certify(acts, policy, chosen, factors, x, maximize)
+            if y is not None:
+                for s, v in zip(comp, y):
+                    values[s] = v
+                return True
+    return False
 
 
 def _value_iteration(rows, values, choices, maximize, start=None):
     """Solve ``values[s]`` for every state in ``rows``, in place, and set
-    ``choices[s]`` to the index of the action in ``rows[s]`` that yields it.
+    ``choices[s]`` to the index of the action in ``rows[s]`` that yields it;
+    return whether every component was certified.
 
     ``rows`` maps each unsolved state, in ascending order, to its actions as
     ``(reward, dist)`` pairs; every other state keeps its value.  Components
     of the graph over all actions are solved successors first: a singleton
     without a self-loop by one backup, anything else by
     ``_policy_iteration`` from the hint ``start``, whose values are
-    certified from below.  A component it cannot certify falls back to
-    ``_sweep`` with the module's fixed residual and sweep cap.
+    certified from below.  A component it cannot certify keeps the last
+    policy it evaluated; components solved after it read those values, so
+    one failure leaves the whole solve uncertified.
     """
     edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
              for s, acts in rows.items()}
+    certified = True
     for comp in _scc_decompose(rows, edges):
         s = comp[0]
         if len(comp) == 1 and s not in edges[s]:
             values[s], choices[s] = _backup(rows[s], values, maximize)
             continue
         comp.sort()
-        if not _policy_iteration(comp, rows, values, choices, maximize,
-                                 start):
-            for s, ai in _sweep(comp, rows, values, maximize,
-                                DEFAULT_EPSILON, DEFAULT_MAX_ITER).items():
-                choices[s] = ai
+        certified &= _policy_iteration(comp, rows, values, choices, maximize,
+                                       start)
+    return certified
 
 
 def _stay_inside(mdp, region, choices):
@@ -690,14 +650,14 @@ def _stay_inside(mdp, region, choices):
                 break
 
 
-def _result(mdp, direction, kind, values, choices,
+def _result(mdp, direction, kind, values, choices, certified,
             pinned=False) -> CheckResult:
     tags = [None] * mdp.n_states
     for s in _live(mdp):
         tags[s] = mdp.actions[s][choices[s]].tag
     sched = Scheduler(tuple(choices), tuple(tags))
     return CheckResult(direction, kind, tuple(values), sched,
-                       values[mdp.initial], pinned)
+                       values[mdp.initial], pinned, certified)
 
 
 def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
@@ -725,7 +685,8 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     rows = {s: [(0.0, dist) for dist, _ in mdp.actions[s]]
             for s in _live(mdp) if s not in frozen}
     choices = [0] * mdp.n_states
-    _value_iteration(rows, values, choices, direction == "max", start)
+    certified = _value_iteration(rows, values, choices, direction == "max",
+                                 start)
     if direction == "max":
         for s, ai in attractor.items():
             choices[s] = ai
@@ -739,7 +700,7 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
                 choices[s] = _backup(
                     [(0.0, dist) for dist, _ in mdp.actions[s]], values,
                     False)[1]
-    return _result(mdp, direction, PROBABILITY, values, choices,
+    return _result(mdp, direction, PROBABILITY, values, choices, certified,
                    pinned=mdp.initial in frozen)
 
 
@@ -774,7 +735,7 @@ def _solve_reward_max(mdp, goal, start):
     rows = {s: [(mdp.rewards[s], dist) for dist, _ in mdp.actions[s]]
             for s in sorted(sure - goal)}
     choices = [0] * mdp.n_states
-    _value_iteration(rows, values, choices, True, start)
+    certified = _value_iteration(rows, values, choices, True, start)
     # Infinite states must witness the infinity: steer towards the region
     # where the goal is avoidable and stay inside it, so the induced chain
     # misses the goal with positive probability.
@@ -786,7 +747,7 @@ def _solve_reward_max(mdp, goal, start):
     assert not undecided, "every unsure state can reach the avoidable region"
     for s, ai in picked.items():
         choices[s] = ai
-    return _result(mdp, "max", REWARD, values, choices)
+    return _result(mdp, "max", REWARD, values, choices, certified)
 
 
 def _zero_reward_mecs(mdp, candidates, allowed):
@@ -869,7 +830,7 @@ def _solve_reward_min(mdp, goal, start):
     goal_nodes = {node(g) for g in goal if g in region}
     rows = {v: [(mdp.rewards[s], dist) for s, _, dist in node_actions[v]]
             for v in nodes if v not in goal_nodes}
-    _value_iteration(rows, values_n, choices_n, False, start)
+    certified = _value_iteration(rows, values_n, choices_n, False, start)
 
     values = [math.inf] * n
     for s in region:
@@ -897,7 +858,7 @@ def _solve_reward_min(mdp, goal, start):
         assert not stuck, "end component must be internally connected"
         for s, ai in picked.items():
             choices[s] = ai
-    return _result(mdp, "min", REWARD, values, choices)
+    return _result(mdp, "min", REWARD, values, choices, certified)
 
 
 def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:

@@ -54,16 +54,6 @@ class SizeCapError(FamsynthError):
     code = "size-cap"
 
 
-class NonConvergenceError(FamsynthError):
-    """Value iteration hit its iteration cap; carries the last residual."""
-
-    code = "no-convergence"
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class UndefinedRewardError(FamsynthError):
     """Expected reward queried where the goal is not reached almost surely."""
 

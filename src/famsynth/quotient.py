@@ -306,13 +306,13 @@ def inherit(parent_actions: list[list[MdpAction]],
     child keeps an action with the distribution the parent's scheduler
     chose there.
 
-    Values and ``pinned`` are copied; the choices and tags are the child's
-    own actions, so consistency checks and witnesses stay inside the child's
-    subfamily.  A ``result`` of None (a reward ``min`` that no scheduler
-    defines) stays None: the child has fewer schedulers still.  A child
-    state whose action list is the parent's own object keeps the parent's
-    choice unchecked: that holds wherever the memo key, the value subsets
-    of the state's support, did not change.
+    Values, ``pinned`` and ``certified`` are copied; the choices and tags
+    are the child's own actions, so consistency checks and witnesses stay
+    inside the child's subfamily.  A ``result`` of None (a reward ``min``
+    that no scheduler defines) stays None: the child has fewer schedulers
+    still.  A child state whose action list is the parent's own object
+    keeps the parent's choice unchecked: that holds wherever the memo key,
+    the value subsets of the state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
     parent's, and the chosen ones survive at every state the child holds,
@@ -345,7 +345,7 @@ def inherit(parent_actions: list[list[MdpAction]],
         tags[s] = ma
     return CheckResult(result.direction, result.kind, result.values,
                        Scheduler(tuple(choices), tuple(tags)),
-                       result.at_initial, result.pinned)
+                       result.at_initial, result.pinned, result.certified)
 
 
 def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler,

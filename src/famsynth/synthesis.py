@@ -56,7 +56,12 @@ values never exceed the true fixpoint).  The side that is exact is compared
 literally; the other side gets a safety margin of ``MARGIN``, relative to
 thresholds above 1, unless qualitative analysis pinned it to an exact 0 or
 1, and anything still inconclusive at a singleton is decided with the exact
-rational chain solver.
+rational chain solver.  A direction whose solve is not certified
+(``CheckResult.certified``) bounds nothing and decides nothing: once both
+directions are solved the subfamily splits, and a singleton takes its exact
+check.  Max/min synthesis splits on an uncertified lead, or values a
+singleton's member with the exact solver, and an uncertified other
+direction never raises the running bound.
 """
 
 from __future__ import annotations
@@ -429,25 +434,37 @@ class _Loop:
         return self.family.param_names[report.chosen_param]
 
     def classify(self, res: dict[str, CheckResult | None]) -> str | None:
-        """Threshold decision from the directions solved so far."""
-        pinned = "max" in res and res["max"].pinned
-        return _classify_threshold(self.spec, self.lam, *_bounds(res),
-                                   0.0 if pinned else self.margin)
+        """Threshold decision from the directions solved so far; a direction
+        that is not certified decides nothing, and with both solved an
+        undecided subfamily splits."""
+        decided = {d: r for d, r in res.items() if r is None or r.certified}
+        pinned = "max" in decided and decided["max"].pinned
+        decision = _classify_threshold(self.spec, self.lam, *_bounds(decided),
+                                       0.0 if pinned else self.margin)
+        if decision is None and len(res) == 2:
+            return "split"
+        return decision
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
         once per run."""
         decision = self.exact.get(member.values)
         if decision is None:
-            self.stats.exact_calls += 1
-            chain = member_chain(self.family, member)
-            try:
-                _, sat = solve_mc_exact(chain, self.spec)
-                decision = "accept" if sat else "reject"
-            except UndefinedRewardError:
-                decision = "undefined"
+            value = self.value_exactly(member)
+            decision = ("undefined" if value == math.inf else
+                        "accept" if self.spec.satisfied(value) else "reject")
             self.exact[member.values] = decision
         return decision
+
+    def value_exactly(self, member: Realisation):
+        """One member's value from the exact rational chain solver; ``inf``
+        for an undefined reward."""
+        self.stats.exact_calls += 1
+        try:
+            return solve_mc_exact(member_chain(self.family, member),
+                                  self.spec)[0]
+        except UndefinedRewardError:
+            return math.inf
 
 
 def _at_initial(res: CheckResult | None) -> float:
@@ -613,6 +630,11 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     lead, other = ("max", "min") if maximize else ("min", "max")
 
+    def narrow(restricted, goal, parent, res):
+        # split, unless no scheduler reaches the goal almost surely
+        res[other] = loop.solve(restricted, goal, other, parent, res)
+        return "discard-undefined" if res[other] is None else "split"
+
     # the other direction is solved only for a split (which needs both
     # schedulers and raises the bound) or to tell an undefined Emax
     # subfamily from one to split; a consistent lead pinned at exactly 1
@@ -621,11 +643,16 @@ def _optimise(family: FamilyModel, spec: Specification,
     def step(sub, restricted, goal, parent, res):
         nonlocal certified
         res[lead] = loop.solve(restricted, goal, lead, parent, res)
-        leadv = _at_initial(res[lead])
         if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
             return "discard-undefined"
+        leadv = res[lead].at_initial
+        if not res[lead].certified:
+            # The lead bounds nothing: split, or value the member exactly.
+            if not sub.is_singleton:
+                return narrow(restricted, goal, parent, res)
+            leadv = float(loop.value_exactly(sub.to_realisation()))
         if not better(leadv, certified) or better(outcome.best_value, leadv):
             # The subfamily cannot strictly beat what is certified, or
             # sits strictly below a value some member of another
@@ -637,8 +664,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             # scheduler reaches the goal almost surely.
             if sub.is_singleton:
                 return "discard-undefined"
-            res[other] = loop.solve(restricted, goal, other, parent, res)
-            return "discard-undefined" if res[other] is None else "split"
+            return narrow(restricted, goal, parent, res)
         if is_consistent(restricted, res[lead].scheduler, goal)[0]:
             outcome.best = next(scheduler_to_realisations(
                 restricted, res[lead].scheduler, goal).members())
@@ -650,7 +676,8 @@ def _optimise(family: FamilyModel, spec: Specification,
             return "improve"
         res[other] = loop.solve(restricted, goal, other, parent, res)
         otherv = _at_initial(res[other])
-        if not math.isinf(otherv) and better(otherv, outcome.best_value):
+        if res[other].certified and not math.isinf(otherv) and \
+                better(otherv, outcome.best_value):
             outcome.best_value = otherv
         return "split"
 

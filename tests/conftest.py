@@ -16,6 +16,14 @@ R4 = (0, 0, 3)
 R2 = (0, 1, 2)
 R3 = (0, 1, 3)
 
+# Families with components that policy iteration cannot certify: stiff-loop
+# (2 members) and stiff-cap (4 members) must still match the exact oracle;
+# stiff-loose (3 members) has a certified reward bound looser than the
+# classification margin.
+STIFF_LOOP = REPO / "models" / "stiff-loop.fmc"
+STIFF_CAP = REPO / "models" / "stiff-cap.fmc"
+STIFF_LOOSE = REPO / "models" / "stiff-loose.fmc"
+
 
 @pytest.fixture(scope="session")
 def example1():
@@ -32,6 +40,19 @@ def example1_rewards():
         "rewards\n0 : 1\n1 : 1\n2 : 0\n3 : 5\n\nlabels", 1)
     model, specs = parse_family(text)
     return model, specs
+
+
+@pytest.fixture(scope="session", params=[STIFF_LOOP, STIFF_CAP],
+                ids=lambda path: path.stem)
+def stiff_family(request):
+    model, _ = parse_family(request.param.read_text())
+    return model
+
+
+@pytest.fixture(scope="session")
+def stiff_loose():
+    model, _ = parse_family(STIFF_LOOSE.read_text())
+    return model
 
 
 def random_subfamily(family, rng):

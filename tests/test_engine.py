@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from famsynth import (
     ConcreteMC,
-    NonConvergenceError,
     Realisation,
     Specification,
     Subfamily,
@@ -32,7 +31,6 @@ from famsynth import engine
 from famsynth.engine import (
     SparseMDP,
     MdpAction,
-    _sweep,
     mdp_from_mc,
     prob0_forall,
     prob1_exists,
@@ -216,17 +214,6 @@ def test_sparse_mdp_validation():
     assert ok.validate() is ok
 
 
-def test_non_convergence_carries_residual():
-    # the sweep fallback on a two-state cycle (reward 1 each, goal 2):
-    # Gauss-Seidel gives (1, 1.9) and then (1.95, 2.755), so the residual
-    # is 0.95
-    rows = {0: [(1.0, ((1, 0.5), (2, 0.5)))],
-            1: [(1.0, ((0, 0.9), (2, 0.1)))]}
-    with pytest.raises(NonConvergenceError) as err:
-        _sweep([0, 1], rows, [0.0, 0.0, 0.0], False, 1e-8, max_iter=2)
-    assert err.value.residual == pytest.approx(0.95)
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_float_engine_matches_exact_oracle_on_chains(seed):
@@ -316,11 +303,13 @@ def test_extracted_scheduler_attains_reported_value(seed):
                     assert e is not None and Fraction(v) <= e
 
 
-def test_sweep_fallback_scheduler_leaves_end_component(monkeypatch):
+def test_uncertified_scheduler_leaves_end_component(monkeypatch):
     # states 0 and 1 swap by Dirac actions (index 0) or exit to the goal 2
     # or the sink 3 with 1/2 each; at the fixpoint the swaps tie exactly
-    # with the exits, and a plain argmax keeps them and never leaves
-    monkeypatch.setattr(engine, "_policy_iteration", lambda *args: False)
+    # with the exits, and a plain argmax keeps them and never leaves.  A
+    # component that fails certification keeps the last policy evaluated,
+    # which policy iteration made proper, so it leaves too.
+    monkeypatch.setattr(engine, "_certify", lambda *args: None)
     leave = MdpAction(((2, 0.5), (3, 0.5)), "leave")
     mdp = SparseMDP(4, 0,
                     [[MdpAction(((1, 1.0),), "swap"), leave],
@@ -329,9 +318,9 @@ def test_sweep_fallback_scheduler_leaves_end_component(monkeypatch):
                      [MdpAction(((3, 1.0),), None)]])
     goal = frozenset({2})
     res = solve_prob(mdp, goal, "max")
-    assert res.values[:2] == (0.5, 0.5)
-    exact = exact_mc_probability(induced_chain(mdp, res.scheduler), goal)
-    assert all(Fraction(v) <= e for v, e in zip(res.values, exact))
+    assert res.certified is False
+    chain = induced_chain(mdp, res.scheduler)
+    assert exact_mc_probability(chain, goal)[0] == Fraction(1, 2)
 
 
 def assert_never_above_exact(mc, goal):
