@@ -11,9 +11,10 @@ the subfamily splits.  A singleton's restriction has one action per state,
 so both directions solve its member's chain: it takes the other direction
 from the first instead of solving it again.  Threshold and max/min
 synthesis lead with the direction that can decide alone (max for
-``<``/``<=`` and max objectives, min otherwise).  Max/min synthesis stops
-at the first consistent scheduler pinned at exactly 1 (max) or 0 (min):
-that is its member's exact value, and no member beats it.
+``<``/``<=`` and max objectives, min otherwise), though threshold synthesis
+takes the directions a child inherits (below) before any solve.  Max/min
+synthesis stops at the first consistent scheduler pinned at exactly 1
+(max) or 0 (min): that is its member's exact value, and no member beats it.
 
 Feasibility, as in the paper, leads with the witness side instead (max for
 ``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent (one
@@ -48,7 +49,9 @@ A split looks only at the states whose min/max gap is the full gap at the
 initial state, or, when fewer states than splittable parameters have it,
 at least ``IMPORTANCE`` times that gap.  Every query mode scores a
 splittable parameter the same way, by variance: how far the max and min
-schedulers' choice counts for its values differ over those states.
+schedulers' choice counts for its values differ over those states.  A
+parameter's value is a successor state, so values whose counts tie are
+ranked by that state's max plus min value, the better half kept together.
 Subfamilies are refined first in, first out.
 
 Classification must respect the one-sidedness of value iteration (computed
@@ -270,13 +273,15 @@ def _variance_score(c_max: dict[int, int], c_min: dict[int, int]) -> int:
 
 def select_predicate(c_max: dict[int, dict[int, int]],
                      c_min: dict[int, dict[int, int]],
-                     sub: Subfamily, family: FamilyModel) -> ScoreReport:
+                     sub: Subfamily, v_max: tuple[float, ...],
+                     v_min: tuple[float, ...]) -> ScoreReport:
     """Pick the splittable parameter with the highest variance score and the
     half of its current subset with the largest max-minus-min choice counts.
     The counts need entries only for the splittable parameters.
 
-    All ties break deterministically: parameter declaration order, then
-    domain order.
+    ``v_max``/``v_min`` are solved values by state; a value is a state, and
+    count ties keep the larger ``v_max + v_min`` (``inf`` first), then go
+    by domain order.  Variance ties go by parameter declaration order.
     """
     splittable = sub.splittable
     if not splittable:
@@ -288,7 +293,8 @@ def select_predicate(c_max: dict[int, dict[int, int]],
             best = k
     current = sub.subsets[best]
     size = max(1, len(current) // 2)
-    ranked = sorted(current, key=lambda t: -(c_max[best][t] - c_min[best][t]))
+    ranked = sorted(current, key=lambda t: (c_min[best][t] - c_max[best][t],
+                                            -(v_max[t] + v_min[t])))
     chosen = set(ranked[:size])
     keep = tuple(t for t in current if t in chosen)
     return ScoreReport(variance=variance, chosen_param=best,
@@ -384,17 +390,40 @@ class _Loop:
             if decision in stop:
                 return
 
+    def inherit(self, restricted: RestrictedQuotient, direction: str,
+                parent: _Parent | None,
+                res: dict[str, CheckResult | None]) -> bool:
+        """File the parent's result for ``direction`` in ``res`` if its
+        scheduler survives in ``restricted``; whether it did."""
+        if parent is None or direction not in parent.res:
+            return False
+        t0 = time.perf_counter()
+        got = inherit(parent.actions, parent.res[direction], restricted)
+        self.stats.times.check += time.perf_counter() - t0
+        if got is None and parent.res[direction] is not None:
+            return False
+        self.stats.inherited += 1
+        res[direction] = got
+        return True
+
     def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
               direction: str, parent: _Parent | None,
-              res: dict[str, CheckResult | None]) -> CheckResult | None:
-        """Solve one direction; None for a reward ``min`` whose goal no
-        scheduler reaches almost surely.
+              res: dict[str, CheckResult | None]) -> None:
+        """File ``direction`` in ``res``: inherited, or else computed."""
+        if not self.inherit(restricted, direction, parent, res):
+            res[direction] = self.compute(restricted, goal, direction, parent,
+                                          res)
+
+    def compute(self, restricted: RestrictedQuotient, goal: frozenset[int],
+                direction: str, parent: _Parent | None,
+                res: dict[str, CheckResult | None]) -> CheckResult | None:
+        """Solve ``direction`` without inheriting it; None for a reward
+        ``min`` whose goal no scheduler reaches almost surely.
 
         A singleton takes the other direction's result from ``res``, the
         iteration's results so far, when it is there: its restriction has
         one action per state, so both directions solve the member's chain.
-        Otherwise the parent's result is taken when its scheduler survives
-        in ``restricted``, or the solve starts from the parent's values.
+        Otherwise the solve starts from the parent's values.
         """
         t0 = time.perf_counter()
         try:
@@ -404,17 +433,11 @@ class _Loop:
                 if math.isinf(other.at_initial):
                     return None  # the chain misses the goal: no reward min
                 return dataclasses.replace(other, direction=direction)
-            start = None
-            if parent is not None and direction in parent.res:
-                solved = parent.res[direction]
-                res = inherit(parent.actions, solved, restricted)
-                if res is not None or solved is None:
-                    self.stats.inherited += 1
-                    return res
-                start = solved.values
+            solved = None if parent is None else parent.res.get(direction)
             self.stats.solver_calls += 1
             solver = solve_reward if self.spec.kind == REWARD else solve_prob
-            return solver(restricted.mdp, goal, direction, start=start)
+            return solver(restricted.mdp, goal, direction, start=(
+                None if solved is None else solved.values))
         except UndefinedRewardError:
             return None
         finally:
@@ -427,7 +450,8 @@ class _Loop:
         imp = important_states(res["min"], res["max"], restricted, goal)
         c_max = extract_counts(res["max"].scheduler, imp, restricted)
         c_min = extract_counts(res["min"].scheduler, imp, restricted)
-        report = select_predicate(c_max, c_min, sub, self.family)
+        report = select_predicate(c_max, c_min, sub, res["max"].values,
+                                  res["min"].values)
         parent = _Parent(restricted.mdp.actions, res)
         for child in sub.split(report.chosen_param, report.chosen_values):
             self.queue.append((child, parent))
@@ -541,9 +565,14 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
     order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
 
     def step(sub, restricted, goal, parent, res):
+        # directions inherited from the parent cost no solve: take them
+        # first, then compute the rest in order until the subfamily decides
         for direction in order:
-            res[direction] = loop.solve(restricted, goal, direction, parent,
-                                        res)
+            loop.inherit(restricted, direction, parent, res)
+        for direction in order:
+            if direction not in res:
+                res[direction] = loop.compute(restricted, goal, direction,
+                                              parent, res)
             decision = loop.classify(res)
             if decision is not None:
                 return decision
@@ -569,7 +598,7 @@ def _feasibility(family: FamilyModel, spec: Specification,
                       else ("min", "max"))
 
     def step(sub, restricted, goal, parent, res):
-        res[witness] = loop.solve(restricted, goal, witness, parent, res)
+        loop.solve(restricted, goal, witness, parent, res)
         decision = loop.classify(res)
         if decision is not None:
             return decision
@@ -584,7 +613,7 @@ def _feasibility(family: FamilyModel, spec: Specification,
                 return "witness"
             if sub.is_singleton:
                 return decision  # the failed candidate is its exact check
-        res[other] = loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, goal, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
         # less than rounding; return only a confirmed one
@@ -632,7 +661,7 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     def narrow(restricted, goal, parent, res):
         # split, unless no scheduler reaches the goal almost surely
-        res[other] = loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, goal, other, parent, res)
         return "discard-undefined" if res[other] is None else "split"
 
     # the other direction is solved only for a split (which needs both
@@ -642,7 +671,7 @@ def _optimise(family: FamilyModel, spec: Specification,
     # subfamilies still queued are dropped unsolved
     def step(sub, restricted, goal, parent, res):
         nonlocal certified
-        res[lead] = loop.solve(restricted, goal, lead, parent, res)
+        loop.solve(restricted, goal, lead, parent, res)
         if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
@@ -674,7 +703,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             if _pinned_extreme(res[lead], maximize):
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
-        res[other] = loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, goal, other, parent, res)
         otherv = _at_initial(res[other])
         if res[other].certified and not math.isinf(otherv) and \
                 better(otherv, outcome.best_value):

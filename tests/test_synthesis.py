@@ -533,50 +533,71 @@ def test_extract_counts_two_states_same_value(example1):
     assert c[1] == {0: 0, 1: 2}
 
 
+ZEROS = (0.0, 0.0)
+
+
 def test_score_formulas():
     c_max = {0: {0: 2, 1: 0}}
     c_min = {0: {0: 0, 1: 2}}
     sub = Subfamily(((0, 1),))
-    report = select_predicate(c_max, c_min, sub,
-                              _fake_family(("k",), ((0, 1),)))
+    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
     assert report.variance[0] == 4
     assert report.chosen_param == 0
     assert report.chosen_values == (0,)  # diffs +2 / -2, half size 1
 
 
-def _fake_family(names, domains):
-    from famsynth import FamilyModel
-    rows = tuple(((Fraction(1), 0),) for _ in range(2))
-    return FamilyModel(n_states=2, initial=0, param_names=names,
-                       domains=domains, rows=rows)
-
-
 def test_select_predicate_prefers_higher_score_first_on_ties():
-    family = _fake_family(("a", "b"), ((0, 1), (0, 1)))
     c_max = {0: {0: 2, 1: 0}, 1: {0: 1, 1: 1}}
     c_min = {0: {0: 0, 1: 2}, 1: {0: 1, 1: 1}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, family)
+    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
     assert report.variance == {0: 4, 1: 0}
     assert report.chosen_param == 0
-    # all-zero scores: declaration order wins
+    # all-zero scores and values: declaration order, then domain order
     zeros = {0: {0: 0, 1: 0}, 1: {0: 0, 1: 0}}
-    report = select_predicate(zeros, zeros, sub, family)
+    report = select_predicate(zeros, zeros, sub, ZEROS, ZEROS)
     assert report.chosen_param == 0
     assert report.chosen_values == (0,)
 
 
 def test_select_predicate_scores_recomputable():
-    family = _fake_family(("a", "b"), ((0, 1), (0, 1)))
     c_max = {0: {0: 3, 1: 1}, 1: {0: 0, 1: 2}}
     c_min = {0: {0: 1, 1: 0}, 1: {0: 2, 1: 0}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, family)
+    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
     for k in (0, 1):
         assert report.variance[k] == sum(
-            abs(c_max[k][t] - c_min[k][t]) for t in family.domains[k])
+            abs(c_max[k][t] - c_min[k][t]) for t in sub.subsets[k])
     # b's counts differ more (4 against 3), so b is split
     assert report.chosen_param == 1
+
+
+def test_select_predicate_breaks_count_ties_by_value():
+    # a parameter's value is a successor state: where the counts tie, the
+    # split keeps the values with the larger V_max + V_min
+    sub = Subfamily(((0, 1, 2, 3),))
+    c_max = {0: {0: 1, 1: 0, 2: 0, 3: 0}}
+    c_min = {0: {0: 0, 1: 1, 2: 0, 3: 0}}
+    v_max = (0.9, 1.0, 0.2, 0.6)
+    v_min = (0.5, 1.0, 0.1, 0.3)
+    report = select_predicate(c_max, c_min, sub, v_max, v_min)
+    # count differences +1, -1, 0, 0: 0 comes first and 1, worth most,
+    # last; 3 beats 2 on value
+    assert report.chosen_values == (0, 3)
+
+
+def test_select_predicate_ranks_an_infinite_value_first():
+    # an expected reward is inf at a state that may miss the goal: it ranks
+    # above every finite value, and two infinite values keep domain order
+    sub = Subfamily(((1, 2, 3),))
+    counts = {0: {1: 0, 2: 0, 3: 0}}
+    report = select_predicate(counts, counts, sub, (0.0, 4.0, 2.0, math.inf),
+                              (0.0, 3.0, 1.0, 2.0))
+    assert report.chosen_values == (3,)
+    report = select_predicate(counts, counts, sub,
+                              (0.0, math.inf, 2.0, math.inf),
+                              (0.0, 3.0, 1.0, math.inf))
+    assert report.chosen_values == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +664,38 @@ def test_trace_records_have_loop_shape(example1):
     assert accepted.min_value == 1.0 and accepted.max_value is None
     assert all(rec.min_value is not None and rec.max_value is not None
                for rec in out.trace if rec.decision == "split")
+
+
+TWO_MEMBER_DOC = """
+states 3
+initial 0
+params
+k : 1 2
+stay1 : 1
+stay2 : 2
+trans
+0 : 1:k
+1 : 1:stay1
+2 : 1:stay2
+labels
+goal : 1
+"""
+
+
+@pytest.mark.parametrize("relation", ["<=", ">="])
+def test_inherited_direction_is_classified_before_a_solve(relation):
+    # k=1 reaches the goal surely and k=2 never: the root solves both
+    # directions and splits into two singletons.  Each child inherits the
+    # direction whose scheduler picks its value, first or second in the
+    # solve order, and takes the other from it as a singleton: no child
+    # solves anything
+    family, _ = parse_family(TWO_MEMBER_DOC)
+    spec = parse_spec(f'P{relation}1/2 F "goal"')
+    out = threshold_synthesis(family, spec)
+    assert out.stats.iterations == 3
+    assert out.stats.solver_calls == 2
+    assert out.stats.inherited == 4
+    assert buckets(out) == buckets(one_by_one(family, spec))
 
 
 def test_subfamily_budget_enforced(example1):
@@ -813,13 +866,13 @@ def test_refinement_decisions_pinned_on_larger_family():
     family = random_family(3, max_states=300, max_params=10, max_domain=4,
                            rewards=True)
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
-    assert out.stats.iterations == 239
+    assert out.stats.iterations == 155
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
-    # max alone accepts 73 subfamilies, whose min is never used; 129 of the
-    # directions used are taken without a solve, 128 from the parent and
-    # one from a singleton's other direction
-    assert out.stats.solver_calls == 276
-    assert out.stats.solver_calls + out.stats.inherited == 405
+    # each of the 40 subfamilies that max accepts inherited min before max
+    # was solved; 132 of the directions used are taken without a solve, 130
+    # from the parent and two from a singleton's other direction
+    assert out.stats.solver_calls == 178
+    assert out.stats.solver_calls + out.stats.inherited == 310
 
 
 def test_optimum_decisions_pinned_on_larger_family():
@@ -903,9 +956,9 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
         """Solve ``first`` then ``second`` as a step does; whether
         ``second`` was solved rather than taken."""
         res = {}
-        res[first] = loop.solve(restricted, goal, first, parent, res)
+        loop.solve(restricted, goal, first, parent, res)
         calls, used = stats.solver_calls, stats.solver_calls + stats.inherited
-        res[second] = loop.solve(restricted, goal, second, parent, res)
+        loop.solve(restricted, goal, second, parent, res)
         assert stats.solver_calls + stats.inherited == used + 1
         return res, stats.solver_calls > calls
 
