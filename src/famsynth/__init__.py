@@ -30,7 +30,6 @@ from .family import (
 from .fmc import parse_family, parse_spec, serialize_family
 from .engine import (
     CheckResult,
-    Scheduler,
     SparseMDP,
     exact_mc_probability,
     exact_mc_reward,

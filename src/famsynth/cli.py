@@ -243,11 +243,11 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("check", help="member-by-member exact check")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=ONE_BY_ONE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=ONE_BY_ONE_CAP)
 
     p = commands.add_parser("allinone", help="solve the all-in-one MDP")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=ALL_IN_ONE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=ALL_IN_ONE_CAP)
 
     p = commands.add_parser("synth", help="abstraction-refinement synthesis")
     _add_common(p)

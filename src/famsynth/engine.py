@@ -47,7 +47,6 @@ from typing import NamedTuple
 from .errors import ModelError, UndefinedRewardError
 from .family import (
     PROBABILITY,
-    REWARD,
     ConcreteMC,
     Specification,
     reachable_states,
@@ -102,25 +101,22 @@ class SparseMDP:
 
 
 @dataclass(frozen=True)
-class Scheduler:
-    """Memoryless deterministic choice: per state an action index + its tag."""
-
-    choices: tuple[int, ...]
-    tags: tuple[object, ...]
-
-
-@dataclass(frozen=True)
 class CheckResult:
-    direction: str
-    kind: str
+    """Per state a value and the index of the action that attains it (the
+    memoryless deterministic scheduler), read against the solved MDP."""
+
     values: tuple[float, ...]
-    scheduler: Scheduler
-    at_initial: float
+    choices: tuple[int, ...]
+    initial: int
     # True when qualitative analysis fixed the initial value to exact 0 or 1
     pinned: bool = False
     # False when some component failed certification: then no value of the
     # solve bounds its optimum, and only split scores may read them
     certified: bool = True
+
+    @property
+    def at_initial(self) -> float:
+        return self.values[self.initial]
 
 
 def mdp_from_mc(mc: ConcreteMC) -> SparseMDP:
@@ -650,16 +646,6 @@ def _stay_inside(mdp, region, choices):
                 break
 
 
-def _result(mdp, direction, kind, values, choices, certified,
-            pinned=False) -> CheckResult:
-    tags = [None] * mdp.n_states
-    for s in _live(mdp):
-        tags[s] = mdp.actions[s][choices[s]].tag
-    sched = Scheduler(tuple(choices), tuple(tags))
-    return CheckResult(direction, kind, tuple(values), sched,
-                       values[mdp.initial], pinned, certified)
-
-
 def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
                start=None) -> CheckResult:
     """Optimal reachability probabilities plus an attaining scheduler.
@@ -700,8 +686,8 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
                 choices[s] = _backup(
                     [(0.0, dist) for dist, _ in mdp.actions[s]], values,
                     False)[1]
-    return _result(mdp, direction, PROBABILITY, values, choices, certified,
-                   pinned=mdp.initial in frozen)
+    return CheckResult(tuple(values), tuple(choices), mdp.initial,
+                       mdp.initial in frozen, certified)
 
 
 def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
@@ -747,7 +733,8 @@ def _solve_reward_max(mdp, goal, start):
     assert not undecided, "every unsure state can reach the avoidable region"
     for s, ai in picked.items():
         choices[s] = ai
-    return _result(mdp, "max", REWARD, values, choices, certified)
+    return CheckResult(tuple(values), tuple(choices), mdp.initial,
+                       certified=certified)
 
 
 def _zero_reward_mecs(mdp, candidates, allowed):
@@ -858,17 +845,19 @@ def _solve_reward_min(mdp, goal, start):
         assert not stuck, "end component must be internally connected"
         for s, ai in picked.items():
             choices[s] = ai
-    return _result(mdp, "min", REWARD, values, choices, certified)
+    return CheckResult(tuple(values), tuple(choices), mdp.initial,
+                       certified=certified)
 
 
-def induced_chain(mdp: SparseMDP, scheduler: Scheduler) -> ConcreteMC:
-    """The chain obtained by fixing the scheduler's choices.
+def induced_chain(mdp: SparseMDP, choices: tuple[int, ...]) -> ConcreteMC:
+    """The chain obtained by fixing the action index ``choices[s]`` at each
+    state ``s``.
 
     Float probabilities convert to exact rationals (binary floats are
     rationals), so the result feeds the exact oracle directly.  A state
     without actions gets an empty row."""
     rows = []
-    for acts, c in zip(mdp.actions, scheduler.choices):
+    for acts, c in zip(mdp.actions, choices):
         dist = acts[c].dist if acts else ()
         rows.append(tuple((t, Fraction(p)) for t, p in dist))
     rewards = None

@@ -45,7 +45,7 @@ parameter, which is what ``inherit`` skips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -61,24 +61,23 @@ from .family import (
     reachable_states,
     realised_row,
 )
-from .engine import CheckResult, MdpAction, Scheduler, SparseMDP
+from .engine import CheckResult, MdpAction, SparseMDP
 
 ALL_IN_ONE_CAP = 100_000
 
 
 class MergedAction(NamedTuple):
-    """One quotient action: a partial assignment over the parameters in the
-    state's row plus the concrete distribution it induces.
+    """One quotient action's tag: a partial assignment over the parameters
+    in the state's row plus the exact distribution it induces.
 
     The distribution is kept as ``masses``, ascending ``(successor,
-    numerator)`` pairs over the row's common denominator ``den``.  ``dist``
-    holds their float values, ``m / den`` correctly rounded; the exact
-    ``dist_exact`` is made from the same integers when it is read."""
+    numerator)`` pairs over the row's common denominator ``den``.  The
+    action's ``MdpAction.dist`` holds their float values, ``m / den``
+    correctly rounded; the exact ``dist_exact`` is made from the same
+    integers when it is read."""
 
-    state: int
     params: tuple[int, ...]
     values: tuple[int, ...]
-    dist: tuple[tuple[int, float], ...]
     masses: tuple[tuple[int, int], ...]
     den: int
 
@@ -178,10 +177,6 @@ class QuotientMDP:
             tuple(successors), [], {})
         return table
 
-    @property
-    def n_states(self) -> int:
-        return self.family.n_states
-
     def action_counts(self) -> tuple[int, ...]:
         """Distinct merged actions per state for the full family."""
         return tuple(len((table or self._build(s)).dists)
@@ -223,7 +218,7 @@ class QuotientMDP:
         live = tuple(sorted(found))
         mdp = SparseMDP(family.n_states, family.initial, actions,
                         self._rewards_float, live)
-        return RestrictedQuotient(self, sub, mdp, live)
+        return RestrictedQuotient(self, sub, mdp)
 
     def _enumerate(self, s: int, table: _Table, key: tuple,
                    subsets: tuple[tuple[int, ...], ...]
@@ -270,7 +265,7 @@ class QuotientMDP:
             if action is None:
                 dist, masses = dists[group[i]]
                 action = cache[i] = MdpAction(
-                    dist, MergedAction(s, supp, sigs[i], dist, masses, den))
+                    dist, MergedAction(supp, sigs[i], masses, den))
             per_state.append(action)
         if successors is None:
             successors = tuple({t for dist, _ in per_state for t, _ in dist})
@@ -284,13 +279,12 @@ def build_quotient(family: FamilyModel) -> QuotientMDP:
 @dataclass
 class RestrictedQuotient:
     """A restriction of the quotient to a subfamily.  ``mdp`` is numbered
-    like the family; ``states``, its ``live`` states, are those the initial
-    state reaches, ascending."""
+    like the family; its ``live`` states are those the initial state
+    reaches, ascending."""
 
     quotient: QuotientMDP
     sub: Subfamily
     mdp: SparseMDP
-    states: tuple[int, ...]
 
     @property
     def family(self) -> FamilyModel:
@@ -306,20 +300,20 @@ def inherit(parent_actions: list[list[MdpAction]],
     child keeps an action with the distribution the parent's scheduler
     chose there.
 
-    Values, ``pinned`` and ``certified`` are copied; the choices and tags
-    are the child's own actions, so consistency checks and witnesses stay
-    inside the child's subfamily.  A ``result`` of None (a reward ``min``
-    that no scheduler defines) stays None: the child has fewer schedulers
-    still.  A child state whose action list is the parent's own object
-    keeps the parent's choice unchecked: that holds wherever the memo key,
-    the value subsets of the state's support, did not change.
+    Values, ``pinned`` and ``certified`` are kept; the choices index the
+    child's own actions, so consistency checks and witnesses stay inside the
+    child's subfamily.  A ``result`` of None (a reward ``min`` that no
+    scheduler defines) stays None: the child has fewer schedulers still.  A
+    child state whose action list is the parent's own object keeps the
+    parent's choice unchecked: that holds wherever the memo key, the value
+    subsets of the state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
     parent's, and the chosen ones survive at every state the child holds,
     so the scheduler induces the parent's chain on those states.  With
     ``y`` the parent's certified values, ``v^σ`` that chain's and ``v*`` the
     optima: for max ``y ≤ v^σ ≤ v*_child ≤ v*_parent``, for min
-    ``y ≤ v*_parent ≤ v*_child ≤ v^σ``.  Each copied value is thus certified
+    ``y ≤ v*_parent ≤ v*_child ≤ v^σ``.  Each kept value is thus certified
     exactly as the parent's was, and lies within the parent's certification
     margin of the child's optimum.  Survival only on the states the
     scheduler reaches would not do: the values at the other states feed the
@@ -328,66 +322,61 @@ def inherit(parent_actions: list[list[MdpAction]],
     """
     if result is None:
         return None
-    choices = list(result.scheduler.choices)
-    tags = list(result.scheduler.tags)
+    choices = list(result.choices)
     actions = child.mdp.actions
-    for s in child.states:
+    for s in child.mdp.live:
         acts = actions[s]
         if acts is parent_actions[s]:
             continue
-        dist = tags[s].dist
-        for c, (_, ma) in enumerate(acts):
-            if ma.dist == dist:
+        dist = parent_actions[s][choices[s]].dist
+        for c, (d, _) in enumerate(acts):
+            if d == dist:
                 break
         else:
             return None
         choices[s] = c
-        tags[s] = ma
-    return CheckResult(result.direction, result.kind, result.values,
-                       Scheduler(tuple(choices), tuple(tags)),
-                       result.at_initial, result.pinned, result.certified)
+    return replace(result, choices=tuple(choices))
 
 
-def _reachable_choices(restricted: RestrictedQuotient, scheduler: Scheduler,
-                       goal: frozenset[int]):
-    """Walk the scheduler-induced chain from the initial state and collect the
-    chosen value per parameter; stop at the first conflict.  The walk ends
-    at ``goal`` states and reads no choice there, because a first-visit
-    value never uses it.  The conflict witness is ``(param, state,
-    state)``."""
+def _reachable_choices(restricted: RestrictedQuotient,
+                       choices: tuple[int, ...], goal: frozenset[int]):
+    """Walk the chain that the action indices ``choices`` induce from the
+    initial state and collect the chosen value per parameter; stop at the
+    first conflict.  The walk ends at ``goal`` states and reads no choice
+    there, because a first-visit value never uses it.  The conflict witness
+    is ``(param, state, state)``."""
     mdp = restricted.mdp
-    choices = scheduler.choices
     dists = {s: () if s in goal else mdp.actions[s][choices[s]].dist
-             for s in restricted.states}
+             for s in mdp.live}
     chosen: dict[int, tuple[int, int]] = {}
     for s in sorted(reachable_states(dists, mdp.initial) - goal):
-        action: MergedAction = scheduler.tags[s]
+        action: MergedAction = mdp.actions[s][choices[s]].tag
         for k, v in zip(action.params, action.values):
             prev = chosen.get(k)
             if prev is None:
-                chosen[k] = (v, action.state)
+                chosen[k] = (v, s)
             elif prev[0] != v:
-                return chosen, (k, prev[1], action.state)
+                return chosen, (k, prev[1], s)
     return chosen, None
 
 
-def is_consistent(restricted: RestrictedQuotient, scheduler: Scheduler,
+def is_consistent(restricted: RestrictedQuotient, choices: tuple[int, ...],
                   goal: frozenset[int]
                   ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Does the scheduler pick a single value per parameter over the states it
-    actually reaches before ``goal``?  Returns a witness ``(param, state,
-    state)`` if not."""
-    _, conflict = _reachable_choices(restricted, scheduler, goal)
+    """Does the scheduler whose action indices are ``choices`` pick a single
+    value per parameter over the states it actually reaches before
+    ``goal``?  Returns a witness ``(param, state, state)`` if not."""
+    _, conflict = _reachable_choices(restricted, choices, goal)
     return conflict is None, conflict
 
 
 def scheduler_to_realisations(restricted: RestrictedQuotient,
-                              scheduler: Scheduler,
+                              choices: tuple[int, ...],
                               goal: frozenset[int]) -> Subfamily:
-    """The subfamily a consistent scheduler corresponds to: parameters it
-    fixes before ``goal`` become singletons, untouched parameters keep their
-    subsets."""
-    chosen, conflict = _reachable_choices(restricted, scheduler, goal)
+    """The subfamily a consistent scheduler, given by its action indices
+    ``choices``, corresponds to: parameters it fixes before ``goal`` become
+    singletons, untouched parameters keep their subsets."""
+    chosen, conflict = _reachable_choices(restricted, choices, goal)
     if conflict is not None:
         k, s1, s2 = conflict
         name = restricted.family.param_names[k]
@@ -473,10 +462,10 @@ def dump_quotient(quotient: QuotientMDP, sub: Subfamily | None = None) -> str:
     family = quotient.family
     restricted = quotient.restrict(sub or Subfamily.full(family))
     lines = [f"states {family.n_states}", f"initial {family.initial}"]
-    for acts in restricted.mdp.actions:
+    for s, acts in enumerate(restricted.mdp.actions):
         for _, ma in acts:
             sig = ",".join(f"{family.param_names[k]}={v}"
                            for k, v in zip(ma.params, ma.values))
             succ = " ".join(f"{t}:{p}" for t, p in ma.dist_exact)
-            lines.append(f"state {ma.state} action {sig} : {succ}")
+            lines.append(f"state {s} action {sig} : {succ}")
     return "\n".join(lines) + "\n"

@@ -69,7 +69,6 @@ direction never raises the running bound.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from collections import deque
@@ -92,7 +91,6 @@ from .family import (
 )
 from .engine import (
     CheckResult,
-    Scheduler,
     solve_mc_exact,
     solve_prob,
     solve_reward,
@@ -234,9 +232,8 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
     splittable = set(sub.splittable)
     reach = set()
     for res in (res_max, res_min):
-        choices = res.scheduler.choices
-        dists = {s: mdp.actions[s][choices[s]].dist
-                 for s in restricted.states}
+        choices = res.choices
+        dists = {s: mdp.actions[s][choices[s]].dist for s in mdp.live}
         reach |= reachable_states(dists, mdp.initial)
     gaps = {}
     for s in reach:
@@ -252,15 +249,16 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
                      if gap >= IMPORTANCE * gap0)
 
 
-def extract_counts(scheduler: Scheduler, important: frozenset[int],
+def extract_counts(choices: tuple[int, ...], important: frozenset[int],
                    restricted: RestrictedQuotient) -> dict[int, dict[int, int]]:
-    """Per splittable parameter, how often the scheduler picks each value of
-    its current subset over the important states whose row mentions the
-    parameter."""
+    """Per splittable parameter, how often the scheduler whose action
+    indices are ``choices`` picks each value of its current subset over the
+    important states whose row mentions the parameter."""
     sub = restricted.sub
+    actions = restricted.mdp.actions
     counts = {k: dict.fromkeys(sub.subsets[k], 0) for k in sub.splittable}
     for s in important:
-        action = scheduler.tags[s]
+        action = actions[s][choices[s]].tag
         for k, v in zip(action.params, action.values):
             if k in counts:
                 counts[k][v] += 1
@@ -342,10 +340,10 @@ class _Loop:
         """Refine until the queue is empty or a decision in ``stop``.
 
         Each iteration restricts the quotient to the next subfamily and
-        calls ``step(sub, restricted, goal, parent, res)``, which solves the
-        directions it needs into ``res`` and returns its decision.  A
-        singleton is never split: it takes its exact decision instead.  The
-        subfamily is then split or filed in the bucket its decision names.
+        calls ``step(restricted, parent, res)``, which solves the directions
+        it needs into ``res`` and returns its decision.  A singleton is never
+        split: it takes its exact decision instead.  The subfamily is then
+        split or filed in the bucket its decision names.
         ``times.analyse`` gets the iteration's time minus restriction and
         solving.
         """
@@ -367,12 +365,12 @@ class _Loop:
             if sub.is_singleton:
                 stats.singletons += 1
             res: dict[str, CheckResult | None] = {}
-            decision = step(sub, restricted, self.goal, parent, res)
+            decision = step(restricted, parent, res)
             if decision == "split" and sub.is_singleton:
                 decision = self.decide_exactly(sub.to_realisation())
             split_param = None
             if decision == "split":
-                split_param = self.split(sub, restricted, self.goal, res)
+                split_param = self.split(restricted, res)
             elif decision in buckets:
                 buckets[decision].append(sub)
             stats.times.analyse += time.perf_counter() - t1 - (
@@ -406,24 +404,24 @@ class _Loop:
         res[direction] = got
         return True
 
-    def solve(self, restricted: RestrictedQuotient, goal: frozenset[int],
-              direction: str, parent: _Parent | None,
+    def solve(self, restricted: RestrictedQuotient, direction: str,
+              parent: _Parent | None,
               res: dict[str, CheckResult | None]) -> None:
         """File ``direction`` in ``res``: inherited, or else computed."""
         if not self.inherit(restricted, direction, parent, res):
-            res[direction] = self.compute(restricted, goal, direction, parent,
-                                          res)
+            res[direction] = self.compute(restricted, direction, parent, res)
 
-    def compute(self, restricted: RestrictedQuotient, goal: frozenset[int],
-                direction: str, parent: _Parent | None,
+    def compute(self, restricted: RestrictedQuotient, direction: str,
+                parent: _Parent | None,
                 res: dict[str, CheckResult | None]) -> CheckResult | None:
         """Solve ``direction`` without inheriting it; None for a reward
         ``min`` whose goal no scheduler reaches almost surely.
 
         A singleton takes the other direction's result from ``res``, the
         iteration's results so far, when it is there: its restriction has
-        one action per state, so both directions solve the member's chain.
-        Otherwise the solve starts from the parent's values.
+        one action per state, so both directions solve the member's chain
+        and one result serves both.  Otherwise the solve starts from the
+        parent's values.
         """
         t0 = time.perf_counter()
         try:
@@ -432,24 +430,25 @@ class _Loop:
                 self.stats.inherited += 1
                 if math.isinf(other.at_initial):
                     return None  # the chain misses the goal: no reward min
-                return dataclasses.replace(other, direction=direction)
+                return other
             solved = None if parent is None else parent.res.get(direction)
             self.stats.solver_calls += 1
             solver = solve_reward if self.spec.kind == REWARD else solve_prob
-            return solver(restricted.mdp, goal, direction, start=(
+            return solver(restricted.mdp, self.goal, direction, start=(
                 None if solved is None else solved.values))
         except UndefinedRewardError:
             return None
         finally:
             self.stats.times.check += time.perf_counter() - t0
 
-    def split(self, sub: Subfamily, restricted: RestrictedQuotient,
-              goal: frozenset[int], res: dict[str, CheckResult | None]
-              ) -> str:
-        """Queue the two halves of ``sub``; the split parameter's name."""
-        imp = important_states(res["min"], res["max"], restricted, goal)
-        c_max = extract_counts(res["max"].scheduler, imp, restricted)
-        c_min = extract_counts(res["min"].scheduler, imp, restricted)
+    def split(self, restricted: RestrictedQuotient,
+              res: dict[str, CheckResult | None]) -> str:
+        """Queue the two halves of the restriction's subfamily; the split
+        parameter's name."""
+        sub = restricted.sub
+        imp = important_states(res["min"], res["max"], restricted, self.goal)
+        c_max = extract_counts(res["max"].choices, imp, restricted)
+        c_min = extract_counts(res["min"].choices, imp, restricted)
         report = select_predicate(c_max, c_min, sub, res["max"].values,
                                   res["min"].values)
         parent = _Parent(restricted.mdp.actions, res)
@@ -564,15 +563,15 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
     # solved only when the first cannot decide
     order = ("max", "min") if spec.relation in ("<", "<=") else ("min", "max")
 
-    def step(sub, restricted, goal, parent, res):
+    def step(restricted, parent, res):
         # directions inherited from the parent cost no solve: take them
         # first, then compute the rest in order until the subfamily decides
         for direction in order:
             loop.inherit(restricted, direction, parent, res)
         for direction in order:
             if direction not in res:
-                res[direction] = loop.compute(restricted, goal, direction,
-                                              parent, res)
+                res[direction] = loop.compute(restricted, direction, parent,
+                                              res)
             decision = loop.classify(res)
             if decision is not None:
                 return decision
@@ -591,29 +590,30 @@ def _feasibility(family: FamilyModel, spec: Specification,
     loop = _Loop(family, spec, config, collect_trace)
     outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
                                stats=loop.stats)
-    lam = float(spec.threshold)
     # the witness side holds the scheduler whose member may satisfy the
     # bound; alone it can only reject or find an undefined reward
     witness, other = (("max", "min") if spec.relation in (">=", ">")
                       else ("min", "max"))
 
-    def step(sub, restricted, goal, parent, res):
-        loop.solve(restricted, goal, witness, parent, res)
+    def step(restricted, parent, res):
+        sub = restricted.sub
+        loop.solve(restricted, witness, parent, res)
         decision = loop.classify(res)
         if decision is not None:
             return decision
         value = _at_initial(res[witness])
-        if not math.isinf(value) and compare(value, spec.relation, lam) and \
-                is_consistent(restricted, res[witness].scheduler, goal)[0]:
+        if not math.isinf(value) and compare(value, spec.relation, loop.lam) \
+                and is_consistent(restricted, res[witness].choices,
+                                  loop.goal)[0]:
             member = next(scheduler_to_realisations(
-                restricted, res[witness].scheduler, goal).members())
+                restricted, res[witness].choices, loop.goal).members())
             decision = loop.decide_exactly(member)
             if decision == "accept":
                 outcome.best = member
                 return "witness"
             if sub.is_singleton:
                 return decision  # the failed candidate is its exact check
-        loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
         # less than rounding; return only a confirmed one
@@ -642,9 +642,6 @@ def feasibility(family: FamilyModel, spec: Specification,
 def _optimise(family: FamilyModel, spec: Specification,
               config: RefinementConfig | None, collect_trace: bool
               ) -> SynthesisOutcome:
-    if not spec.objective_only:
-        raise UnsupportedSpecError("max/min synthesis needs an objective-only "
-                                   "specification")
     maximize = spec.direction == "max"
     loop = _Loop(family, spec, config, collect_trace)
     # during the run ``best_value`` is the bound the trace records: a value
@@ -659,9 +656,9 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     lead, other = ("max", "min") if maximize else ("min", "max")
 
-    def narrow(restricted, goal, parent, res):
+    def narrow(restricted, parent, res):
         # split, unless no scheduler reaches the goal almost surely
-        loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, other, parent, res)
         return "discard-undefined" if res[other] is None else "split"
 
     # the other direction is solved only for a split (which needs both
@@ -669,9 +666,10 @@ def _optimise(family: FamilyModel, spec: Specification,
     # subfamily from one to split; a consistent lead pinned at exactly 1
     # (max) or 0 (min) is its member's value and the optimum, so the
     # subfamilies still queued are dropped unsolved
-    def step(sub, restricted, goal, parent, res):
+    def step(restricted, parent, res):
         nonlocal certified
-        loop.solve(restricted, goal, lead, parent, res)
+        sub = restricted.sub
+        loop.solve(restricted, lead, parent, res)
         if res[lead] is None:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
@@ -680,7 +678,7 @@ def _optimise(family: FamilyModel, spec: Specification,
         if not res[lead].certified:
             # The lead bounds nothing: split, or value the member exactly.
             if not sub.is_singleton:
-                return narrow(restricted, goal, parent, res)
+                return narrow(restricted, parent, res)
             leadv = float(loop.value_exactly(sub.to_realisation()))
         if not better(leadv, certified) or better(outcome.best_value, leadv):
             # The subfamily cannot strictly beat what is certified, or
@@ -693,17 +691,17 @@ def _optimise(family: FamilyModel, spec: Specification,
             # scheduler reaches the goal almost surely.
             if sub.is_singleton:
                 return "discard-undefined"
-            return narrow(restricted, goal, parent, res)
-        if is_consistent(restricted, res[lead].scheduler, goal)[0]:
+            return narrow(restricted, parent, res)
+        if is_consistent(restricted, res[lead].choices, loop.goal)[0]:
             outcome.best = next(scheduler_to_realisations(
-                restricted, res[lead].scheduler, goal).members())
+                restricted, res[lead].choices, loop.goal).members())
             certified = leadv
             if better(certified, outcome.best_value):
                 outcome.best_value = certified
             if _pinned_extreme(res[lead], maximize):
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
-        loop.solve(restricted, goal, other, parent, res)
+        loop.solve(restricted, other, parent, res)
         otherv = _at_initial(res[other])
         if res[other].certified and not math.isinf(otherv) and \
                 better(otherv, outcome.best_value):

@@ -148,7 +148,10 @@ def test_exit_code_usage(capsys):
     for argv in (("gen", "--domain", "0"),
                  ("synth", "--mode", "sideways", MODEL),
                  ("sideways",),
-                 ("enum", MODEL)):
+                 ("enum", MODEL),
+                 ("check", MODEL, "--cap", "-1"),
+                 ("allinone", MODEL, "--cap", "0"),
+                 ("check", MODEL, "--cap", "many")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
         assert err.startswith("famsynth: usage: famsynth")
@@ -159,6 +162,38 @@ def test_exit_code_usage(capsys):
         assert code == 1
     code, _, err = run_cli(capsys, "check", "/nonexistent/file.fmc")
     assert code == 1
+
+
+NO_SPECS = EXAMPLE1.read_text().partition("\nspecs\n")[0]
+
+
+@pytest.mark.parametrize("argv, code, expect", [
+    # --spec-string stands in for the document's named specs
+    (("synth", "--spec-string", 'P>=1/2 F "two"', MODEL), 0,
+     'P>=1/2 F "two"'),
+    (("check", "--spec-string", 'Pmin F "one"', MODEL), 0, 'Pmin F "one"'),
+    (("synth", "--spec", "psi", MODEL), 2, "unknown-spec"),
+    (("check", "NO_SPECS"), 2, "unknown-spec"),
+    (("synth", "--spec-string", 'P>=2 F "one"', MODEL), 2,
+     "threshold-range"),
+    # the document has no rewards, which the solver finds
+    (("synth", "--spec-string", 'E<=3 F "one"', MODEL), 2, "bad-reward"),
+    (("synth", "--spec", "obj", MODEL), 2, "unsupported-spec"),
+], ids=["spec-string", "spec-string-objective", "unknown-spec", "no-specs",
+        "bad-threshold", "no-rewards", "objective-for-threshold"])
+def test_spec_selection(tmp_path, capsys, argv, code, expect):
+    # exit 0 prints the spec that ran, any other exit one diagnostic line
+    # with the error's code
+    path = tmp_path / "no-specs.fmc"
+    path.write_text(NO_SPECS)
+    argv = [str(path) if arg == "NO_SPECS" else arg for arg in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["spec"] == expect and not err
+    else:
+        assert not out and err.startswith(f"famsynth: {expect}: ")
+        assert err.count("\n") == 1
 
 
 def test_trace_file_is_json_lines(tmp_path, capsys):

@@ -60,8 +60,7 @@ def exact_optima(mdp, goal, kind, cap=64):
     for combo in itertools.product(*ranges):
         for s, ai in zip(free, combo):
             choices[s] = ai
-        chain = induced_chain(mdp, engine.Scheduler(tuple(choices),
-                                                    (None,) * mdp.n_states))
+        chain = induced_chain(mdp, choices)
         if kind == "probability":
             exact = exact_mc_probability(chain, goal)
         else:
@@ -159,7 +158,7 @@ def test_solve_reward_zero_reward_cycle_is_not_free():
                     rewards=[0.0, 1.0, 0.0])
     res = solve_reward(mdp, frozenset({2}), "min")
     assert res.at_initial == pytest.approx(1.0, abs=1e-6)
-    chain = induced_chain(mdp, res.scheduler)
+    chain = induced_chain(mdp, res.choices)
     assert exact_mc_reward(chain, frozenset({2}))[0] == 1
 
 
@@ -178,7 +177,8 @@ def test_solve_reward_min_repairs_a_start_policy_that_never_leaves():
     res = solve_reward(mdp, frozenset({3}), "min")
     for v in res.values[:2]:
         assert v == pytest.approx(11.0, rel=1e-12) and v <= 11.0
-    assert res.scheduler.tags[:2] == ("leave", "leave")
+    assert [mdp.actions[s][res.choices[s]].tag for s in (0, 1)] == \
+        ["leave", "leave"]
 
 
 def test_solve_reward_min_undefined_at_initial():
@@ -275,16 +275,17 @@ def test_extracted_scheduler_attains_reported_value(seed):
     restricted = build_quotient(family).restrict(Subfamily.full(family))
     mdp = restricted.mdp
     goal = family.label_states("goal")
-    results = [solve_prob(mdp, goal, "max"), solve_prob(mdp, goal, "min")]
+    results = [(solve_prob(mdp, goal, "max"), "probability", "max"),
+               (solve_prob(mdp, goal, "min"), "probability", "min")]
     if family.rewards is not None:
-        results.append(solve_reward(mdp, goal, "max"))
+        results.append((solve_reward(mdp, goal, "max"), "reward", "max"))
         try:
-            results.append(solve_reward(mdp, goal, "min"))
+            results.append((solve_reward(mdp, goal, "min"), "reward", "min"))
         except UndefinedRewardError:
             pass
-    for res in results:
-        chain = induced_chain(mdp, res.scheduler)
-        if res.kind == "probability":
+    for res, kind, direction in results:
+        chain = induced_chain(mdp, res.choices)
+        if kind == "probability":
             exact = exact_mc_probability(chain, goal)
         else:
             exact = exact_mc_reward(chain, goal)
@@ -294,7 +295,7 @@ def test_extracted_scheduler_attains_reported_value(seed):
             assert math.isinf(got)
         else:
             assert got == pytest.approx(res.at_initial, abs=1e-7)
-        if res.direction == "max":
+        if direction == "max":
             # the maximising scheduler attains every reported value
             for v, e in zip(res.values, exact):
                 if math.isinf(v):
@@ -319,7 +320,7 @@ def test_uncertified_scheduler_leaves_end_component(monkeypatch):
     goal = frozenset({2})
     res = solve_prob(mdp, goal, "max")
     assert res.certified is False
-    chain = induced_chain(mdp, res.scheduler)
+    chain = induced_chain(mdp, res.choices)
     assert exact_mc_probability(chain, goal)[0] == Fraction(1, 2)
 
 
@@ -627,10 +628,8 @@ def test_family_numbered_restriction_solves_like_its_compacted_copy(seed):
                 assert got.at_initial.hex() == want.at_initial.hex()
                 assert [got.values[s].hex() for s in local] == \
                     [v.hex() for v in want.values]
-                assert [got.scheduler.choices[s] for s in local] == \
-                    list(want.scheduler.choices)
-                assert [got.scheduler.tags[s] for s in local] == \
-                    list(want.scheduler.tags)
+                assert [got.choices[s] for s in local] == \
+                    list(want.choices)
 
 
 def assert_hint_changes_nothing(mdp, goal, hints):

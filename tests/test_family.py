@@ -154,6 +154,56 @@ def test_spec_invariants():
     assert spec.objective_only
 
 
+def family_with(**changes):
+    """A valid two-state family, with ``changes`` to its fields."""
+    fields = dict(n_states=2, initial=0, param_names=("a", "b"),
+                  domains=((0, 1), (1,)),
+                  rows=(((H, 0), (H, 1)), ((Fraction(1), 1),)),
+                  rewards=(Fraction(1), Fraction(0)), labels={"goal": {1}})
+    fields.update(changes)
+    return FamilyModel(**fields)
+
+
+def spec_with(**changes):
+    """A valid threshold spec, with ``changes`` to its fields."""
+    fields = dict(kind="probability", goal="goal", relation=">=",
+                  threshold=H)
+    fields.update(changes)
+    return Specification(**fields)
+
+
+ONE = ((Fraction(1), 1),)
+
+
+@pytest.mark.parametrize("make, changes, code", [
+    (family_with, {"n_states": 0}, "bad-state"),
+    (family_with, {"param_names": ("a",)}, "bad-domain"),
+    (family_with, {"param_names": ("a", "a")}, "dup-param"),
+    (family_with, {"domains": ((0, 0), (1,))}, "bad-domain"),
+    (family_with, {"domains": ((0, 2), (1,))}, "bad-domain"),
+    (family_with, {"rows": (ONE,)}, "bad-row"),
+    (family_with, {"rows": (ONE, ())}, "bad-row"),
+    (family_with, {"rows": (ONE, ((Fraction(1), 2),))}, "unknown-param"),
+    (family_with, {"rows": (ONE, ((Fraction(0), 0), (Fraction(1), 1)))},
+     "bad-prob"),
+    (family_with, {"rows": (ONE, ((0.5, 0), (0.5, 1)))}, "bad-prob"),
+    (family_with, {"rewards": (Fraction(1),)}, "bad-reward"),
+    (family_with, {"labels": {"goal": {2}}}, "bad-label"),
+    (spec_with, {"kind": "rate"}, "bad-spec"),
+    (spec_with, {"relation": None, "threshold": None,
+                 "direction": "sideways"}, "bad-spec"),
+    (spec_with, {"relation": None}, "bad-spec"),
+], ids=["no-state", "domain-count", "dup-name", "repeated-value",
+        "value-not-a-state", "row-count", "empty-row", "unknown-param",
+        "zero-weight", "float-weight", "reward-count", "label-state",
+        "spec-kind", "spec-direction", "spec-relation"])
+def test_direct_construction_errors(make, changes, code):
+    make()  # valid without the changes
+    with pytest.raises(ModelError) as err:
+        make(**changes)
+    assert err.value.code == code
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_random_family_rows_sum_to_one_exactly(seed):

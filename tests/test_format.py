@@ -168,3 +168,58 @@ def test_roundtrip_random_corpus(seed, rewards):
     assert family2 == family
     assert specs2 == specs
     assert serialize_family(family2, specs2) == text
+
+
+# One valid document; each case below breaks it in one place.
+VALID = """states 2
+initial 0
+params
+a : 0 1
+b : 1
+trans
+0 : 1/2:a + 1/2:b
+1 : 1:b
+rewards
+0 : 1
+labels
+goal : 1
+specs
+phi : P>=1/2 F "goal"
+"""
+
+
+@pytest.mark.parametrize("old, new, code, line", [
+    ("states 2", "states two", "syntax", 1),
+    ("initial 0\n", "initial 0\nstates 2\n", "dup-section", 3),
+    ("initial 0\n", "initial 0\ninitial 1\n", "dup-section", 3),
+    ("specs\n", "labels\nspecs\n", "dup-section", 13),
+    ("b : 1\n", "b : 1\nb 1\n", "syntax", 6),
+    ("params\n", "c : 0\nparams\n", "syntax", 3),
+    ("a : 0 1", "1a : 0 1", "syntax", 4),
+    ("b : 1\n", "b : 1\nb : 0\n", "dup-param", 6),
+    ("a : 0 1", "a : 0 x", "bad-state", 4),
+    ("b : 1\n", "b :\n", "empty-domain", 5),
+    ("1 : 1:b\n", "1 : 1:b\n1 : 1:b\n", "dup-entry", 9),
+    ("1 : 1:b", "1 : b", "syntax", 8),
+    ("1/2:a", "half:a", "bad-number", 7),
+    ("0 : 1\nlabels", "0 : 1\n0 : 2\nlabels", "dup-entry", 11),
+    ("goal : 1\n", "goal : 1\ngoal : 0\n", "dup-entry", 13),
+    ("goal : 1", "goal :", "syntax", 12),
+    ('"goal"\n', '"goal"\nphi : Pmax F "goal"\n', "dup-entry", 15),
+    ('F "goal"', 'F ""', "syntax", 14),
+    ("initial 0\n", "", "missing-section", None),
+    ("1 : 1:b\n", "", "missing-section", None),
+    ("1 : 1:b\n", "1 : 1:b\n2 : 1:b\n", "bad-state", None),
+    ("rewards\n0 : 1", "rewards\n5 : 1", "bad-state", None),
+], ids=["states-not-a-number", "dup-states", "dup-initial", "dup-section",
+        "no-key", "outside-section", "bad-identifier", "dup-parameter",
+        "bad-state-index", "empty-domain", "dup-row", "term-without-param",
+        "bad-number", "dup-reward", "dup-label", "label-without-state",
+        "dup-spec", "spec-without-goal", "missing-initial", "missing-row",
+        "row-of-unknown-state", "reward-of-unknown-state"])
+def test_parse_errors(old, new, code, line):
+    parse_family(VALID)  # valid without the change
+    assert VALID.count(old) == 1
+    with pytest.raises(FormatError) as err:
+        parse_family(VALID.replace(old, new))
+    assert (err.value.code, err.value.line) == (code, line)

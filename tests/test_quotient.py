@@ -28,7 +28,7 @@ from famsynth import (
     solve_prob,
     solve_reward,
 )
-from famsynth.engine import MdpAction, Scheduler, SparseMDP
+from famsynth.engine import MdpAction, SparseMDP
 from famsynth.quotient import inherit
 from conftest import R2, random_subfamily
 
@@ -36,12 +36,11 @@ H = Fraction(1, 2)
 
 
 def pick_scheduler(restricted, wanted):
-    """Build a scheduler choosing, per reached state, the first action whose
-    partial assignment agrees with ``wanted`` (a dict of param name ->
-    value); the tag is None at every other state."""
+    """The action indices of a scheduler choosing, per reached state, the
+    first action whose partial assignment agrees with ``wanted`` (a dict of
+    param name -> value); 0 at every other state."""
     family = restricted.family
     choices = []
-    tags = []
     for s, acts in enumerate(restricted.mdp.actions):
         pick = 0
         for ai, (_, ma) in enumerate(acts):
@@ -51,8 +50,7 @@ def pick_scheduler(restricted, wanted):
                 pick = ai
                 break
         choices.append(pick)
-        tags.append(acts[pick].tag if acts else None)
-    return Scheduler(tuple(choices), tuple(tags))
+    return tuple(choices)
 
 
 def test_quotient_merged_action_counts(example1):
@@ -119,7 +117,7 @@ def test_singleton_restriction_replays_instantiation(example1):
     for r in all_realisations(model):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(model, r)
-        for s in restricted.states:
+        for s in restricted.mdp.live:
             [(dist, ma)] = restricted.mdp.actions[s]
             assert ma.dist_exact == mc.rows[s]
 
@@ -132,7 +130,7 @@ def test_merged_replay_on_random_families(seed):
     for r in all_realisations(family):
         restricted = quotient.restrict(Subfamily.of_realisation(r))
         mc = instantiate(family, r)
-        for s in restricted.states:
+        for s in restricted.mdp.live:
             [(_, ma)] = restricted.mdp.actions[s]
             assert ma.dist_exact == mc.rows[s]
 
@@ -153,16 +151,13 @@ def test_inconsistent_scheduler_detected(example1):
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
     # k1=1 at state 0 (reaches state 1), k1=0 elsewhere
-    sched = pick_scheduler(restricted, {"k1": 1})
-    tags = list(sched.tags)
-    choices = list(sched.choices)
+    choices = list(pick_scheduler(restricted, {"k1": 1}))
     # at state 1 deliberately choose a k1=0 action
     for ai, (_, ma) in enumerate(restricted.mdp.actions[1]):
         if dict(zip(ma.params, ma.values))[1] == 0:
             choices[1] = ai
-            tags[1] = restricted.mdp.actions[1][ai].tag
             break
-    sched = Scheduler(tuple(choices), tuple(tags))
+    sched = tuple(choices)
     ok, witness = is_consistent(restricted, sched, frozenset())
     assert not ok
     assert witness[0] == 1  # parameter index of k1
@@ -189,7 +184,7 @@ def test_conflict_at_unreachable_state_is_ignored():
         rows=(((Fraction(1), 0),), ((Fraction(1), 1),), ((Fraction(1), 0),)))
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
-    choices, tags = [], []
+    choices = []
     for s, acts in enumerate(restricted.mdp.actions):
         want = 1 if s == 0 else (2 if s == 2 else None)
         pick = 0
@@ -199,8 +194,7 @@ def test_conflict_at_unreachable_state_is_ignored():
                 pick = ai
                 break
         choices.append(pick)
-        tags.append(acts[pick].tag)
-    sched = Scheduler(tuple(choices), tuple(tags))
+    sched = tuple(choices)
     ok, _ = is_consistent(restricted, sched, frozenset())
     assert ok
     sub = scheduler_to_realisations(restricted, sched, frozenset())
@@ -382,17 +376,14 @@ def assert_restriction_is_naive_filter(quotient, sub):
     family = quotient.family
     restricted = quotient.restrict(sub)
     rows = naive_restriction(family, sub)
-    assert restricted.states == restricted.mdp.live == \
-        tuple(sorted(naive_reached(family, rows)))
+    assert restricted.mdp.live == tuple(sorted(naive_reached(family, rows)))
     assert restricted.mdp.n_states == family.n_states
     assert restricted.mdp.initial == family.initial
     for s, actions in enumerate(restricted.mdp.actions):
         got = [(ma.params, ma.values, ma.dist_exact) for _, ma in actions]
-        assert got == (rows[s] if s in restricted.states else [])
+        assert got == (rows[s] if s in restricted.mdp.live else [])
         for dist, ma in actions:
-            assert ma.state == s
-            assert ma.dist == tuple((t, float(p)) for t, p in ma.dist_exact)
-            assert dist == ma.dist
+            assert dist == tuple((t, float(p)) for t, p in ma.dist_exact)
     return restricted
 
 
@@ -411,7 +402,7 @@ def assert_solutions_match_naive(restricted, goal):
     """Both directions give bit-identical values and equal choices at every
     reached state, against the engine run on the family-numbered MDP."""
     naive = naive_mdp(restricted.family, restricted.sub)
-    states = restricted.states
+    states = restricted.mdp.live
     solvers = [solve_prob]
     if naive.rewards is not None:
         solvers.append(solve_reward)
@@ -426,7 +417,7 @@ def assert_solutions_match_naive(restricted, goal):
             got = solve(restricted.mdp, goal, direction)
             for s in states:
                 assert got.values[s] == want.values[s]
-                assert got.scheduler.choices[s] == want.scheduler.choices[s]
+                assert got.choices[s] == want.choices[s]
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,42 +451,44 @@ def test_restrict_matches_naive_filter(seed):
                 assert restricted.mdp.actions == \
                     build_quotient(family).restrict(child).mdp.actions
                 assert_solutions_match_naive(restricted, goal)
-                assert set(restricted.states) <= set(parent.states)
-                for s in restricted.states:
+                assert set(restricted.mdp.live) <= set(parent.mdp.live)
+                for s in restricted.mdp.live:
                     if k not in family.support(s):
                         assert restricted.mdp.actions[s] is \
                             parent.mdp.actions[s]
 
 
-def assert_inherited_is_sound(parent, res, child, got, goal):
-    """``got = inherit(parent.mdp.actions, res, child)`` is None exactly
-    when some state of ``child`` lost the distribution the parent's
-    scheduler chose there; otherwise, at every state of ``child``, it
-    agrees with a fresh solve on ``child`` and is attained by the scheduler
-    it carries, whose tags are the child's own actions."""
-    solve = solve_prob if res.kind == "probability" else solve_reward
-    chosen = res.scheduler.tags
+def assert_inherited_is_sound(parent, res, child, got, goal, solve,
+                              direction):
+    """``got = inherit(parent.mdp.actions, res, child)``, with ``res`` from
+    ``solve(parent.mdp, goal, direction)``, is None exactly when some state
+    of ``child`` lost the distribution the parent's scheduler chose there;
+    otherwise, at every state of ``child``, it agrees with a fresh solve on
+    ``child`` and is attained by the scheduler it carries, whose choices
+    index the child's own actions."""
+    chosen = [acts[c].tag if acts else None
+              for acts, c in zip(parent.mdp.actions, res.choices)]
     survives = all(any(ma.dist_exact == chosen[s].dist_exact
                        for _, ma in child.mdp.actions[s])
-                   for s in child.states)
+                   for s in child.mdp.live)
     assert (got is not None) == survives
     if got is None:
         return
-    fresh = solve(child.mdp, goal, res.direction)
+    fresh = solve(child.mdp, goal, direction)
     assert got.pinned == res.pinned
     assert got.at_initial == got.values[child.mdp.initial]
-    for s in child.states:
+    for s in child.mdp.live:
         v, w = got.values[s], fresh.values[s]
         assert v == w == float("inf") or v == pytest.approx(w, rel=1e-9,
                                                             abs=0)
         acts = child.mdp.actions[s]
-        assert acts[got.scheduler.choices[s]].tag is got.scheduler.tags[s]
-    chain = induced_chain(child.mdp, got.scheduler)
-    if res.kind == "probability":
+        assert acts[got.choices[s]].tag.dist_exact == chosen[s].dist_exact
+    chain = induced_chain(child.mdp, got.choices)
+    if solve is solve_prob:
         exact = exact_mc_probability(chain, goal)
     else:
         exact = exact_mc_reward(chain, goal)
-    for s in child.states:
+    for s in child.mdp.live:
         v, e = got.values[s], exact[s]
         if v == float("inf"):
             assert e is None
@@ -539,14 +532,15 @@ def test_inherited_result_is_the_childs_own(seed):
                 for child in children:
                     assert_inherited_is_sound(
                         parent, res, child,
-                        inherit(parent.mdp.actions, res, child), goal)
+                        inherit(parent.mdp.actions, res, child), goal, solve,
+                        direction)
         parent = rng.choice(children)
 
 
 def test_restriction_drops_states_the_initial_state_cannot_reach():
     quotient = build_quotient(unreachable_family())
     full = quotient.restrict(Subfamily.full(quotient.family))
-    assert full.states == full.mdp.live == (0, 1, 3)
+    assert full.mdp.live == (0, 1, 3)
     # family state 2 keeps no action; state 3 and its successor keep their
     # family numbers
     assert full.mdp.actions[2] == []
@@ -555,7 +549,7 @@ def test_restriction_drops_states_the_initial_state_cannot_reach():
     assert full.mdp.rewards == [1.0, 0.0, 5.0, 2.0]
     # a smaller restriction drops state 3 and keeps the others' numbers
     only_one = quotient.restrict(Subfamily(((1,), (1,))))
-    assert only_one.states == (0, 1)
+    assert only_one.mdp.live == (0, 1)
     assert only_one.mdp.actions[3] == []
     assert only_one.mdp.actions[0] == full.mdp.actions[0][:1]
 
@@ -563,16 +557,15 @@ def test_restriction_drops_states_the_initial_state_cannot_reach():
 def test_conflict_witness_names_family_states():
     quotient = build_quotient(unreachable_family(conflict=True))
     restricted = quotient.restrict(Subfamily.full(quotient.family))
-    assert restricted.states == (0, 1, 3)
+    assert restricted.mdp.live == (0, 1, 3)
     # k = 3 at state 0 leads to state 3, which picks k = 1
     wanted = {0: 3, 3: 1}
-    choices, tags = [0] * 4, [None] * 4
-    for s in restricted.states:
+    choices = [0] * 4
+    for s in restricted.mdp.live:
         acts = restricted.mdp.actions[s]
         choices[s] = next(ai for ai, (_, ma) in enumerate(acts)
                           if s not in wanted or ma.values == (wanted[s],))
-        tags[s] = acts[choices[s]].tag
-    scheduler = Scheduler(tuple(choices), tuple(tags))
+    scheduler = tuple(choices)
     assert is_consistent(restricted, scheduler, frozenset()) == \
         (False, (0, 0, 3))
     with pytest.raises(ConsistencyError, match="for k at states 0 and 3$"):
@@ -684,7 +677,7 @@ def test_merged_actions_of_one_signature_compare_equal(example1):
     model, _ = example1
     full = build_quotient(model).restrict(Subfamily.full(model))
     part = build_quotient(model).restrict(Subfamily(((0,), (1,), (2, 3))))
-    for s in part.states:
+    for s in part.mdp.live:
         before = {ma.values: ma for _, ma in full.mdp.actions[s]}
         for _, ma in part.mdp.actions[s]:
             twin = before[ma.values]

@@ -508,10 +508,8 @@ def test_importance_delta_zero_takes_all_varying_states(
 
 def test_importance_empty_when_gap_is_zero(example1):
     restricted, res_max, res_min, _ = worked_results(example1)
-    res_max = dataclasses.replace(
-        res_max, values=(0.5,) * 4, at_initial=0.5)
-    res_min = dataclasses.replace(
-        res_min, values=(0.5,) * 4, at_initial=0.5)
+    res_max = dataclasses.replace(res_max, values=(0.5,) * 4)
+    res_min = dataclasses.replace(res_min, values=(0.5,) * 4)
     imp = important_states(res_min, res_max, restricted,
                            restricted.family.label_states("one"))
     assert imp == frozenset()
@@ -519,9 +517,9 @@ def test_importance_empty_when_gap_is_zero(example1):
 
 def test_extract_counts_directly(example1, no_importance_cutoff):
     restricted, res_max, res_min, imp = worked_results(example1)
-    c_max = extract_counts(res_max.scheduler, imp, restricted)
+    c_max = extract_counts(res_max.choices, imp, restricted)
     assert c_max[1] == {0: 0, 1: 2}
-    c_empty = extract_counts(res_max.scheduler, frozenset(), restricted)
+    c_empty = extract_counts(res_max.choices, frozenset(), restricted)
     assert all(v == 0 for counts in c_empty.values()
                for v in counts.values())
 
@@ -529,7 +527,7 @@ def test_extract_counts_directly(example1, no_importance_cutoff):
 def test_extract_counts_two_states_same_value(example1):
     restricted, res_max, _, _ = worked_results(example1)
     # states 0 and 3 both pick k1=1 under the maximising scheduler
-    c = extract_counts(res_max.scheduler, frozenset({0, 3}), restricted)
+    c = extract_counts(res_max.choices, frozenset({0, 3}), restricted)
     assert c[1] == {0: 0, 1: 2}
 
 
@@ -837,7 +835,10 @@ def test_uncertified_other_direction_never_raises_the_bound(monkeypatch):
     def uncertified_min(mdp, goal, direction, start=None):
         res = solve_prob(mdp, goal, direction, start=start)
         if direction == "min":
-            res = dataclasses.replace(res, at_initial=2.0, certified=False)
+            values = list(res.values)
+            values[res.initial] = 2.0
+            res = dataclasses.replace(res, values=tuple(values),
+                                      certified=False)
         return res
 
     monkeypatch.setattr(synthesis, "solve_prob", uncertified_min)
@@ -912,18 +913,15 @@ def test_optimum_decisions_pinned_on_larger_family():
 # ---------------------------------------------------------------------------
 
 def assert_same_result(got, want, states):
-    """Bit for bit at ``states``: values, choices, tags, ``pinned``."""
+    """Bit for bit at ``states``: values, choices, ``pinned``."""
     if want is None:
         assert got is None
         return
-    assert (got.direction, got.kind, got.pinned) == \
-        (want.direction, want.kind, want.pinned)
+    assert got.pinned == want.pinned
     assert [got.values[s].hex() for s in states] == \
         [want.values[s].hex() for s in states]
-    assert [got.scheduler.choices[s] for s in states] == \
-        [want.scheduler.choices[s] for s in states]
-    assert [got.scheduler.tags[s] for s in states] == \
-        [want.scheduler.tags[s] for s in states]
+    assert [got.choices[s] for s in states] == \
+        [want.choices[s] for s in states]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -956,9 +954,9 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
         """Solve ``first`` then ``second`` as a step does; whether
         ``second`` was solved rather than taken."""
         res = {}
-        loop.solve(restricted, goal, first, parent, res)
+        loop.solve(restricted, first, parent, res)
         calls, used = stats.solver_calls, stats.solver_calls + stats.inherited
-        loop.solve(restricted, goal, second, parent, res)
+        loop.solve(restricted, second, parent, res)
         assert stats.solver_calls + stats.inherited == used + 1
         return res, stats.solver_calls > calls
 
@@ -968,13 +966,14 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
     if not sub.is_singleton:
         assert solved
         assert_same_result(res[second], fresh(restricted, second),
-                           restricted.states)
+                           restricted.mdp.live)
     member = Realisation(tuple(rng.choice(values) for values in sub.subsets))
     single = loop.quotient.restrict(Subfamily.of_realisation(member))
     # taken from a fresh solve: a fresh solve of the singleton
     got, solved = both(single)
     assert solved == (got[first] is None)
-    assert_same_result(got[second], fresh(single, second), single.states)
+    assert_same_result(got[second], fresh(single, second),
+                       single.mdp.live)
     # taken from the parent's result: at most the member's exact values
     got, solved = both(single, synthesis._Parent(restricted.mdp.actions, res))
     assert not solved or got[first] is None
@@ -982,12 +981,12 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
     exact = (exact_mc_reward if reward else exact_mc_probability)(
         chain, chain.label_states("goal"))
     # the chain holds the states the singleton reaches, renumbered in order
-    assert chain.n_states == len(single.states)
-    local = {s: i for i, s in enumerate(single.states)}
+    assert chain.n_states == len(single.mdp.live)
+    local = {s: i for i, s in enumerate(single.mdp.live)}
     if got[second] is None:
         assert exact[chain.initial] is None
         return
-    for s in single.states:
+    for s in single.mdp.live:
         v, bound = got[second].values[s], exact[local[s]]
         if bound is not None:
             assert v <= bound if math.isinf(v) else Fraction(v) <= bound
