@@ -32,8 +32,9 @@ A split subfamily has solved both directions, and its two children wait in
 the queue with one shared record of its restriction and results.  A child
 takes a direction from that record instead of solving it when the parent's
 scheduler for it keeps its chosen distribution at every state the child
-holds (``quotient.inherit``).  A split keeps one half of a parameter's
-values, chosen by max-versus-min choice counts, so one child usually keeps
+holds (``quotient.inherit``).  A split cuts a parameter's values where
+their solved values drop most, and the max scheduler tends to pick
+values worth more than the min scheduler's, so often one child keeps
 every action of the parent's max scheduler and the other every action of
 its min scheduler.  This is sound because the child's actions are a subset
 of the parent's: the surviving scheduler induces the parent's chain, so the
@@ -50,9 +51,11 @@ initial state, or, when fewer states than splittable parameters have it,
 at least ``IMPORTANCE`` times that gap.  Every query mode scores a
 splittable parameter the same way, by variance: how far the max and min
 schedulers' choice counts for its values differ over those states.  A
-parameter's value is a successor state, so values whose counts tie are
-ranked by that state's max plus min value, the better half kept together.
-Subfamilies are refined first in, first out.
+parameter's value is a successor state, worth that state's max plus min
+value.  The highest score is split, and a tie goes to the parameter whose
+values spread furthest in worth.  Its values, ranked by worth, are cut at
+the largest drop between neighbours, and the upper part is kept together
+(``select_predicate``).  Subfamilies are refined first in, first out.
 
 Classification must respect the one-sidedness of value iteration (computed
 values never exceed the true fixpoint).  The side that is exact is compared
@@ -274,26 +277,38 @@ def select_predicate(c_max: dict[int, dict[int, int]],
                      sub: Subfamily, v_max: tuple[float, ...],
                      v_min: tuple[float, ...]) -> ScoreReport:
     """Pick the splittable parameter with the highest variance score and the
-    half of its current subset with the largest max-minus-min choice counts.
-    The counts need entries only for the splittable parameters.
+    values of its current subset that are worth most.  The counts need
+    entries only for the splittable parameters.
 
-    ``v_max``/``v_min`` are solved values by state; a value is a state, and
-    count ties keep the larger ``v_max + v_min`` (``inf`` first), then go
-    by domain order.  Variance ties go by parameter declaration order.
+    ``v_max``/``v_min`` are solved values by state.  A value is a successor
+    state, so its worth is ``v_max + v_min`` there.  Variance ties go to
+    the parameter whose values spread furthest in worth, then by
+    declaration order.  Its values are ranked by worth, larger first
+    (``inf`` first, equal worth in domain order), and cut at the largest
+    drop between neighbours; drop ties go to the more balanced cut, then
+    the earlier one.  The upper part is kept.  Spreads and drops follow
+    ``_gap``: two infinite values are 0 apart.
     """
     splittable = sub.splittable
     if not splittable:
         raise AssertionError("select_predicate requires a splittable parameter")
     variance = {k: _variance_score(c_max[k], c_min[k]) for k in splittable}
-    best = splittable[0]
-    for k in splittable[1:]:
-        if variance[k] > variance[best]:
-            best = k
+
+    def worth(t: int) -> float:
+        return v_max[t] + v_min[t]
+
+    def spread(k: int) -> float:
+        worths = [worth(t) for t in sub.subsets[k]]
+        return _gap(max(worths), min(worths))
+
+    # max keeps the first of equal keys: declaration order, earlier cut
+    best = max(splittable, key=lambda k: (variance[k], spread(k)))
     current = sub.subsets[best]
-    size = max(1, len(current) // 2)
-    ranked = sorted(current, key=lambda t: (c_min[best][t] - c_max[best][t],
-                                            -(v_max[t] + v_min[t])))
-    chosen = set(ranked[:size])
+    ranked = sorted(current, key=lambda t: -worth(t))
+    n = len(ranked)
+    cut = max(range(1, n), key=lambda i: (
+        _gap(worth(ranked[i - 1]), worth(ranked[i])), -abs(n - 2 * i)))
+    chosen = set(ranked[:cut])
     keep = tuple(t for t in current if t in chosen)
     return ScoreReport(variance=variance, chosen_param=best,
                        chosen_values=keep)

@@ -38,7 +38,7 @@ from famsynth import (
 from famsynth import engine, synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.synthesis import RefinementConfig
-from conftest import R1, R2, R3, R4, ladder, random_subfamily
+from conftest import REPO, R1, R2, R3, R4, ladder, random_subfamily
 
 NEAR_OPTIMAL_DOC = """
 states 4
@@ -541,7 +541,8 @@ def test_score_formulas():
     report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
     assert report.variance[0] == 4
     assert report.chosen_param == 0
-    assert report.chosen_values == (0,)  # diffs +2 / -2, half size 1
+    # equal worth: the balanced cut keeps the first value
+    assert report.chosen_values == (0,)
 
 
 def test_select_predicate_prefers_higher_score_first_on_ties():
@@ -570,32 +571,82 @@ def test_select_predicate_scores_recomputable():
     assert report.chosen_param == 1
 
 
-def test_select_predicate_breaks_count_ties_by_value():
-    # a parameter's value is a successor state: where the counts tie, the
-    # split keeps the values with the larger V_max + V_min
+def worths(*values):
+    """``(v_max, v_min)`` by state that give state ``t`` worth
+    ``values[t]``."""
+    return values, (0.0,) * len(values)
+
+
+def test_select_predicate_breaks_variance_ties_by_value_spread():
+    # a parameter's value is a successor state, worth V_max + V_min there;
+    # with equal variance the parameter whose values spread furthest in
+    # worth is split, and equal spreads go by declaration order
+    sub = Subfamily(((0, 1), (2, 3), (4, 5)))
+    zeros = {k: dict.fromkeys(sub.subsets[k], 0) for k in range(3)}
+    report = select_predicate(zeros, zeros, sub,
+                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 0.5))
+    assert report.chosen_param == 1
+    report = select_predicate(zeros, zeros, sub,
+                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
+    assert report.chosen_param == 1
+    # a higher variance still wins over a wider spread
+    c_max = {0: {0: 1, 1: 0}, 1: {2: 0, 3: 0}, 2: {4: 0, 5: 0}}
+    report = select_predicate(c_max, zeros, sub,
+                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
+    assert report.chosen_param == 0
+
+
+def test_select_predicate_cuts_at_the_largest_value_drop():
+    # values ranked by worth, larger first, are cut at the largest drop
+    # between neighbours and the upper part kept; choice counts no longer
+    # pick the values
     sub = Subfamily(((0, 1, 2, 3),))
-    c_max = {0: {0: 1, 1: 0, 2: 0, 3: 0}}
-    c_min = {0: {0: 0, 1: 1, 2: 0, 3: 0}}
-    v_max = (0.9, 1.0, 0.2, 0.6)
-    v_min = (0.5, 1.0, 0.1, 0.3)
-    report = select_predicate(c_max, c_min, sub, v_max, v_min)
-    # count differences +1, -1, 0, 0: 0 comes first and 1, worth most,
-    # last; 3 beats 2 on value
-    assert report.chosen_values == (0, 3)
+    c_max = {0: {0: 0, 1: 0, 2: 0, 3: 1}}
+    c_min = {0: dict.fromkeys(range(4), 0)}
+    report = select_predicate(c_max, c_min, sub, *worths(9.0, 10.0, 8.0, 1.0))
+    assert report.chosen_values == (0, 1, 2)
+    # drops 2, 2, 1, 2 from 7, 5, 3, 2, 0: of the tied cuts after one, two
+    # and four values, the balanced one keeps two
+    sub = Subfamily(((0, 1, 2, 3, 4),))
+    c_max = {0: {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}}
+    c_min = {0: dict.fromkeys(range(5), 0)}
+    report = select_predicate(c_max, c_min, sub,
+                              *worths(0.0, 2.0, 3.0, 5.0, 7.0))
+    assert report.chosen_values == (3, 4)
+    # drops 2, 1, 2: the cuts after one and three values are as balanced,
+    # so the earlier one keeps one value
+    sub = Subfamily(((0, 1, 2, 3),))
+    report = select_predicate(c_min, c_min, sub, *worths(5.0, 3.0, 2.0, 0.0))
+    assert report.chosen_values == (0,)
 
 
 def test_select_predicate_ranks_an_infinite_value_first():
     # an expected reward is inf at a state that may miss the goal: it ranks
-    # above every finite value, and two infinite values keep domain order
-    sub = Subfamily(((1, 2, 3),))
-    counts = {0: {1: 0, 2: 0, 3: 0}}
-    report = select_predicate(counts, counts, sub, (0.0, 4.0, 2.0, math.inf),
-                              (0.0, 3.0, 1.0, 2.0))
-    assert report.chosen_values == (3,)
+    # above every finite value, and the drop to a finite one is infinite
+    sub = Subfamily(((0, 1, 2, 3),))
+    counts = {0: dict.fromkeys(range(4), 0)}
     report = select_predicate(counts, counts, sub,
-                              (0.0, math.inf, 2.0, math.inf),
-                              (0.0, 3.0, 1.0, math.inf))
-    assert report.chosen_values == (1,)
+                              *worths(5.0, 4.0, math.inf, 0.0))
+    assert report.chosen_values == (2,)
+    # two infinite values are 0 apart, so the cut keeps them together
+    sub = Subfamily(((1, 2, 3),))
+    counts = {0: dict.fromkeys((1, 2, 3), 0)}
+    report = select_predicate(counts, counts, sub,
+                              *worths(0.0, math.inf, 1.0, math.inf))
+    assert report.chosen_values == (1, 3)
+
+
+def test_select_predicate_spreads_an_infinite_value_furthest():
+    # an infinite value beside a finite one spreads infinitely far; two
+    # infinite values spread 0
+    sub = Subfamily(((0, 1), (2, 3)))
+    zeros = {0: {0: 0, 1: 0}, 1: {2: 0, 3: 0}}
+    report = select_predicate(zeros, zeros, sub,
+                              *worths(1.0, 100.0, math.inf, 0.0))
+    assert report.chosen_param == 1
+    report = select_predicate(zeros, zeros, sub,
+                              *worths(math.inf, math.inf, 1.0, 2.0))
+    assert report.chosen_param == 1
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +918,12 @@ def test_refinement_decisions_pinned_on_larger_family():
     family = random_family(3, max_states=300, max_params=10, max_domain=4,
                            rewards=True)
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
-    assert out.stats.iterations == 155
+    assert out.stats.iterations == 151
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
-    # each of the 40 subfamilies that max accepts inherited min before max
-    # was solved; 132 of the directions used are taken without a solve, 130
-    # from the parent and two from a singleton's other direction
-    assert out.stats.solver_calls == 178
-    assert out.stats.solver_calls + out.stats.inherited == 310
+    # 130 of the directions used are taken without a solve, 128 from the
+    # parent and two from a singleton's other direction
+    assert out.stats.solver_calls == 172
+    assert out.stats.solver_calls + out.stats.inherited == 302
 
 
 def test_optimum_decisions_pinned_on_larger_family():
@@ -884,28 +934,50 @@ def test_optimum_decisions_pinned_on_larger_family():
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'))
     # inheritance changes no decision here: solving every direction afresh
-    # explores the same 16 subfamilies with 28 solves; the last one's member
-    # is pinned at probability 1, so the 9 subfamilies still queued are
+    # explores the same 16 subfamilies with 30 solves; the last one's member
+    # is pinned at probability 1, so the subfamilies still queued are
     # dropped unsolved
     assert out.stats.iterations == 16
-    assert out.best.values == (16, 31, 13, 0, 6, 1, 34, 24, 1, 31)
+    assert out.best.values == (16, 31, 13, 1, 6, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
     # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 20
-    assert out.stats.inherited == 8
+    assert out.stats.solver_calls == 19
+    assert out.stats.inherited == 11
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
-    # the root's schedulers are consistent on the states they reach before
-    # the goal, so both reward optima end at or near the root
+    # the root's min scheduler is consistent on the states it reaches
+    # before the goal, so Emin ends at the root
     out = min_synthesis(family, parse_spec('Emin F "goal"'))
     assert out.stats.iterations == 1
     assert out.best.values == (14, 13, 7, 10, 23, 19, 19, 14)
     assert out.stats.solver_calls == 1
+    # Emax splits the root on k3, two of whose three values lead where the
+    # max scheduler may miss the goal: worth inf, they stay together.  Only
+    # the choice counts tell apart the one whose members are all undefined,
+    # so this is a real growth over a count-ranked cut, which took 3
+    # subfamilies and 5 solves
     out = max_synthesis(family, parse_spec('Emax F "goal"'))
-    assert out.stats.iterations == 3
+    assert out.stats.iterations == 13
     assert out.best.values == (13, 13, 0, 9, 19, 0, 4, 14)
-    assert out.stats.solver_calls == 5
-    assert out.stats.solver_calls + out.stats.inherited == 5
+    assert out.stats.solver_calls == 17
+    assert out.stats.solver_calls + out.stats.inherited == 22
+
+
+@pytest.mark.parametrize("model, query, iterations", [
+    ("maze-5x5", 'P>=19/100 F "goal"', 61),
+    ("maze-5x5", 'P<=0 F "goal"', 47),
+    ("pipeline-4x3", 'E<=70 F "done"', 35),
+])
+def test_value_ordered_split_on_benchmark_families(model, query, iterations):
+    # the benchmark's maze (729 members) and pipeline (81 members) before
+    # their states are renumbered; a split that counted choices instead of
+    # cutting at the largest drop in solved value took 165, 195 and 107
+    # iterations here
+    family, _ = parse_family((REPO / "models" / f"{model}.fmc").read_text())
+    spec = parse_spec(query)
+    out = threshold_synthesis(family, spec)
+    assert out.stats.iterations == iterations
+    assert buckets(out) == buckets(one_by_one(family, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +1066,7 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]))
-@example(seed=943, direction="max")  # the first member found is pinned at 0
+@example(seed=362, direction="max")  # the first member found is pinned at 0
 def test_optimum_stop_at_pinned_extreme_keeps_the_optimum(seed, direction):
     # a consistent scheduler pinned at exactly 1 (max) or 0 (min) is its
     # member's value and the optimum: runs that stop there return what runs
@@ -1012,7 +1084,7 @@ def test_optimum_stop_at_pinned_extreme_keeps_the_optimum(seed, direction):
 
 def test_optimum_goes_on_past_a_max_pinned_at_zero():
     # the first member found is pinned at 0, which later members beat
-    family = random_family(943, max_states=12, max_params=4, max_domain=4)
+    family = random_family(362, max_states=12, max_params=4, max_domain=4)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'),
                         collect_trace=True)
     assert [(r.decision, r.max_value) for r in out.trace] == [
