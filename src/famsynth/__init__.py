@@ -52,7 +52,6 @@ from .quotient import (
     scheduler_to_realisations,
 )
 from .synthesis import (
-    RefinementConfig,
     ScoreReport,
     SynthesisOutcome,
     extract_counts,

@@ -34,7 +34,9 @@ Every such choice leaves its component or moves towards states that do, so
 a maximising scheduler cannot loiter in an end component, which a plain
 argmax over the fixpoint would happily do (every Dirac self-loop ties with
 the optimum there).  That holds for a component that fails certification
-too: the policy it keeps was made proper.
+too: the policy it keeps was made proper.  A goal state carries no choice:
+values are first-visit ones, so every solver leaves choice 0 there and no
+caller reads it.
 """
 
 from __future__ import annotations
@@ -678,14 +680,6 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
             choices[s] = ai
     else:
         _stay_inside(mdp, pin0, choices)
-        # The first visit ends at the goal, but the importance walk goes on
-        # through it, so take its plain argmin; a goal state the MDP holds
-        # no action at keeps choice 0.
-        for s in goal:
-            if mdp.actions[s]:
-                choices[s] = _backup(
-                    [(0.0, dist) for dist, _ in mdp.actions[s]], values,
-                    False)[1]
     return CheckResult(tuple(values), tuple(choices), mdp.initial,
                        mdp.initial in frozen, certified)
 

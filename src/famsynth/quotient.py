@@ -40,7 +40,7 @@ engine solves no dead state.  Solving ``live`` in family order keeps every
 tie the engine breaks by state index, so a reached state gets the value and
 choice it would get in the whole state space.  A child's MDP shares its
 parent's list object at every state whose support lacks the split
-parameter, which is what ``inherit`` skips.
+parameter, which is what ``inherit`` skips, along with goal states.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .family import (
     Subfamily,
     all_realisations,
     integer_row,
-    reachable_states,
     realised_row,
 )
 from .engine import CheckResult, MdpAction, SparseMDP
@@ -293,24 +292,27 @@ class RestrictedQuotient:
 
 def inherit(parent_actions: list[list[MdpAction]],
             result: CheckResult | None,
-            child: RestrictedQuotient) -> CheckResult | None:
+            child: RestrictedQuotient,
+            goal: frozenset[int]) -> CheckResult | None:
     """``result``, solved on the parent restriction whose ``mdp.actions``
     are ``parent_actions``, as a result on ``child``, a restriction to a
-    subfamily of the parent's; None unless at every state of ``child`` the
-    child keeps an action with the distribution the parent's scheduler
-    chose there.
+    subfamily of the parent's; None unless at every state of ``child``
+    outside ``goal`` the child keeps an action with the distribution the
+    parent's scheduler chose there.
 
     Values, ``pinned`` and ``certified`` are kept; the choices index the
     child's own actions, so consistency checks and witnesses stay inside the
     child's subfamily.  A ``result`` of None (a reward ``min`` that no
     scheduler defines) stays None: the child has fewer schedulers still.  A
-    child state whose action list is the parent's own object keeps the
+    goal state carries no choice (a first-visit value never reads it), and
+    a child state whose action list is the parent's own object keeps the
     parent's choice unchecked: that holds wherever the memo key, the value
     subsets of the state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
-    parent's, and the chosen ones survive at every state the child holds,
-    so the scheduler induces the parent's chain on those states.  With
+    parent's, and the chosen ones survive at every state of the child
+    outside the goal, so the scheduler induces the parent's chain on those
+    states up to the first visit of the goal.  With
     ``y`` the parent's certified values, ``v^σ`` that chain's and ``v*`` the
     optima: for max ``y ≤ v^σ ≤ v*_child ≤ v*_parent``, for min
     ``y ≤ v*_parent ≤ v*_child ≤ v^σ``.  Each kept value is thus certified
@@ -326,7 +328,7 @@ def inherit(parent_actions: list[list[MdpAction]],
     actions = child.mdp.actions
     for s in child.mdp.live:
         acts = actions[s]
-        if acts is parent_actions[s]:
+        if acts is parent_actions[s] or s in goal:
             continue
         dist = parent_actions[s][choices[s]].dist
         for c, (d, _) in enumerate(acts):
@@ -338,19 +340,32 @@ def inherit(parent_actions: list[list[MdpAction]],
     return replace(result, choices=tuple(choices))
 
 
+def before_goal(mdp: SparseMDP, choices: Sequence[int],
+                goal: frozenset[int]) -> set[int]:
+    """The states the chain that the action indices ``choices`` induce
+    reaches from the initial state before ``goal``.  The walk ends at goal
+    states and reads no choice there: a first-visit value never uses it."""
+    found = set() if mdp.initial in goal else {mdp.initial}
+    stack = list(found)
+    while stack:
+        s = stack.pop()
+        for t, _ in mdp.actions[s][choices[s]].dist:
+            if t not in found and t not in goal:
+                found.add(t)
+                stack.append(t)
+    return found
+
+
 def _reachable_choices(restricted: RestrictedQuotient,
                        choices: tuple[int, ...], goal: frozenset[int]):
-    """Walk the chain that the action indices ``choices`` induce from the
-    initial state and collect the chosen value per parameter; stop at the
-    first conflict.  The walk ends at ``goal`` states and reads no choice
-    there, because a first-visit value never uses it.  The conflict witness
-    is ``(param, state, state)``."""
-    mdp = restricted.mdp
-    dists = {s: () if s in goal else mdp.actions[s][choices[s]].dist
-             for s in mdp.live}
+    """Collect the value per parameter that the action indices ``choices``
+    pick over the states they reach before ``goal`` (``before_goal``); stop
+    at the first conflict.  The conflict witness is ``(param, state,
+    state)``."""
+    actions = restricted.mdp.actions
     chosen: dict[int, tuple[int, int]] = {}
-    for s in sorted(reachable_states(dists, mdp.initial) - goal):
-        action: MergedAction = mdp.actions[s][choices[s]].tag
+    for s in sorted(before_goal(restricted.mdp, choices, goal)):
+        action: MergedAction = actions[s][choices[s]].tag
         for k, v in zip(action.params, action.values):
             prev = chosen.get(k)
             if prev is None:

@@ -77,11 +77,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (
-    SizeCapError,
-    UndefinedRewardError,
-    UnsupportedSpecError,
-)
+from .errors import UndefinedRewardError, UnsupportedSpecError
 from .family import (
     REWARD,
     FamilyModel,
@@ -90,7 +86,6 @@ from .family import (
     Subfamily,
     compare,
     member_chain,
-    reachable_states,
 )
 from .engine import (
     CheckResult,
@@ -101,6 +96,7 @@ from .engine import (
 from .quotient import (
     QuotientMDP,
     RestrictedQuotient,
+    before_goal,
     build_quotient,
     inherit,
     is_consistent,
@@ -115,14 +111,6 @@ IMPORTANCE = 0.5
 # underestimate this far towards splitting, times the threshold when it
 # exceeds 1: the solver's error below the fixpoint is relative.
 MARGIN = 1e-6
-
-
-@dataclass
-class RefinementConfig:
-    """Resource cap for the refinement loop: a run that explores more than
-    ``subfamily_budget`` subfamilies raises SizeCapError (None: no cap)."""
-
-    subfamily_budget: int | None = None
 
 
 @dataclass
@@ -216,35 +204,25 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
                      restricted: RestrictedQuotient,
                      goal: frozenset[int]) -> frozenset[int]:
     """States whose min/max gap is the full gap at the initial state,
-    restricted to states reachable under either extracted scheduler where
-    the row still varies within the subfamily.
+    among the states either scheduler reaches before the goal
+    (``before_goal``: a goal state carries no choice) where the row still
+    varies within the subfamily.
 
     When fewer states have the full gap than the subfamily has splittable
     parameters, the cut widens to ``IMPORTANCE`` times that gap: with fewer
     states than parameters the variance score leaves most parameters at
     zero, and the split falls back to declaration order.  A zero gap at the
-    initial state yields the empty set (no split signal); goal states are
-    skipped because scheduler choices there carry no information.
+    initial state yields the empty set (no split signal).
     """
     family = restricted.family
-    sub = restricted.sub
-    mdp = restricted.mdp
     gap0 = _gap(res_max.at_initial, res_min.at_initial)
     if gap0 <= 0.0:
         return frozenset()
-    splittable = set(sub.splittable)
-    reach = set()
-    for res in (res_max, res_min):
-        choices = res.choices
-        dists = {s: mdp.actions[s][choices[s]].dist for s in mdp.live}
-        reach |= reachable_states(dists, mdp.initial)
-    gaps = {}
-    for s in reach:
-        if s in goal:
-            continue
-        if splittable.isdisjoint(family.support(s)):
-            continue
-        gaps[s] = _gap(res_max.values[s], res_min.values[s])
+    splittable = set(restricted.sub.splittable)
+    reach = (before_goal(restricted.mdp, res_max.choices, goal)
+             | before_goal(restricted.mdp, res_min.choices, goal))
+    gaps = {s: _gap(res_max.values[s], res_min.values[s]) for s in reach
+            if not splittable.isdisjoint(family.support(s))}
     full = frozenset(s for s, gap in gaps.items() if gap >= gap0)
     if len(full) >= len(splittable):
         return full
@@ -328,10 +306,9 @@ class _Parent:
 
 class _Loop:
     def __init__(self, family: FamilyModel, spec: Specification,
-                 config: RefinementConfig | None, collect_trace: bool):
+                 collect_trace: bool):
         self.family = family
         self.spec = spec
-        self.config = config or RefinementConfig()
         self.goal = family.label_states(spec.goal)
         self.stats = SynthesisStats()
         self.trace: list[IterationRecord] | None = [] if collect_trace else None
@@ -362,14 +339,12 @@ class _Loop:
         ``times.analyse`` gets the iteration's time minus restriction and
         solving.
         """
-        stats, budget = self.stats, self.config.subfamily_budget
+        stats = self.stats
         buckets = {"accept": outcome.accepted, "reject": outcome.rejected,
                    "undefined": outcome.undefined}
         while self.queue:
             sub, parent = self.queue.popleft()
             stats.iterations += 1
-            if budget is not None and stats.iterations > budget:
-                raise SizeCapError(f"subfamily budget of {budget} exceeded")
             assert stats.iterations <= self.tree_bound, \
                 "refinement explored more subfamilies than the binary tree bound"
             t0 = time.perf_counter()
@@ -411,7 +386,8 @@ class _Loop:
         if parent is None or direction not in parent.res:
             return False
         t0 = time.perf_counter()
-        got = inherit(parent.actions, parent.res[direction], restricted)
+        got = inherit(parent.actions, parent.res[direction], restricted,
+                      self.goal)
         self.stats.times.check += time.perf_counter() - t0
         if got is None and parent.res[direction] is not None:
             return False
@@ -562,8 +538,7 @@ def _classify_threshold(spec: Specification, lam: float,
     return None if minv is None or maxv is None else "split"
 
 
-def threshold_synthesis(family: FamilyModel, spec: Specification,
-                        config: RefinementConfig | None = None, *,
+def threshold_synthesis(family: FamilyModel, spec: Specification, *,
                         collect_trace: bool = False) -> SynthesisOutcome:
     """Partition the family into satisfying (T) and violating (F) members.
 
@@ -571,7 +546,7 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
     """
     if spec.objective_only:
         raise UnsupportedSpecError("threshold synthesis needs a threshold")
-    loop = _Loop(family, spec, config, collect_trace)
+    loop = _Loop(family, spec, collect_trace)
     outcome = SynthesisOutcome(mode="threshold", trace=loop.trace,
                                stats=loop.stats)
     # the direction that can accept on its own goes first; the other is
@@ -595,14 +570,13 @@ def threshold_synthesis(family: FamilyModel, spec: Specification,
     return outcome
 
 
-def _feasibility(family: FamilyModel, spec: Specification,
-                 config: RefinementConfig | None = None, *,
+def _feasibility(family: FamilyModel, spec: Specification, *,
                  collect_trace: bool = False) -> SynthesisOutcome:
     """Refine until a member is found; the member, if any, is
     ``outcome.best``."""
     if spec.objective_only:
         raise UnsupportedSpecError("feasibility needs a threshold")
-    loop = _Loop(family, spec, config, collect_trace)
+    loop = _Loop(family, spec, collect_trace)
     outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
                                stats=loop.stats)
     # the witness side holds the scheduler whose member may satisfy the
@@ -631,34 +605,37 @@ def _feasibility(family: FamilyModel, spec: Specification,
         loop.solve(restricted, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
-        # less than rounding; return only a confirmed one
-        if decision == "accept" and \
-                loop.decide_exactly(next(sub.members())) != "accept":
-            return "split"
+        # less than rounding, and a singleton they leave undecided takes its
+        # exact check here: return only a confirmed member
+        if decision == "accept" or decision == "split" and sub.is_singleton:
+            member = next(sub.members())
+            exact = loop.decide_exactly(member)
+            if exact == "accept":
+                outcome.best = member
+            elif not sub.is_singleton:
+                return "split"
+            return exact
         return decision
 
     loop.run(outcome, step, stop=("accept", "witness"))
-    if outcome.accepted:
-        outcome.best = next(outcome.accepted[0].members())
     return outcome
 
 
-def feasibility(family: FamilyModel, spec: Specification,
-                config: RefinementConfig | None = None) -> Realisation | None:
+def feasibility(family: FamilyModel, spec: Specification
+                ) -> Realisation | None:
     """A satisfying member, or None when no member satisfies ``spec``.
 
     The member is the first exactly confirmed witness-side scheduler's
     (see the module docstring), or the exactly confirmed first member of
     the first subfamily accepted whole.
     """
-    return _feasibility(family, spec, config).best
+    return _feasibility(family, spec).best
 
 
 def _optimise(family: FamilyModel, spec: Specification,
-              config: RefinementConfig | None, collect_trace: bool
-              ) -> SynthesisOutcome:
+              collect_trace: bool) -> SynthesisOutcome:
     maximize = spec.direction == "max"
-    loop = _Loop(family, spec, config, collect_trace)
+    loop = _Loop(family, spec, collect_trace)
     # during the run ``best_value`` is the bound the trace records: a value
     # some member is known to reach, which may run ahead of ``certified``
     # via inconsistent subfamilies' other direction
@@ -731,19 +708,17 @@ def _optimise(family: FamilyModel, spec: Specification,
     return outcome
 
 
-def max_synthesis(family: FamilyModel, spec: Specification,
-                  config: RefinementConfig | None = None, *,
+def max_synthesis(family: FamilyModel, spec: Specification, *,
                   collect_trace: bool = False) -> SynthesisOutcome:
     """Find a member maximising the objective (value and witness)."""
     if spec.direction != "max":
         raise UnsupportedSpecError("max_synthesis needs a *max objective")
-    return _optimise(family, spec, config, collect_trace)
+    return _optimise(family, spec, collect_trace)
 
 
-def min_synthesis(family: FamilyModel, spec: Specification,
-                  config: RefinementConfig | None = None, *,
+def min_synthesis(family: FamilyModel, spec: Specification, *,
                   collect_trace: bool = False) -> SynthesisOutcome:
     """Find a member minimising the objective (value and witness)."""
     if spec.direction != "min":
         raise UnsupportedSpecError("min_synthesis needs a *min objective")
-    return _optimise(family, spec, config, collect_trace)
+    return _optimise(family, spec, collect_trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,6 +21,7 @@ from famsynth import (
     dump_quotient,
     exact_mc_probability,
     exact_mc_reward,
+    important_states,
     induced_chain,
     instantiate,
     is_consistent,
@@ -460,17 +462,18 @@ def test_restrict_matches_naive_filter(seed):
 
 def assert_inherited_is_sound(parent, res, child, got, goal, solve,
                               direction):
-    """``got = inherit(parent.mdp.actions, res, child)``, with ``res`` from
-    ``solve(parent.mdp, goal, direction)``, is None exactly when some state
-    of ``child`` lost the distribution the parent's scheduler chose there;
-    otherwise, at every state of ``child``, it agrees with a fresh solve on
-    ``child`` and is attained by the scheduler it carries, whose choices
-    index the child's own actions."""
+    """``got = inherit(parent.mdp.actions, res, child, goal)``, with ``res``
+    from ``solve(parent.mdp, goal, direction)``, is None exactly when some
+    state of ``child`` outside ``goal`` lost the distribution the parent's
+    scheduler chose there; otherwise, at every state of ``child``, it agrees
+    with a fresh solve on ``child`` and is attained by the scheduler it
+    carries, whose choices index the child's own actions outside ``goal``."""
     chosen = [acts[c].tag if acts else None
               for acts, c in zip(parent.mdp.actions, res.choices)]
+    kept = [s for s in child.mdp.live if s not in goal]
     survives = all(any(ma.dist_exact == chosen[s].dist_exact
                        for _, ma in child.mdp.actions[s])
-                   for s in child.mdp.live)
+                   for s in kept)
     assert (got is not None) == survives
     if got is None:
         return
@@ -481,6 +484,7 @@ def assert_inherited_is_sound(parent, res, child, got, goal, solve,
         v, w = got.values[s], fresh.values[s]
         assert v == w == float("inf") or v == pytest.approx(w, rel=1e-9,
                                                             abs=0)
+    for s in kept:
         acts = child.mdp.actions[s]
         assert acts[got.choices[s]].tag.dist_exact == chosen[s].dist_exact
     chain = induced_chain(child.mdp, got.choices)
@@ -524,17 +528,77 @@ def test_inherited_result_is_the_childs_own(seed):
                     res = solve(parent.mdp, goal, direction)
                 except UndefinedRewardError:
                     for child in children:
-                        assert inherit(parent.mdp.actions, None,
-                                       child) is None
+                        assert inherit(parent.mdp.actions, None, child,
+                                       goal) is None
                         with pytest.raises(UndefinedRewardError):
                             solve(child.mdp, goal, direction)
                     continue
                 for child in children:
                     assert_inherited_is_sound(
                         parent, res, child,
-                        inherit(parent.mdp.actions, res, child), goal, solve,
-                        direction)
+                        inherit(parent.mdp.actions, res, child, goal), goal,
+                        solve, direction)
         parent = rng.choice(children)
+
+
+def consistency(restricted, choices, goal):
+    """``is_consistent``'s answer, and the subfamily of a consistent
+    scheduler."""
+    ok, witness = is_consistent(restricted, choices, goal)
+    return ok, witness, (scheduler_to_realisations(restricted, choices, goal)
+                         if ok else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_goal_state_choices_are_never_read(seed):
+    # a first-visit value never reads the choice at a goal state, so no
+    # answer may change when every goal state's choice moves to another of
+    # its actions: not the important states, the consistency verdict and
+    # member, nor a child's inheritance and values
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([6, 12, 24]),
+                           max_params=rng.choice([2, 4]), max_domain=4,
+                           rewards=True)
+    goal = family.label_states("goal")
+    quotient = build_quotient(family)
+    parent = quotient.restrict(random_subfamily(family, rng))
+    splittable = parent.sub.splittable
+    children = []
+    if splittable:
+        k = rng.choice(splittable)
+        current = parent.sub.subsets[k]
+        keep = rng.sample(current, rng.randint(1, len(current) - 1))
+        children = [quotient.restrict(child)
+                    for child in parent.sub.split(k, keep)]
+
+    def moved(res):
+        choices = list(res.choices)
+        for s in goal.intersection(parent.mdp.live):
+            choices[s] = rng.randrange(len(parent.mdp.actions[s]))
+        return dataclasses.replace(res, choices=tuple(choices))
+
+    def same(got, want):
+        return (got is None) == (want is None) and (
+            got is None or got.values == want.values)
+
+    for solve in (solve_prob, solve_reward):
+        res = {}
+        for direction in ("max", "min"):
+            try:
+                res[direction] = solve(parent.mdp, goal, direction)
+            except UndefinedRewardError:
+                continue
+            ours, theirs = res[direction], moved(res[direction])
+            assert consistency(parent, theirs.choices, goal) == \
+                consistency(parent, ours.choices, goal)
+            for child in children:
+                assert same(inherit(parent.mdp.actions, theirs, child, goal),
+                            inherit(parent.mdp.actions, ours, child, goal))
+        if len(res) == 2:
+            assert important_states(moved(res["min"]), moved(res["max"]),
+                                    parent, goal) == \
+                important_states(res["min"], res["max"], parent, goal)
 
 
 def test_restriction_drops_states_the_initial_state_cannot_reach():

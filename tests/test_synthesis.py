@@ -37,7 +37,7 @@ from famsynth import (
 )
 from famsynth import engine, synthesis
 from famsynth.engine import mdp_from_mc
-from famsynth.synthesis import RefinementConfig
+from famsynth.quotient import before_goal
 from conftest import REPO, R1, R2, R3, R4, ladder, random_subfamily
 
 NEAR_OPTIMAL_DOC = """
@@ -456,54 +456,79 @@ def test_threshold_reward_undefined_bucket(example1_rewards):
 # Splitting strategy pieces
 # ---------------------------------------------------------------------------
 
-def worked_results(example1):
+def worked_results(example1, label="one"):
     model, _ = example1
     quotient = build_quotient(model)
     restricted = quotient.restrict(Subfamily.full(model))
-    goal = model.label_states("one")
+    goal = model.label_states(label)
     res_max = solve_prob(restricted.mdp, goal, "max")
     res_min = solve_prob(restricted.mdp, goal, "min")
     imp = important_states(res_min, res_max, restricted, goal)
     return restricted, res_max, res_min, imp
 
 
+def through_three(example1):
+    """Example1's results for goal "two" (state 2), with the max scheduler
+    sent from state 1 towards state 3 by ``k1=1, k2=3``, and that goal.
+    Solved, the max scheduler goes 0 -> 1 -> 2 and the min one stays at
+    state 0; with state 1's choice moved, the max one reaches states 0, 1
+    and 3 before the goal."""
+    restricted, res_max, res_min, _ = worked_results(example1, "two")
+    actions = restricted.mdp.actions[1]
+    pick = next(c for c, (_, ma) in enumerate(actions) if ma.values == (1, 3))
+    choices = list(res_max.choices)
+    choices[1] = pick
+    res_max = dataclasses.replace(res_max, choices=tuple(choices))
+    goal = restricted.family.label_states("two")
+    assert before_goal(restricted.mdp, res_max.choices, goal) == {0, 1, 3}
+    return restricted, res_max, res_min, goal
+
+
 @pytest.fixture
 def no_importance_cutoff(monkeypatch):
-    # the widened cut takes every state with a varying row, whatever its
-    # gap; it applies only when fewer states have the full gap than the
-    # subfamily has splittable parameters, which never holds on example1's
-    # own values, where every varying state has the full gap
+    # the widened cut then takes every reached state with a varying row,
+    # whatever its gap; it applies only when fewer states have the full gap
+    # than the subfamily has splittable parameters
     monkeypatch.setattr(synthesis, "IMPORTANCE", 0.0)
 
 
 def test_importance_ratio_thresholding(example1):
-    restricted, res_max, res_min, imp = worked_results(example1)
-    # synthetic per-state values: global gap 1, state 2 gap 0.7, state 3 gap
-    # 0.4; only state 0 has the full gap, fewer states than the two
+    restricted, res_max, res_min, goal = through_three(example1)
+    # synthetic per-state values: global gap 1, state 1 gap 0.7, state 3
+    # gap 0.4; only state 0 has the full gap, fewer states than the two
     # splittable parameters, so the cut widens to IMPORTANCE times the gap
-    res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 0.9, 0.5))
-    res_min = dataclasses.replace(res_min, values=(0.0, 1.0, 0.2, 0.1))
-    imp = important_states(res_min, res_max, restricted,
-                           restricted.family.label_states("one"))
-    assert 2 in imp
-    assert 3 not in imp
+    res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 1.0, 0.5))
+    res_min = dataclasses.replace(res_min, values=(0.0, 0.3, 1.0, 0.1))
+    assert important_states(res_min, res_max, restricted, goal) == {0, 1}
 
 
 def test_importance_full_gap_states_suffice(example1):
-    restricted, res_max, res_min, _ = worked_results(example1)
-    # gaps 1, 0, 1, 0.7: states 0 and 2 have the full gap, one for each of
-    # the two splittable parameters k1 and k2, so state 3 is left out
+    restricted, res_max, res_min, goal = through_three(example1)
+    # gaps 1, 1, 0.7 at states 0, 1 and 3: states 0 and 1 have the full
+    # gap, one for each of the two splittable parameters k1 and k2, so
+    # state 3 is left out
     res_max = dataclasses.replace(res_max, values=(1.0, 1.0, 1.0, 0.8))
-    res_min = dataclasses.replace(res_min, values=(0.0, 1.0, 0.0, 0.1))
-    imp = important_states(res_min, res_max, restricted,
-                           restricted.family.label_states("one"))
-    assert imp == {0, 2}
+    res_min = dataclasses.replace(res_min, values=(0.0, 0.0, 1.0, 0.1))
+    assert important_states(res_min, res_max, restricted, goal) == {0, 1}
 
 
 def test_importance_delta_zero_takes_all_varying_states(
         example1, no_importance_cutoff):
+    restricted, res_max, res_min, goal = through_three(example1)
+    # only state 0 has the full gap, and a zero share takes every reached
+    # state with a varying row, state 1's zero gap included; state 2 is
+    # the goal
+    res_max = dataclasses.replace(res_max, values=(1.0, 0.5, 1.0, 0.5))
+    res_min = dataclasses.replace(res_min, values=(0.0, 0.5, 1.0, 0.2))
+    assert important_states(res_min, res_max, restricted, goal) == {0, 1, 3}
+
+
+def test_importance_walk_stops_at_the_goal(example1, no_importance_cutoff):
+    # for goal "one" (state 1) the max scheduler goes from state 0 to the
+    # goal and the min one stays at state 0: states 2 and 3 lie only
+    # beyond the goal, so even a zero share takes state 0 alone
     _, _, _, imp = worked_results(example1)
-    assert imp == {0, 2, 3}  # state 1 is the goal
+    assert imp == {0}
 
 
 def test_importance_empty_when_gap_is_zero(example1):
@@ -515,10 +540,16 @@ def test_importance_empty_when_gap_is_zero(example1):
     assert imp == frozenset()
 
 
-def test_extract_counts_directly(example1, no_importance_cutoff):
-    restricted, res_max, res_min, imp = worked_results(example1)
+def test_extract_counts_directly(example1):
+    # goal "two": the max scheduler picks k1=1 at state 0 and k1=0, k2=2 at
+    # state 1, the min one k1=0 at state 0 and k1=0, k2=3 at state 1; both
+    # states have the full gap 1, so both are important
+    restricted, res_max, res_min, imp = worked_results(example1, "two")
+    assert imp == {0, 1}
     c_max = extract_counts(res_max.choices, imp, restricted)
-    assert c_max[1] == {0: 0, 1: 2}
+    assert c_max == {1: {0: 1, 1: 1}, 2: {2: 1, 3: 0}}
+    c_min = extract_counts(res_min.choices, imp, restricted)
+    assert c_min == {1: {0: 2, 1: 0}, 2: {2: 0, 3: 1}}
     c_empty = extract_counts(res_max.choices, frozenset(), restricted)
     assert all(v == 0 for counts in c_empty.values()
                for v in counts.values())
@@ -707,10 +738,15 @@ def test_trace_records_have_loop_shape(example1):
     assert first.split_param == "k1"
     decisions = {rec.decision for rec in out.trace}
     assert decisions <= {"accept", "reject", "split", "undefined"}
-    # P>=1/10 solves min first: a subfamily it accepts never solves max
+    # P>=1/10 solves min first: a subfamily it accepts never solves max.
+    # The accepted child k1=1 inherits the root's max and solves only min,
+    # the rejected child k1=0 inherits min and solves only max: four solves
+    # in all, two of them the root's
     accepted = out.trace[1]
     assert accepted.decision == "accept"
-    assert accepted.min_value == 1.0 and accepted.max_value is None
+    assert accepted.min_value == 1.0
+    assert out.stats.solver_calls == 4
+    assert out.stats.inherited == 2
     assert all(rec.min_value is not None and rec.max_value is not None
                for rec in out.trace if rec.decision == "split")
 
@@ -745,14 +781,6 @@ def test_inherited_direction_is_classified_before_a_solve(relation):
     assert out.stats.solver_calls == 2
     assert out.stats.inherited == 4
     assert buckets(out) == buckets(one_by_one(family, spec))
-
-
-def test_subfamily_budget_enforced(example1):
-    from famsynth import SizeCapError
-    model, specs = example1
-    config = RefinementConfig(subfamily_budget=1)
-    with pytest.raises(SizeCapError):
-        threshold_synthesis(model, specs["phi"], config)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -899,6 +927,49 @@ def test_uncertified_other_direction_never_raises_the_bound(monkeypatch):
     assert out.best_value == 1.0
 
 
+# Member k=2 leaves the goal unreached with probability 1/2 (undefined
+# reward); member k=3 pays 1 in state 0 and 1 per visit of the cycle at state
+# 3, worth exactly 3.
+UNDEFINED_SINGLETON_DOC = """
+states 5
+initial 0
+params
+k : 2 3
+g : 1
+a : 3
+s : 4
+trans
+0 : 1:k
+1 : 1:g
+2 : 1/2:a + 1/2:s
+3 : 1/2:a + 1/2:g
+4 : 1:s
+rewards
+0 : 1
+2 : 1
+3 : 1
+labels
+goal : 1
+"""
+
+
+def test_uncertified_singleton_with_undefined_reward_is_discarded(
+        monkeypatch):
+    # no component is certified, so each singleton after the root's split
+    # is valued by the exact solver, and k=2's undefined reward is read as
+    # inf: it is discarded as undefined, not raised
+    monkeypatch.setattr(engine, "_certify", lambda *args: None)
+    family, _ = parse_family(UNDEFINED_SINGLETON_DOC)
+    spec = parse_spec('Emax F "goal"')
+    out = max_synthesis(family, spec, collect_trace=True)
+    assert [rec.decision for rec in out.trace] == \
+        ["split", "discard-undefined", "improve"]
+    assert out.stats.exact_calls == 2
+    want = one_by_one(family, spec)
+    assert out.best == want.best
+    assert out.best_value == want.best_value == 3.0
+
+
 # Known wrong answer: member c1=6 of stiff-loose has an expected reward of
 # 8449306253.630165, and its certified lower bound 8449227641.858248 lies
 # 9.3e-6 (relative) below it, beyond MARGIN, so E>=8449306253 rejects the
@@ -920,9 +991,9 @@ def test_refinement_decisions_pinned_on_larger_family():
     out = threshold_synthesis(family, parse_spec('P<=7/10 F "goal"'))
     assert out.stats.iterations == 151
     assert out.member_counts() == {"T": 3199, "F": 897, "undefined": 0}
-    # 130 of the directions used are taken without a solve, 128 from the
+    # 131 of the directions used are taken without a solve, 129 from the
     # parent and two from a singleton's other direction
-    assert out.stats.solver_calls == 172
+    assert out.stats.solver_calls == 171
     assert out.stats.solver_calls + out.stats.inherited == 302
 
 
@@ -934,15 +1005,15 @@ def test_optimum_decisions_pinned_on_larger_family():
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'))
     # inheritance changes no decision here: solving every direction afresh
-    # explores the same 16 subfamilies with 30 solves; the last one's member
+    # explores the same 16 subfamilies with 31 solves; the last one's member
     # is pinned at probability 1, so the subfamilies still queued are
     # dropped unsolved
     assert out.stats.iterations == 16
     assert out.best.values == (16, 31, 13, 1, 6, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
     # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 19
-    assert out.stats.inherited == 11
+    assert out.stats.solver_calls == 18
+    assert out.stats.inherited == 13
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
     # the root's min scheduler is consistent on the states it reaches
@@ -1011,7 +1082,7 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
                            max_params=rng.choice([3, 6]), max_domain=4,
                            rewards=reward)
     loop = synthesis._Loop(family, Specification(
-        kind=kind, goal="goal", direction="max"), None, False)
+        kind=kind, goal="goal", direction="max"), False)
     goal, stats = loop.goal, loop.stats
     first, second = order
 
