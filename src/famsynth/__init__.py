@@ -47,7 +47,6 @@ from .quotient import (
     RestrictedQuotient,
     build_all_in_one,
     build_quotient,
-    dump_quotient,
     is_consistent,
     scheduler_to_realisations,
 )

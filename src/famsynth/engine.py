@@ -8,7 +8,8 @@ singletons and feasibility witnesses in the refinement loop).  The member
 checks hand it ``member_chain``'s chain, which holds only the states the
 member reaches.  An MDP with ``live`` states, such as a restriction, is
 solved on those alone, ascending, so each gets the value and choice it
-would get with the others numbered away.
+would get with the others numbered away.  Graph analyses index live states
+only, and a max probability solve takes its 0 set from ``prob1_exists``.
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
@@ -138,9 +139,9 @@ def _live(mdp: SparseMDP):
 # ---------------------------------------------------------------------------
 # Qualitative graph analyses.  Goal states are absorbing for all of them:
 # reachability is about the first visit.  Each is a linear worklist on one
-# predecessor index per MDP, built on first use and shared by every analysis
-# of that MDP; set shrinking is tracked by per-action counters of successors
-# outside the set and per-state counts of actions that stay inside.
+# predecessor index of the live states per MDP, built on first use and
+# shared by its analyses; set shrinking is tracked by per-action counters of
+# successors outside the set and per-state counts of actions inside it.
 # ---------------------------------------------------------------------------
 
 class _Predecessors(NamedTuple):
@@ -149,7 +150,7 @@ class _Predecessors(NamedTuple):
 
     base: list[int]
     owner: list[int]  # state of each action
-    pre: list[list[int]]  # per state, the actions whose distribution has it
+    pre: list  # per state, the actions whose distribution has it; () if dead
 
 
 def _predecessors(mdp: SparseMDP) -> _Predecessors:
@@ -157,7 +158,9 @@ def _predecessors(mdp: SparseMDP) -> _Predecessors:
     if index is None:
         base = [0] * mdp.n_states
         owner = []
-        pre: list[list[int]] = [[] for _ in range(mdp.n_states)]
+        pre: list = [()] * mdp.n_states
+        for s in _live(mdp):
+            pre[s] = []
         a = 0
         for s in _live(mdp):
             base[s] = a
@@ -252,16 +255,18 @@ def prob0_forall(mdp: SparseMDP, goal: frozenset[int]) -> frozenset[int]:
 
 
 def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
-                 ) -> tuple[frozenset[int], dict[int, int]]:
+                 ) -> tuple[frozenset[int], dict[int, int], frozenset[int]]:
     """States with some almost-surely goal-reaching scheduler.
 
-    Returns the set plus, for each non-goal member, a witness action that
-    stays inside the set and makes progress; the witness doubles as the
-    maximising scheduler's choice there.
+    Returns the set; for each non-goal member, a witness action that stays
+    inside the set and makes progress, which doubles as the maximising
+    scheduler's choice there; and ``prob0_forall``'s set, the states that
+    the first round, a backward search over all live states, leaves.
     """
     base, owner, pre = _predecessors(mdp)
     outside = [0] * len(owner)  # per action, successors not in the universe
     universe = set(_live(mdp))
+    never = None
     while True:
         found = set(goal) & universe
         layer = list(found)
@@ -283,8 +288,10 @@ def prob1_exists(mdp: SparseMDP, goal: frozenset[int]
             choice.update(picks)
             found.update(picks)
             layer = list(picks)
+        if never is None:
+            never = frozenset(universe - found)
         if len(found) == len(universe):
-            return frozenset(universe), choice
+            return frozenset(universe), choice, never
         for t in universe - found:
             for a in pre[t]:
                 outside[a] += 1
@@ -299,9 +306,9 @@ def _scc_decompose(nodes, edges):
     """Strongly connected components of ``edges`` on ``nodes``, successors
     before predecessors (iterative Tarjan).
 
-    ``edges`` maps every node to its successors; successors outside
-    ``nodes`` must already be filtered out.  Visiting ``nodes`` in order and
-    successors in list order makes the result deterministic.
+    ``edges`` maps every node to its successors, all within ``nodes``.  The
+    visiting order moves only the states within a component and the
+    components that do not lead to each other.
     """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -625,7 +632,7 @@ def _value_iteration(rows, values, choices, maximize, start=None):
     policy it evaluated; components solved after it read those values, so
     one failure leaves the whole solve uncertified.
     """
-    edges = {s: sorted({t for _, dist in acts for t, _ in dist if t in rows})
+    edges = {s: {t for _, dist in acts for t, _ in dist if t in rows}
              for s, acts in rows.items()}
     certified = True
     for comp in _scc_decompose(rows, edges):
@@ -659,8 +666,7 @@ def solve_prob(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
     """
     goal = frozenset(goal)
     if direction == "max":
-        pin1, attractor = prob1_exists(mdp, goal)
-        pin0 = prob0_forall(mdp, goal)
+        pin1, attractor, pin0 = prob1_exists(mdp, goal)
     elif direction == "min":
         pin0 = prob0_exists(mdp, goal)
         pin1 = prob1_forall(mdp, goal, avoidable=pin0)
@@ -757,7 +763,7 @@ def _zero_reward_mecs(mdp, candidates, allowed):
 
 
 def _solve_reward_min(mdp, goal, start):
-    region, attractor = prob1_exists(mdp, goal)
+    region, attractor, _ = prob1_exists(mdp, goal)
     if mdp.initial not in region:
         raise UndefinedRewardError(
             "no scheduler reaches the goal almost surely from the initial "

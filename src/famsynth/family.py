@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -265,14 +265,17 @@ class Subfamily:
     """A box of realisations: an ordered, non-empty value subset per parameter."""
 
     subsets: tuple[tuple[int, ...], ...]
+    # the parameters whose subset still has more than one value
+    splittable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subsets",
-                           tuple(tuple(s) for s in self.subsets))
-        for sub in self.subsets:
-            if not sub:
-                raise ModelError("subfamily with an empty value subset",
-                                 code="empty-domain")
+        subsets = tuple(tuple(s) for s in self.subsets)
+        if not all(subsets):
+            raise ModelError("subfamily with an empty value subset",
+                             code="empty-domain")
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "splittable", tuple(
+            k for k, sub in enumerate(subsets) if len(sub) > 1))
 
     @classmethod
     def full(cls, family: FamilyModel) -> "Subfamily":
@@ -291,12 +294,7 @@ class Subfamily:
 
     @property
     def is_singleton(self) -> bool:
-        return all(len(sub) == 1 for sub in self.subsets)
-
-    @property
-    def splittable(self) -> tuple[int, ...]:
-        """The parameters whose subset still has more than one value."""
-        return tuple(k for k, sub in enumerate(self.subsets) if len(sub) > 1)
+        return not self.splittable
 
     def to_realisation(self) -> Realisation:
         if not self.is_singleton:

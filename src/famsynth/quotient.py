@@ -45,7 +45,7 @@ parameter, which is what ``inherit`` skips, along with goal states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -302,12 +302,13 @@ def inherit(parent_actions: list[list[MdpAction]],
 
     Values, ``pinned`` and ``certified`` are kept; the choices index the
     child's own actions, so consistency checks and witnesses stay inside the
-    child's subfamily.  A ``result`` of None (a reward ``min`` that no
-    scheduler defines) stays None: the child has fewer schedulers still.  A
-    goal state carries no choice (a first-visit value never reads it), and
-    a child state whose action list is the parent's own object keeps the
-    parent's choice unchecked: that holds wherever the memo key, the value
-    subsets of the state's support, did not change.
+    child's subfamily, and ``result`` itself is returned when none moved.
+    A ``result`` of None (a reward ``min`` that no scheduler defines) stays
+    None: the child has fewer schedulers still.  A goal state carries no
+    choice (a first-visit value never reads it), and a child state whose
+    action list is the parent's own object keeps the parent's choice
+    unchecked: that holds wherever the memo key, the value subsets of the
+    state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
     parent's, and the chosen ones survive at every state of the child
@@ -324,20 +325,24 @@ def inherit(parent_actions: list[list[MdpAction]],
     """
     if result is None:
         return None
-    choices = list(result.choices)
+    moved = None  # a copy of the choices once one of them moves
     actions = child.mdp.actions
     for s in child.mdp.live:
         acts = actions[s]
         if acts is parent_actions[s] or s in goal:
             continue
-        dist = parent_actions[s][choices[s]].dist
+        dist = parent_actions[s][result.choices[s]].dist
         for c, (d, _) in enumerate(acts):
             if d == dist:
                 break
         else:
             return None
-        choices[s] = c
-    return replace(result, choices=tuple(choices))
+        if c != result.choices[s]:
+            moved = moved or list(result.choices)
+            moved[s] = c
+    return result if moved is None else CheckResult(
+        result.values, tuple(moved), result.initial, result.pinned,
+        result.certified)
 
 
 def before_goal(mdp: SparseMDP, choices: Sequence[int],
@@ -467,20 +472,3 @@ def build_all_in_one(family: FamilyModel,
     mdp = SparseMDP(len(state_info), 0, actions, rewards).validate()
     return AllInOneMDP(mdp, family, realisations, state_info, state_id)
 
-
-def dump_quotient(quotient: QuotientMDP, sub: Subfamily | None = None) -> str:
-    """Plain-text dump of the (restricted) quotient for inspection.
-
-    One line per merged action of each state the initial state reaches, in
-    family numbers: ``state <s> action <k=v,...> : t:p ...``.
-    """
-    family = quotient.family
-    restricted = quotient.restrict(sub or Subfamily.full(family))
-    lines = [f"states {family.n_states}", f"initial {family.initial}"]
-    for s, acts in enumerate(restricted.mdp.actions):
-        for _, ma in acts:
-            sig = ",".join(f"{family.param_names[k]}={v}"
-                           for k, v in zip(ma.params, ma.values))
-            succ = " ".join(f"{t}:{p}" for t, p in ma.dist_exact)
-            lines.append(f"state {s} action {sig} : {succ}")
-    return "\n".join(lines) + "\n"

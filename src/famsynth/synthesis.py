@@ -280,7 +280,9 @@ def select_predicate(c_max: dict[int, dict[int, int]],
         return _gap(max(worths), min(worths))
 
     # max keeps the first of equal keys: declaration order, earlier cut
-    best = max(splittable, key=lambda k: (variance[k], spread(k)))
+    top = max(variance.values())
+    tied = [k for k in splittable if variance[k] == top]
+    best = max(tied, key=spread)
     current = sub.subsets[best]
     ranked = sorted(current, key=lambda t: -worth(t))
     n = len(ranked)

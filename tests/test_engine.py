@@ -261,7 +261,7 @@ def test_qualitative_pinning_is_exact(seed):
     for s in prob0_exists(mdp, goal):
         assert res_min.values[s] == 0.0
     res_max = solve_prob(mdp, goal, "max")
-    p1e, _ = prob1_exists(mdp, goal)
+    p1e, _, _ = prob1_exists(mdp, goal)
     for s in p1e:
         assert res_max.values[s] == 1.0
     for s in prob0_forall(mdp, goal):
@@ -572,9 +572,10 @@ def test_graph_analyses_match_fixpoint_references(seed):
         restricted = quotient.restrict(sub)
         mdp = restricted.mdp
         # family numbers throughout: goal states the restriction does not
-        # reach are passed as they are
+        # reach are passed as they are, and the last goal adds every one
         everything = frozenset(mdp.live)
-        for goal in goals:
+        unreached = frozenset(states) - everything
+        for goal in goals + [goals[0] | unreached]:
             avoidable = fixpoint_prob0_exists(mdp, goal)
             assert prob0_exists(mdp, goal) == avoidable
             sure = everything - fixpoint_backward_closure(mdp, avoidable, goal)
@@ -582,10 +583,36 @@ def test_graph_analyses_match_fixpoint_references(seed):
             assert prob1_forall(mdp, goal, avoidable=avoidable) == sure
             assert prob0_forall(mdp, goal) == \
                 everything - fixpoint_backward_closure(mdp, goal, frozenset())
-            region, witness = prob1_exists(mdp, goal)
+            region, witness, never = prob1_exists(mdp, goal)
             ref_region, ref_witness = fixpoint_prob1_exists(mdp, goal)
             assert region == ref_region
             assert witness == ref_witness
+            # a max solve pins these to 0 in place of prob0_forall's set
+            assert never == prob0_forall(mdp, goal)
+
+
+def test_no_path_set_skips_goal_states_that_are_not_live():
+    # live states 0, 1 and 2 of four; goal state 3 has no action and no
+    # live state reaches it.  From 0 one action reaches the live goal 2
+    # and the trap 1 evenly, the other stays put
+    mdp = SparseMDP(4, 0, [
+        [MdpAction(((1, 0.5), (2, 0.5)), "a"), MdpAction(((0, 1.0),), "b")],
+        [MdpAction(((1, 1.0),), None)],
+        [MdpAction(((2, 1.0),), None)],
+        []], live=(0, 1, 2)).validate()
+    for goal in (frozenset({2, 3}), frozenset({3})):
+        region, witness, never = prob1_exists(mdp, goal)
+        assert (region, witness) == fixpoint_prob1_exists(mdp, goal)
+        assert never == prob0_forall(mdp, goal) == \
+            frozenset(mdp.live) - fixpoint_backward_closure(mdp, goal,
+                                                            frozenset())
+    assert prob1_exists(mdp, frozenset({2, 3})) == \
+        (frozenset({2}), {}, frozenset({1}))
+    assert prob1_exists(mdp, frozenset({3})) == \
+        (frozenset(), {}, frozenset({0, 1, 2}))
+    res = solve_prob(mdp, frozenset({2, 3}), "max")
+    assert res.values[1:3] == (0.0, 1.0) and res.choices[0] == 0
+    assert math.isclose(res.values[0], 0.5) and res.values[0] <= 0.5
 
 
 def compacted(mdp):
@@ -739,3 +766,78 @@ def test_start_hint_keeps_reward_min_with_and_without_end_components(
                     rewards=[swap_reward, swap_reward, 10.0, 0.0])
     hints = [data.draw(st.lists(hint_entries, min_size=4, max_size=4))]
     assert_hint_changes_nothing(mdp, frozenset({3}), hints)
+
+
+def solved_bits(mdp, goal):
+    """Values (as hex), choices, ``certified`` and ``pinned`` of both
+    directions, for probabilities and, when ``mdp`` has them, rewards."""
+    out = []
+    for solve in (solve_prob, solve_reward)[:1 + (mdp.rewards is not None)]:
+        for direction in ("min", "max"):
+            try:
+                res = solve(mdp, goal, direction)
+            except UndefinedRewardError:
+                out.append(None)
+                continue
+            out.append(([v.hex() for v in res.values], res.choices,
+                        res.certified, res.pinned))
+    return out
+
+
+def assert_solve_ignores_visit_order(mdp, goal):
+    """The same bits with every component graph's roots and successors
+    visited in reverse: values and choices do not depend on the order in
+    which independent components are solved."""
+    want = solved_bits(mdp, goal)
+    decompose = engine._scc_decompose
+    calls = []
+
+    def reversed_order(nodes, edges):
+        calls.append(nodes)
+        return decompose(sorted(nodes, reverse=True),
+                         {s: sorted(ts, reverse=True)
+                          for s, ts in edges.items()})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_scc_decompose", reversed_order)
+        assert solved_bits(mdp, goal) == want
+    assert calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_component_visit_order_changes_nothing_on_restrictions(seed):
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([8, 16, 32]),
+                           max_params=rng.choice([3, 6]), max_domain=4,
+                           rewards=True)
+    goal = family.label_states("goal")
+    quotient = build_quotient(family)
+    for sub in (Subfamily.full(family), random_subfamily(family, rng)):
+        assert_solve_ignores_visit_order(quotient.restrict(sub).mdp, goal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+       to_sink=st.lists(st.booleans(), min_size=6, max_size=6),
+       rewards=st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_component_visit_order_changes_nothing_on_stiff_chains(
+        exponents, to_sink, rewards):
+    # state i keeps 1-2**-j or 1-2**-(j+1) on a self-loop and splits the
+    # rest between state i+1 (around the cycle, or along a ladder towards
+    # the goal) and either the sink or the goal
+    n = len(exponents)
+    goal, sink = n, n + 1
+    for cycle in (True, False):
+        actions = []
+        for i, j in enumerate(exponents):
+            nxt = (i + 1) % n if cycle else i + 1
+            out = sink if to_sink[i] else goal
+            actions.append([MdpAction(((i, 1 - e), (nxt, e / 2), (out, e / 2)),
+                                      e) for e in (2.0 ** -j, 2.0 ** -j / 2)])
+        actions += [[MdpAction(((goal, 1.0),), None)],
+                    [MdpAction(((sink, 1.0),), None)]]
+        mdp = SparseMDP(n + 2, 0, actions,
+                        [float(r) for r in rewards[:n]] + [0.0, 0.0])
+        assert_solve_ignores_visit_order(mdp, frozenset({goal}))
+        assert_solve_ignores_visit_order(mdp, frozenset({goal, sink}))

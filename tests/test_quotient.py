@@ -18,7 +18,6 @@ from famsynth import (
     all_realisations,
     build_all_in_one,
     build_quotient,
-    dump_quotient,
     exact_mc_probability,
     exact_mc_reward,
     important_states,
@@ -316,12 +315,24 @@ def test_single_member_all_in_one_is_prefixed_chain():
     assert all(len(acts) == 1 for acts in aio.mdp.actions)
 
 
-def test_dump_quotient_lists_every_action(example1):
+def listed_actions(quotient):
+    """Per merged action of each state the full family's restriction
+    reaches, in family numbers and action order: the state, the assignment
+    as ``name=value`` pairs and the exact distribution."""
+    family = quotient.family
+    mdp = quotient.restrict(Subfamily.full(family)).mdp
+    return [(s, ",".join(f"{family.param_names[k]}={v}"
+                         for k, v in zip(ma.params, ma.values)),
+             ma.dist_exact)
+            for s, acts in enumerate(mdp.actions) for _, ma in acts]
+
+
+def test_restriction_lists_every_action(example1):
     model, _ = example1
-    text = dump_quotient(build_quotient(model))
-    assert text.count("state 0 action") == 2
-    assert text.count("state 1 action") == 4
-    assert "k1=1" in text
+    listed = listed_actions(build_quotient(model))
+    assert [s for s, _, _ in listed].count(0) == 2
+    assert [s for s, _, _ in listed].count(1) == 4
+    assert any("k1=1" in sig for _, sig, _ in listed)
 
 
 def unreachable_family(conflict=False):
@@ -636,14 +647,15 @@ def test_conflict_witness_names_family_states():
         scheduler_to_realisations(restricted, scheduler, frozenset())
 
 
-def test_dump_names_family_states_and_skips_unreached_ones():
-    text = dump_quotient(build_quotient(unreachable_family()))
-    assert text.splitlines() == [
-        "states 4", "initial 0",
-        "state 0 action k=1 : 1:1",
-        "state 0 action k=3 : 3:1",
-        "state 1 action one=1 : 1:1",
-        "state 3 action one=1 : 1:1",
+def test_restriction_names_family_states_and_skips_unreached_ones():
+    quotient = build_quotient(unreachable_family())
+    mdp = quotient.restrict(Subfamily.full(quotient.family)).mdp
+    assert (mdp.n_states, mdp.initial) == (4, 0)
+    assert listed_actions(quotient) == [
+        (0, "k=1", ((1, 1),)),
+        (0, "k=3", ((3, 1),)),
+        (1, "one=1", ((1, 1),)),
+        (3, "one=1", ((1, 1),)),
     ]
 
 
@@ -717,23 +729,25 @@ def test_restrict_representative_ignores_subset_order(example1):
         quotient.restrict(backward).mdp.actions
 
 
-def test_dump_of_worked_example_is_pinned(example1):
+def test_worked_example_actions_are_pinned(example1):
     model, _ = example1
-    assert dump_quotient(build_quotient(model)) == """states 4
-initial 0
-state 0 action k0=0,k1=0 : 0:1
-state 0 action k0=0,k1=1 : 0:1/2 1:1/2
-state 1 action k1=0,k2=2 : 0:1/2 2:1/2
-state 1 action k1=0,k2=3 : 0:1/2 3:1/2
-state 1 action k1=1,k2=2 : 1:1/2 2:1/2
-state 1 action k1=1,k2=3 : 1:1/2 3:1/2
-state 2 action k2=2 : 2:1
-state 2 action k2=3 : 3:1
-state 3 action k1=0,k2=2 : 0:1/2 2:1/2
-state 3 action k1=0,k2=3 : 0:1/2 3:1/2
-state 3 action k1=1,k2=2 : 1:1/2 2:1/2
-state 3 action k1=1,k2=3 : 1:1/2 3:1/2
-"""
+    quotient = build_quotient(model)
+    mdp = quotient.restrict(Subfamily.full(model)).mdp
+    assert (mdp.n_states, mdp.initial) == (4, 0)
+    assert listed_actions(quotient) == [
+        (0, "k0=0,k1=0", ((0, 1),)),
+        (0, "k0=0,k1=1", ((0, H), (1, H))),
+        (1, "k1=0,k2=2", ((0, H), (2, H))),
+        (1, "k1=0,k2=3", ((0, H), (3, H))),
+        (1, "k1=1,k2=2", ((1, H), (2, H))),
+        (1, "k1=1,k2=3", ((1, H), (3, H))),
+        (2, "k2=2", ((2, 1),)),
+        (2, "k2=3", ((3, 1),)),
+        (3, "k1=0,k2=2", ((0, H), (2, H))),
+        (3, "k1=0,k2=3", ((0, H), (3, H))),
+        (3, "k1=1,k2=2", ((1, H), (2, H))),
+        (3, "k1=1,k2=3", ((1, H), (3, H))),
+    ]
 
 
 def test_merged_actions_of_one_signature_compare_equal(example1):
