@@ -57,17 +57,24 @@ values spread furthest in worth.  Its values, ranked by worth, are cut at
 the largest drop between neighbours, and the upper part is kept together
 (``select_predicate``).  Subfamilies are refined first in, first out.
 
-Classification must respect the one-sidedness of value iteration (computed
-values never exceed the true fixpoint).  The side that is exact is compared
-literally; the other side gets a safety margin of ``MARGIN``, relative to
-thresholds above 1, unless qualitative analysis pinned it to an exact 0 or
-1, and anything still inconclusive at a singleton is decided with the exact
-rational chain solver.  A direction whose solve is not certified
-(``CheckResult.certified``) bounds nothing and decides nothing: once both
-directions are solved the subfamily splits, and a singleton takes its exact
-check.  Max/min synthesis splits on an uncertified lead, or values a
-singleton's member with the exact solver, and an uncertified other
-direction never raises the running bound.
+Every decision reads one value range (``_range``): where the subfamily's
+values lie at the initial state, ``lo`` from a certified min and ``hi``
+from a certified max.  A direction not solved or not certified
+(``CheckResult.certified``) bounds nothing and leaves its end open at
+``-inf`` or ``inf``.  Value iteration is one-sided (computed values never
+exceed the true fixpoint), so ``lo`` is compared literally and ``hi`` with
+a margin of ``MARGIN`` towards splitting, relative to thresholds above 1,
+unless qualitative analysis pinned the max to an exact 0 or 1.  Threshold
+classification accepts when the range's worst end meets the threshold and
+rejects when its best end fails it.  A reward min that no scheduler defines
+(``lo`` is ``inf``) makes the subfamily undefined, and an infinite reward
+``hi`` decides nothing, as the subfamily may mix defined and undefined
+members.  With both directions solved an undecided subfamily splits, and a
+singleton takes its exact check with the exact rational chain solver.
+Max/min synthesis reads its lead and its raise of the running bound from
+the same range: an uncertified lead is infinite, so the subfamily splits or
+a singleton's member is valued exactly, and an uncertified other direction
+never raises the bound.
 """
 
 from __future__ import annotations
@@ -450,16 +457,30 @@ class _Loop:
         return self.family.param_names[report.chosen_param]
 
     def classify(self, res: dict[str, CheckResult | None]) -> str | None:
-        """Threshold decision from the directions solved so far; a direction
-        that is not certified decides nothing, and with both solved an
-        undecided subfamily splits."""
-        decided = {d: r for d, r in res.items() if r is None or r.certified}
-        pinned = "max" in decided and decided["max"].pinned
-        decision = _classify_threshold(self.spec, self.lam, *_bounds(decided),
-                                       0.0 if pinned else self.margin)
-        if decision is None and len(res) == 2:
-            return "split"
-        return decision
+        """Threshold decision from the ``_range`` of the directions solved
+        so far; with both solved, an undecided subfamily splits."""
+        lo, hi = _range(res)
+        if lo == math.inf:
+            return "undefined"  # no scheduler reaches the goal almost surely
+        # a finite reward max means every scheduler reaches the goal almost
+        # surely, hence a defined reward for every member; an infinite one
+        # may mix defined and undefined members and decides nothing
+        if self.spec.kind != REWARD or hi < math.inf:
+            rel = self.spec.relation
+            # a max pinned by qualitative analysis is exact, any other may
+            # lie below its fixpoint: push it towards splitting
+            top = (self.lam if hi < math.inf and res["max"].pinned
+                   else self.lam - self.margin)
+            # each end with the bound it is compared against; for ``<``
+            # and ``<=`` the worst end is hi
+            worst, best = (lo, self.lam), (hi, top)
+            if rel in ("<", "<="):
+                worst, best = best, worst
+            if compare(worst[0], rel, worst[1]):
+                return "accept"
+            if not compare(best[0], rel, best[1]):
+                return "reject"
+        return "split" if len(res) == 2 else None
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
@@ -504,40 +525,18 @@ def _bounds(res: dict[str, CheckResult | None]
                  for d in ("min", "max"))
 
 
-def _classify_threshold(spec: Specification, lam: float,
-                        minv: float | None, maxv: float | None,
-                        margin: float) -> str | None:
-    """Sound subfamily classification from one-sided min/max estimates
-    against ``lam``, the threshold as a float.
-
-    ``None`` stands for a direction not solved yet (``inf`` for a reward
-    ``min`` that is undefined); the result is None when the solved side
-    cannot decide alone.  Accept/reject on the exact side uses the literal
-    relation; the side that could be underestimated gets a margin pushed
-    towards splitting (0 when the caller knows ``maxv`` is exact).
-    """
-    if spec.kind == REWARD:
-        if minv is not None and math.isinf(minv):
-            return "undefined"  # no scheduler at all reaches almost surely
-        # a finite max means every scheduler reaches the goal almost
-        # surely, hence a defined min; an infinite one needs the min
-        if maxv is None:
-            return None
-        if math.isinf(maxv):
-            # possibly mixes defined and undefined members
-            return None if minv is None else "split"
-    if spec.relation in ("<", "<="):
-        if maxv is not None and compare(maxv, spec.relation, lam - margin):
-            return "accept"
-        if minv is not None and not compare(minv, spec.relation, lam):
-            return "reject"
-    else:
-        if minv is not None and compare(minv, spec.relation, lam):
-            return "accept"
-        if maxv is not None and \
-                not compare(maxv, spec.relation, lam - margin):
-            return "reject"
-    return None if minv is None or maxv is None else "split"
+def _range(res: dict[str, CheckResult | None]) -> tuple[float, float]:
+    """``(lo, hi)``: where the subfamily's values lie at the initial state,
+    read from the directions in ``res``.  ``lo`` is a certified min's value
+    (``inf`` for a reward min that no scheduler defines) and ``hi`` a
+    certified max's; an end that is not solved or not certified bounds
+    nothing and is ``-inf`` or ``inf``."""
+    lo, hi = -math.inf, math.inf
+    if "min" in res and (res["min"] is None or res["min"].certified):
+        lo = _at_initial(res["min"])
+    if res.get("max") is not None and res["max"].certified:
+        hi = res["max"].at_initial
+    return lo, hi
 
 
 def threshold_synthesis(family: FamilyModel, spec: Specification, *,
@@ -668,11 +667,10 @@ def _optimise(family: FamilyModel, spec: Specification,
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
             return "discard-undefined"
-        leadv = res[lead].at_initial
-        if not res[lead].certified:
-            # The lead bounds nothing: split, or value the member exactly.
-            if not sub.is_singleton:
-                return narrow(restricted, parent, res)
+        # the range's end on the lead's side: hi for max, lo for min
+        leadv = _range(res)[maximize]
+        if sub.is_singleton and not res[lead].certified:
+            # The lead bounds nothing: value the member exactly.
             leadv = float(loop.value_exactly(sub.to_realisation()))
         if not better(leadv, certified) or better(outcome.best_value, leadv):
             # The subfamily cannot strictly beat what is certified, or
@@ -680,9 +678,10 @@ def _optimise(family: FamilyModel, spec: Specification,
             # subfamily is known to reach.
             return "discard"
         if math.isinf(leadv):
-            # Reward query where the leading scheduler escapes the goal:
-            # an undefined member may hide here, narrow down unless no
-            # scheduler reaches the goal almost surely.
+            # The lead is not certified, or it is a reward max whose
+            # scheduler escapes the goal and an undefined member may hide
+            # here: narrow down unless no scheduler reaches the goal almost
+            # surely.
             if sub.is_singleton:
                 return "discard-undefined"
             return narrow(restricted, parent, res)
@@ -696,9 +695,8 @@ def _optimise(family: FamilyModel, spec: Specification,
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
         loop.solve(restricted, other, parent, res)
-        otherv = _at_initial(res[other])
-        if res[other].certified and not math.isinf(otherv) and \
-                better(otherv, outcome.best_value):
+        otherv = _range(res)[not maximize]
+        if better(otherv, outcome.best_value):
             outcome.best_value = otherv
         return "split"
 

@@ -157,6 +157,8 @@ def test_trivial_lower_bound_accepts_in_one_iteration(example1):
     model, _ = example1
     out = threshold_synthesis(model, parse_spec('P>=0 F "one"'))
     assert out.stats.iterations == 1
+    # a probability min decides alone: the max is never solved
+    assert out.stats.solver_calls == 1
     assert out.bucket_members(out.accepted) == {R1, R2, R3, R4}
 
 
@@ -358,6 +360,22 @@ def test_feasibility_goes_on_after_a_failed_candidate(doc, eps, query):
     obo = one_by_one(family, spec)
     assert obo.bucket_members(obo.accepted) == {out.best.values}
     assert feasibility(family, spec).values == out.best.values
+
+
+def test_feasibility_takes_no_exact_check_for_an_infinite_witness():
+    # the root's max scheduler misses the goal, so its reward is inf: that
+    # meets E>=39/4 but names no member worth checking, and the root splits
+    # on both directions instead.  The witness is the only exact check.
+    family = random_family(34, max_states=40, max_params=6, max_domain=4,
+                           rewards=True)
+    spec = random_spec(1034, family)
+    assert str(spec) == 'E>=39/4 F "goal"'
+    out = synthesis._feasibility(family, spec, collect_trace=True)
+    assert out.trace[0].max_value == math.inf
+    assert [rec.decision for rec in out.trace] == \
+        ["split", "undefined", "witness"]
+    assert out.stats.exact_calls == 1
+    assert out.best.values == (14, 24, 27)
 
 
 def near_tie_family(eps):
@@ -1161,6 +1179,41 @@ def test_optimum_goes_on_past_a_max_pinned_at_zero():
     assert [(r.decision, r.max_value) for r in out.trace] == [
         ("split", 1.0), ("split", 1.0), ("improve", 0.0), ("improve", 1.0)]
     assert out.best_value == 1.0
+
+
+def test_optimum_prunes_below_a_value_another_subfamily_reaches():
+    # the third subfamily's max, 0, beats no certified value yet (none is
+    # found before the last iteration), but the min of an earlier split
+    # showed that each of its members is worth at least 0.14: the third is
+    # discarded unsplit
+    family = random_family(3, max_states=40, max_params=6, max_domain=4)
+    out = max_synthesis(family, parse_spec('Pmax F "goal"'),
+                        collect_trace=True)
+    assert [rec.decision for rec in out.trace] == \
+        ["split", "split", "discard", "split", "split", "improve"]
+    assert out.trace[2].max_value < out.trace[2].best_value
+    # a later split whose min is lower leaves the bound where it was
+    assert out.trace[4].min_value < out.trace[3].min_value == \
+        out.trace[4].best_value
+    assert out.best.values == (11, 0, 8, 10, 4)
+    assert out.best_value == 1.0
+
+
+def test_optimum_keeps_a_lead_that_ties_the_reached_value():
+    # every member of the third subfamily is worth at most its max, 0.339,
+    # and the fourth, a singleton, has exactly that min: only a strictly
+    # worse lead is discarded, so it improves.  Its lead is certified, so
+    # it takes no exact check.
+    family = random_family(611, max_states=20, max_params=4, max_domain=4)
+    out = min_synthesis(family, parse_spec('Pmin F "goal"'),
+                        collect_trace=True)
+    assert [rec.decision for rec in out.trace] == \
+        ["split", "improve", "split", "improve", "discard"]
+    assert out.trace[3].size == 1
+    assert out.trace[3].min_value == out.trace[2].best_value
+    assert out.stats.exact_calls == 0
+    assert out.best.values == (10, 14, 15)
+    assert out.best_value == out.trace[2].max_value
 
 
 def query_answers(family, seed):
