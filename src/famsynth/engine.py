@@ -2,14 +2,15 @@
 
 Qualitative graph analyses, min/max value iteration for reachability
 probability and expected reward with the memoryless deterministic
-schedulers that attain them, and an exact rational solver for chains (the
-oracle of the one-by-one baseline and the test suite, and the check of
-singletons and feasibility witnesses in the refinement loop).  The member
-checks hand it ``member_chain``'s chain, which holds only the states the
-member reaches.  An MDP with ``live`` states, such as a restriction, is
-solved on those alone, ascending, so each gets the value and choice it
-would get with the others numbered away.  Graph analyses index live states
-only, and a max probability solve takes its 0 set from ``prob1_exists``.
+schedulers that attain them, and an exact solver for chains that works in
+integers and hands back ``Fraction``s (the oracle of the one-by-one
+baseline and the test suite, and the check of singletons and feasibility
+witnesses in the refinement loop).  The member checks hand it the integer
+rows of the states the member reaches (``member_chain``).  An MDP with
+``live`` states, such as a restriction, is solved on those alone,
+ascending, so each gets the value and choice it would get with the others
+numbered away.  Graph analyses index live states only, and a max
+probability solve takes its 0 set from ``prob1_exists``.
 
 Value iteration solves the states left open by the graph analyses one
 strongly connected component at a time, successors first, with the
@@ -406,7 +407,7 @@ def _split_actions(comp, rows, values):
         for r, dist in rows[s]:
             base = r
             scale = abs(r)
-            exit = 0
+            exit = 0.0
             inner = []
             for t, p in dist:
                 if t == s:
@@ -492,9 +493,7 @@ def _factor(chosen):
     Each pivot is recomputed from the nonnegative mass leaving its row
     (Grassmann, Taksar & Heyman, 1985) instead of by subtraction, so even a
     stiff component loses no digits to cancellation, and a zero pivot shows
-    exactly that some state cannot leave.  The exact chain oracle runs it on
-    Fractions, so its zeros and those of ``_split_actions`` are integers: a
-    float zero would turn a Fraction sum into a float.
+    exactly that some state cannot leave.
     """
     rows = [dict(a[2]) for a in chosen]
     exits = [a[3] for a in chosen]
@@ -521,7 +520,7 @@ def _factor(chosen):
             exits[i] += f * exits[k]
             for j, a in row_k.items():
                 if j != i:
-                    row_i[j] = row_i.get(j, 0) + f * a
+                    row_i[j] = row_i.get(j, 0.0) + f * a
                     users[j].add(i)
         lower.append(multipliers)
     return rows, pivots, lower
@@ -868,18 +867,18 @@ def induced_chain(mdp: SparseMDP, choices: tuple[int, ...]) -> ConcreteMC:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational oracle for chains, on the engine's own parts.  The graph
-# analyses fix the states whose reach probability is exactly 0 or exactly 1;
-# they read only successors, so the chain's rational rows serve as a
-# one-action MDP.  The linear system on the rest is solved one SCC at a
-# time, successors first, in Fractions: a singleton without a self-loop by
-# one backup, any other component by policy iteration's elimination
-# (``_factor``, ``_lu_solve``).  Every state solved there reaches the goal
-# (or leaves the system) with positive probability, so the system is a
-# nonsingular M-matrix: no pivot vanishes, and a pivot summed from the mass
-# leaving its row is the true pivot, so the solution is the exact value.  As
-# in ``_split_actions``, a row's self-loop is taken as one minus the mass
-# leaving it, which is the row's own self-loop when it sums to exactly one.
+# Exact rational oracle for chains, in integers.  The graph analyses fix the
+# states whose reach probability is exactly 0 or exactly 1; they read only
+# successors, so the chain's integer rows (``ConcreteMC.masses``) serve as a
+# one-action MDP.  The rest is solved one SCC at a time, successors first, by
+# ``_factor``'s elimination made fraction-free: clearing a column multiplies
+# each row that holds it by the pivot, adds the pivot row times the row's
+# entry and divides the row by the gcd of its entries.  Every state solved
+# there reaches the goal (or leaves the system) with positive probability, so
+# the system is a nonsingular M-matrix: no pivot vanishes, and a pivot summed
+# from the mass leaving its row is the true pivot.  As in ``_split_actions``,
+# a row's self-loop is one minus the mass leaving it (its own self-loop when
+# it sums to exactly one), and a singleton without one takes one backup.
 # ---------------------------------------------------------------------------
 
 def _chain_sets(mc: ConcreteMC, goal: frozenset[int]
@@ -888,27 +887,55 @@ def _chain_sets(mc: ConcreteMC, goal: frozenset[int]
     almost surely."""
     # plain (dist, tag) pairs: the analyses only unpack a chain's actions
     mdp = SparseMDP(mc.n_states, mc.initial,
-                    [((row, None),) for row in mc.rows])
+                    [((row, None),) for _, row in mc.masses])
     never = prob0_forall(mdp, goal)
     return never, prob1_forall(mdp, goal, avoidable=never)
 
 
 def _solve_chain(mc: ConcreteMC, unknown: set[int], values: list,
-                 const) -> None:
+                 rewards) -> None:
     """Fill ``values`` on ``unknown`` with the solution of
-    ``x_s = const[s] + sum(p * x_t)``, where ``values`` holds every other
+    ``x_s = rewards[s] + sum(p * x_t)``, where ``values`` holds every other
     state a row of ``unknown`` leads to."""
-    rows = {s: [(const[s], mc.rows[s])] for s in sorted(unknown)}
-    edges = {s: [t for t, _ in mc.rows[s] if t in rows] for s in rows}
-    for comp in _scc_decompose(rows, edges):
-        s = comp[0]
-        if len(comp) == 1 and s not in edges[s]:
-            values[s] = _backup(rows[s], values, False)[0]
-            continue
-        chosen = [per[0] for per in _split_actions(comp, rows, values)]
-        x = _lu_solve(_factor(chosen), [a[0] for a in chosen])
-        for s, v in zip(comp, x):
-            values[s] = v
+    masses = mc.masses
+    edges = {s: [t for t, _ in masses[s][1] if t in unknown]
+             for s in sorted(unknown)}
+    for comp in _scc_decompose(edges, edges):
+        n = len(comp)
+        pos = {s: i for i, s in enumerate(comp)}
+        known = [[(m, values[t]) for t, m in masses[s][1] if t not in pos]
+                 + [(masses[s][0], rewards[s])] for s in comp]
+        common = math.lcm(*[x.denominator for xs in known for _, x in xs])
+        # row i: inner entries, mass leaving at n, known part/common at n + 1
+        rows = []
+        for s, xs in zip(comp, known):
+            row = {n + 1: sum([m * x.numerator * (common // x.denominator)
+                               for m, x in xs])}
+            for t, m in masses[s][1]:
+                if t != s:
+                    j = pos.get(t, n)
+                    row[j] = row.get(j, 0) + m
+            if n == 1 and s not in edges[s]:
+                row[n] = masses[s][0]
+            rows.append(row)
+        for k, row_k in enumerate(rows):
+            d = sum(row_k.values()) - row_k[n + 1]
+            for i in range(k + 1, n):
+                f = rows[i].pop(k, 0)
+                if f:
+                    row = {j: d * a for j, a in rows[i].items()}
+                    for j, a in row_k.items():
+                        if j != i:
+                            row[j] = row.get(j, 0) + f * a
+                    g = math.gcd(*row.values())
+                    rows[i] = {j: a // g for j, a in row.items()}
+        for k in range(n - 1, -1, -1):  # no row changes after its own step
+            xs = [(a, values[comp[j]]) for j, a in rows[k].items() if j < n]
+            q = math.lcm(common, *[x.denominator for _, x in xs])
+            num = sum([a * x.numerator * (q // x.denominator) for a, x in xs])
+            c = rows[k][n + 1]
+            values[comp[k]] = Fraction(num + c * (q // common),
+                                       q * (sum(rows[k].values()) - c))
 
 
 def exact_mc_probability(mc: ConcreteMC, goal: frozenset[int]
@@ -916,10 +943,9 @@ def exact_mc_probability(mc: ConcreteMC, goal: frozenset[int]
     """Per-state probability of reaching ``goal``, as exact rationals."""
     goal = frozenset(goal)
     never, sure = _chain_sets(mc, goal)
-    values = [Fraction(1) if s in sure else Fraction(0)
-              for s in range(mc.n_states)]
-    _solve_chain(mc, set(range(mc.n_states)) - never - sure, values,
-                 [Fraction(0)] * mc.n_states)
+    n, one, zero = mc.n_states, Fraction(1), Fraction(0)
+    values = [one if s in sure else zero for s in range(n)]
+    _solve_chain(mc, set(range(n)) - never - sure, values, (0,) * n)
     return values
 
 

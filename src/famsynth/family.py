@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -333,45 +334,54 @@ class Subfamily:
                 for name, sub in zip(family.param_names, self.subsets)}
 
 
-@dataclass(frozen=True)
 class ConcreteMC:
-    """A realised chain: sparse rows of ``(successor, probability)`` with the
-    set of states forward-reachable from the initial state."""
+    """A realised chain: sparse rows of ``(successor, probability)``, or with
+    ``rows`` None their ``masses`` (each row's ``integer_row``, the form the
+    exact solver reads), and the states reachable from the initial state."""
 
-    n_states: int
-    initial: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-    rewards: tuple[Fraction, ...] | None
-    reachable: frozenset[int]
-    labels: dict[str, frozenset[int]] | None = None
+    def __init__(self, n_states: int, initial: int, rows, rewards,
+                 reachable: frozenset[int], labels=None, *, masses=None):
+        self.n_states, self.initial, self.rewards = n_states, initial, rewards
+        self.reachable, self.labels = reachable, labels or {}
+        # the form given is its property's cached value
+        vars(self).update({"rows": rows} if masses is None else
+                          {"masses": masses})
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        return tuple([tuple([(t, Fraction(m, den)) for t, m in row])
+                      for den, row in self.masses])
+
+    @cached_property
+    def masses(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        return tuple([integer_row(row) for row in self.rows])
 
     def label_states(self, name: str) -> frozenset[int]:
-        labels = self.labels or {}
         try:
-            return labels[name]
+            return self.labels[name]
         except KeyError:
             raise ModelError(f"unknown label {name!r}",
                              code="unknown-label") from None
 
 
-def integer_row(row) -> tuple[int, list[tuple[int, int]]]:
-    """A family row's weights as integer numerators over their common
-    denominator: ``(den, [(numerator, parameter index), ...])``.  One
-    positive scale keeps every sum and comparison the rationals give."""
-    den = math.lcm(*[p.denominator for p, _ in row])
-    return den, [(p.numerator * (den // p.denominator), k) for p, k in row]
+def integer_row(row) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(key, weight)`` pairs as ``(den, ((key, numerator), ...))``, integer
+    numerators over their common denominator.  One positive scale keeps
+    every sum and comparison the rationals give."""
+    den = math.lcm(*[p.denominator for _, p in row])
+    return den, tuple([(k, p.numerator * (den // p.denominator))
+                       for k, p in row])
 
 
-def realised_row(row, values) -> tuple[tuple[int, Fraction], ...]:
-    """A family row under the assignment ``values``, as ascending
-    ``(successor, probability)`` pairs.  Weights of distinct parameters that
-    map to the same successor merge additively, in integers."""
-    den, terms = integer_row(row)
+def merged_row(row, values) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A family row under the assignment ``values``, as its common
+    denominator and ascending ``(successor, numerator)`` pairs.  Weights of
+    distinct parameters that map to the same successor merge additively."""
+    den, terms = integer_row([(values[k], p) for p, k in row])
     merged: dict[int, int] = {}
-    for m, k in terms:
-        t = values[k]
+    for t, m in terms:
         merged[t] = merged.get(t, 0) + m
-    return tuple([(t, Fraction(m, den)) for t, m in sorted(merged.items())])
+    return den, tuple(sorted(merged.items()))
 
 
 def instantiate(family: FamilyModel, r: Realisation) -> ConcreteMC:
@@ -381,23 +391,18 @@ def instantiate(family: FamilyModel, r: Realisation) -> ConcreteMC:
     additively, so every row still sums to exactly one.
     """
     r.validate(family)
-    rows = tuple(realised_row(row, r.values) for row in family.rows)
-    return ConcreteMC(
-        n_states=family.n_states,
-        initial=family.initial,
-        rows=rows,
-        rewards=family.rewards,
-        reachable=reachable_states(rows, family.initial),
-        labels=dict(family.labels),
-    )
+    masses = tuple([merged_row(row, r.values) for row in family.rows])
+    reached = reachable_states([row for _, row in masses], family.initial)
+    return ConcreteMC(family.n_states, family.initial, None, family.rewards,
+                      reached, dict(family.labels), masses=masses)
 
 
 def member_chain(family: FamilyModel, r: Realisation) -> ConcreteMC:
     """The states of member ``r`` that its initial state reaches, as a chain
     of their own, numbered in ascending family order.
 
-    Only the reached rows are built, with the merge rule of
-    :func:`instantiate`; rewards and labels follow the new numbers.  Its
+    Only the reached rows are built, as ``merged_row`` masses (the rows are
+    made when read); rewards and labels follow the new numbers.  Its
     value at the initial state, all that an exact check of one member
     reads, is the one ``instantiate(family, r)`` gives.
     """
@@ -406,23 +411,22 @@ def member_chain(family: FamilyModel, r: Realisation) -> ConcreteMC:
     stack = [family.initial]
     while stack:
         s = stack.pop()
-        row = found[s] = realised_row(family.rows[s], r.values)
-        for t, _ in row:
+        row = found[s] = merged_row(family.rows[s], r.values)
+        for t, _ in row[1]:
             if t not in found:
                 found[t] = ()
                 stack.append(t)
     states = sorted(found)
     local = {s: i for i, s in enumerate(states)}
-    rows = tuple(tuple([(local[t], p) for t, p in found[s]])
-                 for s in states)
-    rewards = None
-    if family.rewards is not None:
-        rewards = tuple([family.rewards[s] for s in states])
+    masses = tuple([(den, tuple([(local[t], m) for t, m in row]))
+                    for den, row in map(found.__getitem__, states)])
+    rewards = (None if family.rewards is None else
+               tuple([family.rewards[s] for s in states]))
     labels = {name: frozenset([i for i, s in enumerate(states)
                                if s in marked])
               for name, marked in family.labels.items()}
-    return ConcreteMC(len(states), local[family.initial], rows, rewards,
-                      frozenset(range(len(states))), labels)
+    return ConcreteMC(len(states), local[family.initial], None, rewards,
+                      frozenset(range(len(states))), labels, masses=masses)
 
 
 def reachable_states(rows, initial: int) -> frozenset[int]:

@@ -58,7 +58,7 @@ from .family import (
     Subfamily,
     all_realisations,
     integer_row,
-    realised_row,
+    merged_row,
 )
 from .engine import CheckResult, MdpAction, SparseMDP
 
@@ -144,8 +144,8 @@ class QuotientMDP:
                 supp, key, whole, {}, [(v,) for v in whole], every, every,
                 [(((v, 1.0),), ((v, 1),)) for v in whole], 1, whole, [], {})
             return table
-        den, terms = integer_row(family.rows[s])
-        weight = {k: m for m, k in terms}
+        den, terms = integer_row([(k, p) for p, k in family.rows[s]])
+        weight = dict(terms)
         weights = [weight[k] for k in supp]
         sigs = list(product(*whole))
         successors = set().union(*whole)
@@ -461,8 +461,8 @@ def build_all_in_one(family: FamilyModel,
     frontier = 1
     while frontier < len(state_info):
         s, ri = state_info[frontier]
-        row = realised_row(family.rows[s], realisations[ri].values)
-        dist = tuple((intern(t, ri), float(p)) for t, p in row)
+        den, row = merged_row(family.rows[s], realisations[ri].values)
+        dist = tuple((intern(t, ri), m / den) for t, m in row)
         actions.append([MdpAction(dist, ri)])
         frontier += 1
     rewards = None

@@ -432,7 +432,11 @@ def assert_exact_equations(mc, goal):
     """The exact chain solver's vectors satisfy their defining equations in
     exact arithmetic, with the qualitative cases pinned: probability 1 on
     the goal and 0 where no path leads to it, reward None exactly where the
-    goal is missed with positive probability."""
+    goal is missed with positive probability.  The equation of a state on
+    no cycle that avoids the goal is ``x_s = r_s + sum(p * x_t)``.  On such
+    a cycle, a row's self-loop is taken as one minus the mass leaving it:
+    ``out * x_s = r_s + sum(p * x_t for t != s)``.  Both agree on a row
+    that sums to exactly one."""
     reach = set(goal)
     changed = True
     while changed:
@@ -441,27 +445,43 @@ def assert_exact_equations(mc, goal):
             if any(t in reach for t, _ in mc.rows[s]):
                 reach.add(s)
                 changed = True
+
+    def on_cycle(s):
+        seen, stack = set(), [s]
+        while stack:
+            for t, _ in mc.rows[stack.pop()]:
+                if t not in goal and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return s in seen
+
+    def balanced(s, x, r):
+        row = mc.rows[s]
+        if not on_cycle(s):
+            return x[s] == r + sum(p * x[t] for t, p in row)
+        out = sum(p for t, p in row if t != s)
+        return out * x[s] == r + sum(p * x[t] for t, p in row if t != s)
+
     prob = exact_mc_probability(mc, goal)
     assert all(isinstance(x, Fraction) for x in prob)
-    for s, row in enumerate(mc.rows):
+    for s in range(mc.n_states):
         if s in goal:
             assert prob[s] == 1
         elif s not in reach:
             assert prob[s] == 0
         else:
-            assert prob[s] == sum(p * prob[t] for t, p in row)
+            assert balanced(s, prob, 0)
     if mc.rewards is None:
         return
     reward = exact_mc_reward(mc, goal)
-    for s, row in enumerate(mc.rows):
+    for s in range(mc.n_states):
         if prob[s] < 1:
             assert reward[s] is None
         elif s in goal:
             assert reward[s] == 0
         else:
             assert isinstance(reward[s], Fraction)
-            assert reward[s] == mc.rewards[s] + sum(p * reward[t]
-                                                    for t, p in row)
+            assert balanced(s, reward, mc.rewards[s])
 
 
 @settings(max_examples=50, deadline=None)
@@ -841,3 +861,78 @@ def test_component_visit_order_changes_nothing_on_stiff_chains(
                         [float(r) for r in rewards[:n]] + [0.0, 0.0])
         assert_solve_ignores_visit_order(mdp, frozenset({goal}))
         assert_solve_ignores_visit_order(mdp, frozenset({goal, sink}))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_exact_solver_satisfies_its_equations_on_non_dyadic_chains(k):
+    # a four-state cycle 0-1-2-3 keeps 1-10**-k on self-loops and splits the
+    # rest in thirds and tenths between the next state, the goal 4 and
+    # either the sink 5 or state 6, which keeps a tenth, returns a third to
+    # the cycle and passes the rest to 7, which splits between goal and sink
+    stay = 1 - Fraction(1, 10 ** k)
+    leak = 1 - stay
+    rows = [((s, stay), ((s + 1) % 4, leak / 3), (4, leak * 3 / 10),
+             (6 if s % 2 else 5, leak * 11 / 30)) for s in range(4)]
+    rows += [((4, Fraction(1)),), ((5, Fraction(1)),),
+             ((6, Fraction(1, 10)), (0, Fraction(1, 3)),
+              (7, Fraction(17, 30))),
+             ((4, Fraction(7, 10)), (5, Fraction(3, 10)))]
+    rewards = tuple(Fraction(r) for r in (10 ** 9, 7, Fraction(10 ** 9, 3),
+                                          1, 0, 0, 3, 10 ** 9))
+    mc = ConcreteMC(8, 0, tuple(rows), rewards, frozenset(range(8)))
+    for goal in ({4}, {4, 5}, {4, 5, 7}, {6}):
+        assert_exact_equations(mc, frozenset(goal))
+    assert exact_mc_reward(mc, frozenset({4, 5}))[0] > 10 ** 9
+
+
+@pytest.mark.parametrize("digits", [1, 3, 6, 9])
+def test_exact_solver_satisfies_its_equations_on_float_chains(digits):
+    # the chain a solved stiff ladder induces: its rows are floats, and
+    # 1 - e and e / 2 do not sum to exactly one, so each rung's self-loop is
+    # taken as one minus the mass leaving it; state 6, on no cycle, enters
+    # the ladder or the trap 7 by a row of 0.1, 0.2 and 0.7, which sums to
+    # 1 - 2**-55 and takes one plain backup
+    rungs = 4
+    goal, sink = rungs, rungs + 1
+    e = 10.0 ** -digits
+    actions = [[MdpAction(((i, 1 - f), (i + 1, f / 2),
+                           (sink if i % 2 else goal, f / 2)), f)
+                for f in (e, e / 3)] for i in range(rungs)]
+    actions += [[MdpAction(((goal, 1.0),), None)],
+                [MdpAction(((sink, 1.0),), None)],
+                [MdpAction(((0, 0.1), (2, 0.2), (7, 0.7)), None)],
+                [MdpAction(((7, 1.0),), None)]]
+    mdp = SparseMDP(rungs + 4, 6, actions,
+                    [3.0, 0.5, 7.0, 1.0, 0.0, 0.0, 2.0, 1.0])
+    for direction in ("min", "max"):
+        chain = induced_chain(mdp, solve_prob(mdp, frozenset({goal}),
+                                              direction).choices)
+        assert sum(p for _, p in chain.rows[6]) == 1 - Fraction(1, 2 ** 55)
+        for targets in ({goal}, {goal, sink}):
+            assert_exact_equations(chain, frozenset(targets))
+
+
+def seeded_chain(seed, n=200):
+    """``n`` states, each with two random successors among them at 3/7 and
+    1/2, leaking 1/28 to the goal ``n`` and 1/28 to the sink ``n + 1``, and
+    a random integer reward up to 10**9."""
+    rng = random.Random(seed)
+    rows = tuple(((rng.randrange(n), Fraction(3, 7)),
+                  (rng.randrange(n), Fraction(1, 2)),
+                  (n, Fraction(1, 28)), (n + 1, Fraction(1, 28)))
+                 for _ in range(n))
+    rows += (((n, Fraction(1)),), ((n + 1, Fraction(1)),))
+    rewards = tuple(Fraction(rng.randint(0, 10 ** 9)) for _ in range(n))
+    return ConcreteMC(n + 2, 0, rows, rewards + (Fraction(0),) * 2,
+                      frozenset(range(n + 2)))
+
+
+def test_exact_solver_satisfies_its_equations_on_a_large_component():
+    mc = seeded_chain(43)
+    edges = {s: [t for t, _ in mc.rows[s] if t < 200] for s in range(200)}
+    assert max(map(len, engine._scc_decompose(edges, edges))) == 162
+    # state 33 of the component lists one successor twice
+    assert mc.rows[33][0][0] == mc.rows[33][1][0] != 33
+    # goal and sink leak alike, so add states to the goal to break the tie
+    for goal in ({200}, {200, 201}, {200, 0, 1, 2}):
+        assert_exact_equations(mc, frozenset(goal))

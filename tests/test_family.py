@@ -255,7 +255,9 @@ def exact_answer(chain, spec):
 
 def assert_member_chain_is_reached_part(family, r):
     """``member_chain`` holds exactly the states ``instantiate`` reaches,
-    ascending, with their rows, rewards and labels renumbered."""
+    ascending, with their rows, rewards and labels renumbered.  Its integer
+    rows, which the exact check solves, are its rows: the family row's
+    weights summed per successor in ``Fraction``s."""
     whole = instantiate(family, r)
     chain = member_chain(family, r)
     states = sorted(whole.reachable)
@@ -263,7 +265,13 @@ def assert_member_chain_is_reached_part(family, r):
     assert chain.n_states == len(whole.reachable) == len(chain.rows)
     assert chain.reachable == frozenset(range(chain.n_states))
     assert chain.initial == local[family.initial]
-    for row, s in zip(chain.rows, states):
+    for row, (den, masses), s in zip(chain.rows, chain.masses, states):
+        merged = {}
+        for p, k in family.rows[s]:
+            t = local[r.values[k]]
+            merged[t] = merged.get(t, 0) + p
+        assert tuple((t, Fraction(m, den)) for t, m in masses) == row == \
+            tuple(sorted(merged.items()))
         assert row == tuple((local[t], p) for t, p in whole.rows[s])
         assert sum(p for _, p in row) == 1
     if family.rewards is None:
