@@ -495,12 +495,15 @@ def _factor(chosen):
     stiff component loses no digits to cancellation, and a zero pivot shows
     exactly that some state cannot leave.
     """
-    rows = [dict(a[2]) for a in chosen]
-    exits = [a[3] for a in chosen]
     users = [set() for _ in chosen]  # per column, the rows that have it
-    for i, row in enumerate(rows):
-        for j in row:
+    rows = []
+    for i, a in enumerate(chosen):
+        row = {}
+        for j, p in a[2]:  # a successor listed twice sums its masses
+            row[j] = row.get(j, 0.0) + p
             users[j].add(i)
+        rows.append(row)
+    exits = [a[3] for a in chosen]
     pivots = []
     lower = []
     for k, row_k in enumerate(rows):

@@ -71,10 +71,10 @@ rejects when its best end fails it.  A reward min that no scheduler defines
 ``hi`` decides nothing, as the subfamily may mix defined and undefined
 members.  With both directions solved an undecided subfamily splits, and a
 singleton takes its exact check with the exact rational chain solver.
-Max/min synthesis reads its lead and its raise of the running bound from
-the same range: an uncertified lead is infinite, so the subfamily splits or
-a singleton's member is valued exactly, and an uncertified other direction
-never raises the bound.
+Max/min synthesis reads its lead from the same range and discards a
+subfamily whose lead cannot strictly beat the best member found: an
+uncertified lead is infinite, so the subfamily splits or a singleton's
+member is valued exactly.
 """
 
 from __future__ import annotations
@@ -606,19 +606,16 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
         loop.solve(restricted, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
-        # less than rounding, and a singleton they leave undecided takes its
-        # exact check here: return only a confirmed member
-        if decision == "accept" or decision == "split" and sub.is_singleton:
-            member = next(sub.members())
-            exact = loop.decide_exactly(member)
-            if exact == "accept":
-                outcome.best = member
-            elif not sub.is_singleton:
-                return "split"
-            return exact
+        # less than rounding: accept only a confirmed member, and split
+        # otherwise (a singleton then takes the same, remembered, decision)
+        if decision == "accept" and \
+                loop.decide_exactly(next(sub.members())) != "accept":
+            return "split"
         return decision
 
     loop.run(outcome, step, stop=("accept", "witness"))
+    if outcome.accepted:
+        outcome.best = next(outcome.accepted[0].members())
     return outcome
 
 
@@ -637,30 +634,22 @@ def _optimise(family: FamilyModel, spec: Specification,
               collect_trace: bool) -> SynthesisOutcome:
     maximize = spec.direction == "max"
     loop = _Loop(family, spec, collect_trace)
-    # during the run ``best_value`` is the bound the trace records: a value
-    # some member is known to reach, which may run ahead of ``certified``
-    # via inconsistent subfamilies' other direction
-    certified = -math.inf if maximize else math.inf
+    # ``best_value`` is the value of the best member found so far
     outcome = SynthesisOutcome(mode=spec.direction, trace=loop.trace,
-                               stats=loop.stats, best_value=certified)
+                               stats=loop.stats,
+                               best_value=-math.inf if maximize else math.inf)
 
     def better(a: float, b: float) -> bool:
         return a > b if maximize else a < b
 
     lead, other = ("max", "min") if maximize else ("min", "max")
 
-    def narrow(restricted, parent, res):
-        # split, unless no scheduler reaches the goal almost surely
-        loop.solve(restricted, other, parent, res)
-        return "discard-undefined" if res[other] is None else "split"
-
     # the other direction is solved only for a split (which needs both
-    # schedulers and raises the bound) or to tell an undefined Emax
-    # subfamily from one to split; a consistent lead pinned at exactly 1
-    # (max) or 0 (min) is its member's value and the optimum, so the
-    # subfamilies still queued are dropped unsolved
+    # schedulers) or to tell an undefined Emax subfamily from one to split;
+    # a consistent lead pinned at exactly 1 (max) or 0 (min) is its
+    # member's value and the optimum, so the subfamilies still queued are
+    # dropped unsolved
     def step(restricted, parent, res):
-        nonlocal certified
         sub = restricted.sub
         loop.solve(restricted, lead, parent, res)
         if res[lead] is None:
@@ -672,39 +661,31 @@ def _optimise(family: FamilyModel, spec: Specification,
         if sub.is_singleton and not res[lead].certified:
             # The lead bounds nothing: value the member exactly.
             leadv = float(loop.value_exactly(sub.to_realisation()))
-        if not better(leadv, certified) or better(outcome.best_value, leadv):
-            # The subfamily cannot strictly beat what is certified, or
-            # sits strictly below a value some member of another
-            # subfamily is known to reach.
+        if not better(leadv, outcome.best_value):
+            # The subfamily cannot strictly beat the best member found.
             return "discard"
         if math.isinf(leadv):
             # The lead is not certified, or it is a reward max whose
             # scheduler escapes the goal and an undefined member may hide
-            # here: narrow down unless no scheduler reaches the goal almost
-            # surely.
+            # here: a singleton's member is undefined, and anything else
+            # narrows down.
             if sub.is_singleton:
                 return "discard-undefined"
-            return narrow(restricted, parent, res)
-        if is_consistent(restricted, res[lead].choices, loop.goal)[0]:
+        elif is_consistent(restricted, res[lead].choices, loop.goal)[0]:
             outcome.best = next(scheduler_to_realisations(
                 restricted, res[lead].choices, loop.goal).members())
-            certified = leadv
-            if better(certified, outcome.best_value):
-                outcome.best_value = certified
+            outcome.best_value = leadv
             if _pinned_extreme(res[lead], maximize):
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
+        # split, unless no scheduler reaches the goal almost surely
         loop.solve(restricted, other, parent, res)
-        otherv = _range(res)[not maximize]
-        if better(otherv, outcome.best_value):
-            outcome.best_value = otherv
-        return "split"
+        return "discard-undefined" if res[other] is None else "split"
 
     loop.run(outcome, step)
     if outcome.best is None:
         raise UndefinedRewardError(
             "no member of the family has a defined value for the objective")
-    outcome.best_value = certified
     return outcome
 
 

@@ -936,3 +936,21 @@ def test_exact_solver_satisfies_its_equations_on_a_large_component():
     # goal and sink leak alike, so add states to the goal to break the tie
     for goal in ({200}, {200, 201}, {200, 0, 1, 2}):
         assert_exact_equations(mc, frozenset(goal))
+
+
+def test_float_solver_sums_a_repeated_successor():
+    # state 33 lists state 84 twice; an elimination that keeps only the
+    # last mass left both directions uncertified, up to 5.5 % below the
+    # exact reward and 0.9 % below the exact probability
+    mc = seeded_chain(43)
+    mdp = mdp_from_mc(mc)
+    for solve, exact, goal in (
+            (solve_reward, exact_mc_reward, frozenset({200, 201})),
+            (solve_prob, exact_mc_probability, frozenset({200, 0, 1, 2}))):
+        want = exact(mc, goal)
+        for direction in ("min", "max"):
+            res = solve(mdp, goal, direction)
+            assert res.certified
+            for got, x in zip(res.values, want):
+                assert Fraction(got) <= x
+                assert got == pytest.approx(float(x), rel=1e-9, abs=0)

@@ -1181,39 +1181,85 @@ def test_optimum_goes_on_past_a_max_pinned_at_zero():
     assert out.best_value == 1.0
 
 
-def test_optimum_prunes_below_a_value_another_subfamily_reaches():
-    # the third subfamily's max, 0, beats no certified value yet (none is
-    # found before the last iteration), but the min of an earlier split
-    # showed that each of its members is worth at least 0.14: the third is
-    # discarded unsplit
+def test_optimum_bound_is_the_best_member_found():
+    # the third subfamily's max, 0, is the first member found, so it
+    # improves although the min of an earlier split showed that each of
+    # that split's members is worth at least 0.14: a split's values do not
+    # move the bound, which stays at the best member found
     family = random_family(3, max_states=40, max_params=6, max_domain=4)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'),
                         collect_trace=True)
     assert [rec.decision for rec in out.trace] == \
-        ["split", "split", "discard", "split", "split", "improve"]
-    assert out.trace[2].max_value < out.trace[2].best_value
-    # a later split whose min is lower leaves the bound where it was
-    assert out.trace[4].min_value < out.trace[3].min_value == \
-        out.trace[4].best_value
+        ["split", "split", "improve", "split", "split", "improve"]
+    assert out.trace[1].min_value > out.trace[2].max_value == 0.0
+    assert [rec.best_value for rec in out.trace] == \
+        [None, None, 0.0, 0.0, 0.0, 1.0]
+    assert (out.stats.iterations, out.stats.solver_calls) == (6, 7)
     assert out.best.values == (11, 0, 8, 10, 4)
     assert out.best_value == 1.0
 
 
 def test_optimum_keeps_a_lead_that_ties_the_reached_value():
     # every member of the third subfamily is worth at most its max, 0.339,
-    # and the fourth, a singleton, has exactly that min: only a strictly
-    # worse lead is discarded, so it improves.  Its lead is certified, so
-    # it takes no exact check.
+    # and the fourth, a singleton, has a min no lower: a split moves no
+    # bound, so it beats the best member found, 1.0, and improves.  The
+    # fifth ties the fourth and is discarded: only a strictly better lead
+    # improves.  The fourth's lead is certified, so it takes no exact
+    # check.
     family = random_family(611, max_states=20, max_params=4, max_domain=4)
     out = min_synthesis(family, parse_spec('Pmin F "goal"'),
                         collect_trace=True)
     assert [rec.decision for rec in out.trace] == \
         ["split", "improve", "split", "improve", "discard"]
     assert out.trace[3].size == 1
-    assert out.trace[3].min_value == out.trace[2].best_value
+    assert out.trace[2].best_value == 1.0
+    assert out.trace[3].min_value >= out.trace[2].max_value
+    assert out.trace[4].min_value == out.trace[3].best_value
     assert out.stats.exact_calls == 0
     assert out.best.values == (10, 14, 15)
-    assert out.best_value == out.trace[2].max_value
+    assert out.best_value == out.trace[3].min_value
+
+
+def test_optimum_keeps_an_exactly_valued_lead_above_a_split_max(
+        monkeypatch):
+    # single-member solves marked uncertified are valued exactly; the
+    # singleton (10, 14, 15) is worth 0.3392857142857143, 4e-16 above the
+    # certified max of the split that holds it, so a bound raised to that
+    # max would discard it and its sibling and return (10, 14, 17) at 1.0
+    def uncertified_singles(mdp, goal, direction, start=None):
+        res = solve_prob(mdp, goal, direction, start=start)
+        live = range(mdp.n_states) if mdp.live is None else mdp.live
+        if all(len(mdp.actions[s]) == 1 for s in live):
+            res = dataclasses.replace(res, certified=False)
+        return res
+
+    monkeypatch.setattr(synthesis, "solve_prob", uncertified_singles)
+    monkeypatch.setattr(synthesis, "inherit", lambda *args: None)
+    family = random_family(611, max_states=20, max_params=4, max_domain=4)
+    spec = parse_spec('Pmin F "goal"')
+    out = min_synthesis(family, spec)
+    want = one_by_one(family, spec)
+    assert out.best.values == want.best.values == (10, 14, 15)
+    assert out.best_value == want.best_value == 0.3392857142857143
+
+
+def test_optima_match_one_by_one_on_larger_families():
+    # every family of at most 256 members among these seeds, rewards on
+    # the even ones.  On seed 1342 a bound raised to the certified max of
+    # the split k0 in {64, 100}, 9.999999999999979, discarded both
+    # singletons, whose certified Emin is 9.999999999999986, and returned
+    # (55, 27) at 12.857 for the optimum (64, 27) at 10
+    queries = 0
+    for seed in range(1320, 1360):
+        family = random_family(seed, max_states=120, max_params=9,
+                               max_domain=4, rewards=seed % 2 == 0)
+        if family.n_realisations > 256:
+            continue
+        for query in ("Pmax", "Pmin") + ("Emax", "Emin") * (seed % 2 == 0):
+            assert_matches_one_by_one(
+                family, parse_spec(f'{query} F "goal"'), rel=1e-6)
+            queries += 1
+    assert queries == 76
 
 
 def query_answers(family, seed):
