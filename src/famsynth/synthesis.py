@@ -26,7 +26,14 @@ from below, not the member's own value.  A candidate that fails leaves the
 subfamily to be classified and split as in threshold synthesis, and its
 exact decision is remembered, so no member is solved exactly twice.  A
 subfamily accepted whole is returned only once its first member passes the
-same exact check; otherwise it is split.
+same exact check; otherwise it is split.  Neither check is made when the
+value it would confirm is pinned (below): a consistent witness pinned at 1
+(max) takes ``prob1_exists``'s attractor actions, which stay inside the
+set and make progress, and one pinned at 0 (min) takes ``_stay_inside``'s
+actions, so its member's value is that exact 0 or 1; a max pinned at 0 and
+a min pinned at 1 come from ``prob0_forall`` and ``prob1_forall`` and hold
+for every member.  The graph analyses read the quotient's supports, which
+are the members' exact supports: every mass ``m / den > 0`` is listed.
 
 A split subfamily has solved both directions, and its two children wait in
 the queue with one shared record of its restriction and results.  A child
@@ -61,12 +68,15 @@ Every decision reads one value range (``_range``): where the subfamily's
 values lie at the initial state, ``lo`` from a certified min and ``hi``
 from a certified max.  A direction not solved or not certified
 (``CheckResult.certified``) bounds nothing and leaves its end open at
-``-inf`` or ``inf``.  Value iteration is one-sided (computed values never
-exceed the true fixpoint), so ``lo`` is compared literally and ``hi`` with
-a margin of ``MARGIN`` towards splitting, relative to thresholds above 1,
-unless qualitative analysis pinned the max to an exact 0 or 1.  Threshold
-classification accepts when the range's worst end meets the threshold and
-rejects when its best end fails it.  A reward min that no scheduler defines
+``-inf`` or ``inf``.  An end that qualitative analysis pinned
+(``CheckResult.pinned``) is an exact 0 or 1 and takes the exact verdict of
+that value, worked out once per query: the float threshold may round to it.
+Value iteration is one-sided (computed values never exceed the true
+fixpoint), so any other ``lo`` is compared with the float threshold
+literally and any other ``hi`` with a margin of ``MARGIN`` towards
+splitting, relative to thresholds above 1.  Threshold classification
+accepts when the range's worst end meets the threshold and rejects when
+its best end fails it.  A reward min that no scheduler defines
 (``lo`` is ``inf``) makes the subfamily undefined, and an infinite reward
 ``hi`` decides nothing, as the subfamily may mix defined and undefined
 members.  With both directions solved an undecided subfamily splits, and a
@@ -332,10 +342,12 @@ class _Loop:
         self.exact: dict[tuple[int, ...], str] = {}
         # a binary tree over the members has this many nodes at most
         self.tree_bound = 2 * family.n_realisations - 1
-        # what ``classify`` compares with, for threshold specs
+        # what ``classify`` compares with, for threshold specs: the float
+        # threshold, and the exact verdicts of a value pinned at 0 and at 1
         if spec.threshold is not None:
             self.lam = float(spec.threshold)
             self.margin = MARGIN * max(1.0, self.lam)
+            self.pinned_verdict = (spec.satisfied(0), spec.satisfied(1))
 
     def run(self, outcome: SynthesisOutcome, step, stop=()):
         """Refine until the queue is empty or a decision in ``stop``.
@@ -467,18 +479,21 @@ class _Loop:
         # may mix defined and undefined members and decides nothing
         if self.spec.kind != REWARD or hi < math.inf:
             rel = self.spec.relation
-            # a max pinned by qualitative analysis is exact, any other may
-            # lie below its fixpoint: push it towards splitting
-            top = (self.lam if hi < math.inf and res["max"].pinned
-                   else self.lam - self.margin)
-            # each end with the bound it is compared against; for ``<``
-            # and ``<=`` the worst end is hi
-            worst, best = (lo, self.lam), (hi, top)
+            # an end pinned by qualitative analysis is an exact 0 or 1 and
+            # takes its exact verdict; any other max may lie below its
+            # fixpoint: push it towards splitting
+            worst = (self.pinned_verdict[lo == 1.0]
+                     if lo > -math.inf and res["min"].pinned
+                     else compare(lo, rel, self.lam))
+            best = (self.pinned_verdict[hi == 1.0]
+                    if hi < math.inf and res["max"].pinned
+                    else compare(hi, rel, self.lam - self.margin))
+            # for ``<`` and ``<=`` the worst end is hi
             if rel in ("<", "<="):
                 worst, best = best, worst
-            if compare(worst[0], rel, worst[1]):
+            if worst:
                 return "accept"
-            if not compare(best[0], rel, best[1]):
+            if not best:
                 return "reject"
         return "split" if len(res) == 2 else None
 
@@ -591,13 +606,18 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
         decision = loop.classify(res)
         if decision is not None:
             return decision
-        value = _at_initial(res[witness])
-        if not math.isinf(value) and compare(value, spec.relation, loop.lam) \
-                and is_consistent(restricted, res[witness].choices,
-                                  loop.goal)[0]:
+        # a reward min that no scheduler defines was classified undefined
+        found = res[witness]
+        value = found.at_initial
+        # a pinned witness is its member's exact 0 or 1 (module docstring)
+        holds = (loop.pinned_verdict[value == 1.0] if found.pinned else
+                 not math.isinf(value) and compare(value, spec.relation,
+                                                   loop.lam))
+        if holds and is_consistent(restricted, found.choices, loop.goal)[0]:
             member = next(scheduler_to_realisations(
-                restricted, res[witness].choices, loop.goal).members())
-            decision = loop.decide_exactly(member)
+                restricted, found.choices, loop.goal).members())
+            decision = ("accept" if found.pinned
+                        else loop.decide_exactly(member))
             if decision == "accept":
                 outcome.best = member
                 return "witness"
@@ -606,9 +626,10 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
         loop.solve(restricted, other, parent, res)
         decision = loop.classify(res)
         # the float bounds may accept a member that misses the bound by
-        # less than rounding: accept only a confirmed member, and split
-        # otherwise (a singleton then takes the same, remembered, decision)
-        if decision == "accept" and \
+        # less than rounding: unless the worst end (``other``'s) is pinned,
+        # accept only a confirmed member, and split otherwise (a singleton
+        # then takes the same, remembered, decision)
+        if decision == "accept" and not res[other].pinned and \
                 loop.decide_exactly(next(sub.members())) != "accept":
             return "split"
         return decision

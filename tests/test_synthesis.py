@@ -378,6 +378,56 @@ def test_feasibility_takes_no_exact_check_for_an_infinite_witness():
     assert out.best.values == (14, 24, 27)
 
 
+# Thresholds at the float rounding edge: 1 - 10**-20 rounds to the float
+# 1.0 and 10**-400 to 0.0, so a bound pinned at exactly 1 or 0 ties the float
+# threshold while the exact comparison does not.
+NEAR_ONE = 1 - Fraction(1, 10 ** 20)
+NEAR_ZERO = Fraction(1, 10 ** 400)
+
+
+@pytest.mark.parametrize("relation, threshold, goal", [
+    ("<=", NEAR_ONE, "one"), (">", NEAR_ONE, "one"),
+    (">=", NEAR_ZERO, "two"), ("<", NEAR_ZERO, "two")],
+    ids=["le-near-one", "gt-near-one", "ge-near-zero", "lt-near-zero"])
+def test_pinned_bounds_at_the_rounding_edge_match_one_by_one(
+        example1, relation, threshold, goal):
+    # members with k1 = 1 reach "one" almost surely and the others never;
+    # only (k1, k2) = (1, 2) reaches "two", almost surely, and the others
+    # never: every bound of every subfamily is pinned at 0 or 1
+    model, _ = example1
+    spec = Specification(kind="probability", goal=goal, relation=relation,
+                         threshold=threshold)
+    assert_matches_one_by_one(model, spec)
+
+
+def test_rounding_edge_corpus_matches_one_by_one():
+    for seed in range(40):
+        family = random_family(seed, max_states=12, max_params=3,
+                               max_domain=3)
+        for threshold in (NEAR_ONE, NEAR_ZERO):
+            for relation in ("<", "<=", ">=", ">"):
+                assert_matches_one_by_one(family, Specification(
+                    kind="probability", goal="goal", relation=relation,
+                    threshold=threshold))
+
+
+@pytest.mark.parametrize("model, query, exact_calls", [
+    ("example1", 'P>=1 F "two"', 0),
+    ("example1", 'P<=0 F "one"', 0),
+    ("example1", 'P>=1/10 F "one"', 0),
+    ("maze-5x5", 'P<=0 F "goal"', 0),
+    ("maze-5x5", 'P>=4/5 F "goal"', 1)])
+def test_feasibility_confirms_only_a_witness_not_pinned(model, query,
+                                                        exact_calls):
+    # a consistent witness pinned at exactly 1 (max) or 0 (min) is its
+    # member's exact value; the maze's P>=4/5 witness is not pinned
+    family, _ = parse_family((REPO / "models" / f"{model}.fmc").read_text())
+    spec = parse_spec(query)
+    out = synthesis._feasibility(family, spec)
+    assert out.stats.exact_calls == exact_calls
+    assert solve_mc_exact(member_chain(family, out.best), spec)[1]
+
+
 def near_tie_family(eps):
     half = Fraction(1, 2)
     family, _ = parse_family(NEAR_TIE_DOC.format(lo=half - eps, hi=half + eps))
