@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import SizeCapError, UndefinedRewardError
 from .family import (
@@ -41,31 +42,27 @@ def _check_cap(family: FamilyModel, cap: int):
 def _outcome_from_values(family, spec, values, mode: str) -> SynthesisOutcome:
     """Shared bucketing/optimum logic over per-member values.
 
-    ``values`` holds one entry per realisation in enumeration order; None
+    ``values`` holds one entry per realisation in enumeration order; ``inf``
     marks an undefined expected reward.
     """
     outcome = SynthesisOutcome(mode=mode)
     realisations = list(all_realisations(family))
     if mode == "threshold":
         for r, v in zip(realisations, values):
-            if v is None:
+            if v == math.inf:
                 outcome.undefined.append(Subfamily.of_realisation(r))
             elif spec.satisfied(v):
                 outcome.accepted.append(Subfamily.of_realisation(r))
             else:
                 outcome.rejected.append(Subfamily.of_realisation(r))
         return outcome
-    best_r = None
-    best_v = None
-    for r, v in zip(realisations, values):
-        if v is None:
-            continue
-        if best_v is None or (v > best_v if mode == "max" else v < best_v):
-            best_r, best_v = r, v
-    if best_r is None:
+    defined = [(r, v) for r, v in zip(realisations, values) if v != math.inf]
+    if not defined:
         raise UndefinedRewardError(
             "no member of the family has a defined value for the objective")
-    outcome.best = best_r
+    # the first of equal values, in enumeration order
+    pick = max if mode == "max" else min
+    outcome.best, best_v = pick(defined, key=itemgetter(1))
     outcome.best_value = float(best_v)
     return outcome
 
@@ -75,14 +72,8 @@ def one_by_one(family: FamilyModel, spec: Specification,
     """Enumerate all members and check each with the exact rational solver."""
     _check_cap(family, cap)
     t0 = time.perf_counter()
-    values: list[Fraction | None] = []
-    for r in all_realisations(family):
-        chain = member_chain(family, r)
-        try:
-            value, _ = solve_mc_exact(chain, spec)
-        except UndefinedRewardError:
-            value = None
-        values.append(value)
+    values = [solve_mc_exact(member_chain(family, r), spec)
+              for r in all_realisations(family)]
     mode = spec.direction if spec.objective_only else "threshold"
     outcome = _outcome_from_values(family, spec, values, mode)
     outcome.stats = SynthesisStats(iterations=len(values),
@@ -105,10 +96,9 @@ class AllInOneResult:
     stats: SynthesisStats
 
     def outcome(self, spec: Specification) -> SynthesisOutcome:
-        family = self.model.family
-        values = [None if math.isinf(v) else v for v in self.member_values]
         mode = spec.direction if spec.objective_only else "threshold"
-        outcome = _outcome_from_values(family, spec, values, mode)
+        outcome = _outcome_from_values(self.model.family, spec,
+                                       self.member_values, mode)
         outcome.stats = self.stats
         return outcome
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ModelError, UndefinedRewardError
+from .errors import ModelError
 from .family import (
     PROBABILITY,
     ConcreteMC,
@@ -696,11 +696,10 @@ def solve_reward(mdp: SparseMDP, goal: frozenset[int], direction: str, *,
                  start=None) -> CheckResult:
     """Optimal expected reward accumulated until the goal is first reached.
 
-    States whose relevant reachability guarantee fails get the +inf sentinel:
-    under ``max`` every state some scheduler steers away from the goal, under
-    ``min`` every state no scheduler can reach almost surely.  A ``min`` query
-    whose initial state is such a state raises, everything else compares.
-    ``start`` is the hint of ``solve_prob``.
+    A state where the reward is undefined for some scheduler (``max``) or
+    for every scheduler (``min``), as the goal is not reached almost surely,
+    gets ``inf``, the initial state included.  ``start`` is the hint of
+    ``solve_prob``.
     """
     goal = frozenset(goal)
     if mdp.rewards is None:
@@ -766,10 +765,6 @@ def _zero_reward_mecs(mdp, candidates, allowed):
 
 def _solve_reward_min(mdp, goal, start):
     region, attractor, _ = prob1_exists(mdp, goal)
-    if mdp.initial not in region:
-        raise UndefinedRewardError(
-            "no scheduler reaches the goal almost surely from the initial "
-            "state")
     n = mdp.n_states
     allowed = [[] for _ in range(n)]
     for s in region:
@@ -881,7 +876,10 @@ def induced_chain(mdp: SparseMDP, choices: tuple[int, ...]) -> ConcreteMC:
 # the system is a nonsingular M-matrix: no pivot vanishes, and a pivot summed
 # from the mass leaving its row is the true pivot.  As in ``_split_actions``,
 # a row's self-loop is one minus the mass leaving it (its own self-loop when
-# it sums to exactly one), and a singleton without one takes one backup.
+# it sums to exactly one), and a singleton without one takes one backup.  An
+# expected reward is solved on the states that reach the goal almost surely,
+# whose rows lead nowhere else; every other state keeps ``inf``, as in the
+# float solver: its reward is undefined.
 # ---------------------------------------------------------------------------
 
 def _chain_sets(mc: ConcreteMC, goal: frozenset[int]
@@ -953,34 +951,22 @@ def exact_mc_probability(mc: ConcreteMC, goal: frozenset[int]
 
 
 def exact_mc_reward(mc: ConcreteMC, goal: frozenset[int]
-                    ) -> list[Fraction | None]:
-    """Per-state expected reward until ``goal``; None where undefined."""
+                    ) -> list[Fraction | float]:
+    """Per-state expected reward until ``goal``; ``inf`` where undefined."""
     if mc.rewards is None:
         raise ModelError("model carries no rewards", code="bad-reward")
     goal = frozenset(goal)
     _, sure = _chain_sets(mc, goal)
-    values: list[Fraction | None] = [
-        Fraction(0) if s in goal else None for s in range(mc.n_states)]
+    values: list[Fraction | float] = [
+        Fraction(0) if s in goal else math.inf for s in range(mc.n_states)]
     _solve_chain(mc, sure - goal, values, mc.rewards)
     return values
 
 
-def solve_mc_exact(mc: ConcreteMC, spec: Specification
-                   ) -> tuple[Fraction, bool | None]:
-    """Check one chain exactly.
-
-    Returns the value at the initial state as an exact rational and, for
-    threshold specs, whether ``value ~ threshold`` holds; raises
-    UndefinedRewardError for a reward the chain leaves undefined.
-    """
+def solve_mc_exact(mc: ConcreteMC, spec: Specification) -> Fraction | float:
+    """The chain's value at the initial state as an exact rational, or
+    ``inf`` for a reward the chain leaves undefined."""
     goal = mc.label_states(spec.goal)
     if spec.kind == PROBABILITY:
-        value = exact_mc_probability(mc, goal)[mc.initial]
-    else:
-        value = exact_mc_reward(mc, goal)[mc.initial]
-        if value is None:
-            raise UndefinedRewardError(
-                "goal not reached almost surely from the initial state")
-    if spec.objective_only:
-        return value, None
-    return value, spec.satisfied(value)
+        return exact_mc_probability(mc, goal)[mc.initial]
+    return exact_mc_reward(mc, goal)[mc.initial]

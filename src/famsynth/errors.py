@@ -55,7 +55,8 @@ class SizeCapError(FamsynthError):
 
 
 class UndefinedRewardError(FamsynthError):
-    """Expected reward queried where the goal is not reached almost surely."""
+    """Raised only when a max/min objective has no member with a defined
+    value; an undefined expected reward is ``inf`` everywhere else."""
 
     code = "undefined-reward"
 

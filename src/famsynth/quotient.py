@@ -291,7 +291,7 @@ class RestrictedQuotient:
 
 
 def inherit(parent_actions: list[list[MdpAction]],
-            result: CheckResult | None,
+            result: CheckResult,
             child: RestrictedQuotient,
             goal: frozenset[int]) -> CheckResult | None:
     """``result``, solved on the parent restriction whose ``mdp.actions``
@@ -303,12 +303,12 @@ def inherit(parent_actions: list[list[MdpAction]],
     Values, ``pinned`` and ``certified`` are kept; the choices index the
     child's own actions, so consistency checks and witnesses stay inside the
     child's subfamily, and ``result`` itself is returned when none moved.
-    A ``result`` of None (a reward ``min`` that no scheduler defines) stays
-    None: the child has fewer schedulers still.  A goal state carries no
-    choice (a first-visit value never reads it), and a child state whose
-    action list is the parent's own object keeps the parent's choice
-    unchecked: that holds wherever the memo key, the value subsets of the
-    state's support, did not change.
+    An ``inf``, a reward left undefined, is kept like any other value: the
+    kept scheduler's chain misses the goal there as the parent's did.  A
+    goal state carries no choice (a first-visit value never reads it), and
+    a child state whose action list is the parent's own object keeps the
+    parent's choice unchecked: that holds wherever the memo key, the value
+    subsets of the state's support, did not change.
 
     Sound because the child's actions at each state are a subset of the
     parent's, and the chosen ones survive at every state of the child
@@ -323,8 +323,6 @@ def inherit(parent_actions: list[list[MdpAction]],
     split analysis, and where the chosen action is gone they need not bound
     the child's optimum there.
     """
-    if result is None:
-        return None
     moved = None  # a copy of the choices once one of them moves
     actions = child.mdp.actions
     for s in child.mdp.live:

@@ -76,15 +76,18 @@ fixpoint), so any other ``lo`` is compared with the float threshold
 literally and any other ``hi`` with a margin of ``MARGIN`` towards
 splitting, relative to thresholds above 1.  Threshold classification
 accepts when the range's worst end meets the threshold and rejects when
-its best end fails it.  A reward min that no scheduler defines
-(``lo`` is ``inf``) makes the subfamily undefined, and an infinite reward
-``hi`` decides nothing, as the subfamily may mix defined and undefined
-members.  With both directions solved an undecided subfamily splits, and a
-singleton takes its exact check with the exact rational chain solver.
-Max/min synthesis reads its lead from the same range and discards a
-subfamily whose lead cannot strictly beat the best member found: an
-uncertified lead is infinite, so the subfamily splits or a singleton's
-member is valued exactly.
+its best end fails it.  An undefined reward is ``inf`` in every solve and
+exact check.  A min of ``inf`` at the initial state comes only from the
+graph analyses (no scheduler reaches the goal almost surely), so it sets
+``lo`` certified or not and makes the subfamily undefined.  An infinite
+reward ``hi`` decides nothing, as the subfamily may mix defined and
+undefined members.  With both directions solved an undecided subfamily
+splits, and a singleton takes its exact check with the exact rational
+chain solver.  Max/min synthesis reads its lead from the same range,
+discards a subfamily whose ``lo`` is ``inf`` as undefined, and discards
+one whose lead cannot strictly beat the best member found: an uncertified
+lead is infinite, so the subfamily splits or a singleton's member is
+valued exactly.
 """
 
 from __future__ import annotations
@@ -320,7 +323,7 @@ class _Parent:
     """A split subfamily's MDP action lists and its solved directions."""
 
     actions: list
-    res: dict[str, CheckResult | None]
+    res: dict[str, CheckResult]
 
 
 class _Loop:
@@ -375,7 +378,7 @@ class _Loop:
             check0 = stats.times.check
             if sub.is_singleton:
                 stats.singletons += 1
-            res: dict[str, CheckResult | None] = {}
+            res: dict[str, CheckResult] = {}
             decision = step(restricted, parent, res)
             if decision == "split" and sub.is_singleton:
                 decision = self.decide_exactly(sub.to_realisation())
@@ -401,7 +404,7 @@ class _Loop:
 
     def inherit(self, restricted: RestrictedQuotient, direction: str,
                 parent: _Parent | None,
-                res: dict[str, CheckResult | None]) -> bool:
+                res: dict[str, CheckResult]) -> bool:
         """File the parent's result for ``direction`` in ``res`` if its
         scheduler survives in ``restricted``; whether it did."""
         if parent is None or direction not in parent.res:
@@ -410,7 +413,7 @@ class _Loop:
         got = inherit(parent.actions, parent.res[direction], restricted,
                       self.goal)
         self.stats.times.check += time.perf_counter() - t0
-        if got is None and parent.res[direction] is not None:
+        if got is None:
             return False
         self.stats.inherited += 1
         res[direction] = got
@@ -418,16 +421,15 @@ class _Loop:
 
     def solve(self, restricted: RestrictedQuotient, direction: str,
               parent: _Parent | None,
-              res: dict[str, CheckResult | None]) -> None:
+              res: dict[str, CheckResult]) -> None:
         """File ``direction`` in ``res``: inherited, or else computed."""
         if not self.inherit(restricted, direction, parent, res):
             res[direction] = self.compute(restricted, direction, parent, res)
 
     def compute(self, restricted: RestrictedQuotient, direction: str,
                 parent: _Parent | None,
-                res: dict[str, CheckResult | None]) -> CheckResult | None:
-        """Solve ``direction`` without inheriting it; None for a reward
-        ``min`` whose goal no scheduler reaches almost surely.
+                res: dict[str, CheckResult]) -> CheckResult:
+        """Solve ``direction`` without inheriting it.
 
         A singleton takes the other direction's result from ``res``, the
         iteration's results so far, when it is there: its restriction has
@@ -440,21 +442,17 @@ class _Loop:
             other = res.get("min" if direction == "max" else "max")
             if restricted.sub.is_singleton and other is not None:
                 self.stats.inherited += 1
-                if math.isinf(other.at_initial):
-                    return None  # the chain misses the goal: no reward min
                 return other
             solved = None if parent is None else parent.res.get(direction)
             self.stats.solver_calls += 1
             solver = solve_reward if self.spec.kind == REWARD else solve_prob
             return solver(restricted.mdp, self.goal, direction, start=(
                 None if solved is None else solved.values))
-        except UndefinedRewardError:
-            return None
         finally:
             self.stats.times.check += time.perf_counter() - t0
 
     def split(self, restricted: RestrictedQuotient,
-              res: dict[str, CheckResult | None]) -> str:
+              res: dict[str, CheckResult]) -> str:
         """Queue the two halves of the restriction's subfamily; the split
         parameter's name."""
         sub = restricted.sub
@@ -468,7 +466,7 @@ class _Loop:
             self.queue.append((child, parent))
         return self.family.param_names[report.chosen_param]
 
-    def classify(self, res: dict[str, CheckResult | None]) -> str | None:
+    def classify(self, res: dict[str, CheckResult]) -> str | None:
         """Threshold decision from the ``_range`` of the directions solved
         so far; with both solved, an undecided subfamily splits."""
         lo, hi = _range(res)
@@ -512,17 +510,7 @@ class _Loop:
         """One member's value from the exact rational chain solver; ``inf``
         for an undefined reward."""
         self.stats.exact_calls += 1
-        try:
-            return solve_mc_exact(member_chain(self.family, member),
-                                  self.spec)[0]
-        except UndefinedRewardError:
-            return math.inf
-
-
-def _at_initial(res: CheckResult | None) -> float:
-    """A solved direction's value at the initial state; ``inf`` for a reward
-    ``min`` that no scheduler defines."""
-    return res.at_initial if res is not None else math.inf
+        return solve_mc_exact(member_chain(self.family, member), self.spec)
 
 
 def _pinned_extreme(res: CheckResult, maximize: bool) -> bool:
@@ -532,24 +520,26 @@ def _pinned_extreme(res: CheckResult, maximize: bool) -> bool:
     return res.pinned and res.at_initial == (1.0 if maximize else 0.0)
 
 
-def _bounds(res: dict[str, CheckResult | None]
+def _bounds(res: dict[str, CheckResult]
             ) -> tuple[float | None, float | None]:
     """``(min, max)`` at the initial state, None for a direction not in
     ``res`` (not solved)."""
-    return tuple(_at_initial(res[d]) if d in res else None
+    return tuple(res[d].at_initial if d in res else None
                  for d in ("min", "max"))
 
 
-def _range(res: dict[str, CheckResult | None]) -> tuple[float, float]:
+def _range(res: dict[str, CheckResult]) -> tuple[float, float]:
     """``(lo, hi)``: where the subfamily's values lie at the initial state,
     read from the directions in ``res``.  ``lo`` is a certified min's value
-    (``inf`` for a reward min that no scheduler defines) and ``hi`` a
-    certified max's; an end that is not solved or not certified bounds
-    nothing and is ``-inf`` or ``inf``."""
+    and ``hi`` a certified max's; an end that is not solved or not certified
+    bounds nothing and is ``-inf`` or ``inf``.  A min of ``inf``, certified
+    or not, is a reward that no scheduler defines: only the graph analyses
+    set it."""
     lo, hi = -math.inf, math.inf
-    if "min" in res and (res["min"] is None or res["min"].certified):
-        lo = _at_initial(res["min"])
-    if res.get("max") is not None and res["max"].certified:
+    if "min" in res and (res["min"].certified
+                         or res["min"].at_initial == math.inf):
+        lo = res["min"].at_initial
+    if "max" in res and res["max"].certified:
         hi = res["max"].at_initial
     return lo, hi
 
@@ -673,7 +663,7 @@ def _optimise(family: FamilyModel, spec: Specification,
     def step(restricted, parent, res):
         sub = restricted.sub
         loop.solve(restricted, lead, parent, res)
-        if res[lead] is None:
+        if _range(res)[0] == math.inf:
             # No scheduler reaches the goal almost surely: every member
             # of this subfamily has an undefined reward.
             return "discard-undefined"
@@ -701,7 +691,7 @@ def _optimise(family: FamilyModel, spec: Specification,
             return "improve"
         # split, unless no scheduler reaches the goal almost surely
         loop.solve(restricted, other, parent, res)
-        return "discard-undefined" if res[other] is None else "split"
+        return "discard-undefined" if _range(res)[0] == math.inf else "split"
 
     loop.run(outcome, step)
     if outcome.best is None:

@@ -1,10 +1,11 @@
+import math
 import pathlib
 
 import pytest
 
 from fractions import Fraction
 
-from famsynth import Subfamily, parse_family
+from famsynth import Subfamily, parse_family, solve_mc_exact
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLE1 = REPO / "models" / "example1.fmc"
@@ -53,6 +54,12 @@ def stiff_family(request):
 def stiff_loose():
     model, _ = parse_family(STIFF_LOOSE.read_text())
     return model
+
+
+def satisfied_exactly(mc, spec):
+    """Whether the chain's exact value is defined and satisfies ``spec``."""
+    value = solve_mc_exact(mc, spec)
+    return value != math.inf and spec.satisfied(value)
 
 
 def random_subfamily(family, rng):

@@ -12,7 +12,6 @@ from famsynth import (
     Realisation,
     Specification,
     Subfamily,
-    UndefinedRewardError,
     all_realisations,
     build_quotient,
     exact_mc_probability,
@@ -66,9 +65,8 @@ def exact_optima(mdp, goal, kind, cap=64):
         else:
             exact = exact_mc_reward(chain, goal)
         for s in lo:
-            v = math.inf if exact[s] is None else exact[s]
-            lo[s] = min(lo[s], v)
-            hi[s] = max(hi[s], v)
+            lo[s] = min(lo[s], exact[s])
+            hi[s] = max(hi[s], exact[s])
     return lo, hi
 
 
@@ -185,8 +183,7 @@ def test_solve_reward_min_undefined_at_initial():
     mdp = SparseMDP(2, 0, [[MdpAction(((0, 1.0),), None)],
                            [MdpAction(((1, 1.0),), None)]],
                     rewards=[1.0, 0.0])
-    with pytest.raises(UndefinedRewardError):
-        solve_reward(mdp, frozenset({1}), "min")
+    assert solve_reward(mdp, frozenset({1}), "min").at_initial == math.inf
     assert math.isinf(solve_reward(mdp, frozenset({1}), "max").at_initial)
 
 
@@ -227,12 +224,13 @@ def test_float_engine_matches_exact_oracle_on_chains(seed):
             float(exact_mc_probability(mc, goal)[mc.initial]), abs=1e-6)
         if family.rewards is not None:
             exact = exact_mc_reward(mc, goal)[mc.initial]
-            if exact is None:
-                with pytest.raises(UndefinedRewardError):
-                    solve_mc_exact(mc, Specification(
-                        kind="expected-reward", goal="goal", direction="min"))
+            value = solve_reward(mdp, goal, "min").at_initial
+            if exact == math.inf:
+                assert solve_mc_exact(mc, Specification(
+                    kind="expected-reward", goal="goal",
+                    direction="min")) == math.inf
+                assert value == math.inf
             else:
-                value = solve_reward(mdp, goal, "min").at_initial
                 assert value == pytest.approx(float(exact), abs=1e-6)
 
 
@@ -279,18 +277,14 @@ def test_extracted_scheduler_attains_reported_value(seed):
                (solve_prob(mdp, goal, "min"), "probability", "min")]
     if family.rewards is not None:
         results.append((solve_reward(mdp, goal, "max"), "reward", "max"))
-        try:
-            results.append((solve_reward(mdp, goal, "min"), "reward", "min"))
-        except UndefinedRewardError:
-            pass
+        results.append((solve_reward(mdp, goal, "min"), "reward", "min"))
     for res, kind, direction in results:
         chain = induced_chain(mdp, res.choices)
         if kind == "probability":
             exact = exact_mc_probability(chain, goal)
         else:
             exact = exact_mc_reward(chain, goal)
-        got = exact[chain.initial]
-        got = math.inf if got is None else float(got)
+        got = float(exact[chain.initial])
         if math.isinf(res.at_initial):
             assert math.isinf(got)
         else:
@@ -299,9 +293,9 @@ def test_extracted_scheduler_attains_reported_value(seed):
             # the maximising scheduler attains every reported value
             for v, e in zip(res.values, exact):
                 if math.isinf(v):
-                    assert e is None
+                    assert e == math.inf
                 else:
-                    assert e is not None and Fraction(v) <= e
+                    assert Fraction(v) <= e < math.inf
 
 
 def test_uncertified_scheduler_leaves_end_component(monkeypatch):
@@ -335,13 +329,9 @@ def assert_never_above_exact(mc, goal):
             assert Fraction(v) <= exact_p[s]
         if exact_r is None:
             continue
-        try:
-            res = solve_reward(mdp, goal, direction)
-        except UndefinedRewardError:
-            continue
-        for s, v in enumerate(res.values):
+        for s, v in enumerate(solve_reward(mdp, goal, direction).values):
             if not math.isinf(v):
-                assert Fraction(v) <= exact_r[s]
+                assert Fraction(v) <= exact_r[s] < math.inf
 
 
 @settings(max_examples=50, deadline=None)
@@ -431,7 +421,7 @@ def test_stiff_self_loops_lie_just_below_exact(k, kind):
 def assert_exact_equations(mc, goal):
     """The exact chain solver's vectors satisfy their defining equations in
     exact arithmetic, with the qualitative cases pinned: probability 1 on
-    the goal and 0 where no path leads to it, reward None exactly where the
+    the goal and 0 where no path leads to it, reward ``inf`` exactly where the
     goal is missed with positive probability.  The equation of a state on
     no cycle that avoids the goal is ``x_s = r_s + sum(p * x_t)``.  On such
     a cycle, a row's self-loop is taken as one minus the mass leaving it:
@@ -476,7 +466,7 @@ def assert_exact_equations(mc, goal):
     reward = exact_mc_reward(mc, goal)
     for s in range(mc.n_states):
         if prob[s] < 1:
-            assert reward[s] is None
+            assert reward[s] == math.inf
         elif s in goal:
             assert reward[s] == 0
         else:
@@ -515,7 +505,7 @@ def test_exact_solver_satisfies_its_equations_on_stiff_chains(k):
     mc = ConcreteMC(9, 0, tuple(rows), rewards, frozenset(range(9)))
     for goal in ({4}, {4, 5}, {4, 5, 6}, {7}):
         assert_exact_equations(mc, frozenset(goal))
-    assert exact_mc_reward(mc, frozenset({4, 5, 6}))[0] is not None
+    assert exact_mc_reward(mc, frozenset({4, 5, 6}))[0] != math.inf
 
 
 # Fixpoint formulations of the graph analyses, kept as references for the
@@ -664,12 +654,7 @@ def test_family_numbered_restriction_solves_like_its_compacted_copy(seed):
         small_goal = frozenset(local[s] for s in goal if s in local)
         for solve in (solve_prob, solve_reward):
             for direction in ("max", "min"):
-                try:
-                    want = solve(small, small_goal, direction)
-                except UndefinedRewardError:
-                    with pytest.raises(UndefinedRewardError):
-                        solve(mdp, goal, direction)
-                    continue
+                want = solve(small, small_goal, direction)
                 got = solve(mdp, goal, direction)
                 assert got.pinned == want.pinned
                 assert got.at_initial.hex() == want.at_initial.hex()
@@ -690,13 +675,7 @@ def assert_hint_changes_nothing(mdp, goal, hints):
     for solve, kind in kinds:
         optima = exact_optima(mdp, goal, kind)
         for i, direction in enumerate(("min", "max")):
-            try:
-                cold = solve(mdp, goal, direction)
-            except UndefinedRewardError:
-                for hint in hints:
-                    with pytest.raises(UndefinedRewardError):
-                        solve(mdp, goal, direction, start=hint)
-                continue
+            cold = solve(mdp, goal, direction)
             for hint in hints + [list(cold.values)]:
                 got = solve(mdp, goal, direction, start=hint)
                 assert math.isclose(got.at_initial, cold.at_initial,
@@ -731,10 +710,7 @@ def test_start_hint_keeps_certified_values_on_restrictions(seed, data):
     hints = [data.draw(st.lists(hint_entries, min_size=n, max_size=n))]
     for solve in (solve_prob, solve_reward):
         for direction in ("min", "max"):
-            try:
-                hints.append(list(solve(parent, goal, direction).values))
-            except UndefinedRewardError:
-                pass
+            hints.append(list(solve(parent, goal, direction).values))
     assert_hint_changes_nothing(child, goal, hints)
 
 
@@ -794,11 +770,7 @@ def solved_bits(mdp, goal):
     out = []
     for solve in (solve_prob, solve_reward)[:1 + (mdp.rewards is not None)]:
         for direction in ("min", "max"):
-            try:
-                res = solve(mdp, goal, direction)
-            except UndefinedRewardError:
-                out.append(None)
-                continue
+            res = solve(mdp, goal, direction)
             out.append(([v.hex() for v in res.values], res.choices,
                         res.certified, res.pinned))
     return out

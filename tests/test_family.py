@@ -12,7 +12,6 @@ from famsynth import (
     Realisation,
     Specification,
     Subfamily,
-    UndefinedRewardError,
     all_realisations,
     instantiate,
     member_chain,
@@ -249,7 +248,7 @@ def exact_answer(chain, spec):
     """``solve_mc_exact``'s answer, or the type of the error it raises."""
     try:
         return solve_mc_exact(chain, spec)
-    except (UndefinedRewardError, ModelError) as exc:
+    except ModelError as exc:
         return type(exc)
 
 
@@ -319,4 +318,5 @@ def test_member_chain_merges_non_dyadic_weights_exactly():
     assert chain.labels == {"goal": frozenset({2})}
     reward = Specification(kind="expected-reward", goal="goal",
                            relation="<=", threshold=Fraction(8, 5))
-    assert solve_mc_exact(chain, reward) == (Fraction(8, 5), True)
+    value = solve_mc_exact(chain, reward)
+    assert value == Fraction(8, 5) and reward.satisfied(value)

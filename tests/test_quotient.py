@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,7 +15,6 @@ from famsynth import (
     Realisation,
     SizeCapError,
     Subfamily,
-    UndefinedRewardError,
     all_realisations,
     build_all_in_one,
     build_quotient,
@@ -421,12 +421,7 @@ def assert_solutions_match_naive(restricted, goal):
         solvers.append(solve_reward)
     for solve in solvers:
         for direction in ("max", "min"):
-            try:
-                want = solve(naive, goal, direction)
-            except UndefinedRewardError:
-                with pytest.raises(UndefinedRewardError):
-                    solve(restricted.mdp, goal, direction)
-                continue
+            want = solve(naive, goal, direction)
             got = solve(restricted.mdp, goal, direction)
             for s in states:
                 assert got.values[s] == want.values[s]
@@ -505,10 +500,10 @@ def assert_inherited_is_sound(parent, res, child, got, goal, solve,
         exact = exact_mc_reward(chain, goal)
     for s in child.mdp.live:
         v, e = got.values[s], exact[s]
-        if v == float("inf"):
-            assert e is None
+        if v == math.inf:
+            assert e == math.inf
         else:
-            assert e is not None and Fraction(v) <= e
+            assert Fraction(v) <= e < math.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,16 +530,13 @@ def test_inherited_result_is_the_childs_own(seed):
                     for child in parent.sub.split(k, keep)]
         for solve in (solve_prob, solve_reward):
             for direction in ("max", "min"):
-                try:
-                    res = solve(parent.mdp, goal, direction)
-                except UndefinedRewardError:
-                    for child in children:
-                        assert inherit(parent.mdp.actions, None, child,
-                                       goal) is None
-                        with pytest.raises(UndefinedRewardError):
-                            solve(child.mdp, goal, direction)
-                    continue
+                res = solve(parent.mdp, goal, direction)
                 for child in children:
+                    if direction == "min" and res.at_initial == math.inf:
+                        # a reward no parent scheduler defines: no child
+                        # scheduler defines it either
+                        assert solve(child.mdp, goal,
+                                     direction).at_initial == math.inf
                     assert_inherited_is_sound(
                         parent, res, child,
                         inherit(parent.mdp.actions, res, child, goal), goal,
@@ -596,20 +588,16 @@ def test_goal_state_choices_are_never_read(seed):
     for solve in (solve_prob, solve_reward):
         res = {}
         for direction in ("max", "min"):
-            try:
-                res[direction] = solve(parent.mdp, goal, direction)
-            except UndefinedRewardError:
-                continue
+            res[direction] = solve(parent.mdp, goal, direction)
             ours, theirs = res[direction], moved(res[direction])
             assert consistency(parent, theirs.choices, goal) == \
                 consistency(parent, ours.choices, goal)
             for child in children:
                 assert same(inherit(parent.mdp.actions, theirs, child, goal),
                             inherit(parent.mdp.actions, ours, child, goal))
-        if len(res) == 2:
-            assert important_states(moved(res["min"]), moved(res["max"]),
-                                    parent, goal) == \
-                important_states(res["min"], res["max"], parent, goal)
+        assert important_states(moved(res["min"]), moved(res["max"]),
+                                parent, goal) == \
+            important_states(res["min"], res["max"], parent, goal)
 
 
 def test_restriction_drops_states_the_initial_state_cannot_reach():

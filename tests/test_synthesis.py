@@ -38,7 +38,8 @@ from famsynth import (
 from famsynth import engine, synthesis
 from famsynth.engine import mdp_from_mc
 from famsynth.quotient import before_goal
-from conftest import REPO, R1, R2, R3, R4, ladder, random_subfamily
+from conftest import (REPO, R1, R2, R3, R4, ladder, random_subfamily,
+                      satisfied_exactly)
 
 NEAR_OPTIMAL_DOC = """
 states 4
@@ -222,12 +223,11 @@ def test_optimum_matches_brute_force(seed, direction, kind):
     exact = exact_mc_reward if rewards else exact_mc_probability
 
     def value(member):
-        """The member's exact value; None for an undefined reward."""
+        """The member's exact value; ``inf`` for an undefined reward."""
         mc = instantiate(family, member)
-        v = exact(mc, goal)[mc.initial]
-        return None if v is None else float(v)
+        return float(exact(mc, goal)[mc.initial])
 
-    values = [v for v in map(value, all_realisations(family)) if v is not None]
+    values = [v for v in map(value, all_realisations(family)) if v != math.inf]
     run = max_synthesis if direction == "max" else min_synthesis
     if not values:
         with pytest.raises(UndefinedRewardError):
@@ -318,12 +318,8 @@ def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
     # a member that only the float bounds satisfy would show
     family = random_family(seed, max_states=20, max_params=5, rewards=True)
     objective = Specification(kind=kind, goal="goal", direction="max")
-    values = []
-    for r in all_realisations(family):
-        try:
-            values.append(solve_mc_exact(instantiate(family, r), objective)[0])
-        except UndefinedRewardError:
-            pass
+    values = [v for v in (solve_mc_exact(instantiate(family, r), objective)
+                          for r in all_realisations(family)) if v != math.inf]
     threshold = sorted(values)[pick % len(values)] if values else Fraction(1)
     threshold = max(Fraction(0), threshold + Fraction(shift, 1000))
     if kind == "probability":
@@ -336,7 +332,7 @@ def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
     if member is None:
         assert not one_by_one(family, spec).accepted
     else:
-        assert solve_mc_exact(instantiate(family, member), spec)[1]
+        assert satisfied_exactly(instantiate(family, member), spec)
 
 
 @pytest.mark.parametrize("doc, eps, query", [
@@ -425,7 +421,7 @@ def test_feasibility_confirms_only_a_witness_not_pinned(model, query,
     spec = parse_spec(query)
     out = synthesis._feasibility(family, spec)
     assert out.stats.exact_calls == exact_calls
-    assert solve_mc_exact(member_chain(family, out.best), spec)[1]
+    assert satisfied_exactly(member_chain(family, out.best), spec)
 
 
 def near_tie_family(eps):
@@ -912,7 +908,7 @@ def assert_matches_one_by_one(family, spec, rel=0.0):
                 run(family, spec)
             return
         out = run(family, spec)
-        exact, _ = solve_mc_exact(member_chain(family, out.best), spec)
+        exact = solve_mc_exact(member_chain(family, out.best), spec)
         assert float(exact) == want, spec
         assert out.best_value == pytest.approx(want, rel=rel, abs=0), spec
         return
@@ -1125,9 +1121,6 @@ def test_value_ordered_split_on_benchmark_families(model, query, iterations):
 
 def assert_same_result(got, want, states):
     """Bit for bit at ``states``: values, choices, ``pinned``."""
-    if want is None:
-        assert got is None
-        return
     assert got.pinned == want.pinned
     assert [got.values[s].hex() for s in states] == \
         [want.values[s].hex() for s in states]
@@ -1155,11 +1148,8 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
     first, second = order
 
     def fresh(restricted, direction):
-        try:
-            return (solve_reward if reward else solve_prob)(
-                restricted.mdp, goal, direction)
-        except UndefinedRewardError:
-            return None
+        return (solve_reward if reward else solve_prob)(
+            restricted.mdp, goal, direction)
 
     def both(restricted, parent=None):
         """Solve ``first`` then ``second`` as a step does; whether
@@ -1182,25 +1172,21 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
     single = loop.quotient.restrict(Subfamily.of_realisation(member))
     # taken from a fresh solve: a fresh solve of the singleton
     got, solved = both(single)
-    assert solved == (got[first] is None)
+    assert not solved
     assert_same_result(got[second], fresh(single, second),
                        single.mdp.live)
     # taken from the parent's result: at most the member's exact values
     got, solved = both(single, synthesis._Parent(restricted.mdp.actions, res))
-    assert not solved or got[first] is None
+    assert not solved
     chain = member_chain(family, member)
     exact = (exact_mc_reward if reward else exact_mc_probability)(
         chain, chain.label_states("goal"))
     # the chain holds the states the singleton reaches, renumbered in order
     assert chain.n_states == len(single.mdp.live)
     local = {s: i for i, s in enumerate(single.mdp.live)}
-    if got[second] is None:
-        assert exact[chain.initial] is None
-        return
     for s in single.mdp.live:
         v, bound = got[second].values[s], exact[local[s]]
-        if bound is not None:
-            assert v <= bound if math.isinf(v) else Fraction(v) <= bound
+        assert v <= bound if math.isinf(v) else Fraction(v) <= bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1337,7 +1323,7 @@ def query_answers(family, seed):
         except UndefinedRewardError:
             answers.append(None)
             continue
-        exact, _ = solve_mc_exact(member_chain(family, out.best), spec)
+        exact = solve_mc_exact(member_chain(family, out.best), spec)
         answers.append((out.best, exact, decisions(out)))
         values.append(out.best_value)
     return answers, values
