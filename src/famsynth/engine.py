@@ -23,8 +23,8 @@ when every backup confirms they lie below the fixpoint.  The first policy
 is greedy over the caller's hint, such as a split child's parent values,
 or else over placeholders; the hint moves only where the search starts, so
 a tie broken differently may move a certified value in its last digits.
-Certified values never exceed the true fixpoint (up to the rounding of a
-plain backup); callers exploit that one-sidedness.  A component that fails
+Certified values never exceed the true fixpoint, and a plain backup never
+exceeds the exact sum of its terms; callers exploit that one-sidedness.  A component that fails
 certification keeps the last policy evaluated, and the result is marked
 ``certified=False``: its values bound nothing, and callers may read them
 only as hints, such as split scores.
@@ -353,7 +353,11 @@ def _scc_decompose(nodes, edges):
 
 
 def _backup(acts, values, maximize):
-    """Best ``(value, index)`` over the actions, ties to the lowest index."""
+    """Best ``(value, index)`` over the actions, ties to the lowest index.
+
+    A finite value is stepped down an ulp at a time while it exceeds the
+    exact sum of the chosen action's float terms, ``num / den`` in
+    integers, so it never rounds above the backup it stands for."""
     best = None
     pick = 0
     for ai, (r, dist) in enumerate(acts):
@@ -363,6 +367,17 @@ def _backup(acts, values, maximize):
         if best is None or (v > best if maximize else v < best):
             best = v
             pick = ai
+    if math.isfinite(best):
+        r, dist = acts[pick]
+        num, den = r.as_integer_ratio()
+        for t, p in dist:
+            a, b = p.as_integer_ratio()
+            c, d = values[t].as_integer_ratio()
+            num, den = num * b * d + a * c * den, den * b * d
+        n, d = best.as_integer_ratio()
+        while n * den > num * d:
+            best = math.nextafter(best, -math.inf)
+            n, d = best.as_integer_ratio()
     return best, pick
 
 

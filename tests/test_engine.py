@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famsynth import (
@@ -336,6 +336,15 @@ def assert_never_above_exact(mc, goal):
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
+# reward families with a plain backup that rounds one ulp above the exact
+# sum of its terms, found by a scan of seeds 0-19,999
+@example(seed=2748)
+@example(seed=4796)
+@example(seed=6184)
+@example(seed=9730)
+@example(seed=9990)
+@example(seed=11976)
+@example(seed=15168)
 def test_values_never_exceed_exact_on_random_chains(seed):
     family = random_family(seed, max_states=8, rewards=seed % 2 == 0)
     goal = family.label_states("goal")

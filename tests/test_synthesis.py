@@ -457,15 +457,11 @@ def test_near_tie_feasibility_finds_the_member_below():
     assert {member.values} == obo.bucket_members(obo.accepted)
 
 
-# Known wrong answer: on member (2, 1, 0) of this family, state 7 (which the
-# initial state does not reach) has no self-loop, and value iteration solves
-# it by one plain backup.  Its expected reward rounds to 8.732142857142858 in
-# both directions, one ulp above the exact 489/56.  Hypothesis draws this
-# seed in about 1 % of the runs of
-# test_engine.py::test_values_never_exceed_exact_on_random_chains; this test
-# fails every time until the engine's values are certified lower bounds.
-@pytest.mark.xfail(strict=True,
-                   reason="a plain backup rounds above the exact value")
+# On member (2, 1, 0) of this family, state 7 (which the initial state does
+# not reach) has no self-loop, and value iteration solves it by one plain
+# backup.  Its expected reward rounds to 8.732142857142858 in both
+# directions, one ulp above the exact 489/56, unless the backup is stepped
+# down to the exact sum of its terms.
 def test_plain_backup_stays_below_exact_reward_on_seed_2748():
     family = random_family(2748, max_states=8, rewards=True)
     goal = family.label_states("goal")
