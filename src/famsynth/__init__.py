@@ -31,11 +31,6 @@ from .fmc import parse_family, parse_spec, serialize_family
 from .engine import (
     CheckResult,
     SparseMDP,
-    exact_mc_probability,
-    exact_mc_reward,
-    induced_chain,
-    prob0_exists,
-    prob1_forall,
     solve_mc_exact,
     solve_prob,
     solve_reward,

@@ -17,8 +17,6 @@ from famsynth import (
     all_in_one_check,
     all_realisations,
     build_quotient,
-    exact_mc_probability,
-    exact_mc_reward,
     instantiate,
     max_synthesis,
     min_synthesis,
@@ -30,7 +28,7 @@ from famsynth import (
     threshold_synthesis,
 )
 from famsynth.cli import main
-from famsynth.engine import mdp_from_mc
+from famsynth.engine import exact_mc_probability, exact_mc_reward, mdp_from_mc
 from conftest import EXAMPLE1, R1, R2, R3, R4
 from test_synthesis import NEAR_OPTIMAL_DOC
 

@@ -6,7 +6,6 @@ from famsynth import (
     SizeCapError,
     all_in_one_check,
     all_realisations,
-    exact_mc_probability,
     instantiate,
     one_by_one,
     parse_family,
@@ -16,6 +15,7 @@ from famsynth import (
     solve_mc_exact,
     threshold_synthesis,
 )
+from famsynth.engine import exact_mc_probability
 from conftest import R1, R2, R3, R4
 
 

@@ -14,13 +14,8 @@ from famsynth import (
     Subfamily,
     all_realisations,
     build_quotient,
-    exact_mc_probability,
-    exact_mc_reward,
-    induced_chain,
     instantiate,
     parse_spec,
-    prob0_exists,
-    prob1_forall,
     random_family,
     solve_mc_exact,
     solve_prob,
@@ -30,9 +25,14 @@ from famsynth import engine
 from famsynth.engine import (
     SparseMDP,
     MdpAction,
+    exact_mc_probability,
+    exact_mc_reward,
+    induced_chain,
     mdp_from_mc,
+    prob0_exists,
     prob0_forall,
     prob1_exists,
+    prob1_forall,
 )
 from conftest import R1, R2, ladder, random_subfamily
 

@@ -18,10 +18,7 @@ from famsynth import (
     all_realisations,
     build_all_in_one,
     build_quotient,
-    exact_mc_probability,
-    exact_mc_reward,
     important_states,
-    induced_chain,
     instantiate,
     is_consistent,
     random_family,
@@ -29,7 +26,13 @@ from famsynth import (
     solve_prob,
     solve_reward,
 )
-from famsynth.engine import MdpAction, SparseMDP
+from famsynth.engine import (
+    MdpAction,
+    SparseMDP,
+    exact_mc_probability,
+    exact_mc_reward,
+    induced_chain,
+)
 from famsynth.quotient import inherit
 from conftest import R2, random_subfamily
 

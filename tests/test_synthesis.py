@@ -15,8 +15,6 @@ from famsynth import (
     UnsupportedSpecError,
     all_realisations,
     build_quotient,
-    exact_mc_probability,
-    exact_mc_reward,
     extract_counts,
     feasibility,
     important_states,
@@ -36,7 +34,7 @@ from famsynth import (
     threshold_synthesis,
 )
 from famsynth import engine, synthesis
-from famsynth.engine import mdp_from_mc
+from famsynth.engine import exact_mc_probability, exact_mc_reward, mdp_from_mc
 from famsynth.quotient import before_goal
 from conftest import (REPO, R1, R2, R3, R4, ladder, random_subfamily,
                       satisfied_exactly)
