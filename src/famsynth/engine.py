@@ -24,10 +24,10 @@ is greedy over the caller's hint, such as a split child's parent values,
 or else over placeholders; the hint moves only where the search starts, so
 a tie broken differently may move a certified value in its last digits.
 Certified values never exceed the true fixpoint, and a plain backup never
-exceeds the exact sum of its terms; callers exploit that one-sidedness.  A component that fails
-certification keeps the last policy evaluated, and the result is marked
-``certified=False``: its values bound nothing, and callers may read them
-only as hints, such as split scores.
+exceeds the exact sum of its terms; callers exploit that one-sidedness.  A
+component that fails certification keeps the last policy evaluated, and
+the result is marked ``certified=False``: its values bound nothing, and
+callers may read them only as hints, such as split scores.
 
 Schedulers are the solver's own choices: each state takes the action that
 produced its value (the argmax of its backup or the certified policy of
