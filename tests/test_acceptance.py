@@ -282,7 +282,7 @@ def test_criterion_10_numeric_oracle(corpus, capsys):
         for r, w in zip(all_realisations(family), entry["reward_values"]):
             mdp = mdp_from_mc(instantiate(family, r))
             value = solve_reward(mdp, goal, "min").at_initial
-            if value != float(w) and not abs(value - float(w)) <= TOL:
+            if value != pytest.approx(float(w), abs=TOL):
                 bad.append((entry["seed"], "reward", value, float(w)))
     with capsys.disabled():
         report(10, not bad, f"failures: {bad[:3] or 'none'}")
