@@ -1,5 +1,8 @@
 """Quotient MDP under forgetting, plus the all-in-one MDP.
 
+A family has one quotient, made by ``build_quotient`` on the first call and
+kept for the family's lifetime: every query on the family restricts it.
+
 The quotient exposes, at every state, one merged action per distinct
 successor distribution reachable by assigning the parameters that occur in
 that state's row.  Each merged action is keyed by a partial parameter
@@ -272,7 +275,12 @@ class QuotientMDP:
 
 
 def build_quotient(family: FamilyModel) -> QuotientMDP:
-    return QuotientMDP(family)
+    """The family's one quotient, kept in its instance dict for its lifetime
+    (``QuotientMDP`` makes a fresh one).  It holds only facts about the
+    family, so no query's answer depends on the queries before it."""
+    if "_quotient" not in vars(family):
+        object.__setattr__(family, "_quotient", QuotientMDP(family))
+    return family._quotient
 
 
 @dataclass

@@ -334,6 +334,7 @@ class _Loop:
         self.goal = family.label_states(spec.goal)
         self.stats = SynthesisStats()
         self.trace: list[IterationRecord] | None = [] if collect_trace else None
+        # the family's quotient, kept across queries; the rest is this query's
         t0 = time.perf_counter()
         self.quotient: QuotientMDP = build_quotient(family)
         self.stats.times.build += time.perf_counter() - t0

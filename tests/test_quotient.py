@@ -460,7 +460,7 @@ def test_restrict_matches_naive_filter(seed):
                 restricted = assert_restriction_is_naive_filter(quotient,
                                                                 child)
                 assert restricted.mdp.actions == \
-                    build_quotient(family).restrict(child).mdp.actions
+                    QuotientMDP(family).restrict(child).mdp.actions
                 assert_solutions_match_naive(restricted, goal)
                 assert set(restricted.mdp.live) <= set(parent.mdp.live)
                 for s in restricted.mdp.live:
@@ -744,8 +744,8 @@ def test_worked_example_actions_are_pinned(example1):
 def test_merged_actions_of_one_signature_compare_equal(example1):
     # separate quotients build separate objects for the same signature
     model, _ = example1
-    full = build_quotient(model).restrict(Subfamily.full(model))
-    part = build_quotient(model).restrict(Subfamily(((0,), (1,), (2, 3))))
+    full = QuotientMDP(model).restrict(Subfamily.full(model))
+    part = QuotientMDP(model).restrict(Subfamily(((0,), (1,), (2, 3))))
     for s in part.mdp.live:
         before = {ma.values: ma for _, ma in full.mdp.actions[s]}
         for _, ma in part.mdp.actions[s]:
@@ -801,8 +801,7 @@ def test_whole_and_partial_domains_match_naive_filter(family):
     full = assert_restriction_is_naive_filter(shared, Subfamily.full(family))
     for sub in boxes(family):
         assert_restriction_is_naive_filter(shared, sub)
-        fresh = assert_restriction_is_naive_filter(build_quotient(family),
-                                                   sub)
+        fresh = assert_restriction_is_naive_filter(QuotientMDP(family), sub)
         assert fresh.mdp.actions == shared.restrict(sub).mdp.actions
     counts = tuple(len(acts) for acts in full.mdp.actions)
     signatures = tuple(len(list(product(*(family.domains[k]

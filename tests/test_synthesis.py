@@ -1356,3 +1356,76 @@ def test_parent_values_hint_changes_no_answer_and_saves_factorisations(
         # certified optima may differ in their last digits
         assert got_values == pytest.approx(want_values, rel=1e-9)
     assert shipped < cold
+
+
+# ---------------------------------------------------------------------------
+# One quotient per family
+# ---------------------------------------------------------------------------
+
+MAZE = REPO / "models" / "maze-5x5.fmc"
+
+
+def every_mode(text):
+    """The four queries of the threshold spec ``text``: threshold and
+    feasibility synthesis on it, max and min synthesis on its objective."""
+    spec = parse_spec(text)
+    highest, lowest = (Specification(kind=spec.kind, goal=spec.goal,
+                                     direction=d) for d in ("max", "min"))
+    return [(threshold_synthesis, spec), (synthesis._feasibility, spec),
+            (max_synthesis, highest), (min_synthesis, lowest)]
+
+
+def answer(family, run, spec):
+    """The outcome of ``run`` on ``family`` with its trace and its stats but
+    the phase times, which alone vary between runs; or the error raised."""
+    try:
+        out = run(family, spec, collect_trace=True)
+    except UndefinedRewardError as exc:
+        return repr(exc)
+    out.stats.times = synthesis.PhaseTimes()
+    return out
+
+
+# each case: a maker of equal families, the specs compared, and the specs
+# asked first on the family that is queried again
+QUERIED = {
+    "maze": (lambda: parse_family(MAZE.read_text())[0],
+             ['P>=19/100 F "goal"'], ['P<=1/10 F "goal"', 'P>1/2 F "goal"']),
+    **{f"probability-{seed}": (
+        lambda seed=seed: random_family(seed, max_states=12, max_params=5),
+        ['P>=1/2 F "goal"'], ['P<3/10 F "goal"', 'P>9/10 F "goal"'])
+       for seed in (9, 21)},
+    **{f"reward-{seed}": (
+        lambda seed=seed: random_family(seed, max_states=12, max_params=5,
+                                        rewards=True),
+        ['E<=6 F "goal"', 'P>=1/2 F "goal"'],
+        ['E>=3 F "goal"', 'P<3/10 F "goal"'])
+       for seed in (3, 33)},
+}
+
+
+@pytest.mark.parametrize("case", QUERIED)
+def test_a_query_does_not_depend_on_earlier_queries(case):
+    make, asked, earlier = QUERIED[case]
+    used = make()
+    for text in earlier:
+        for run, spec in every_mode(text):
+            answer(used, run, spec)
+    for text in asked:
+        for run, spec in every_mode(text):
+            assert answer(used, run, spec) == answer(make(), run, spec)
+
+
+def test_a_family_keeps_one_quotient():
+    text = MAZE.read_text()
+    family, _ = parse_family(text)
+    quotient = build_quotient(family)
+    assert build_quotient(family) is quotient
+    assert quotient.family is family
+    threshold_synthesis(family, parse_spec('P>=19/100 F "goal"'))
+    assert build_quotient(family) is quotient
+    # an equal family parsed again gets a quotient of its own
+    again, _ = parse_family(text)
+    assert again == family
+    assert build_quotient(again) is not quotient
+    assert build_quotient(again).family is again
