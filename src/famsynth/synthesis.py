@@ -62,7 +62,17 @@ parameter's value is a successor state, worth that state's max plus min
 value.  The highest score is split, and a tie goes to the parameter whose
 values spread furthest in worth.  Its values, ranked by worth, are cut at
 the largest drop between neighbours, and the upper part is kept together
-(``select_predicate``).  Subfamilies are refined first in, first out.
+(``select_predicate``).
+
+Threshold synthesis refines its subfamilies first in, first out.  Max/min
+synthesis and feasibility search for one member, so they refine best first,
+as branch and bound does: the queue serves first the children of the parent
+whose range end on the lead side (``hi`` for max synthesis and for ``>``/
+``>=`` feasibility, ``lo`` for min synthesis and for ``<``/``<=``
+feasibility) is best, then the smaller child, which searches depth first
+among ties, then the child queued earlier.  The order only reorders the
+search: a parent's end bounds its children's optimum from one side only, so
+each child still takes its own decision when it comes out of the queue.
 
 Every decision reads one value range (``_range``): where the subfamily's
 values lie at the initial state, ``lo`` from a certified min and ``hi``
@@ -94,8 +104,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 from .errors import UndefinedRewardError, UnsupportedSpecError
 from .family import (
@@ -328,7 +339,7 @@ class _Parent:
 
 class _Loop:
     def __init__(self, family: FamilyModel, spec: Specification,
-                 collect_trace: bool):
+                 collect_trace: bool, lead: str | None = None):
         self.family = family
         self.spec = spec
         self.goal = family.label_states(spec.goal)
@@ -338,10 +349,17 @@ class _Loop:
         t0 = time.perf_counter()
         self.quotient: QuotientMDP = build_quotient(family)
         self.stats.times.build += time.perf_counter() - t0
-        # each queued child carries its parent's restricted action lists
-        # and solved directions, one record shared by both siblings
-        self.queue: deque[tuple[Subfamily, _Parent | None]] = deque(
-            [(Subfamily.full(family), None)])
+        # a heap of ``(key, push number, subfamily, parent)``: a search
+        # with a ``lead`` direction keys a child by its parent's range end
+        # on that side, best first, and by its size; threshold synthesis
+        # keys every child alike, so the push number serves it first in,
+        # first out.  Each queued child carries its parent's restricted
+        # action lists and solved directions, one record shared by both
+        # siblings
+        self.lead = lead
+        self.pushes = count(1)
+        self.queue: list[tuple[tuple, int, Subfamily, _Parent | None]] = [
+            ((), 0, Subfamily.full(family), None)]
         # exact decisions by member values
         self.exact: dict[tuple[int, ...], str] = {}
         # a binary tree over the members has this many nodes at most
@@ -367,8 +385,9 @@ class _Loop:
         stats = self.stats
         buckets = {"accept": outcome.accepted, "reject": outcome.rejected,
                    "undefined": outcome.undefined}
-        while self.queue:
-            sub, parent = self.queue.popleft()
+        queue = self.queue
+        while queue:
+            _, _, sub, parent = heappop(queue)
             stats.iterations += 1
             assert stats.iterations <= self.tree_bound, \
                 "refinement explored more subfamilies than the binary tree bound"
@@ -454,8 +473,8 @@ class _Loop:
 
     def split(self, restricted: RestrictedQuotient,
               res: dict[str, CheckResult]) -> str:
-        """Queue the two halves of the restriction's subfamily; the split
-        parameter's name."""
+        """Queue the two halves of the restriction's subfamily, keyed for
+        the lead (see ``__init__``); the split parameter's name."""
         sub = restricted.sub
         imp = important_states(res["min"], res["max"], restricted, self.goal)
         c_max = extract_counts(res["max"].choices, imp, restricted)
@@ -463,8 +482,13 @@ class _Loop:
         report = select_predicate(c_max, c_min, sub, res["max"].values,
                                   res["min"].values)
         parent = _Parent(restricted.mdp.actions, res)
+        lead = self.lead
+        if lead is not None:
+            lo, hi = _range(res)
+            end = -hi if lead == "max" else lo
         for child in sub.split(report.chosen_param, report.chosen_values):
-            self.queue.append((child, parent))
+            key = () if lead is None else (end, child.size)
+            heappush(self.queue, (key, next(self.pushes), child, parent))
         return self.family.param_names[report.chosen_param]
 
     def classify(self, res: dict[str, CheckResult]) -> str | None:
@@ -583,13 +607,14 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
     ``outcome.best``."""
     if spec.objective_only:
         raise UnsupportedSpecError("feasibility needs a threshold")
-    loop = _Loop(family, spec, collect_trace)
-    outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
-                               stats=loop.stats)
     # the witness side holds the scheduler whose member may satisfy the
-    # bound; alone it can only reject or find an undefined reward
+    # bound; alone it can only reject or find an undefined reward.  It also
+    # leads the search: its end of a parent's range orders the queue
     witness, other = (("max", "min") if spec.relation in (">=", ">")
                       else ("min", "max"))
+    loop = _Loop(family, spec, collect_trace, witness)
+    outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
+                               stats=loop.stats)
 
     def step(restricted, parent, res):
         sub = restricted.sub
@@ -637,7 +662,9 @@ def feasibility(family: FamilyModel, spec: Specification
 
     The member is the first exactly confirmed witness-side scheduler's
     (see the module docstring), or the exactly confirmed first member of
-    the first subfamily accepted whole.
+    the first subfamily accepted whole, first in the loop's best-first
+    order: subfamilies whose parent's witness-side bound is best come
+    first, the smaller of two halves first.
     """
     return _feasibility(family, spec).best
 
@@ -645,7 +672,8 @@ def feasibility(family: FamilyModel, spec: Specification
 def _optimise(family: FamilyModel, spec: Specification,
               collect_trace: bool) -> SynthesisOutcome:
     maximize = spec.direction == "max"
-    loop = _Loop(family, spec, collect_trace)
+    lead, other = ("max", "min") if maximize else ("min", "max")
+    loop = _Loop(family, spec, collect_trace, lead)
     # ``best_value`` is the value of the best member found so far
     outcome = SynthesisOutcome(mode=spec.direction, trace=loop.trace,
                                stats=loop.stats,
@@ -653,8 +681,6 @@ def _optimise(family: FamilyModel, spec: Specification,
 
     def better(a: float, b: float) -> bool:
         return a > b if maximize else a < b
-
-    lead, other = ("max", "min") if maximize else ("min", "max")
 
     # the other direction is solved only for a split (which needs both
     # schedulers) or to tell an undefined Emax subfamily from one to split;
