@@ -27,7 +27,7 @@ from .family import (
     member_chain,
 )
 from .engine import solve_mc_exact, solve_prob, solve_reward
-from .quotient import AllInOneMDP, build_all_in_one
+from .quotient import ALL_IN_ONE_CAP, AllInOneMDP, build_all_in_one
 from .synthesis import SynthesisOutcome, SynthesisStats
 
 ONE_BY_ONE_CAP = 10 ** 6
@@ -104,16 +104,15 @@ class AllInOneResult:
 
 
 def all_in_one_check(family: FamilyModel, spec: Specification,
-                     cap: int | None = None) -> AllInOneResult:
+                     cap: int = ALL_IN_ONE_CAP) -> AllInOneResult:
     """Solve the product MDP once; the states entered right after the initial
     member choice carry every member's value.  Past the member choice each
     state has one action, so the max direction alone gives every value.
     The values are read as they are: a solve with ``certified=False`` has
     values that bound nothing, so its members may land in the wrong
     bucket."""
-    kwargs = {} if cap is None else {"cap": cap}
     t0 = time.perf_counter()
-    aio = build_all_in_one(family, **kwargs)
+    aio = build_all_in_one(family, cap)
     goal = aio.goal_ids(spec.goal)
     t1 = time.perf_counter()
     solve = solve_prob if spec.kind == PROBABILITY else solve_reward

@@ -17,7 +17,8 @@ this order (``rewards``, ``labels`` and ``specs`` are optional)::
     NAME : SPEC
 
 Numbers are exact rationals: ``1``, ``1/3`` and ``0.5`` are all accepted and
-``0.1`` means one tenth, never a binary float.  A SPEC is one of::
+``0.1`` means one tenth, never a binary float.  A fraction's denominator is
+positive.  A SPEC is one of::
 
     P<=0.3 F "label"    E>=5 F "label"     (relations <, <=, >=, >)
     Pmax F "label"      Emin F "label"     (objective-only queries)
@@ -40,13 +41,13 @@ from .family import (
 
 _SECTIONS = ("params", "trans", "rewards", "labels", "specs")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NUMBER_RE = re.compile(r"(\d+/\d+|\d+\.\d+|\.\d+|\d+)\Z")
+_NUMBER_RE = re.compile(r"(\d+/\d*[1-9]\d*|\d+\.\d+|\.\d+|\d+)\Z")
 _SPEC_RE = re.compile(
     r"([PE])\s*(?:(max|min)|(<=|>=|<|>)\s*(\d+/\d+|\d+\.\d+|\.\d+|\d+))"
     r'\s+F\s+"([^"]*)"\Z')
 
 
-def _number(token: str, line: int) -> Fraction:
+def _number(token: str, line: int | None) -> Fraction:
     if not _NUMBER_RE.match(token):
         raise FormatError(f"bad number {token!r}", line=line, code="bad-number")
     return Fraction(token)
@@ -73,7 +74,7 @@ def parse_spec(text: str, line: int | None = None) -> Specification:
         if direction:
             return Specification(kind=kind, goal=label, direction=direction)
         return Specification(kind=kind, goal=label, relation=relation,
-                             threshold=Fraction(threshold))
+                             threshold=_number(threshold, line))
     except ModelError as exc:
         raise FormatError(str(exc), line=line, code=exc.code) from None
 
@@ -85,7 +86,6 @@ def parse_family(text: str) -> tuple[FamilyModel, dict[str, Specification]]:
     params: list[tuple[str, tuple[int, ...]]] = []
     trans: dict[int, list[tuple[Fraction, str]]] = {}
     rewards: dict[int, Fraction] = {}
-    rewards_seen = False
     labels: dict[str, set[int]] = {}
     spec_strings: list[tuple[str, str, int]] = []
     section = None
@@ -160,7 +160,6 @@ def parse_family(text: str) -> tuple[FamilyModel, dict[str, Specification]]:
                     line=lineno, code="row-sum")
             trans[state] = terms
         elif section == "rewards":
-            rewards_seen = True
             state = _state_index(key, lineno)
             if state in rewards:
                 raise FormatError(f"duplicate reward for state {state}",
@@ -210,7 +209,7 @@ def parse_family(text: str) -> tuple[FamilyModel, dict[str, Specification]]:
         rows.append(tuple(row))
 
     reward_tuple = None
-    if rewards_seen:
+    if "rewards" in seen_sections:
         bad = [s for s in rewards if s >= n_states]
         if bad:
             raise FormatError(f"rewards for unknown states {bad}",

@@ -11,29 +11,18 @@ are unified and represented by the lexicographically smallest surviving
 signature.
 
 Nothing is set up per state in advance.  A restriction that first reaches a
-state builds its table: the memo and its key below, and the signatures
-grouped in integer arithmetic, with each group's float distribution and
-first signature.  Each group keeps its integer masses over the row's common
-denominator, from which a merged action makes its exact distribution only
-when it is read.  A state whose row holds one parameter has one Dirac group
-per domain value.  When the support's domains are pairwise disjoint, no two
-signatures share a distribution, so every signature is its own group and no
-grouping key is looked up; otherwise a signature's key is its sorted
-``(successor, summed numerator)`` pairs.
-
-A restriction that keeps every value of each parameter in a state's support
-(the full family, and every state a split does not narrow) emits the
-groups' first signatures in group order, with no signature product.  Any
-other restriction enumerates only the signatures that survive it, in
-order, and the first survivor of each group represents it.  Either way a
-signature's action is built the first time it represents its group.
-Unification is redone per enumeration so that signatures of one
-distribution falling on different sides of a split each keep their own copy.
-
-A state's action list depends only on the value subsets of its support, so
-the quotient memoises it under them.  A child of a split re-enumerates only
-the states whose support holds the split parameter; siblings and cousins hit
-the memo too.
+state makes its record: the memo and its key below, and the row's weights
+as integer numerators over its common denominator.  A state's action list
+depends only on the value subsets of its support, so the quotient memoises
+it under them.  A memo miss enumerates the signatures that survive the
+subfamily, in domain order, and the first signature of each distinct
+distribution represents it, so that where a split separates the signatures
+of one distribution each side keeps a representative.  Masses are summed in
+integers, so signatures group exactly.  A signature keeps one action object
+across enumerations, and the signatures of one distribution share its float
+``dist``; a merged action makes its exact distribution only when it is read.
+A child of a split re-enumerates only the states whose support holds the
+split parameter; siblings and cousins hit the memo too.
 
 A restriction keeps family state numbers.  Its MDP holds each state the
 initial state reaches under the surviving actions with that state's
@@ -88,101 +77,55 @@ class MergedAction(NamedTuple):
         return tuple([(t, Fraction(m, self.den)) for t, m in self.masses])
 
 
-class _Table(NamedTuple):
-    """One state's table, built on first reach.  ``key`` gives a
+class _Record(NamedTuple):
+    """One state's record, made on first reach.  ``key`` gives a
     subfamily's memo key, the value subsets of the state's support
-    ``params``; ``whole`` is the key of the whole domains, and ``memo``
-    maps a key to the action list and its distinct successors (lists are
-    never mutated).
-    ``signatures`` are in domain order; ``group`` gives each one's group
-    and ``first`` each group's first signature (both ranges when every
-    signature is its own group).  ``dists`` holds each group's float
-    distribution and its integer masses over ``den``, and ``successors``
-    every domain value of the support.  ``offsets`` give each supported
-    value's share of a signature's index (mixed radix, last fastest) and
-    ``actions`` (per signature) fill in on use."""
+    ``params``, and ``memo`` maps a key to the action list and its distinct
+    successors (lists are never mutated).  ``weights`` are the row's
+    integer numerators over ``den``, one per supported parameter.
+    ``actions`` keeps one action per signature, and ``dists`` one shared
+    ``(dist, masses)`` pair per distinct distribution, keyed by its
+    masses."""
 
     params: tuple[int, ...]
     key: Callable[[tuple], tuple]
-    whole: tuple
     memo: dict[tuple, tuple]
-    signatures: list[tuple[int, ...]]
-    group: Sequence[int]
-    first: Sequence[int]
-    dists: list[tuple[tuple, tuple]]
+    weights: list[int]
     den: int
-    successors: tuple[int, ...]
-    offsets: list[dict[int, int]]
-    actions: dict[int, MdpAction]
+    actions: dict[tuple[int, ...], MdpAction]
+    dists: dict[tuple[tuple[int, int], ...], tuple[tuple, tuple]]
 
 
 class QuotientMDP:
-    """Merged-action quotient of a family.  Its per-state tables and memos
+    """Merged-action quotient of a family.  Its per-state records and memos
     fill in as restrictions reach states and change no answer."""
 
     def __init__(self, family: FamilyModel):
         self.family = family
-        # Per state: its table, built by ``_build`` on first reach.
-        self._tables: list[_Table | None] = [None] * family.n_states
+        # Per state: its record, made by ``_record`` on first reach.
+        self._records: list[_Record | None] = [None] * family.n_states
         self._rewards_float = (None if family.rewards is None else
                                [r.numerator / r.denominator
                                 for r in family.rewards])
 
-    def _build(self, s: int) -> _Table:
-        """Build and keep the table of state ``s``.  Weights and masses are
-        integer numerators over the row's common denominator
-        (``integer_row``): one positive scale keeps the groups that the
-        exact rational sums give.  A one-parameter row has weight 1, so its
-        groups are its domain values, one Dirac distribution each.  Over
-        pairwise disjoint domains every signature is its own group; else a
-        signature's group key is its sorted ``(successor, numerator)``
-        pairs, summed over repeated successors."""
-        family = self.family
-        supp = family.support(s)
-        key = itemgetter(*supp)
-        whole = key(family.domains)
-        if len(supp) == 1:
-            every = range(len(whole))
-            table = self._tables[s] = _Table(
-                supp, key, whole, {}, [(v,) for v in whole], every, every,
-                [(((v, 1.0),), ((v, 1),)) for v in whole], 1, whole, [], {})
-            return table
-        den, terms = integer_row([(k, p) for p, k in family.rows[s]])
-        weight = dict(terms)
-        weights = [weight[k] for k in supp]
-        sigs = list(product(*whole))
-        successors = set().union(*whole)
-        if len(successors) == sum(map(len, whole)):
-            floats = [m / den for m in weights]
-            group = first = range(len(sigs))
-            dists = [(tuple(sorted(zip(sig, floats))),
-                      tuple(sorted(zip(sig, weights)))) for sig in sigs]
-        else:
-            groups: dict[tuple[tuple[int, int], ...], int] = {}
-            group, first, dists = [], [], []
-            for i, sig in enumerate(sigs):
-                if len(set(sig)) == len(sig):
-                    masses = tuple(sorted(zip(sig, weights)))
-                else:
-                    merged: dict[int, int] = {}
-                    for t, w in zip(sig, weights):
-                        merged[t] = merged.get(t, 0) + w
-                    masses = tuple(sorted(merged.items()))
-                gid = groups.setdefault(masses, len(groups))
-                if gid == len(first):
-                    first.append(i)
-                    dists.append((tuple([(t, m / den) for t, m in masses]),
-                                  masses))
-                group.append(gid)
-        table = self._tables[s] = _Table(
-            supp, key, whole, {}, sigs, group, first, dists, den,
-            tuple(successors), [], {})
-        return table
+    def _record(self, s: int) -> _Record:
+        """Make and keep the record of state ``s``.  Weights are integer
+        numerators over the row's common denominator (``integer_row``): one
+        positive scale keeps the distributions that the exact rational sums
+        tell apart."""
+        supp = self.family.support(s)
+        den, terms = integer_row(sorted([(k, p) for p, k in
+                                         self.family.rows[s]]))
+        record = self._records[s] = _Record(
+            supp, itemgetter(*supp), {}, [m for _, m in terms], den, {}, {})
+        return record
 
     def action_counts(self) -> tuple[int, ...]:
         """Distinct merged actions per state for the full family."""
-        return tuple(len((table or self._build(s)).dists)
-                     for s, table in enumerate(self._tables))
+        domains = self.family.domains
+        return tuple(len(self._enumerate(record or self._record(s),
+                                         domains)[0])
+                     for s, record in enumerate(self._records))
 
     @property
     def n_actions(self) -> int:
@@ -200,18 +143,17 @@ class QuotientMDP:
         """
         family = self.family
         subsets = sub.subsets
-        tables = self._tables
+        records = self._records
         actions: list[list[MdpAction]] = [[]] * family.n_states
         found = {family.initial}
         stack = [family.initial]
         while stack:
             s = stack.pop()
-            table = tables[s] or self._build(s)
-            key = table.key(subsets)
-            hit = table.memo.get(key)
+            record = records[s] or self._record(s)
+            key = record.key(subsets)
+            hit = record.memo.get(key)
             if hit is None:
-                hit = table.memo[key] = self._enumerate(s, table, key,
-                                                        subsets)
+                hit = record.memo[key] = self._enumerate(record, subsets)
             actions[s] = hit[0]
             for t in hit[1]:
                 if t not in found:
@@ -222,56 +164,39 @@ class QuotientMDP:
                         self._rewards_float, live)
         return RestrictedQuotient(self, sub, mdp)
 
-    def _enumerate(self, s: int, table: _Table, key: tuple,
+    def _enumerate(self, record: _Record,
                    subsets: tuple[tuple[int, ...], ...]
                    ) -> tuple[list[MdpAction], tuple[int, ...]]:
-        """The actions of state ``s`` under ``subsets``, whose memo key is
-        ``key``, and their distinct successors.  Each group is represented
-        by its first surviving signature in domain order, and the actions
-        are in the order of these.  Where ``key`` keeps whole domains every
-        signature survives, so they are the groups' first signatures in
-        group order; otherwise the surviving signatures are enumerated as
-        sorted indices and skipped once their group is represented."""
-        group, dists = table.group, table.dists
-        if key == table.whole:
-            order, successors = table.first, table.successors
-        else:
-            successors = None
-            if not table.offsets:
-                stride = 1
-                for k in reversed(table.params):
-                    domain = self.family.domains[k]
-                    table.offsets.insert(
-                        0, {v: i * stride for i, v in enumerate(domain)})
-                    stride *= len(domain)
-            picks = [[off[v] for v in subsets[k]]
-                     for k, off in zip(table.params, table.offsets)]
-            if len(picks) == 1:
-                survivors = sorted(picks[0])
-            else:
-                survivors = sorted(map(sum, product(*picks)))
-            order = []
-            seen: set[int] = set()
-            for i in survivors:
-                gid = group[i]
-                if gid not in seen:
-                    seen.add(gid)
-                    order.append(i)
-                    if len(seen) == len(dists):
-                        break
-        supp, sigs, den = table.params, table.signatures, table.den
-        cache = table.actions
-        per_state: list[MdpAction] = []
-        for i in order:
-            action = cache.get(i)
+        """The actions of ``record``'s state under ``subsets``, and their
+        distinct successors.  The signatures are the product of each
+        supported parameter's domain, filtered to its subset, so they come
+        in domain order whatever the subset order; the first signature of
+        each distinct distribution represents it.  A signature seen for the
+        first time gets its action, with its masses summed over repeated
+        successors; the signatures of one distribution share its ``dist``
+        and ``masses``."""
+        domains = self.family.domains
+        values = [[v for v in domains[k] if v in subsets[k]]
+                  for k in record.params]
+        params, weights, den = record.params, record.weights, record.den
+        actions, dists = record.actions, record.dists
+        # keyed by the shared ``dist``, one object per distinct distribution
+        first: dict[int, MdpAction] = {}
+        for sig in product(*values):
+            action = actions.get(sig)
             if action is None:
-                dist, masses = dists[group[i]]
-                action = cache[i] = MdpAction(
-                    dist, MergedAction(supp, sigs[i], masses, den))
-            per_state.append(action)
-        if successors is None:
-            successors = tuple({t for dist, _ in per_state for t, _ in dist})
-        return per_state, successors
+                merged: dict[int, int] = {}
+                for t, w in zip(sig, weights):
+                    merged[t] = merged.get(t, 0) + w
+                masses = tuple(sorted(merged.items()))
+                pair = dists.get(masses)
+                if pair is None:
+                    pair = dists[masses] = (
+                        tuple([(t, m / den) for t, m in masses]), masses)
+                action = actions[sig] = MdpAction(
+                    pair[0], MergedAction(params, sig, pair[1], den))
+            first.setdefault(id(action.dist), action)
+        return list(first.values()), tuple(set().union(*values))
 
 
 def build_quotient(family: FamilyModel) -> QuotientMDP:

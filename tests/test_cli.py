@@ -179,8 +179,10 @@ NO_SPECS = EXAMPLE1.read_text().partition("\nspecs\n")[0]
     # the document has no rewards, which the solver finds
     (("synth", "--spec-string", 'E<=3 F "one"', MODEL), 2, "bad-reward"),
     (("synth", "--spec", "obj", MODEL), 2, "unsupported-spec"),
+    (("check", "--spec-string", 'P<=1/0 F "two"', MODEL), 2, "bad-number"),
 ], ids=["spec-string", "spec-string-objective", "unknown-spec", "no-specs",
-        "bad-threshold", "no-rewards", "objective-for-threshold"])
+        "bad-threshold", "no-rewards", "objective-for-threshold",
+        "zero-denominator"])
 def test_spec_selection(tmp_path, capsys, argv, code, expect):
     # exit 0 prints the spec that ran, any other exit one diagnostic line
     # with the error's code

@@ -121,6 +121,29 @@ phi : E<=1 F "goal"
     assert err.value.code == "missing-section"
 
 
+def test_empty_rewards_section_means_zero_rewards():
+    # the section's presence means rewards; omitted states default to 0
+    doc = """states 2
+initial 0
+params
+k : 1
+trans
+0 : 1:k
+1 : 1:k
+rewards
+labels
+goal : 1
+specs
+phi : E<=1 F "goal"
+"""
+    family, specs = parse_family(doc)
+    assert family.rewards == (0, 0)
+    assert specs == {"phi": parse_spec('E<=1 F "goal"')}
+    text = serialize_family(family, specs)
+    assert parse_family(text) == (family, specs)
+    assert serialize_family(*parse_family(text)) == text
+
+
 def test_missing_sections_reported():
     with pytest.raises(FormatError) as err:
         parse_family("initial 0\nparams\nk : 0\ntrans\n0 : 1:k\n")
@@ -211,12 +234,17 @@ phi : P>=1/2 F "goal"
     ("1 : 1:b\n", "", "missing-section", None),
     ("1 : 1:b\n", "1 : 1:b\n2 : 1:b\n", "bad-state", None),
     ("rewards\n0 : 1", "rewards\n5 : 1", "bad-state", None),
+    ("1/2:a", "1/0:a", "bad-number", 7),
+    ("0 : 1\nlabels", "0 : 1/0\nlabels", "bad-number", 10),
+    ("P>=1/2", "P>=1/0", "bad-number", 14),
 ], ids=["states-not-a-number", "dup-states", "dup-initial", "dup-section",
         "no-key", "outside-section", "bad-identifier", "dup-parameter",
         "bad-state-index", "empty-domain", "dup-row", "term-without-param",
         "bad-number", "dup-reward", "dup-label", "label-without-state",
         "dup-spec", "spec-without-goal", "missing-initial", "missing-row",
-        "row-of-unknown-state", "reward-of-unknown-state"])
+        "row-of-unknown-state", "reward-of-unknown-state",
+        "zero-denominator-weight", "zero-denominator-reward",
+        "zero-denominator-threshold"])
 def test_parse_errors(old, new, code, line):
     parse_family(VALID)  # valid without the change
     assert VALID.count(old) == 1

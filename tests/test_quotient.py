@@ -652,26 +652,52 @@ def test_restriction_names_family_states_and_skips_unreached_ones():
 
 def test_tables_are_built_on_first_reach(monkeypatch):
     built = []
-    build = QuotientMDP._build
+    build = QuotientMDP._record
 
     def counting(quotient, s):
         built.append(s)
         return build(quotient, s)
 
-    monkeypatch.setattr(QuotientMDP, "_build", counting)
+    monkeypatch.setattr(QuotientMDP, "_record", counting)
     quotient = build_quotient(unreachable_family())
     assert built == []
-    # nothing per state before the first restriction: no table, memo or
+    # nothing per state before the first restriction: no record, memo or
     # memo key, only the rewards the engine reads at every state
-    assert quotient._tables == [None] * 4
-    assert set(vars(quotient)) == {"family", "_tables", "_rewards_float"}
+    assert quotient._records == [None] * 4
+    assert set(vars(quotient)) == {"family", "_records", "_rewards_float"}
     quotient.restrict(Subfamily.full(quotient.family))
     quotient.restrict(Subfamily(((1,), (1,))))
-    # state 2 is never reached, and no reached state is built twice
+    # state 2 is never reached, and no reached state is made twice
     assert sorted(built) == [0, 1, 3]
-    assert quotient._tables[2] is None
+    assert quotient._records[2] is None
     assert quotient.action_counts() == (2, 1, 1, 1)
     assert sorted(built) == [0, 1, 2, 3]
+
+
+def test_signatures_keep_their_action_and_share_their_distribution():
+    # a=1, b=2 and a=2, b=1 give one distribution.  A signature keeps one
+    # action object in every list it appears in, and the signatures of one
+    # distribution share its float and integer forms: ``inherit``'s
+    # comparisons and the kept quotient's footprint rely on both
+    family = FamilyModel(
+        n_states=3, initial=0, param_names=("a", "b"),
+        domains=((1, 2), (1, 2)),
+        rows=(((H, 0), (H, 1)), ((Fraction(1), 0),), ((Fraction(1), 1),)))
+    quotient = build_quotient(family)
+    lists = [quotient.restrict(Subfamily(subsets)).mdp.actions[0]
+             for subsets in (((1, 2), (1, 2)), ((2,), (1, 2)),
+                             ((1, 2), (1,)), ((2,), (1,)))]
+    [whole, a2, b1, both] = [{action.tag.values: action for action in acts}
+                             for acts in lists]
+    assert list(whole) == [(1, 1), (1, 2), (2, 2)]
+    assert list(a2) == [(2, 1), (2, 2)] and list(b1) == [(1, 1), (2, 1)]
+    assert whole[(2, 2)] is a2[(2, 2)]
+    assert a2[(2, 1)] is b1[(2, 1)] is both[(2, 1)]
+    # the two signatures of the mixed distribution share its float and
+    # integer forms
+    assert whole[(1, 2)].dist is a2[(2, 1)].dist
+    assert whole[(1, 2)].tag.masses is a2[(2, 1)].tag.masses
+    assert whole[(1, 2)].tag.dist_exact == ((1, H), (2, H))
 
 
 def test_unification_is_exact_for_non_dyadic_weights():
