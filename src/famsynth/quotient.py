@@ -43,7 +43,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, SizeCapError
+from .errors import ConsistencyError, ModelError, SizeCapError
 from .family import (
     FamilyModel,
     Realisation,
@@ -174,10 +174,17 @@ class QuotientMDP:
         each distinct distribution represents it.  A signature seen for the
         first time gets its action, with its masses summed over repeated
         successors; the signatures of one distribution share its ``dist``
-        and ``masses``."""
+        and ``masses``.  A subset with a value outside its parameter's
+        domain, or a repeated one, raises a ``bad-domain`` ``ModelError``."""
         domains = self.family.domains
         values = [[v for v in domains[k] if v in subsets[k]]
                   for k in record.params]
+        for k, kept in zip(record.params, values):
+            if len(kept) < len(subsets[k]):
+                raise ModelError(
+                    f"subfamily values {subsets[k]} of "
+                    f"{self.family.param_names[k]} are not distinct values "
+                    f"of its domain {domains[k]}", code="bad-domain")
         params, weights, den = record.params, record.weights, record.den
         actions, dists = record.actions, record.dists
         # keyed by the shared ``dist``, one object per distinct distribution

@@ -5,16 +5,16 @@ members; max/min synthesis finds an optimal member; feasibility stops at the
 first satisfying member.  All three run one loop (``_Loop.run``): take the
 next subfamily, restrict the quotient to it, let the mode's step decide,
 then split the subfamily or file it, and record the iteration.  The steps
-differ only in the directions they solve and how they read them: each
-solves one direction and the other only when the first cannot decide or
-the subfamily splits.  A singleton's restriction has one action per state,
-so both directions solve its member's chain: it takes the other direction
-from the first instead of solving it again.  Threshold and max/min
-synthesis lead with the direction that can decide alone (max for
+differ only in the directions they solve and how they read them: each solves
+one direction and the other only when the first cannot decide or the
+subfamily splits by both schedulers (below).  A singleton's restriction has
+one action per state, so both directions solve its member's chain: it takes
+the other direction from the first instead of solving it again.  Threshold
+and max/min synthesis lead with the direction that can decide alone (max for
 ``<``/``<=`` and max objectives, min otherwise), though threshold synthesis
 takes the directions a child inherits (below) before any solve.  Max/min
-synthesis stops at the first consistent scheduler pinned at exactly 1
-(max) or 0 (min): that is its member's exact value, and no member beats it.
+synthesis stops at the first consistent scheduler pinned at exactly 1 (max)
+or 0 (min): that is its member's exact value, and no member beats it.
 
 Feasibility, as in the paper, leads with the witness side instead (max for
 ``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent (one
@@ -35,34 +35,43 @@ a min pinned at 1 come from ``prob0_forall`` and ``prob1_forall`` and hold
 for every member.  The graph analyses read the quotient's supports, which
 are the members' exact supports: every mass ``m / den > 0`` is listed.
 
-A split subfamily has solved both directions, and its two children wait in
-the queue with one shared record of its restriction and results.  A child
-takes a direction from that record instead of solving it when the parent's
-scheduler for it keeps its chosen distribution at every state the child
-holds (``quotient.inherit``).  A split cuts a parameter's values where
-their solved values drop most, and the max scheduler tends to pick
-values worth more than the min scheduler's, so often one child keeps
-every action of the parent's max scheduler and the other every action of
-its min scheduler.  This is sound because the child's actions are a subset
-of the parent's: the surviving scheduler induces the parent's chain, so the
-parent's certified values stay certified for the child, and they lie
-within the parent's certification margin of the child's optimum.  A child
-that cannot inherit a direction starts its solve from the parent's values
-for it (restrictions keep family state numbers, so they index the child's
-states), which usually leaves policy iteration fewer rounds; the start
-changes only the search, so a tie broken differently may move a certified
-value in its last digits.
+A split subfamily's two children wait in the queue with one shared record of
+its restriction and the directions it solved.  A child takes a direction from
+that record instead of solving it when the parent's scheduler for it keeps
+its chosen distribution at every state the child holds
+(``quotient.inherit``).  A split by both schedulers cuts a parameter's values
+where their solved values drop most, and the max scheduler tends to pick
+values worth more than the min scheduler's, so often one child keeps every
+action of the parent's max scheduler and the other every action of its min
+scheduler.  This is sound because the child's actions are a subset of the
+parent's: the surviving scheduler induces the parent's chain, so the
+parent's certified values stay certified for the child, and they lie within
+the parent's certification margin of the child's optimum.  A child that
+cannot inherit a direction starts its solve from the parent's values for it
+(restrictions keep family state numbers, so they index the child's states),
+which usually leaves policy iteration fewer rounds; the start changes only
+the search, so a tie broken differently may move a certified value in its
+last digits.
 
-A split looks only at the states whose min/max gap is the full gap at the
-initial state, or, when fewer states than splittable parameters have it,
-at least ``IMPORTANCE`` times that gap.  Every query mode scores a
-splittable parameter the same way, by variance: how far the max and min
-schedulers' choice counts for its values differ over those states.  A
-parameter's value is a successor state, worth that state's max plus min
-value.  The highest score is split, and a tie goes to the parameter whose
-values spread furthest in worth.  Its values, ranked by worth, are cut at
-the largest drop between neighbours, and the upper part is kept together
-(``select_predicate``).
+A split by both schedulers looks only at the states whose min/max gap is
+the full gap at the initial state, or, when fewer states than splittable
+parameters have it, at least ``IMPORTANCE`` times that gap.  It scores a
+splittable parameter by variance: how far the max and min schedulers'
+choice counts for its values differ over those states.  A parameter's
+value is a successor state, worth that state's max plus min value.  The
+highest score is split, and a tie goes to the parameter whose values
+spread furthest in worth.  Its values, ranked by worth, are cut at the
+largest drop between neighbours, and the upper part is kept together
+(``select_predicate``).  Threshold synthesis and feasibility split this
+way, and so does max/min synthesis when its lead is infinite.
+
+Max/min synthesis splits a subfamily whose lead is finite on the lead
+alone, as branch and bound branches on a variable that the relaxation's
+optimum violates: the lead bounds the subfamily, and a consistent lead is
+a member, so the split needs only the lead's inconsistency.  It cuts a
+parameter that the lead picks two or more values of, between its best and
+worst picks by the lead's values, and solves no other direction
+(``lead_predicate``), so the children can inherit only the lead.
 
 Threshold synthesis refines its subfamilies first in, first out.  Max/min
 synthesis and feasibility search for one member, so they refine best first,
@@ -96,8 +105,8 @@ splits, and a singleton takes its exact check with the exact rational
 chain solver.  Max/min synthesis reads its lead from the same range,
 discards a subfamily whose ``lo`` is ``inf`` as undefined, and discards
 one whose lead cannot strictly beat the best member found: an uncertified
-lead is infinite, so the subfamily splits or a singleton's member is
-valued exactly.
+lead is infinite, so the subfamily splits by both schedulers or a
+singleton's member is valued exactly.
 """
 
 from __future__ import annotations
@@ -261,7 +270,8 @@ def important_states(res_min: CheckResult, res_max: CheckResult,
                      if gap >= IMPORTANCE * gap0)
 
 
-def extract_counts(choices: tuple[int, ...], important: frozenset[int],
+def extract_counts(choices: tuple[int, ...],
+                   important: frozenset[int] | set[int],
                    restricted: RestrictedQuotient) -> dict[int, dict[int, int]]:
     """Per splittable parameter, how often the scheduler whose action
     indices are ``choices`` picks each value of its current subset over the
@@ -323,6 +333,43 @@ def select_predicate(c_max: dict[int, dict[int, int]],
     keep = tuple(t for t in current if t in chosen)
     return ScoreReport(variance=variance, chosen_param=best,
                        chosen_values=keep)
+
+
+def lead_predicate(picks: dict[int, dict[int, int]], sub: Subfamily,
+                   values: tuple[float, ...],
+                   maximize: bool) -> tuple[int, tuple[int, ...]]:
+    """Split an inconsistent lead scheduler's picks apart: the parameter to
+    split and the values of its current subset to keep together.
+
+    ``picks`` counts, per splittable parameter, the states the lead reaches
+    before the goal that pick each value (``extract_counts``); ``values``
+    are the lead's solved values by state.  Among the parameters picked at
+    two or more values, the one with the most states off its most frequent
+    pick is split; ties go to the widest spread of the values of its picks,
+    then by declaration order.  Its values are ranked best first (descending
+    for max, ascending for min, equal values in domain order) and cut at the
+    largest drop between neighbours that separates its first and last
+    picked value; drop ties go to the more balanced cut, then the earlier
+    one.  The better part is kept.  Spreads and drops follow ``_gap``.
+    """
+    def score(k: int) -> tuple[int, float]:
+        counts = picks[k]
+        worths = [values[t] for t, n in counts.items() if n]
+        return (sum(counts.values()) - max(counts.values()),
+                _gap(max(worths), min(worths)))
+
+    # max keeps the first of equal keys: declaration order, earlier cut
+    best = max((k for k in sub.splittable
+                if sum(n > 0 for n in picks[k].values()) > 1), key=score)
+    current = sub.subsets[best]
+    ranked = sorted(current, key=lambda t: -values[t] if maximize
+                    else values[t])
+    at = [i for i, t in enumerate(ranked) if picks[best][t]]
+    n = len(ranked)
+    cut = max(range(at[0] + 1, at[-1] + 1), key=lambda i: (
+        abs(_gap(values[ranked[i - 1]], values[ranked[i]])), -abs(n - 2 * i)))
+    chosen = set(ranked[:cut])
+    return best, tuple(t for t in current if t in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +521,34 @@ class _Loop:
     def split(self, restricted: RestrictedQuotient,
               res: dict[str, CheckResult]) -> str:
         """Queue the two halves of the restriction's subfamily, keyed for
-        the lead (see ``__init__``); the split parameter's name."""
+        the lead (see ``__init__``); the split parameter's name.  With both
+        directions solved the cut is ``select_predicate``'s; with the lead
+        alone, whose scheduler is inconsistent, ``lead_predicate``'s."""
         sub = restricted.sub
-        imp = important_states(res["min"], res["max"], restricted, self.goal)
-        c_max = extract_counts(res["max"].choices, imp, restricted)
-        c_min = extract_counts(res["min"].choices, imp, restricted)
-        report = select_predicate(c_max, c_min, sub, res["max"].values,
-                                  res["min"].values)
-        parent = _Parent(restricted.mdp.actions, res)
         lead = self.lead
+        if len(res) == 2:
+            imp = important_states(res["min"], res["max"], restricted,
+                                   self.goal)
+            c_max = extract_counts(res["max"].choices, imp, restricted)
+            c_min = extract_counts(res["min"].choices, imp, restricted)
+            report = select_predicate(c_max, c_min, sub, res["max"].values,
+                                      res["min"].values)
+            param, keep = report.chosen_param, report.chosen_values
+        else:
+            # the lead's picks over the walk that ``is_consistent`` takes
+            found = res[lead]
+            picks = extract_counts(found.choices, before_goal(
+                restricted.mdp, found.choices, self.goal), restricted)
+            param, keep = lead_predicate(picks, sub, found.values,
+                                         lead == "max")
+        parent = _Parent(restricted.mdp.actions, res)
         if lead is not None:
             lo, hi = _range(res)
             end = -hi if lead == "max" else lo
-        for child in sub.split(report.chosen_param, report.chosen_values):
+        for child in sub.split(param, keep):
             key = () if lead is None else (end, child.size)
             heappush(self.queue, (key, next(self.pushes), child, parent))
-        return self.family.param_names[report.chosen_param]
+        return self.family.param_names[param]
 
     def classify(self, res: dict[str, CheckResult]) -> str | None:
         """Threshold decision from the ``_range`` of the directions solved
@@ -682,11 +741,13 @@ def _optimise(family: FamilyModel, spec: Specification,
     def better(a: float, b: float) -> bool:
         return a > b if maximize else a < b
 
-    # the other direction is solved only for a split (which needs both
-    # schedulers) or to tell an undefined Emax subfamily from one to split;
-    # a consistent lead pinned at exactly 1 (max) or 0 (min) is its
-    # member's value and the optimum, so the subfamilies still queued are
-    # dropped unsolved
+    # a finite lead bounds the subfamily: a consistent lead is a member, and
+    # an inconsistent one splits apart its own picks with no other solve.
+    # The other direction is solved only when the lead is infinite, to tell
+    # an undefined subfamily from one to split by both schedulers.  A
+    # consistent lead pinned at exactly 1 (max) or 0 (min) is its member's
+    # value and the optimum, so the subfamilies still queued are dropped
+    # unsolved
     def step(restricted, parent, res):
         sub = restricted.sub
         loop.solve(restricted, lead, parent, res)
@@ -706,19 +767,21 @@ def _optimise(family: FamilyModel, spec: Specification,
             # The lead is not certified, or it is a reward max whose
             # scheduler escapes the goal and an undefined member may hide
             # here: a singleton's member is undefined, and anything else
-            # narrows down.
+            # splits by both schedulers, unless no scheduler reaches the
+            # goal almost surely.
             if sub.is_singleton:
                 return "discard-undefined"
-        elif is_consistent(restricted, res[lead].choices, loop.goal)[0]:
+            loop.solve(restricted, other, parent, res)
+            return ("discard-undefined" if _range(res)[0] == math.inf
+                    else "split")
+        if is_consistent(restricted, res[lead].choices, loop.goal)[0]:
             outcome.best = next(scheduler_to_realisations(
                 restricted, res[lead].choices, loop.goal).members())
             outcome.best_value = leadv
             if _pinned_extreme(res[lead], maximize):
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"
-        # split, unless no scheduler reaches the goal almost surely
-        loop.solve(restricted, other, parent, res)
-        return "discard-undefined" if _range(res)[0] == math.inf else "split"
+        return "split"  # on the lead's picks alone (``lead_predicate``)
 
     loop.run(outcome, step)
     if outcome.best is None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from famsynth import (
     ConsistencyError,
     FamilyModel,
+    ModelError,
     QuotientMDP,
     Realisation,
     SizeCapError,
@@ -106,6 +107,17 @@ def test_restrict_keeps_matching_signatures(example1):
     [(dist, ma)] = restricted.mdp.actions[0]
     assert ma.dist_exact == ((0, H), (1, H))
     assert len(restricted.mdp.actions[1]) == 2  # k1 fixed, k2 still free
+
+
+def test_restrict_rejects_a_value_outside_the_domain(example1):
+    # k1's domain is (0, 1): state 7 is no value of it, and the "subfamily"
+    # would have size 6 in a family of 4 members
+    model, _ = example1
+    with pytest.raises(ModelError, match=r"\(0, 1, 7\) of k1") as err:
+        QuotientMDP(model).restrict(Subfamily(((0,), (0, 1, 7), (2, 3))))
+    assert err.value.code == "bad-domain"
+    with pytest.raises(ModelError, match="k2"):
+        QuotientMDP(model).restrict(Subfamily(((0,), (0, 1), (3, 3))))
 
 
 def test_restrict_to_full_family_is_identity(example1):

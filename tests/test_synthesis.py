@@ -34,6 +34,7 @@ from famsynth import (
     threshold_synthesis,
 )
 from famsynth import engine, synthesis
+from famsynth.synthesis import lead_predicate
 from famsynth.engine import exact_mc_probability, exact_mc_reward, mdp_from_mc
 from famsynth.quotient import before_goal
 from conftest import (REPO, R1, R2, R3, R4, ladder, random_subfamily,
@@ -738,6 +739,28 @@ def test_select_predicate_spreads_an_infinite_value_furthest():
     assert report.chosen_param == 1
 
 
+def test_lead_predicate_cuts_between_the_leads_picks():
+    # the lead's values by state; k0's values are states 1-5, k1's 6 and 7
+    values = (0.0, 1.0, 0.5, 0.5, 0.0, 0.0, 1.0, 0.25)
+    sub = Subfamily(((1, 2, 3, 4, 5), (6, 7), (0,)))
+    k0 = dict.fromkeys((1, 2, 3, 4, 5), 0)
+    # one state off the most frequent pick each: k0's picks spread 1.0, k1's
+    # 0.75.  Best first for max, k0's drops are 0.5, 0, 0.5, 0: the cut
+    # after three values is more balanced than the one after one
+    picks = {0: {**k0, 1: 1, 5: 1}, 1: {6: 1, 7: 1}}
+    assert lead_predicate(picks, sub, values, True) == (0, (1, 2, 3))
+    # ascending for min, equal values in domain order: 4, 5, 2, 3, 1
+    assert lead_predicate(picks, sub, values, False) == (0, (4, 5))
+    # more states off k1's most frequent pick
+    picks[1] = {6: 2, 7: 2}
+    assert lead_predicate(picks, sub, values, True) == (1, (6,))
+    assert lead_predicate(picks, sub, values, False) == (1, (7,))
+    # only the cut between picks 2 and 3 separates them, though the drop
+    # after three values is larger; k1 is picked at one value only
+    picks = {0: {**k0, 2: 1, 3: 1}, 1: {6: 3, 7: 0}}
+    assert lead_predicate(picks, sub, values, True) == (0, (1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Loop-shape properties
 # ---------------------------------------------------------------------------
@@ -1056,24 +1079,33 @@ def test_refinement_decisions_pinned_on_larger_family():
 
 
 def test_optimum_decisions_pinned_on_larger_family():
-    # max/min queries split by variance score, like threshold queries: a
-    # change to the split rule, restriction or inheritance that changes any
-    # split changes these counts
+    # a change to the split rules, restriction or inheritance that changes
+    # any split changes these counts
     family = random_family(1, max_states=150, max_params=10, max_domain=4,
                            rewards=True)
-    out = max_synthesis(family, parse_spec('Pmax F "goal"'))
-    # the root's max is pinned at 1, but its scheduler is not consistent.
-    # Best first, every split keeps max 1, so the smaller half comes next:
-    # inheritance changes no decision here, and solving every direction
-    # afresh explores the same 5 subfamilies with 9 solves.  The last one's
-    # member is pinned at probability 1, so the subfamilies still queued
-    # are dropped unsolved.  First in, first out took 16 subfamilies
-    assert out.stats.iterations == 5
-    assert out.best.values == (16, 31, 13, 1, 6, 1, 34, 24, 1, 31)
+    out = max_synthesis(family, parse_spec('Pmax F "goal"'),
+                        collect_trace=True)
+    # the root's max is pinned at 1, but its scheduler is not consistent,
+    # so the root splits apart the lead's picks with no min solve; so does
+    # the next subfamily.  The last one's member is pinned at probability
+    # 1, so the subfamilies still queued are dropped unsolved.  Splitting
+    # by variance with both directions solved took 5 subfamilies and 8
+    # solves, and first in, first out 16 subfamilies
+    assert [(rec.decision, rec.split_param, rec.min_value)
+            for rec in out.trace[:2]] == [("split", "k2", None),
+                                          ("split", "k9", None)]
+    assert out.stats.iterations == 4
+    assert out.best.values == (16, 31, 6, 0, 14, 1, 34, 24, 1, 31)
     assert out.best_value == 1.0
-    # the other direction is used only for the subfamilies that split
-    assert out.stats.solver_calls == 8
-    assert out.stats.inherited == 1
+    # the other direction is never solved: one solve per subfamily
+    assert out.stats.solver_calls == 4
+    assert out.stats.inherited == 0
+    # Emin splits its root's lead apart on k9: one half has no member with
+    # a defined reward, and the other's lead is consistent.  Splitting by
+    # variance took 11 subfamilies and 11 solves
+    out = min_synthesis(family, parse_spec('Emin F "goal"'))
+    assert (out.stats.iterations, out.stats.solver_calls) == (3, 3)
+    assert out.best.values == (16, 31, 13, 1, 6, 1, 34, 24, 1, 31)
     family = random_family(16, max_states=60, max_params=8, max_domain=4,
                            rewards=True)
     # the root's min scheduler is consistent on the states it reaches
@@ -1187,7 +1219,7 @@ def test_singleton_takes_the_other_direction_of_its_one_chain(seed, kind,
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]))
-@example(seed=27146, direction="max")  # the first member found is pinned at 0
+@example(seed=27146, direction="max")  # a lead split; 0.75, then 1 is found
 def test_optimum_stop_at_pinned_extreme_keeps_the_optimum(seed, direction):
     # a consistent scheduler pinned at exactly 1 (max) or 0 (min) is its
     # member's value and the optimum: runs that stop there return what runs
@@ -1206,75 +1238,90 @@ def test_optimum_stop_at_pinned_extreme_keeps_the_optimum(seed, direction):
 def test_optimum_goes_on_past_a_max_pinned_at_zero():
     # the first member found is pinned at 0, which later members beat: the
     # second split's halves tie on its max, 1, and the smaller half, whose
-    # members are all worth 0, comes first
-    family = random_family(27146, max_states=12, max_params=4, max_domain=4)
-    out = max_synthesis(family, parse_spec('Pmax F "goal"'),
-                        collect_trace=True)
-    assert [(r.decision, r.max_value) for r in out.trace] == [
-        ("split", 1.0), ("split", 1.0), ("improve", 0.0), ("improve", 1.0)]
+    # members are all worth 0, comes first.  The last member, pinned at 1,
+    # ends the search with a subfamily still queued: a run that never stops
+    # early takes the same steps first and returns the same member
+    family = random_family(101, max_states=40, max_params=10, max_domain=4)
+    spec = parse_spec('Pmax F "goal"')
+    out = max_synthesis(family, spec, collect_trace=True)
+    assert [(r.size, r.decision, r.max_value) for r in out.trace] == [
+        (72, "split", 1.0), (24, "split", 1.0), (6, "improve", 0.0),
+        (18, "split", 1.0), (9, "improve", 0.125), (9, "improve", 1.0)]
     assert out.best_value == 1.0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synthesis, "_pinned_extreme", lambda res, maximize: False)
+        full = max_synthesis(family, spec, collect_trace=True)
+    assert out.trace == full.trace[:-1]
+    assert (out.best, out.best_value) == (full.best, full.best_value)
 
 
 def test_optimum_bound_is_the_best_member_found():
-    # the third subfamily's max, 0, is the first member found, so it
-    # improves; the mins of the next two splits show that each of their
-    # members is worth at least 0.857, but a split's values do not move the
-    # bound, which stays at the best member found until a member beats it
-    family = random_family(27716, max_states=12, max_params=4, max_domain=4)
-    out = max_synthesis(family, parse_spec('Pmax F "goal"'),
-                        collect_trace=True)
+    # only a split with an infinite lead solves the other direction: here
+    # Emax splits whose max schedulers may miss the goal.  The second
+    # subfamily's max, 8, is the first member found, so it improves; the
+    # mins of the next two splits show that each of their members is worth
+    # at least 9.75, but a split's values do not move the bound, which
+    # stays at the best member found until a member beats it
+    family = random_family(12, max_states=12, max_params=4, max_domain=4,
+                           rewards=True)
+    spec = parse_spec('Emax F "goal"')
+    out = max_synthesis(family, spec, collect_trace=True)
     assert [rec.decision for rec in out.trace] == \
-        ["split", "split", "improve", "split", "split", "improve", "improve"]
-    assert out.trace[3].min_value > 0.857 > out.trace[2].max_value == 0.0
-    assert [rec.best_value for rec in out.trace] == \
-        [None, None, 0.0, 0.0, 0.0, 0.875, 1.0]
-    assert (out.stats.iterations, out.stats.solver_calls) == (7, 8)
-    assert out.best.values == (1, 3, 5)
-    assert out.best_value == 1.0
+        ["split", "improve", "split", "split", "improve", "split", "split",
+         "discard-undefined", "improve", "discard", "discard-undefined"]
+    assert out.trace[2].min_value > 9.7 > out.trace[1].max_value == 8.0
+    assert out.trace[3].min_value > 9.7
+    assert [rec.best_value for rec in out.trace[:5]] == \
+        [None, 8.0, 8.0, 8.0, 17.5]
+    assert (out.stats.iterations, out.stats.solver_calls) == (11, 11)
+    assert out.best.values == one_by_one(family, spec).best.values == \
+        (6, 5, 4)
+    assert out.best_value == out.trace[8].max_value
 
 
 def test_optimum_keeps_a_lead_that_ties_the_reached_value():
-    # every member of the third subfamily is worth at most its max, 0.339,
-    # and the fourth, a singleton, has a min no lower: a split moves no
-    # bound, so it beats the best member found, 1.0, and improves.  The
-    # fifth ties the fourth and is discarded: only a strictly better lead
-    # improves.  The fourth's lead is certified, so it takes no exact
-    # check.
+    # the root's min scheduler is inconsistent, so the root splits apart
+    # its picks and solves no max: no split max can move the bound.  The
+    # second subfamily's lead is consistent and improves; the third ties it
+    # and is discarded: only a strictly better lead improves.  The second's
+    # lead is certified, so it takes no exact check.
     family = random_family(611, max_states=20, max_params=4, max_domain=4)
     out = min_synthesis(family, parse_spec('Pmin F "goal"'),
                         collect_trace=True)
     assert [rec.decision for rec in out.trace] == \
-        ["split", "improve", "split", "improve", "discard"]
-    assert out.trace[3].size == 1
-    assert out.trace[2].best_value == 1.0
-    assert out.trace[3].min_value >= out.trace[2].max_value
-    assert out.trace[4].min_value == out.trace[3].best_value
+        ["split", "improve", "discard"]
+    assert out.trace[0].max_value is None
+    assert out.trace[2].min_value == out.trace[1].best_value
     assert out.stats.exact_calls == 0
     assert out.best.values == (10, 14, 15)
-    assert out.best_value == out.trace[3].min_value
+    assert out.best_value == out.trace[1].min_value
 
 
 def test_optimum_keeps_an_exactly_valued_lead_above_a_split_max(
         monkeypatch):
-    # single-member solves marked uncertified are valued exactly; the
-    # singleton (10, 14, 15) is worth 0.3392857142857143, 4e-16 above the
-    # certified max of the split that holds it, so a bound raised to that
-    # max would discard it and its sibling and return (10, 14, 17) at 1.0
-    def uncertified_singles(mdp, goal, direction, start=None):
+    # min solves marked uncertified bound nothing, so every subfamily
+    # splits with both directions solved and each singleton is valued
+    # exactly; the singleton (10, 14, 15) is worth 0.3392857142857143,
+    # 4e-16 above the certified max of the split that holds it, so a bound
+    # raised to that max would discard it and its sibling and return
+    # (10, 14, 17) at 1.0
+    def uncertified_min(mdp, goal, direction, start=None):
         res = solve_prob(mdp, goal, direction, start=start)
-        live = range(mdp.n_states) if mdp.live is None else mdp.live
-        if all(len(mdp.actions[s]) == 1 for s in live):
+        if direction == "min":
             res = dataclasses.replace(res, certified=False)
         return res
 
-    monkeypatch.setattr(synthesis, "solve_prob", uncertified_singles)
+    monkeypatch.setattr(synthesis, "solve_prob", uncertified_min)
     monkeypatch.setattr(synthesis, "inherit", lambda *args: None)
     family = random_family(611, max_states=20, max_params=4, max_domain=4)
     spec = parse_spec('Pmin F "goal"')
-    out = min_synthesis(family, spec)
+    out = min_synthesis(family, spec, collect_trace=True)
     want = one_by_one(family, spec)
     assert out.best.values == want.best.values == (10, 14, 15)
     assert out.best_value == want.best_value == 0.3392857142857143
+    [holder] = [rec for rec in out.trace if rec.decision == "split"
+                and rec.subfamily == {"k0": [10, 17], "k1": [14], "k2": [15]}]
+    assert holder.max_value < out.best_value
 
 
 def test_optima_match_one_by_one_on_larger_families():
@@ -1315,22 +1362,79 @@ def test_feasibility_searches_best_first():
 
 
 def test_optimum_searches_best_first():
-    # the fourth subfamily splits with max 0.417, so its halves wait behind
-    # the 192 members of its parent's sibling, whose parent has max 1: the
+    # the third subfamily splits with max 0.231, so its halves wait behind
+    # the 576 members of its parent's sibling, whose parent has max 1: the
     # search goes on there and ends at a member pinned at 1 before either
-    # half comes out.  Ordering the halves by size alone took 22
-    # subfamilies, and first in, first out 23
+    # half comes out.  Ordering the halves by size alone took 7
+    # subfamilies, and first in, first out 7
     family = random_family(114, max_states=150, max_params=10, max_domain=4,
                            rewards=True)
     out = max_synthesis(family, parse_spec('Pmax F "goal"'),
                         collect_trace=True)
-    assert out.trace[3].max_value < 0.42
-    assert [rec.size for rec in out.trace] == \
-        [1728, 864, 288, 96, 192, 96, 96, 32, 8, 2, 6, 2]
-    assert out.stats.solver_calls == 15
+    assert out.trace[2].max_value < 0.232
+    assert [rec.size for rec in out.trace] == [1728, 864, 288, 576, 288]
+    assert out.stats.solver_calls == 5
     assert out.best_value == 1.0
     assert solve_mc_exact(member_chain(family, out.best),
                           parse_spec('Pmax F "goal"')) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), direction=st.sampled_from(["max", "min"]))
+# lead splits are rare among random draws; on these, the largest drop over
+# all cuts would keep both of the lead's picks in one half
+@example(seed=9, direction="max")
+@example(seed=50, direction="min")
+def test_optimum_splits_an_inconsistent_lead_apart(seed, direction):
+    # a finite lead bounds its subfamily, and an inconsistent one is no
+    # member: the split cuts a parameter the lead picked two or more values
+    # of, with those picks on both sides, and solves no other direction.
+    # Only an infinite lead solves both
+    rng = random.Random(seed)
+    rewards = seed % 2 == 0
+    family = random_family(seed, max_states=rng.choice([12, 40, 60]),
+                           max_params=4, max_domain=4, rewards=rewards)
+    spec = Specification(kind="expected-reward" if rewards else "probability",
+                         goal="goal", direction=direction)
+    splits = []
+    split = synthesis._Loop.split
+
+    def recording(loop, restricted, res):
+        name = split(loop, restricted, res)
+        # the two halves are the last two pushed
+        halves = [entry[2] for entry in
+                  sorted(loop.queue, key=lambda entry: entry[1])[-2:]]
+        splits.append((restricted, dict(res), name, halves, loop.goal))
+        return name
+
+    run = max_synthesis if direction == "max" else min_synthesis
+    try:
+        want = one_by_one(family, spec).best_value
+    except UndefinedRewardError:
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synthesis._Loop, "split", recording)
+        out = run(family, spec, collect_trace=True)
+    records = [rec for rec in out.trace if rec.decision == "split"]
+    assert len(records) == len(splits)
+    for rec, (restricted, res, name, halves, goal) in zip(records, splits):
+        found = res[direction]
+        finite = found.certified and not math.isinf(found.at_initial)
+        if not finite:
+            assert set(res) == {"min", "max"}
+            continue
+        assert set(res) == {direction}
+        assert (rec.max_value if direction == "min" else rec.min_value) is None
+        k = family.param_names.index(name)
+        picked = set()
+        for s in before_goal(restricted.mdp, found.choices, goal):
+            tag = restricted.mdp.actions[s][found.choices[s]].tag
+            picked.update(v for p, v in zip(tag.params, tag.values) if p == k)
+        assert len(picked) >= 2
+        for half in halves:
+            assert picked & set(half.subsets[k])
+    assert float(solve_mc_exact(member_chain(family, out.best), spec)) == want
+    assert out.best_value == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def assert_halves_of_earlier_splits(trace, complete):
