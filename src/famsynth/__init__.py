@@ -46,14 +46,10 @@ from .quotient import (
     scheduler_to_realisations,
 )
 from .synthesis import (
-    ScoreReport,
     SynthesisOutcome,
-    extract_counts,
     feasibility,
-    important_states,
     max_synthesis,
     min_synthesis,
-    select_predicate,
     threshold_synthesis,
 )
 from .baselines import (

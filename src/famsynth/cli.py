@@ -226,10 +226,11 @@ def _positive_int(text: str) -> int:
 
 def _add_common(sub):
     sub.add_argument("model", help="input .fmc file, or - for stdin")
-    sub.add_argument("--spec", metavar="NAME",
-                     help="named spec from the input (default: first)")
-    sub.add_argument("--spec-string", metavar="SPEC",
-                     help="ad-hoc spec string instead of a named one")
+    spec = sub.add_mutually_exclusive_group()
+    spec.add_argument("--spec", metavar="NAME",
+                      help="named spec from the input (default: first)")
+    spec.add_argument("--spec-string", metavar="SPEC",
+                      help="ad-hoc spec string instead of a named one")
     sub.add_argument("--out", choices=("json", "csv", "text"),
                      default="json")
     sub.add_argument("--timings", action="store_true",

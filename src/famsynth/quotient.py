@@ -139,10 +139,15 @@ class QuotientMDP:
         list under the value subsets of its support; only a miss enumerates
         it.  A child therefore misses only at the states whose support holds
         the split parameter.  The memoised lists go into the MDP as they
-        are, in family numbers.
+        are, in family numbers.  A subfamily with another number of
+        parameters than the family raises a ``bad-domain`` ``ModelError``.
         """
         family = self.family
         subsets = sub.subsets
+        if len(subsets) != len(family.domains):
+            raise ModelError(
+                f"subfamily has {len(subsets)} parameters, the family "
+                f"{len(family.domains)}", code="bad-domain")
         records = self._records
         actions: list[list[MdpAction]] = [[]] * family.n_states
         found = {family.initial}

@@ -53,25 +53,26 @@ which usually leaves policy iteration fewer rounds; the start changes only
 the search, so a tie broken differently may move a certified value in its
 last digits.
 
-A split by both schedulers looks only at the states whose min/max gap is
-the full gap at the initial state, or, when fewer states than splittable
-parameters have it, at least ``IMPORTANCE`` times that gap.  It scores a
-splittable parameter by variance: how far the max and min schedulers'
-choice counts for its values differ over those states.  A parameter's
-value is a successor state, worth that state's max plus min value.  The
-highest score is split, and a tie goes to the parameter whose values
-spread furthest in worth.  Its values, ranked by worth, are cut at the
-largest drop between neighbours, and the upper part is kept together
-(``select_predicate``).  Threshold synthesis and feasibility split this
-way, and so does max/min synthesis when its lead is infinite.
-
-Max/min synthesis splits a subfamily whose lead is finite on the lead
-alone, as branch and bound branches on a variable that the relaxation's
-optimum violates: the lead bounds the subfamily, and a consistent lead is
-a member, so the split needs only the lead's inconsistency.  It cuts a
-parameter that the lead picks two or more values of, between its best and
-worst picks by the lead's values, and solves no other direction
-(``lead_predicate``), so the children can inherit only the lead.
+Both split rules cut through one ranking (``_cut``): a parameter's values,
+each a successor state, are ranked by their worth there and cut at the
+largest drop between neighbours within a window, and the upper part is
+kept together.  The rules differ in how they pick the parameter and what
+they rank by.  A split by both schedulers (``select_predicate``) looks at
+the states whose min/max gap is the full gap at the initial state, or,
+when fewer states than splittable parameters have it, at least
+``IMPORTANCE`` times that gap.  It splits the parameter with the highest
+variance (how far the two schedulers' choice counts for its values differ
+over those states), a tie going to the widest spread in worth; a value is
+worth its state's max plus min value, and the window is the whole ranking.
+Threshold synthesis and feasibility split this way, and so does max/min
+synthesis when its lead is infinite.  With a finite lead, max/min
+synthesis splits on the lead alone (``lead_predicate``), as branch and
+bound branches on a variable that the relaxation's optimum violates: the
+lead bounds the subfamily and a consistent lead is a member, so the split
+needs only its inconsistency.  It splits a parameter that the lead picks
+two or more values of; a value is worth the lead's value (negated for
+min), and the window parts its first and last pick.  No other direction
+is solved, so the children can inherit only the lead.
 
 Threshold synthesis refines its subfamilies first in, first out.  Max/min
 synthesis and feasibility search for one member, so they refine best first,
@@ -89,24 +90,24 @@ from a certified max.  A direction not solved or not certified
 (``CheckResult.certified``) bounds nothing and leaves its end open at
 ``-inf`` or ``inf``.  An end that qualitative analysis pinned
 (``CheckResult.pinned``) is an exact 0 or 1 and takes the exact verdict of
-that value, worked out once per query: the float threshold may round to it.
-Value iteration is one-sided (computed values never exceed the true
-fixpoint), so any other ``lo`` is compared with the float threshold
-literally and any other ``hi`` with a margin of ``MARGIN`` towards
-splitting, relative to thresholds above 1.  Threshold classification
-accepts when the range's worst end meets the threshold and rejects when
-its best end fails it.  An undefined reward is ``inf`` in every solve and
-exact check.  A min of ``inf`` at the initial state comes only from the
-graph analyses (no scheduler reaches the goal almost surely), so it sets
-``lo`` certified or not and makes the subfamily undefined.  An infinite
-reward ``hi`` decides nothing, as the subfamily may mix defined and
-undefined members.  With both directions solved an undecided subfamily
-splits, and a singleton takes its exact check with the exact rational
-chain solver.  Max/min synthesis reads its lead from the same range,
-discards a subfamily whose ``lo`` is ``inf`` as undefined, and discards
-one whose lead cannot strictly beat the best member found: an uncertified
-lead is infinite, so the subfamily splits by both schedulers or a
-singleton's member is valued exactly.
+that value, worked out once per query (``_Loop.meets``): the float
+threshold may round to it.  Value iteration is one-sided (computed values
+never exceed the true fixpoint), so any other ``lo`` is compared with the
+float threshold literally and any other ``hi`` with a margin of ``MARGIN``
+towards splitting, relative to thresholds above 1.  Threshold
+classification accepts when the range's worst end meets the threshold and
+rejects when its best end fails it.  An undefined reward is ``inf`` in
+every solve and exact check.  A min of ``inf`` at the initial state comes
+only from the graph analyses (no scheduler reaches the goal almost surely),
+so it sets ``lo`` certified or not and makes the subfamily undefined.  An
+infinite reward ``hi`` decides nothing, as the subfamily may mix defined
+and undefined members.  With both directions solved an undecided subfamily
+splits, and a singleton takes its exact check with the exact rational chain
+solver.  Max/min synthesis reads its lead from the same range, discards a
+subfamily whose ``lo`` is ``inf`` as undefined, and discards one whose lead
+cannot strictly beat the best member found: an uncertified lead is
+infinite, so the subfamily splits by both schedulers or a singleton's
+member is valued exactly.
 """
 
 from __future__ import annotations
@@ -151,16 +152,6 @@ IMPORTANCE = 0.5
 # underestimate this far towards splitting, times the threshold when it
 # exceeds 1: the solver's error below the fixpoint is relative.
 MARGIN = 1e-6
-
-
-@dataclass
-class ScoreReport:
-    """Split diagnostics: the variance score of each splittable parameter
-    and the selected predicate."""
-
-    variance: dict[int, int]
-    chosen_param: int
-    chosen_values: tuple[int, ...]
 
 
 @dataclass
@@ -291,22 +282,36 @@ def _variance_score(c_max: dict[int, int], c_min: dict[int, int]) -> int:
     return sum(abs(c_max[t] - c_min[t]) for t in c_max)
 
 
+def _cut(current: tuple[int, ...], worth, picked) -> tuple[int, ...]:
+    """The values of ``current`` to keep together.  They are ranked by
+    ``worth``, larger first (equal worth in domain order), and cut at the
+    largest drop between neighbours that separates the first and last
+    value in ``picked``; drop ties go to the more balanced cut, then the
+    earlier one.  The upper part is kept, in domain order.  Drops follow
+    ``_gap``: two infinite values are 0 apart."""
+    ranked = sorted(current, key=lambda t: -worth(t))
+    at = [i for i, t in enumerate(ranked) if t in picked]
+    n = len(ranked)
+    # max keeps the first of equal keys: the earlier cut
+    cut = max(range(at[0] + 1, at[-1] + 1), key=lambda i: (
+        _gap(worth(ranked[i - 1]), worth(ranked[i])), -abs(n - 2 * i)))
+    chosen = set(ranked[:cut])
+    return tuple(t for t in current if t in chosen)
+
+
 def select_predicate(c_max: dict[int, dict[int, int]],
                      c_min: dict[int, dict[int, int]],
                      sub: Subfamily, v_max: tuple[float, ...],
-                     v_min: tuple[float, ...]) -> ScoreReport:
-    """Pick the splittable parameter with the highest variance score and the
-    values of its current subset that are worth most.  The counts need
-    entries only for the splittable parameters.
+                     v_min: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
+    """The splittable parameter with the highest variance score
+    (``_variance_score``) and the values of its current subset to keep
+    together.  The counts need entries only for the splittable parameters.
 
     ``v_max``/``v_min`` are solved values by state.  A value is a successor
     state, so its worth is ``v_max + v_min`` there.  Variance ties go to
-    the parameter whose values spread furthest in worth, then by
-    declaration order.  Its values are ranked by worth, larger first
-    (``inf`` first, equal worth in domain order), and cut at the largest
-    drop between neighbours; drop ties go to the more balanced cut, then
-    the earlier one.  The upper part is kept.  Spreads and drops follow
-    ``_gap``: two infinite values are 0 apart.
+    the parameter whose values spread furthest in worth (by ``_gap``), then
+    by declaration order.  Its values are cut over their whole ranking by
+    worth (``_cut``).
     """
     splittable = sub.splittable
     if not splittable:
@@ -320,19 +325,11 @@ def select_predicate(c_max: dict[int, dict[int, int]],
         worths = [worth(t) for t in sub.subsets[k]]
         return _gap(max(worths), min(worths))
 
-    # max keeps the first of equal keys: declaration order, earlier cut
+    # max keeps the first of equal keys: declaration order
     top = max(variance.values())
-    tied = [k for k in splittable if variance[k] == top]
-    best = max(tied, key=spread)
+    best = max((k for k in splittable if variance[k] == top), key=spread)
     current = sub.subsets[best]
-    ranked = sorted(current, key=lambda t: -worth(t))
-    n = len(ranked)
-    cut = max(range(1, n), key=lambda i: (
-        _gap(worth(ranked[i - 1]), worth(ranked[i])), -abs(n - 2 * i)))
-    chosen = set(ranked[:cut])
-    keep = tuple(t for t in current if t in chosen)
-    return ScoreReport(variance=variance, chosen_param=best,
-                       chosen_values=keep)
+    return best, _cut(current, worth, current)
 
 
 def lead_predicate(picks: dict[int, dict[int, int]], sub: Subfamily,
@@ -345,12 +342,10 @@ def lead_predicate(picks: dict[int, dict[int, int]], sub: Subfamily,
     before the goal that pick each value (``extract_counts``); ``values``
     are the lead's solved values by state.  Among the parameters picked at
     two or more values, the one with the most states off its most frequent
-    pick is split; ties go to the widest spread of the values of its picks,
-    then by declaration order.  Its values are ranked best first (descending
-    for max, ascending for min, equal values in domain order) and cut at the
-    largest drop between neighbours that separates its first and last
-    picked value; drop ties go to the more balanced cut, then the earlier
-    one.  The better part is kept.  Spreads and drops follow ``_gap``.
+    pick is split; ties go to the widest spread of the values of its picks
+    (by ``_gap``), then by declaration order.  Its values are worth the
+    lead's value for max and its negation for min, so the better part is
+    kept, and they are cut between its first and last pick (``_cut``).
     """
     def score(k: int) -> tuple[int, float]:
         counts = picks[k]
@@ -358,18 +353,12 @@ def lead_predicate(picks: dict[int, dict[int, int]], sub: Subfamily,
         return (sum(counts.values()) - max(counts.values()),
                 _gap(max(worths), min(worths)))
 
-    # max keeps the first of equal keys: declaration order, earlier cut
+    # max keeps the first of equal keys: declaration order
     best = max((k for k in sub.splittable
                 if sum(n > 0 for n in picks[k].values()) > 1), key=score)
-    current = sub.subsets[best]
-    ranked = sorted(current, key=lambda t: -values[t] if maximize
-                    else values[t])
-    at = [i for i, t in enumerate(ranked) if picks[best][t]]
-    n = len(ranked)
-    cut = max(range(at[0] + 1, at[-1] + 1), key=lambda i: (
-        abs(_gap(values[ranked[i - 1]], values[ranked[i]])), -abs(n - 2 * i)))
-    chosen = set(ranked[:cut])
-    return best, tuple(t for t in current if t in chosen)
+    picked = {t for t, n in picks[best].items() if n}
+    return best, _cut(sub.subsets[best], lambda t: (
+        values[t] if maximize else -values[t]), picked)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +400,7 @@ class _Loop:
         self.exact: dict[tuple[int, ...], str] = {}
         # a binary tree over the members has this many nodes at most
         self.tree_bound = 2 * family.n_realisations - 1
-        # what ``classify`` compares with, for threshold specs: the float
+        # what ``meets`` compares with, for threshold specs: the float
         # threshold, and the exact verdicts of a value pinned at 0 and at 1
         if spec.threshold is not None:
             self.lam = float(spec.threshold)
@@ -531,9 +520,8 @@ class _Loop:
                                    self.goal)
             c_max = extract_counts(res["max"].choices, imp, restricted)
             c_min = extract_counts(res["min"].choices, imp, restricted)
-            report = select_predicate(c_max, c_min, sub, res["max"].values,
-                                      res["min"].values)
-            param, keep = report.chosen_param, report.chosen_values
+            param, keep = select_predicate(
+                c_max, c_min, sub, res["max"].values, res["min"].values)
         else:
             # the lead's picks over the walk that ``is_consistent`` takes
             found = res[lead]
@@ -560,24 +548,34 @@ class _Loop:
         # surely, hence a defined reward for every member; an infinite one
         # may mix defined and undefined members and decides nothing
         if self.spec.kind != REWARD or hi < math.inf:
-            rel = self.spec.relation
-            # an end pinned by qualitative analysis is an exact 0 or 1 and
-            # takes its exact verdict; any other max may lie below its
-            # fixpoint: push it towards splitting
-            worst = (self.pinned_verdict[lo == 1.0]
-                     if lo > -math.inf and res["min"].pinned
-                     else compare(lo, rel, self.lam))
-            best = (self.pinned_verdict[hi == 1.0]
-                    if hi < math.inf and res["max"].pinned
-                    else compare(hi, rel, self.lam - self.margin))
+            # a max not pinned may lie below its fixpoint: push it to split
+            worst = self.meets(lo, lo > -math.inf and res["min"].pinned)
+            best = self.meets(hi, hi < math.inf and res["max"].pinned,
+                              self.margin)
             # for ``<`` and ``<=`` the worst end is hi
-            if rel in ("<", "<="):
+            if self.spec.relation in ("<", "<="):
                 worst, best = best, worst
             if worst:
                 return "accept"
             if not best:
                 return "reject"
         return "split" if len(res) == 2 else None
+
+    def meets(self, value: float, pinned: bool, slack: float = 0.0) -> bool:
+        """Whether ``value`` meets the threshold.  A value that qualitative
+        analysis pinned is an exact 0 or 1 and takes its exact verdict; any
+        other is compared with the float threshold less ``slack``."""
+        if pinned:
+            return self.pinned_verdict[value == 1.0]
+        return compare(value, self.spec.relation, self.lam - slack)
+
+    def member(self, restricted: RestrictedQuotient,
+               found: CheckResult) -> Realisation | None:
+        """The first member of ``found``'s scheduler; None if inconsistent."""
+        if not is_consistent(restricted, found.choices, self.goal)[0]:
+            return None
+        return next(scheduler_to_realisations(
+            restricted, found.choices, self.goal).members())
 
     def decide_exactly(self, member: Realisation) -> str:
         """Classify one member with the exact rational chain solver, at most
@@ -685,12 +683,9 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
         found = res[witness]
         value = found.at_initial
         # a pinned witness is its member's exact 0 or 1 (module docstring)
-        holds = (loop.pinned_verdict[value == 1.0] if found.pinned else
-                 not math.isinf(value) and compare(value, spec.relation,
-                                                   loop.lam))
-        if holds and is_consistent(restricted, found.choices, loop.goal)[0]:
-            member = next(scheduler_to_realisations(
-                restricted, found.choices, loop.goal).members())
+        holds = not math.isinf(value) and loop.meets(value, found.pinned)
+        member = loop.member(restricted, found) if holds else None
+        if member is not None:
             decision = ("accept" if found.pinned
                         else loop.decide_exactly(member))
             if decision == "accept":
@@ -774,10 +769,9 @@ def _optimise(family: FamilyModel, spec: Specification,
             loop.solve(restricted, other, parent, res)
             return ("discard-undefined" if _range(res)[0] == math.inf
                     else "split")
-        if is_consistent(restricted, res[lead].choices, loop.goal)[0]:
-            outcome.best = next(scheduler_to_realisations(
-                restricted, res[lead].choices, loop.goal).members())
-            outcome.best_value = leadv
+        member = loop.member(restricted, res[lead])
+        if member is not None:
+            outcome.best, outcome.best_value = member, leadv
             if _pinned_extreme(res[lead], maximize):
                 loop.queue.clear()  # no member can beat an exact 1 or 0
             return "improve"

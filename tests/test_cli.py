@@ -180,9 +180,12 @@ NO_SPECS = EXAMPLE1.read_text().partition("\nspecs\n")[0]
     (("synth", "--spec-string", 'E<=3 F "one"', MODEL), 2, "bad-reward"),
     (("synth", "--spec", "obj", MODEL), 2, "unsupported-spec"),
     (("check", "--spec-string", 'P<=1/0 F "two"', MODEL), 2, "bad-number"),
+    # one spec or the other: an unknown named one is not silently dropped
+    (("synth", "--spec", "nosuch", "--spec-string", 'P>=1/2 F "one"', MODEL),
+     1, "usage"),
 ], ids=["spec-string", "spec-string-objective", "unknown-spec", "no-specs",
         "bad-threshold", "no-rewards", "objective-for-threshold",
-        "zero-denominator"])
+        "zero-denominator", "spec-and-spec-string"])
 def test_spec_selection(tmp_path, capsys, argv, code, expect):
     # exit 0 prints the spec that ran, any other exit one diagnostic line
     # with the error's code

@@ -19,7 +19,6 @@ from famsynth import (
     all_realisations,
     build_all_in_one,
     build_quotient,
-    important_states,
     instantiate,
     is_consistent,
     random_family,
@@ -35,6 +34,7 @@ from famsynth.engine import (
     induced_chain,
 )
 from famsynth.quotient import inherit
+from famsynth.synthesis import important_states
 from conftest import R2, random_subfamily
 
 H = Fraction(1, 2)
@@ -118,6 +118,17 @@ def test_restrict_rejects_a_value_outside_the_domain(example1):
     assert err.value.code == "bad-domain"
     with pytest.raises(ModelError, match="k2"):
         QuotientMDP(model).restrict(Subfamily(((0,), (0, 1), (3, 3))))
+
+
+def test_restrict_rejects_a_subfamily_of_another_arity(example1):
+    # example1 has three parameters: a fourth subset once gave a restriction
+    # of size 8, and two subsets an IndexError
+    model, _ = example1
+    for subsets in (((0,), (0, 1), (2, 3), (1, 2)), ((0,), (0, 1))):
+        with pytest.raises(ModelError, match=f"{len(subsets)} parameters, "
+                           "the family 3") as err:
+            QuotientMDP(model).restrict(Subfamily(subsets))
+        assert err.value.code == "bad-domain"
 
 
 def test_restrict_to_full_family_is_identity(example1):

@@ -15,9 +15,7 @@ from famsynth import (
     UnsupportedSpecError,
     all_realisations,
     build_quotient,
-    extract_counts,
     feasibility,
-    important_states,
     instantiate,
     max_synthesis,
     member_chain,
@@ -27,14 +25,15 @@ from famsynth import (
     parse_spec,
     random_family,
     random_spec,
-    select_predicate,
     solve_mc_exact,
     solve_prob,
     solve_reward,
     threshold_synthesis,
 )
 from famsynth import engine, synthesis
-from famsynth.synthesis import lead_predicate
+from famsynth.synthesis import (_variance_score, extract_counts,
+                                 important_states, lead_predicate,
+                                 select_predicate)
 from famsynth.engine import exact_mc_probability, exact_mc_reward, mdp_from_mc
 from famsynth.quotient import before_goal
 from conftest import (REPO, R1, R2, R3, R4, ladder, random_subfamily,
@@ -628,37 +627,31 @@ def test_score_formulas():
     c_max = {0: {0: 2, 1: 0}}
     c_min = {0: {0: 0, 1: 2}}
     sub = Subfamily(((0, 1),))
-    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
-    assert report.variance[0] == 4
-    assert report.chosen_param == 0
+    assert _variance_score(c_max[0], c_min[0]) == 4
     # equal worth: the balanced cut keeps the first value
-    assert report.chosen_values == (0,)
+    assert select_predicate(c_max, c_min, sub, ZEROS, ZEROS) == (0, (0,))
 
 
 def test_select_predicate_prefers_higher_score_first_on_ties():
     c_max = {0: {0: 2, 1: 0}, 1: {0: 1, 1: 1}}
     c_min = {0: {0: 0, 1: 2}, 1: {0: 1, 1: 1}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
-    assert report.variance == {0: 4, 1: 0}
-    assert report.chosen_param == 0
+    assert [_variance_score(c_max[k], c_min[k]) for k in (0, 1)] == [4, 0]
+    assert select_predicate(c_max, c_min, sub, ZEROS, ZEROS)[0] == 0
     # all-zero scores and values: declaration order, then domain order
     zeros = {0: {0: 0, 1: 0}, 1: {0: 0, 1: 0}}
-    report = select_predicate(zeros, zeros, sub, ZEROS, ZEROS)
-    assert report.chosen_param == 0
-    assert report.chosen_values == (0,)
+    assert select_predicate(zeros, zeros, sub, ZEROS, ZEROS) == (0, (0,))
 
 
 def test_select_predicate_scores_recomputable():
     c_max = {0: {0: 3, 1: 1}, 1: {0: 0, 1: 2}}
     c_min = {0: {0: 1, 1: 0}, 1: {0: 2, 1: 0}}
     sub = Subfamily(((0, 1), (0, 1)))
-    report = select_predicate(c_max, c_min, sub, ZEROS, ZEROS)
     for k in (0, 1):
-        assert report.variance[k] == sum(
+        assert _variance_score(c_max[k], c_min[k]) == sum(
             abs(c_max[k][t] - c_min[k][t]) for t in sub.subsets[k])
     # b's counts differ more (4 against 3), so b is split
-    assert report.chosen_param == 1
+    assert select_predicate(c_max, c_min, sub, ZEROS, ZEROS)[0] == 1
 
 
 def worths(*values):
@@ -673,17 +666,17 @@ def test_select_predicate_breaks_variance_ties_by_value_spread():
     # worth is split, and equal spreads go by declaration order
     sub = Subfamily(((0, 1), (2, 3), (4, 5)))
     zeros = {k: dict.fromkeys(sub.subsets[k], 0) for k in range(3)}
-    report = select_predicate(zeros, zeros, sub,
-                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 0.5))
-    assert report.chosen_param == 1
-    report = select_predicate(zeros, zeros, sub,
-                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
-    assert report.chosen_param == 1
+    param, _ = select_predicate(zeros, zeros, sub,
+                                *worths(0.5, 0.75, 0.0, 1.0, 0.25, 0.5))
+    assert param == 1
+    param, _ = select_predicate(zeros, zeros, sub,
+                                *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
+    assert param == 1
     # a higher variance still wins over a wider spread
     c_max = {0: {0: 1, 1: 0}, 1: {2: 0, 3: 0}, 2: {4: 0, 5: 0}}
-    report = select_predicate(c_max, zeros, sub,
-                              *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
-    assert report.chosen_param == 0
+    param, _ = select_predicate(c_max, zeros, sub,
+                                *worths(0.5, 0.75, 0.0, 1.0, 0.25, 1.25))
+    assert param == 0
 
 
 def test_select_predicate_cuts_at_the_largest_value_drop():
@@ -693,21 +686,21 @@ def test_select_predicate_cuts_at_the_largest_value_drop():
     sub = Subfamily(((0, 1, 2, 3),))
     c_max = {0: {0: 0, 1: 0, 2: 0, 3: 1}}
     c_min = {0: dict.fromkeys(range(4), 0)}
-    report = select_predicate(c_max, c_min, sub, *worths(9.0, 10.0, 8.0, 1.0))
-    assert report.chosen_values == (0, 1, 2)
+    _, keep = select_predicate(c_max, c_min, sub, *worths(9.0, 10.0, 8.0, 1.0))
+    assert keep == (0, 1, 2)
     # drops 2, 2, 1, 2 from 7, 5, 3, 2, 0: of the tied cuts after one, two
     # and four values, the balanced one keeps two
     sub = Subfamily(((0, 1, 2, 3, 4),))
     c_max = {0: {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}}
     c_min = {0: dict.fromkeys(range(5), 0)}
-    report = select_predicate(c_max, c_min, sub,
-                              *worths(0.0, 2.0, 3.0, 5.0, 7.0))
-    assert report.chosen_values == (3, 4)
+    _, keep = select_predicate(c_max, c_min, sub,
+                               *worths(0.0, 2.0, 3.0, 5.0, 7.0))
+    assert keep == (3, 4)
     # drops 2, 1, 2: the cuts after one and three values are as balanced,
     # so the earlier one keeps one value
     sub = Subfamily(((0, 1, 2, 3),))
-    report = select_predicate(c_min, c_min, sub, *worths(5.0, 3.0, 2.0, 0.0))
-    assert report.chosen_values == (0,)
+    _, keep = select_predicate(c_min, c_min, sub, *worths(5.0, 3.0, 2.0, 0.0))
+    assert keep == (0,)
 
 
 def test_select_predicate_ranks_an_infinite_value_first():
@@ -715,15 +708,15 @@ def test_select_predicate_ranks_an_infinite_value_first():
     # above every finite value, and the drop to a finite one is infinite
     sub = Subfamily(((0, 1, 2, 3),))
     counts = {0: dict.fromkeys(range(4), 0)}
-    report = select_predicate(counts, counts, sub,
-                              *worths(5.0, 4.0, math.inf, 0.0))
-    assert report.chosen_values == (2,)
+    _, keep = select_predicate(counts, counts, sub,
+                               *worths(5.0, 4.0, math.inf, 0.0))
+    assert keep == (2,)
     # two infinite values are 0 apart, so the cut keeps them together
     sub = Subfamily(((1, 2, 3),))
     counts = {0: dict.fromkeys((1, 2, 3), 0)}
-    report = select_predicate(counts, counts, sub,
-                              *worths(0.0, math.inf, 1.0, math.inf))
-    assert report.chosen_values == (1, 3)
+    _, keep = select_predicate(counts, counts, sub,
+                               *worths(0.0, math.inf, 1.0, math.inf))
+    assert keep == (1, 3)
 
 
 def test_select_predicate_spreads_an_infinite_value_furthest():
@@ -731,12 +724,12 @@ def test_select_predicate_spreads_an_infinite_value_furthest():
     # infinite values spread 0
     sub = Subfamily(((0, 1), (2, 3)))
     zeros = {0: {0: 0, 1: 0}, 1: {2: 0, 3: 0}}
-    report = select_predicate(zeros, zeros, sub,
-                              *worths(1.0, 100.0, math.inf, 0.0))
-    assert report.chosen_param == 1
-    report = select_predicate(zeros, zeros, sub,
-                              *worths(math.inf, math.inf, 1.0, 2.0))
-    assert report.chosen_param == 1
+    param, _ = select_predicate(zeros, zeros, sub,
+                                *worths(1.0, 100.0, math.inf, 0.0))
+    assert param == 1
+    param, _ = select_predicate(zeros, zeros, sub,
+                                *worths(math.inf, math.inf, 1.0, 2.0))
+    assert param == 1
 
 
 def test_lead_predicate_cuts_between_the_leads_picks():
@@ -759,6 +752,52 @@ def test_lead_predicate_cuts_between_the_leads_picks():
     # after three values is larger; k1 is picked at one value only
     picks = {0: {**k0, 2: 1, 3: 1}, 1: {6: 3, 7: 0}}
     assert lead_predicate(picks, sub, values, True) == (0, (1, 2))
+
+
+def reference_cut(current, worth, picked):
+    """The kept values of the best of every cut between the first and last
+    picked value, with equal worth ranked in domain order."""
+    ranked = sorted(current, key=lambda t: (-worth[t], current.index(t)))
+    at = [i for i, t in enumerate(ranked) if t in picked]
+
+    def drop(i):
+        above, below = worth[ranked[i - 1]], worth[ranked[i]]
+        return 0.0 if above == below else above - below
+
+    n = len(ranked)
+    cut = min(range(at[0] + 1, at[-1] + 1),
+              key=lambda i: (-drop(i), abs(n - 2 * i), i))
+    return tuple(t for t in current if t in ranked[:cut])
+
+
+@st.composite
+def cut_cases(draw):
+    subset = tuple(sorted(draw(st.lists(st.integers(0, 7), min_size=2,
+                                        max_size=8, unique=True))))
+    values = tuple(draw(st.lists(st.sampled_from(
+        (0.0, 0.25, 0.5, 1.0, 2.0, math.inf)), min_size=8, max_size=8)))
+    picked = set(draw(st.lists(st.sampled_from(subset), min_size=2,
+                               unique=True)))
+    counts = {t: draw(st.integers(1, 3)) if t in picked else 0
+              for t in subset}
+    return subset, values, counts, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cut_cases())
+def test_split_rules_keep_the_best_cut_in_their_window(case):
+    # both split rules cut one ranking: select_predicate over every value,
+    # worth v_max + v_min; lead_predicate between the lead's first and last
+    # pick, worth the lead's value for max and its negation for min
+    subset, values, counts, maximize = case
+    sub = Subfamily((subset,))
+    zeros = {0: dict.fromkeys(subset, 0)}
+    assert select_predicate(zeros, zeros, sub, values, (0.0,) * 8) == (
+        0, reference_cut(subset, values, subset))
+    worth = values if maximize else tuple(-v for v in values)
+    picked = {t for t, n in counts.items() if n}
+    assert lead_predicate({0: counts}, sub, values, maximize) == (
+        0, reference_cut(subset, worth, picked))
 
 
 # ---------------------------------------------------------------------------
