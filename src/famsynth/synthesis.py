@@ -17,17 +17,15 @@ synthesis stops at the first consistent scheduler pinned at exactly 1 (max)
 or 0 (min): that is its member's exact value, and no member beats it.
 
 Feasibility, as in the paper, leads with the witness side instead (max for
-``>``/``>=``, min for ``<``/``<=``): when that scheduler is consistent (one
-value per parameter over the states it reaches before the goal) and meets
-the bound at the initial state, its member is a candidate witness.
-The candidate is confirmed with the exact rational chain solver before it
-is returned, because on the min side the value bounds only the optimum
-from below, not the member's own value.  A candidate that fails leaves the
-subfamily to be classified and split as in threshold synthesis, and its
-exact decision is remembered, so no member is solved exactly twice.  A
-subfamily accepted whole is returned only once its first member passes the
-same exact check; otherwise it is split.  Neither check is made when the
-value it would confirm is pinned (below): a consistent witness pinned at 1
+``>``/``>=``, min for ``<``/``<=``) and reads it as max/min synthesis reads
+its lead (below): a consistent witness (one value per parameter over the
+states it reaches before the goal) names a candidate member.  The candidate
+is confirmed with the exact rational chain solver, because on the min side
+the value bounds only the optimum from below, not the member's own value;
+the first confirmed candidate ends the search.  A candidate that fails
+makes the subfamily split by both schedulers, and its exact decision is
+remembered, so no member is solved exactly twice.  No check is made when
+the candidate's value is pinned (below): a consistent witness pinned at 1
 (max) takes ``prob1_exists``'s attractor actions, which stay inside the
 set and make progress, and one pinned at 0 (min) takes ``_stay_inside``'s
 actions, so its member's value is that exact 0 or 1; a max pinned at 0 and
@@ -64,9 +62,10 @@ when fewer states than splittable parameters have it, at least
 variance (how far the two schedulers' choice counts for its values differ
 over those states), a tie going to the widest spread in worth; a value is
 worth its state's max plus min value, and the window is the whole ranking.
-Threshold synthesis and feasibility split this way, and so does max/min
-synthesis when its lead is infinite.  With a finite lead, max/min
-synthesis splits on the lead alone (``lead_predicate``), as branch and
+Threshold synthesis splits this way, and so do the searches (max/min
+synthesis, and feasibility with the witness as its lead) when their lead is
+infinite or a feasibility candidate failed.  With a finite, inconsistent
+lead, a search splits on the lead alone (``lead_predicate``), as branch and
 bound branches on a variable that the relaxation's optimum violates: the
 lead bounds the subfamily and a consistent lead is a member, so the split
 needs only its inconsistency.  It splits a parameter that the lead picks
@@ -77,10 +76,9 @@ is solved, so the children can inherit only the lead.
 Threshold synthesis refines its subfamilies first in, first out.  Max/min
 synthesis and feasibility search for one member, so they refine best first,
 as branch and bound does: the queue serves first the children of the parent
-whose range end on the lead side (``hi`` for max synthesis and for ``>``/
-``>=`` feasibility, ``lo`` for min synthesis and for ``<``/``<=``
-feasibility) is best, then the smaller child, which searches depth first
-among ties, then the child queued earlier.  The order only reorders the
+whose range end on the lead side (``hi`` for a max lead, ``lo`` for a min
+lead) is best, then the smaller child, which searches depth first among
+ties, then the child queued earlier.  The order only reorders the
 search: a parent's end bounds its children's optimum from one side only, so
 each child still takes its own decision when it comes out of the queue.
 
@@ -103,11 +101,13 @@ so it sets ``lo`` certified or not and makes the subfamily undefined.  An
 infinite reward ``hi`` decides nothing, as the subfamily may mix defined
 and undefined members.  With both directions solved an undecided subfamily
 splits, and a singleton takes its exact check with the exact rational chain
-solver.  Max/min synthesis reads its lead from the same range, discards a
-subfamily whose ``lo`` is ``inf`` as undefined, and discards one whose lead
-cannot strictly beat the best member found: an uncertified lead is
-infinite, so the subfamily splits by both schedulers or a singleton's
-member is valued exactly.
+solver.  The searches read their lead from the same range and file a
+subfamily whose ``lo`` is ``inf`` as undefined.  Max/min synthesis
+discards one whose lead cannot strictly beat the best member found, and
+feasibility rejects one whose finite witness fails the threshold, as
+classification's best end does.  An infinite lead (uncertified, or a
+reward max that escapes the goal) solves the other direction: the subfamily
+is undefined, splits by both schedulers, or is a singleton valued exactly.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ class SynthesisOutcome:
     """Result of a synthesis run.
 
     Threshold mode fills the T/F/undefined buckets with disjoint subfamilies;
-    feasibility mode fills them with the subfamilies it decided before it
-    stopped and ``best`` with the member found; max/min mode fills ``best``
-    and ``best_value``.
+    feasibility mode fills F and undefined with the subfamilies it ruled out
+    before it stopped and ``best`` with the member found; max/min mode fills
+    ``best`` and ``best_value``.
     """
 
     mode: str
@@ -407,8 +407,8 @@ class _Loop:
             self.margin = MARGIN * max(1.0, self.lam)
             self.pinned_verdict = (spec.satisfied(0), spec.satisfied(1))
 
-    def run(self, outcome: SynthesisOutcome, step, stop=()):
-        """Refine until the queue is empty or a decision in ``stop``.
+    def run(self, outcome: SynthesisOutcome, step):
+        """Refine until the queue is empty (a step may clear it).
 
         Each iteration restricts the quotient to the next subfamily and
         calls ``step(restricted, parent, res)``, which solves the directions
@@ -455,8 +455,6 @@ class _Loop:
                     split_param=split_param,
                     best_value=None if best is None or math.isinf(best)
                     else best))
-            if decision in stop:
-                return
 
     def inherit(self, restricted: RestrictedQuotient, direction: str,
                 parent: _Parent | None,
@@ -665,48 +663,50 @@ def _feasibility(family: FamilyModel, spec: Specification, *,
     if spec.objective_only:
         raise UnsupportedSpecError("feasibility needs a threshold")
     # the witness side holds the scheduler whose member may satisfy the
-    # bound; alone it can only reject or find an undefined reward.  It also
-    # leads the search: its end of a parent's range orders the queue
-    witness, other = (("max", "min") if spec.relation in (">=", ">")
-                      else ("min", "max"))
+    # bound, and it leads the search as ``_optimise``'s lead does
+    maximize = spec.relation in (">=", ">")
+    witness, other = ("max", "min") if maximize else ("min", "max")
     loop = _Loop(family, spec, collect_trace, witness)
     outcome = SynthesisOutcome(mode="feasibility", trace=loop.trace,
                                stats=loop.stats)
 
     def step(restricted, parent, res):
-        sub = restricted.sub
         loop.solve(restricted, witness, parent, res)
-        decision = loop.classify(res)
-        if decision is not None:
-            return decision
-        # a reward min that no scheduler defines was classified undefined
+        if _range(res)[0] == math.inf:
+            return "undefined"  # no scheduler reaches the goal almost surely
         found = res[witness]
-        value = found.at_initial
-        # a pinned witness is its member's exact 0 or 1 (module docstring)
-        holds = not math.isinf(value) and loop.meets(value, found.pinned)
-        member = loop.member(restricted, found) if holds else None
+        # the range's end on the witness's side: hi for max, lo for min
+        end = _range(res)[maximize]
+        if math.isinf(end):
+            # Not certified, or a reward max whose scheduler escapes the
+            # goal: undefined, or split by both schedulers unless a
+            # singleton, whose member is checked.
+            loop.solve(restricted, other, parent, res)
+            if _range(res)[0] == math.inf:
+                return "undefined"
+            if not restricted.sub.is_singleton:
+                return "split"
+        # a max not pinned may lie below its fixpoint: push it to split
+        elif not loop.meets(end, found.pinned,
+                            loop.margin if maximize else 0.0):
+            return "reject"
+        member = loop.member(restricted, found)
         if member is not None:
-            decision = ("accept" if found.pinned
+            # a pinned witness is its member's exact 0 or 1
+            decision = ("accept" if found.pinned and not math.isinf(end)
                         else loop.decide_exactly(member))
             if decision == "accept":
                 outcome.best = member
+                loop.queue.clear()  # the search is over
                 return "witness"
-            if sub.is_singleton:
+            if restricted.sub.is_singleton:
                 return decision  # the failed candidate is its exact check
-        loop.solve(restricted, other, parent, res)
-        decision = loop.classify(res)
-        # the float bounds may accept a member that misses the bound by
-        # less than rounding: unless the worst end (``other``'s) is pinned,
-        # accept only a confirmed member, and split otherwise (a singleton
-        # then takes the same, remembered, decision)
-        if decision == "accept" and not res[other].pinned and \
-                loop.decide_exactly(next(sub.members())) != "accept":
-            return "split"
-        return decision
+            loop.solve(restricted, other, parent, res)
+        # by both schedulers after a failed candidate, else on the
+        # witness's picks alone (``lead_predicate``)
+        return "split"
 
-    loop.run(outcome, step, stop=("accept", "witness"))
-    if outcome.accepted:
-        outcome.best = next(outcome.accepted[0].members())
+    loop.run(outcome, step)
     return outcome
 
 
@@ -715,10 +715,9 @@ def feasibility(family: FamilyModel, spec: Specification
     """A satisfying member, or None when no member satisfies ``spec``.
 
     The member is the first exactly confirmed witness-side scheduler's
-    (see the module docstring), or the exactly confirmed first member of
-    the first subfamily accepted whole, first in the loop's best-first
-    order: subfamilies whose parent's witness-side bound is best come
-    first, the smaller of two halves first.
+    (see the module docstring), first in the loop's best-first order:
+    subfamilies whose parent's witness-side bound is best come first, the
+    smaller of two halves first.
     """
     return _feasibility(family, spec).best
 

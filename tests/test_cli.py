@@ -214,7 +214,7 @@ def test_trace_file_is_json_lines(tmp_path, capsys):
 
 TRACE_DECISIONS = {
     "threshold": {"accept", "reject", "undefined", "split"},
-    "feasibility": {"accept", "reject", "undefined", "split", "witness"},
+    "feasibility": {"reject", "undefined", "split", "witness"},
     "max": {"improve", "split", "discard", "discard-undefined"},
     "min": {"improve", "split", "discard", "discard-undefined"},
 }
@@ -242,8 +242,8 @@ def test_trace_follows_schema(tmp_path, capsys, mode):
             assert rec["best_value"] is None
     if mode == "feasibility":
         assert json.loads(out)["found"] is True
-        # the loop stops at the first accepted subfamily or confirmed witness
-        found = [rec["decision"] in {"accept", "witness"} for rec in records]
+        # the loop stops at the first confirmed witness
+        found = [rec["decision"] == "witness" for rec in records]
         assert found[-1] and found.count(True) == 1
 
 

@@ -35,7 +35,8 @@ from famsynth.synthesis import (_variance_score, extract_counts,
                                  important_states, lead_predicate,
                                  select_predicate)
 from famsynth.engine import exact_mc_probability, exact_mc_reward, mdp_from_mc
-from famsynth.quotient import before_goal
+from famsynth.quotient import (before_goal, is_consistent,
+                               scheduler_to_realisations)
 from conftest import (REPO, R1, R2, R3, R4, ladder, random_subfamily,
                       satisfied_exactly)
 
@@ -337,12 +338,12 @@ def test_feasibility_member_satisfies_spec_exactly(seed, kind, relation,
     (NEAR_TIE_DOC, Fraction(-1, 10 ** 17), "P<=1/2"),
     (NEAR_TIE_REWARD_DOC, Fraction(1, 10 ** 17), "E<=2"),
     (NEAR_TIE_DOC, Fraction(1, 10 ** 17), "P>=1/2")],
-    ids=["prob", "reward", "accept-whole"])
+    ids=["prob", "reward", "prob-max-witness"])
 def test_feasibility_goes_on_after_a_failed_candidate(doc, eps, query):
     # member k=1 misses the bound by a margin that rounding the chain to
     # floats erases, so the witness-side scheduler of the whole family ties
-    # and picks it; its exact check fails, and the family splits even where
-    # the float bounds accept it whole.  k=2 is the witness, and k=1's
+    # and picks it; its exact check fails, and the family splits by both
+    # schedulers, on either witness side.  k=2 is the witness, and k=1's
     # singleton reuses the failed check.
     half = Fraction(1, 2)
     family, _ = parse_family(doc.format(lo=half - eps, hi=half + eps))
@@ -370,6 +371,37 @@ def test_feasibility_takes_no_exact_check_for_an_infinite_witness():
         ["split", "undefined", "witness"]
     assert out.stats.exact_calls == 1
     assert out.best.values == (14, 24, 27)
+
+
+@pytest.mark.parametrize("doc, query, decisions, solver_calls, best", [
+    ("pipeline-4x3", 'E<=30 F "done"', ["reject"], 1, None),
+    (9, 'E<=10 F "goal"', ["reject"], 1, None),
+    (51, 'P>=9/10 F "goal"', ["split", "witness"], 2,
+     (29, 50, 35, 14, 33, 61, 38, 3, 21))],
+    ids=["pipeline", "reward-min-rules-out", "pinned-witness"])
+def test_feasibility_decides_on_its_witness_alone(doc, query, decisions,
+                                                   solver_calls, best):
+    # a finite witness bounds its subfamily: the root's min rules out every
+    # member of the pipeline (32.9) and of seed 9's family (10.05), though
+    # seed 9's reward max escapes the goal, and the other direction is
+    # never solved.  Seed 51's root splits on the witness's picks, and the
+    # witness of one half is a member pinned at exactly 1
+    if isinstance(doc, int):
+        family = random_family(doc, max_states=150, max_params=10,
+                               max_domain=4, rewards=True)
+    else:
+        family, _ = parse_family((REPO / "models" / f"{doc}.fmc").read_text())
+    spec = parse_spec(query)
+    out = synthesis._feasibility(family, spec, collect_trace=True)
+    assert [rec.decision for rec in out.trace] == decisions
+    assert out.stats.solver_calls == solver_calls
+    assert all(None in (rec.min_value, rec.max_value) for rec in out.trace)
+    if best is None:
+        assert out.best is None
+    else:
+        assert out.best.values == best
+        assert out.stats.exact_calls == 0
+        assert solve_mc_exact(member_chain(family, out.best), spec) == 1
 
 
 # Thresholds at the float rounding edge: 1 - 10**-20 rounds to the float
@@ -1474,6 +1506,70 @@ def test_optimum_splits_an_inconsistent_lead_apart(seed, direction):
             assert picked & set(half.subsets[k])
     assert float(solve_mc_exact(member_chain(family, out.best), spec)) == want
     assert out.best_value == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+# witness splits are rare among random draws: two on the max side and one
+# on the min side of a reward
+@example(seed=17)
+@example(seed=136)
+@example(seed=844)
+def test_feasibility_splits_an_inconsistent_witness_apart(seed):
+    # feasibility's witness leads as max/min synthesis's lead does: a
+    # finite, inconsistent witness splits apart its own picks and solves no
+    # other direction.  Only an infinite witness, or a consistent one whose
+    # member failed its exact check, solves both
+    rng = random.Random(seed)
+    family = random_family(seed, max_states=rng.choice([12, 40, 60]),
+                           max_params=4, max_domain=4, rewards=seed % 2 == 0)
+    spec = random_spec(seed, family)
+    witness = "max" if spec.relation in (">=", ">") else "min"
+    want = one_by_one(family, spec)
+    accepted = want.bucket_members(want.accepted)
+    splits = []
+    split = synthesis._Loop.split
+
+    def recording(loop, restricted, res):
+        name = split(loop, restricted, res)
+        # the two halves are the last two pushed
+        halves = [entry[2] for entry in
+                  sorted(loop.queue, key=lambda entry: entry[1])[-2:]]
+        splits.append((restricted, dict(res), name, halves, loop.goal))
+        return name
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synthesis._Loop, "split", recording)
+        out = synthesis._feasibility(family, spec, collect_trace=True)
+    records = [rec for rec in out.trace if rec.decision == "split"]
+    assert len(records) == len(splits)
+    for rec, (restricted, res, name, halves, goal) in zip(records, splits):
+        found = res[witness]
+        finite = found.certified and not math.isinf(found.at_initial)
+        consistent = is_consistent(restricted, found.choices, goal)[0]
+        if not finite:
+            assert set(res) == {"min", "max"}
+            continue
+        if consistent:
+            # a failed candidate
+            assert set(res) == {"min", "max"}
+            member = next(scheduler_to_realisations(
+                restricted, found.choices, goal).members())
+            assert member.values not in accepted
+            continue
+        assert set(res) == {witness}
+        assert (rec.max_value if witness == "min" else rec.min_value) is None
+        k = family.param_names.index(name)
+        picked = set()
+        for s in before_goal(restricted.mdp, found.choices, goal):
+            tag = restricted.mdp.actions[s][found.choices[s]].tag
+            picked.update(v for p, v in zip(tag.params, tag.values) if p == k)
+        assert len(picked) >= 2
+        for half in halves:
+            assert picked & set(half.subsets[k])
+    assert (out.best is not None) == bool(accepted)
+    if out.best is not None:
+        assert out.best.values in accepted
 
 
 def assert_halves_of_earlier_splits(trace, complete):
